@@ -21,12 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .acceptance import SUITES, AcceptanceLab
+from .acceptance import GOLDEN_RTOL, SUITES, AcceptanceLab, golden_comparison
 from .experiments import (
+    DATA_PRESETS,
+    curve_csv,
+    curve_json_dict,
     error_curve,
     fit_slope,
-    gaussian_data,
-    moment_free_data,
+    params_dict,
     tail_window,
 )
 from .fitting import DegenerateFit, geometric_grid
@@ -41,14 +43,11 @@ from .model import (
     rate_step,
     validate,
 )
-from .profiles import golden_modal, profile_pair
 
 EXIT_OK = 0
 EXIT_SUITE = 1
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
-
-GOLDEN_RTOL = 1e-12
 
 
 class ConfigError(Exception):
@@ -81,7 +80,6 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
-_DATA_KINDS = ("gaussian", "moment_free")
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +208,16 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
     if not isinstance(cfg.dim, int):
         raise ConfigError(f"dim must be an integer, got {cfg.dim!r}")
-    if cfg.data not in _DATA_KINDS:
-        raise ConfigError(f"data must be one of {_DATA_KINDS}, got {cfg.data!r}")
+    if cfg.data not in DATA_PRESETS:
+        raise ConfigError(f"data must be one of {tuple(DATA_PRESETS)}, got {cfg.data!r}")
     if any(k < 0 or k > 3 for k in cfg.k):
         raise ConfigError(f"profile orders must lie in [0, 3], got {cfg.k}")
-    if not (0.0 < cfg.t_min < cfg.t_max):
-        raise ConfigError(f"need 0 < t_min < t_max, got {cfg.t_min}, {cfg.t_max}")
+    if not (0.0 < cfg.t_min < cfg.t_max < math.inf):
+        raise ConfigError(f"need 0 < t_min < t_max < inf, got {cfg.t_min}, {cfg.t_max}")
     if cfg.per_decade < 1:
         raise ConfigError(f"per_decade must be >= 1, got {cfg.per_decade}")
-    if not (cfg.quad_tol > 0.0):
-        raise ConfigError(f"quad_tol must be positive, got {cfg.quad_tol}")
+    if not (0.0 < cfg.quad_tol < math.inf):
+        raise ConfigError(f"quad_tol must be positive and finite, got {cfg.quad_tol}")
     if cfg.suites is not None:
         unknown = sorted(set(cfg.suites) - set(SUITES))
         if unknown:
@@ -237,14 +235,6 @@ def _params(cfg: RunConfig) -> tuple[ModelParams, object]:
     except ModelError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from None
     return p, case
-
-
-def _data_spec(cfg: RunConfig):
-    return gaussian_data() if cfg.data == "gaussian" else moment_free_data()
-
-
-def _params_dict(p: ModelParams) -> dict:
-    return {"dim": p.n, "sigma": p.sigma, "sigma1": p.sigma1, "sigma2": p.sigma2, "s": p.s}
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +256,14 @@ def cmd_validate(cfg: RunConfig) -> int:
         _write_json(
             cfg.out,
             "validate.json",
-            {"schema_version": 1, "params": _params_dict(p), "valid": False, "error": str(exc)},
+            {"schema_version": 1, "params": params_dict(p), "valid": False, "error": str(exc)},
         )
         return EXIT_CONFIG
 
     band = oscillation_band(p)
     report = {
         "schema_version": 1,
-        "params": _params_dict(p),
+        "params": params_dict(p),
         "valid": True,
         "case": case.value,
         "delta": delta(p),
@@ -303,7 +293,7 @@ def cmd_rates(cfg: RunConfig) -> int:
     _write_json(
         cfg.out,
         "rates.json",
-        {"schema_version": 1, "params": _params_dict(p), "case": case.value, "rates": rows},
+        {"schema_version": 1, "params": params_dict(p), "case": case.value, "rates": rows},
     )
     return EXIT_OK
 
@@ -313,17 +303,10 @@ def cmd_goldens(cfg: RunConfig) -> int:
     bad = [k for k in cfg.k if k not in (1, 2)]
     if bad:
         raise ConfigError(f"goldens are catalogued for k in {{1, 2}}, got {bad}")
-    r_grid = np.geomspace(1e-3 * eps_star(p), eps_star(p), 20)
     rows = []
     all_ok = True
     for k in cfg.k:
-        golden0, golden1 = golden_modal(k, case, p)
-        for comp, gold in (("position", golden0), ("velocity", golden1)):
-            max_gap = 0.0
-            for t in (1.0, 10.0, 100.0):
-                prof = profile_pair(k, p, case, t, r_grid)[0 if comp == "position" else 1]
-                ref = gold.evaluate(t, r_grid)
-                max_gap = max(max_gap, float(np.max(np.abs(prof - ref) / (1.0 + np.abs(ref)))))
+        for comp, (gold, max_gap) in zip(("position", "velocity"), golden_comparison(p, case, k)):
             ok = max_gap <= GOLDEN_RTOL
             all_ok = all_ok and ok
             corrected = list(gold.corrected_indices())
@@ -345,7 +328,7 @@ def cmd_goldens(cfg: RunConfig) -> int:
         "goldens.json",
         {
             "schema_version": 1,
-            "params": _params_dict(p),
+            "params": params_dict(p),
             "case": case.value,
             "rtol": GOLDEN_RTOL,
             "comparisons": rows,
@@ -358,10 +341,8 @@ def cmd_goldens(cfg: RunConfig) -> int:
 
 
 def cmd_curve(cfg: RunConfig) -> int:
-    from .experiments import curve_csv, curve_json_dict
-
     p, case = _params(cfg)
-    data = _data_spec(cfg)
+    data = DATA_PRESETS[cfg.data]()
     t_grid = geometric_grid(cfg.t_min, cfg.t_max, cfg.per_decade)
     for k in cfg.k:
         curve = error_curve(p, case, k, data, t_grid=t_grid, quad_tol=cfg.quad_tol)
@@ -439,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--k", type=_parse_orders, help="profile orders, comma separated (e.g. 0,1,2)"
     )
-    common.add_argument("--data", choices=_DATA_KINDS, help="spectral data preset")
+    common.add_argument("--data", choices=DATA_PRESETS, help="spectral data preset")
     common.add_argument("--t-min", dest="t_min", type=float, help="first sample time")
     common.add_argument("--t-max", dest="t_max", type=float, help="last sample time")
     common.add_argument(

@@ -96,6 +96,10 @@ def moment_free_data(c: float = 1.0, alpha: float = 1.0) -> SpectralDataSpec:
     return SpectralDataSpec(moment_free(c, alpha), moment_free(c, alpha))
 
 
+# data presets by the name the command line and the report labels use
+DATA_PRESETS = {"gaussian": gaussian_data, "moment_free": moment_free_data}
+
+
 @dataclass(frozen=True, eq=False)
 class ErrorCurve:
     """Sampled error norm E(t) for one configuration and profile order."""
@@ -292,34 +296,14 @@ def order_improvement_from_curves(
     return fit_loglog(lower.times[window], ratios, target)
 
 
-def order_improvement_check(
-    p: ModelParams,
-    case: RateCase,
-    data: SpectralDataSpec,
-    k: int = 0,
-    t_grid=None,
-    quad_tol: float = 1e-6,
-    window: slice | None = None,
-) -> FitResult:
-    """Convenience wrapper computing both curves for orders k and k+1."""
-    lower = error_curve(p, case, k, data, t_grid=t_grid, quad_tol=quad_tol)
-    higher = error_curve(p, case, k + 1, data, t_grid=lower.times, quad_tol=quad_tol)
-    return order_improvement_from_curves(lower, higher, window=window)
-
-
-def _params_meta(p: ModelParams) -> list[tuple[str, object]]:
-    return [
-        ("dim", p.n),
-        ("sigma", p.sigma),
-        ("sigma1", p.sigma1),
-        ("sigma2", p.sigma2),
-        ("s", p.s),
-    ]
+def params_dict(p: ModelParams) -> dict:
+    """The parameter tuple under the names the reports use."""
+    return {"dim": p.n, "sigma": p.sigma, "sigma1": p.sigma1, "sigma2": p.sigma2, "s": p.s}
 
 
 def curve_csv(curve: ErrorCurve, fit: FitResult | None = None) -> str:
     """Render a curve (and optional fit) as CSV with commented header metadata."""
-    meta: list[tuple[str, object]] = _params_meta(curve.params)
+    meta: list[tuple[str, object]] = list(params_dict(curve.params).items())
     meta += [
         ("case", curve.case.value),
         ("k", curve.k),
@@ -348,7 +332,7 @@ def curve_json_dict(curve: ErrorCurve, fit: FitResult | None = None) -> dict:
     """Render a curve (and optional fit) as a JSON-ready dict, schema_version 1."""
     out = {
         "schema_version": 1,
-        "params": dict(_params_meta(curve.params)),
+        "params": params_dict(curve.params),
         "case": curve.case.value,
         "k": curve.k,
         "data": curve.data.label(),

@@ -79,13 +79,6 @@ class Jet2:
     def copy(self) -> "Jet2":
         return Jet2(self.order, [row[:] for row in self.coeff])
 
-    # Sugar; the module-level functions are the primary surface.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
     def __repr__(self):
         entries = ", ".join(f"({j},{m})={self.coeff[j][m]!r}" for j, m in self.indices())
         return f"Jet2(order={self.order}, {entries})"
@@ -99,23 +92,6 @@ def _check_same_order(x: Jet2, y: Jet2) -> None:
 def jet_const(value, order: int) -> Jet2:
     out = Jet2(order)
     out.coeff[0][0] = value
-    return out
-
-
-def jet_var_a(order: int) -> Jet2:
-    """The coordinate jet a.  Needs order >= 1 to hold its linear term."""
-    if order < 1:
-        raise OrderTooSmall("the coordinate jet a needs order >= 1")
-    out = Jet2(order)
-    out.coeff[1][0] = 1.0
-    return out
-
-
-def jet_var_b(order: int) -> Jet2:
-    if order < 1:
-        raise OrderTooSmall("the coordinate jet b needs order >= 1")
-    out = Jet2(order)
-    out.coeff[0][1] = 1.0
     return out
 
 

@@ -25,7 +25,8 @@ multipliers decompose into four rank-one pieces
     K1 = vel_slow - vel_fast,   vel_slow = G^{-1} e^{lambda_slow t},
                                 vel_fast = G^{-1} e^{lambda_fast t}.
 
-`kernel_jets` returns the (a, b) jets of those four pieces at fixed (t, r);
+`root_jets` builds Gamma1, Gamma2, G^{-1} and both roots once per radial
+grid, `kernel_jets` the (a, b) jets of the four pieces at fixed (t, r);
 `exact_multipliers` evaluates K0, K1 themselves at a = b = 1, stably through
 the oscillation band where the roots turn complex.
 
@@ -45,6 +46,17 @@ from .model import ModelParams
 # Decay exponents beyond this underflow double precision; the whole
 # exponential factor is flushed to exact zero instead.
 EXP_FLUSH = 700.0
+
+
+@dataclass(frozen=True)
+class RootJets:
+    """Jets in (a, b) of the t-independent building blocks at fixed r."""
+
+    gamma1: Jet2
+    gamma2: Jet2
+    g_inv: Jet2
+    lam_slow: Jet2
+    lam_fast: Jet2
 
 
 @dataclass(frozen=True)
@@ -75,47 +87,38 @@ def _linear_jet(c0, ca, cb, order: int) -> Jet2:
     return out
 
 
-def gamma1_jet(p: ModelParams, r, order: int) -> Jet2:
-    """Jet of (1 + a r^{2(sigma2-sigma1)})^{-1}; constant term 1."""
-    r = np.asarray(r, dtype=float)
-    x = r ** (2.0 * (p.sigma2 - p.sigma1))
-    return reciprocal(_linear_jet(np.ones_like(x), x, np.zeros_like(x), order))
+def root_jets(p: ModelParams, r, order: int) -> RootJets:
+    """Gamma1, Gamma2, G^{-1} = r^{-2*sigma1} Gamma1 Gamma2^{-1} and the two roots.
 
-
-def gamma2_jet(p: ModelParams, r, order: int) -> Jet2:
-    """Jet of sqrt(1 - 4 b r^{2(sigma-2*sigma1)} Gamma1^2); constant term 1."""
-    r = np.asarray(r, dtype=float)
-    w = r ** (2.0 * (p.sigma - 2.0 * p.sigma1))
-    g1 = gamma1_jet(p, r, order)
-    b = _linear_jet(np.zeros_like(w), np.zeros_like(w), np.ones_like(w), order)
-    inner = add(jet_const(np.ones_like(w), order), scale(mul(b, mul(g1, g1)), -4.0 * w))
-    return sqrt_jet(inner)
-
-
-def g_inv_jet(p: ModelParams, r, order: int) -> Jet2:
-    """Jet of the reciprocal root gap G^{-1} = r^{-2*sigma1} Gamma1 Gamma2^{-1}."""
-    r = np.asarray(r, dtype=float)
-    g1 = gamma1_jet(p, r, order)
-    g2 = gamma2_jet(p, r, order)
-    return scale(mul(g1, reciprocal(g2)), r ** (-2.0 * p.sigma1))
-
-
-def lambda_jets(p: ModelParams, r, order: int) -> tuple[Jet2, Jet2]:
-    """Jets of (lambda_slow, lambda_fast).
-
-    Constant terms are -r^{2(sigma-sigma1)} and -r^{2*sigma1}: at small r the
-    slow branch vanishes to higher order, so it dominates for large time.
+    Gamma1 = (1 + a r^{2(sigma2-sigma1)})^{-1} and Gamma2 = sqrt(1 - 4 b
+    r^{2(sigma-2*sigma1)} Gamma1^2) have constant term 1.  The roots have
+    constant terms -r^{2(sigma-sigma1)} (slow) and -r^{2*sigma1} (fast): at
+    small r the slow branch vanishes to higher order, so it dominates for
+    large time.
     """
     r = np.asarray(r, dtype=float)
     x = r ** (2.0 * (p.sigma2 - p.sigma1))
-    g1 = gamma1_jet(p, r, order)
-    g2 = gamma2_jet(p, r, order)
-    one = jet_const(np.ones_like(x), order)
-    one_plus_g2 = add(one, g2)
-    slow = scale(mul(g1, reciprocal(one_plus_g2)), -2.0 * r ** (2.0 * (p.sigma - p.sigma1)))
+    w = r ** (2.0 * (p.sigma - 2.0 * p.sigma1))
     one_plus_ax = _linear_jet(np.ones_like(x), x, np.zeros_like(x), order)
-    fast = scale(mul(one_plus_ax, one_plus_g2), -0.5 * r ** (2.0 * p.sigma1))
-    return slow, fast
+    g1 = reciprocal(one_plus_ax)
+    b = _linear_jet(np.zeros_like(w), np.zeros_like(w), np.ones_like(w), order)
+    one = jet_const(np.ones_like(x), order)
+    g2 = sqrt_jet(add(one, scale(mul(b, mul(g1, g1)), -4.0 * w)))
+    one_plus_g2 = add(one, g2)
+    mu = r ** (2.0 * (p.sigma - p.sigma1))
+    return RootJets(
+        gamma1=g1,
+        gamma2=g2,
+        g_inv=scale(mul(g1, reciprocal(g2)), r ** (-2.0 * p.sigma1)),
+        lam_slow=scale(mul(g1, reciprocal(one_plus_g2)), -2.0 * mu),
+        lam_fast=scale(mul(one_plus_ax, one_plus_g2), -0.5 * r ** (2.0 * p.sigma1)),
+    )
+
+
+def _flushed_exp(arg):
+    """e^{-arg} for arg >= 0, exactly zero past the underflow threshold."""
+    dead = arg > EXP_FLUSH
+    return np.where(dead, 0.0, np.exp(-np.where(dead, 0.0, arg)))
 
 
 def _exp_of_root(lam: Jet2, t: float) -> Jet2:
@@ -125,10 +128,7 @@ def _exp_of_root(lam: Jet2, t: float) -> Jet2:
     flushed to exact zero past the underflow threshold, killing the whole
     jet without producing inf * 0 intermediates.
     """
-    lam0 = np.asarray(lam.coeff[0][0], dtype=float)
-    arg = -lam0 * t
-    dead = arg > EXP_FLUSH
-    envelope = np.where(dead, 0.0, np.exp(-np.where(dead, 0.0, arg)))
+    envelope = _flushed_exp(-np.asarray(lam.coeff[0][0], dtype=float) * t)
     nil = Jet2(lam.order)
     for j, m in lam.indices():
         nil.coeff[j][m] = lam.coeff[j][m] * t
@@ -146,14 +146,13 @@ def kernel_jets(p: ModelParams, t: float, r, order: int) -> KernelJets:
     """
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    r = np.asarray(r, dtype=float)
-    ginv = g_inv_jet(p, r, order)
-    lam_slow, lam_fast = lambda_jets(p, r, order)
-    e_slow = _exp_of_root(lam_slow, t)
-    e_fast = _exp_of_root(lam_fast, t)
+    roots = root_jets(p, r, order)
+    ginv = roots.g_inv
+    e_slow = _exp_of_root(roots.lam_slow, t)
+    e_fast = _exp_of_root(roots.lam_fast, t)
     return KernelJets(
-        pos_fast=mul(mul(ginv, lam_slow), e_fast),
-        pos_slow=mul(mul(ginv, lam_fast), e_slow),
+        pos_fast=mul(mul(ginv, roots.lam_slow), e_fast),
+        pos_slow=mul(mul(ginv, roots.lam_fast), e_slow),
         vel_slow=mul(ginv, e_slow),
         vel_fast=mul(ginv, e_fast),
     )
@@ -172,12 +171,6 @@ def _sinhc(z):
     small = np.abs(z) < 1e-4
     safe = np.where(small, 1.0, z)
     return np.where(small, 1.0 + z * z / 6.0, np.sinh(safe) / safe)
-
-
-def _flushed_exp(arg):
-    """e^{-arg} for arg >= 0, exactly zero past the underflow threshold."""
-    dead = arg > EXP_FLUSH
-    return np.where(dead, 0.0, np.exp(-np.where(dead, 0.0, arg)))
 
 
 def exact_multipliers(p: ModelParams, t: float, r) -> ExactMultipliers:

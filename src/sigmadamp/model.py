@@ -14,6 +14,7 @@ roots are complex (oscillating modes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -77,8 +78,8 @@ def validate(p: ModelParams, case: RateCase) -> None:
         raise OrderingViolation(f"n must be a positive integer, got {p.n}")
     if p.sigma < 1.0:
         raise OrderingViolation(f"sigma must be >= 1, got {p.sigma}")
-    if p.s < 0.0:
-        raise OrderingViolation(f"weight s must be >= 0, got {p.s}")
+    if not (0.0 <= p.s < math.inf):
+        raise OrderingViolation(f"weight s must be finite and >= 0, got {p.s}")
     if not (0.0 <= p.sigma1 < 0.5 * p.sigma):
         raise OrderingViolation(
             f"need 0 <= sigma1 < sigma/2, got sigma1={p.sigma1}, sigma={p.sigma}"
@@ -136,13 +137,6 @@ def error_exponent(p: ModelParams, k: int, case: RateCase) -> float:
     else:
         base = -p.n / (4.0 * p.sigma) - p.s / (2.0 * p.sigma)
     return base - k * rate_step(p, case)
-
-
-def damping_symbol(p: ModelParams, r):
-    """Total damping symbol r^{2*sigma1} + r^{2*sigma2}; broadcasts over r."""
-    r = np.asarray(r, dtype=float)
-    out = r ** (2.0 * p.sigma1) + r ** (2.0 * p.sigma2)
-    return out if out.ndim else float(out)
 
 
 def discriminant(p: ModelParams, r, a: float = 1.0, b: float = 1.0):

@@ -71,20 +71,6 @@ class ModalSum:
         return tuple(i for i, term in enumerate(self.terms) if term.provenance == CORRECTED)
 
 
-def _profile_pair(p: ModelParams, k: int, t: float, r, minuend: str, subtrahend: str | None):
-    """Sum of jet coefficients with j + m <= k - 1 for one kernel family pair.
-
-    The jet coefficients already carry 1/(j! m!), and the expansion is taken
-    at increment (1, 1), so the profile is the plain coefficient sum, i.e.
-    the jet polynomial evaluated at (1, 1).
-    """
-    jets = kernel_jets(p, t, r, k - 1)
-    lead = evaluate(getattr(jets, minuend), 1.0, 1.0)
-    if subtrahend is None:
-        return lead
-    return lead - evaluate(getattr(jets, subtrahend), 1.0, 1.0)
-
-
 def profile_A(k: int, p: ModelParams, t: float, r):
     """Order-k profile pair (A0, A1) for the fractional case sigma1 > 0.
 
@@ -98,8 +84,9 @@ def profile_A(k: int, p: ModelParams, t: float, r):
     if k == 0:
         zero = np.zeros_like(np.asarray(r, dtype=float))
         return (zero, zero) if zero.ndim else (0.0, 0.0)
-    a0 = _profile_pair(p, k, t, r, "pos_fast", "pos_slow")
-    a1 = _profile_pair(p, k, t, r, "vel_slow", "vel_fast")
+    jets = kernel_jets(p, t, r, k - 1)
+    a0 = evaluate(jets.pos_fast, 1.0, 1.0) - evaluate(jets.pos_slow, 1.0, 1.0)
+    a1 = evaluate(jets.vel_slow, 1.0, 1.0) - evaluate(jets.vel_fast, 1.0, 1.0)
     return a0, a1
 
 
@@ -116,9 +103,8 @@ def profile_B(k: int, p: ModelParams, t: float, r):
     if k == 0:
         zero = np.zeros_like(np.asarray(r, dtype=float))
         return (zero, zero) if zero.ndim else (0.0, 0.0)
-    b0 = -_profile_pair(p, k, t, r, "pos_slow", None)
-    b1 = _profile_pair(p, k, t, r, "vel_slow", None)
-    return b0, b1
+    jets = kernel_jets(p, t, r, k - 1)
+    return -evaluate(jets.pos_slow, 1.0, 1.0), evaluate(jets.vel_slow, 1.0, 1.0)
 
 
 def profile_pair(k: int, p: ModelParams, case: RateCase, t: float, r):

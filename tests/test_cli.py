@@ -213,6 +213,11 @@ def test_config_file_unknown_key(tmp_path, capsys):
         ["curve", "--t-min", "100", "--t-max", "10"],
         ["curve", "--per-decade", "0"],
         ["curve", "--quad-tol", "-1"],
+        ["rates", "--s", "nan"],  # non-finite inputs are configuration errors
+        ["rates", "--s", "inf"],
+        ["curve", "--s", "nan"],
+        ["curve", "--t-max", "inf"],
+        ["curve", "--quad-tol", "inf"],
     ],
 )
 def test_bad_flag_values_exit_2(argv, capsys):

@@ -8,15 +8,8 @@ import numpy as np
 import pytest
 
 from sigmadamp.jet2 import add, allclose, jet_const, mul, scale
-from sigmadamp.kernels import (
-    EXP_FLUSH,
-    exact_multipliers,
-    g_inv_jet,
-    gamma1_jet,
-    gamma2_jet,
-    kernel_jets,
-    lambda_jets,
-)
+from sigmadamp import kernels
+from sigmadamp.kernels import EXP_FLUSH, exact_multipliers, kernel_jets, root_jets
 from sigmadamp.model import ModelParams, eps_star, oscillation_band
 
 SAMPLE_POINTS = [
@@ -41,22 +34,23 @@ def powers(p, r):
 @pytest.mark.parametrize("p, t, r", SAMPLE_POINTS)
 def test_gamma_and_root_jets_match_hand_series(p, t, r):
     nu, mu, x, w = powers(p, r)
-    g1 = gamma1_jet(p, r, 2)
+    roots = root_jets(p, r, 2)
+    g1 = roots.gamma1
     assert g1.coeff[0][0] == pytest.approx(1.0)
     assert g1.coeff[1][0] == pytest.approx(-x, rel=1e-13)
     assert g1.coeff[0][1] == 0.0
 
-    g2 = gamma2_jet(p, r, 2)
+    g2 = roots.gamma2
     assert g2.coeff[0][0] == pytest.approx(1.0)
     assert g2.coeff[0][1] == pytest.approx(-2.0 * w, rel=1e-13)
     assert g2.coeff[1][0] == 0.0
 
-    ginv = g_inv_jet(p, r, 2)
+    ginv = roots.g_inv
     assert ginv.coeff[0][0] == pytest.approx(1.0 / nu, rel=1e-13)
     assert ginv.coeff[1][0] == pytest.approx(-x / nu, rel=1e-13)
     assert ginv.coeff[0][1] == pytest.approx(2.0 * w / nu, rel=1e-13)
 
-    lam_slow, lam_fast = lambda_jets(p, r, 2)
+    lam_slow, lam_fast = roots.lam_slow, roots.lam_fast
     assert lam_slow.coeff[0][0] == pytest.approx(-mu, rel=1e-13)
     assert lam_slow.coeff[1][0] == pytest.approx(mu * x, rel=1e-13)
     assert lam_slow.coeff[0][1] == pytest.approx(-mu * w, rel=1e-13)
@@ -69,14 +63,15 @@ def test_gamma1_pure_a_row_is_alternating_geometric():
     p = ModelParams(3, 1.0, 0.25, 0.75)
     r = 0.8
     x = r ** (2.0 * (p.sigma2 - p.sigma1))
-    g1 = gamma1_jet(p, r, 4)
+    g1 = root_jets(p, r, 4).gamma1
     for j in range(5):
         assert g1.coeff[j][0] == pytest.approx((-x) ** j, rel=1e-12)
 
 
 def test_lambda_constant_terms_at_half():
     p = ModelParams(3, 1.0, 0.25, 0.75)
-    lam_slow, lam_fast = lambda_jets(p, 0.5, 1)
+    roots = root_jets(p, 0.5, 1)
+    lam_slow, lam_fast = roots.lam_slow, roots.lam_fast
     assert lam_slow.coeff[0][0] == pytest.approx(-(0.5**1.5), rel=1e-14)
     assert lam_fast.coeff[0][0] == pytest.approx(-(0.5**0.5), rel=1e-14)
 
@@ -88,9 +83,9 @@ def test_slow_root_round_trip_reconstructs_its_defining_quotient(p, t, r):
     # which degenerates at b = 0
     order = 3
     mu = r ** (2.0 * (p.sigma - p.sigma1))
-    lam_slow, _ = lambda_jets(p, r, order)
-    lhs = mul(lam_slow, add(jet_const(1.0, order), gamma2_jet(p, r, order)))
-    rhs = scale(gamma1_jet(p, r, order), -2.0 * mu)
+    roots = root_jets(p, r, order)
+    lhs = mul(roots.lam_slow, add(jet_const(1.0, order), roots.gamma2))
+    rhs = scale(roots.gamma1, -2.0 * mu)
     assert allclose(lhs, rhs, rtol=1e-11, atol=1e-13)
 
 
@@ -170,6 +165,23 @@ def test_derivative_growth_stays_inside_decay_envelope():
                     )
                     bound = math.exp(-0.5 * nu * t) * r**expo
                     assert raw <= cap * bound
+
+
+def test_kernel_jets_builds_the_root_jets_once(monkeypatch):
+    # Gamma2 is the only square root in the kernel: one sqrt_jet per call
+    # means Gamma1, Gamma2, G^{-1} and both roots come from a single pass
+    calls = []
+    real = kernels.sqrt_jet
+
+    def counted(x):
+        calls.append(x.order)
+        return real(x)
+
+    monkeypatch.setattr(kernels, "sqrt_jet", counted)
+    p = ModelParams(3, 1.0, 0.25, 0.75)
+    for order in (0, 1, 2, 4):
+        kernel_jets(p, 1.0, np.array([0.2, 0.7]), order)
+    assert calls == [0, 1, 2, 4]
 
 
 def test_kernel_jets_rejects_negative_time():

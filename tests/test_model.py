@@ -1,5 +1,6 @@
 """Parameter validation, decay exponents, and discriminant-band geometry."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,8 @@ def test_validate_accepts_reference_configurations(fractional_params, frictional
         (ModelParams(1, 1.0, 0.25, 0.75), POS, DimensionTooSmall),  # n = 4 sigma1
         (ModelParams(1, 1.0, 0.0, 0.8), POS, CaseMismatch),
         (ModelParams(3, 1.0, 0.25, 0.75), ZERO, CaseMismatch),
+        (ModelParams(3, 1.0, 0.25, 0.75, s=math.nan), POS, OrderingViolation),
+        (ModelParams(3, 1.0, 0.25, 0.75, s=math.inf), POS, OrderingViolation),
     ],
 )
 def test_validate_rejects_broken_parameter_tuples(params, case, error):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sigmadamp import profiles
 from sigmadamp.kernels import kernel_jets
 from sigmadamp.model import CaseMismatch, ModelParams, RateCase, case_for, eps_star
 from sigmadamp.profiles import (
@@ -111,6 +112,21 @@ def test_first_order_profiles_are_the_kernel_constant_terms(fractional_params):
         a0, a1 = profile_A(1, p, t, r)
         assert a0 == pytest.approx(X.pos_fast.coeff[0][0] - X.pos_slow.coeff[0][0], rel=1e-14)
         assert a1 == pytest.approx(X.vel_slow.coeff[0][0] - X.vel_fast.coeff[0][0], rel=1e-14)
+
+
+def test_one_kernel_pass_per_profile_pair(monkeypatch, fractional_params, frictional_params):
+    calls = []
+    real = profiles.kernel_jets
+
+    def counted(p, t, r, order):
+        calls.append(order)
+        return real(p, t, r, order)
+
+    monkeypatch.setattr(profiles, "kernel_jets", counted)
+    for p, case in ((fractional_params, POS), (frictional_params, ZERO)):
+        for k in (1, 2, 3):
+            profile_pair(k, p, case, 2.0, np.array([0.1, 0.4]))
+    assert calls == [0, 1, 2, 0, 1, 2]
 
 
 def test_case_dispatch_and_mismatches(fractional_params, frictional_params):
