@@ -9,7 +9,20 @@ segments [r_max/2^{i+1}, r_max/2^i] reaching down to r = 1e-12.  The ladder
 resolves integrable power-law singularities at the origin without any change
 of variables; each segment is refined by bisection until the two-panel
 refinement agrees with the parent panel inside its share of the error
-budget.  Integrands must accept numpy arrays of radii.
+budget.  Integrands must accept numpy arrays of radii and act elementwise.
+
+Refinement is level-batched, after Shampine's vectorised quadgk (J. Comput.
+Appl. Math. 211, 2008): the coarse pass is one integrand call over every
+segment, and each bisection level is one call over both halves of every panel
+still open, so a norm costs one call per level instead of one per panel.
+Each panel is still reduced on its own 15 nodes and the accepted values are
+summed in the order of the bisection tree (left + right for every split
+panel, segments in ascending order), so the norms are the floats a
+depth-first recursion gives.  Refinement stops with NonConvergence on a
+non-finite panel, at the depth cap, or when neither half of a split panel
+improves on a gap already below the roundoff of the total: that gap is
+roundoff in the integrand, which a tol below roundoff would otherwise keep
+splitting, doubling the open panels on every level.
 
 Also provides the smooth radial cutoffs used to split low and high
 frequencies, and `scaling_check`, which verifies the norm decay exponent of
@@ -103,36 +116,23 @@ class CutoffSpec:
         return 1.0 - self.chi_low(r)
 
 
-def _panel(g, lo: float, hi: float) -> float:
+def _panels(g, lo: np.ndarray, hi: np.ndarray) -> list[float]:
+    """Gauss-Legendre values of g on the panels [lo[i], hi[i]], from one call of g."""
     half = 0.5 * (hi - lo)
-    r = 0.5 * (hi + lo) + half * GAUSS_NODES
-    return half * float(np.dot(GAUSS_WEIGHTS, g(r)))
+    r = (0.5 * (hi + lo))[:, None] + half[:, None] * GAUSS_NODES
+    values = g(r.ravel()).reshape(r.shape)
+    # one dot per row: a matrix-vector product would reorder the row sums
+    return [h * float(np.dot(GAUSS_WEIGHTS, row)) for h, row in zip(half.tolist(), values)]
 
 
-def _refine(g, lo: float, hi: float, tau: float, depth: int, coarse: float) -> float:
-    mid = 0.5 * (lo + hi)
-    left = _panel(g, lo, mid)
-    right = _panel(g, mid, hi)
-    fine = left + right
-    if abs(fine - coarse) <= max(tau, REL_FLOOR * abs(fine)):
-        return fine
-    if depth >= MAX_DEPTH:
-        raise NonConvergence(
-            f"segment [{lo:.6e}, {hi:.6e}] still off budget at depth {depth}"
-        )
-    half_tau = 0.5 * tau
-    return _refine(g, lo, mid, half_tau, depth + 1, left) + _refine(
-        g, mid, hi, half_tau, depth + 1, right
-    )
-
-
-def _segments(r_max: float) -> list[tuple[float, float]]:
+def _segments(r_max: float) -> tuple[np.ndarray, np.ndarray]:
     bounds = [r_max]
     while bounds[-1] * 0.5 > R_FLOOR:
         bounds.append(bounds[-1] * 0.5)
     bounds.append(R_FLOOR)
-    # ascending (lo, hi) pairs: a fixed reduction order keeps sums reproducible
-    return [(bounds[i + 1], bounds[i]) for i in range(len(bounds) - 1)][::-1]
+    # ascending segments: a fixed reduction order keeps sums reproducible
+    edges = np.array(bounds[::-1])
+    return edges[:-1], edges[1:]
 
 
 def l2_radial(f, n: int, r_max: float, tol: float = 1e-8) -> float:
@@ -141,6 +141,21 @@ def l2_radial(f, n: int, r_max: float, tol: float = 1e-8) -> float:
     The absolute norm error is targeted at tol * (1 + norm); the budget is
     converted to an integral tolerance using a coarse first pass, split
     evenly over segments, and halved on each bisection.
+
+    Refinement runs level by level: one call of f evaluates both halves of
+    every panel still open at that depth.  A panel is accepted when its halves
+    agree with it to the budget (or to REL_FLOOR relative) and is split
+    otherwise.  The accepted values are summed as the bisection tree nests,
+    left + right for each split panel and segments in ascending order, which
+    is the float a depth-first recursion returns.
+
+    Raises NonConvergence when a panel value is not finite, when a panel is
+    still off budget at MAX_DEPTH, or when both halves of a split panel stay
+    off budget with gaps no smaller than the panel's own and no larger than
+    REL_FLOOR times the coarse total: such gaps are roundoff in f, not
+    truncation, and tol asks for more than f can resolve.  A jump or kink
+    stalls only the half that holds it, and an unresolved panel has gaps
+    above that floor, so neither trips the guard.
     """
     integrand = f if isinstance(f, RadialIntegrand) else RadialIntegrand(f)
     if not (r_max > R_FLOOR):
@@ -158,16 +173,74 @@ def l2_radial(f, n: int, r_max: float, tol: float = 1e-8) -> float:
         return values * values * r ** (n - 1)
 
     sphere = surface_area(n)
-    segments = _segments(r_max)
+    lo, hi = _segments(r_max)
 
-    coarse = [_panel(g, lo, hi) for lo, hi in segments]
-    norm0 = math.sqrt(sphere * max(sum(coarse), 0.0))
+    coarse = _panels(g, lo, hi)
+    coarse_total = sum(coarse)
+    norm0 = math.sqrt(sphere * max(coarse_total, 0.0))
     eps_total = 2.0 * norm0 * tol * (1.0 + norm0) / sphere
-    tau = eps_total / len(segments)
+    segments = len(coarse)
+    tau = eps_total / segments
+    # a gap below this cannot move the total by more than its own roundoff
+    noise = REL_FLOOR * abs(coarse_total)
 
+    # Bisection tree: nodes 0..segments-1 are the ladder segments, the two
+    # children of a split node get consecutive ids (the first in first_child),
+    # and the panels open at one level are the consecutive ids from `start`.
+    value = [0.0] * segments
+    first_child: dict[int, int] = {}
+    parent_gap = [math.inf] * segments
+    start = depth = 0
+    while len(lo):
+        mid = 0.5 * (lo + hi)
+        halves = _panels(g, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        m = len(lo)
+        stalled = [False] * m
+        kept, next_coarse, next_gap = [], [], []
+        next_start = len(value)
+        for i in range(m):
+            left, right = halves[i], halves[m + i]
+            fine = left + right
+            if not math.isfinite(fine):
+                raise NonConvergence(
+                    f"segment [{lo[i]:.6e}, {hi[i]:.6e}] has non-finite value {fine} "
+                    f"at depth {depth}"
+                )
+            gap = abs(fine - coarse[i])
+            if gap <= max(tau, REL_FLOOR * abs(fine)):
+                value[start + i] = fine
+                continue
+            if depth >= MAX_DEPTH:
+                raise NonConvergence(
+                    f"segment [{lo[i]:.6e}, {hi[i]:.6e}] still off budget at depth {depth}"
+                )
+            # siblings sit side by side, the left half at even i
+            stalled[i] = parent_gap[i] <= gap <= noise
+            if stalled[i] and i % 2 and stalled[i - 1]:
+                raise NonConvergence(
+                    f"segment [{lo[i - 1]:.6e}, {hi[i]:.6e}] stalled at depth {depth}: "
+                    f"neither half improved on its refinement gap {parent_gap[i]:.3e}, "
+                    f"so tol={tol:g} is below the roundoff of the integrand"
+                )
+            first_child[start + i] = len(value)
+            value += [0.0, 0.0]
+            kept.append(i)
+            next_coarse += [left, right]
+            next_gap += [gap, gap]
+        # the children in id order: left then right half of each split panel
+        lo = np.column_stack((lo[kept], mid[kept])).ravel()
+        hi = np.column_stack((mid[kept], hi[kept])).ravel()
+        coarse, parent_gap, start = next_coarse, next_gap, next_start
+        tau *= 0.5
+        depth += 1
+
+    for node in range(len(value) - 1, -1, -1):
+        child = first_child.get(node)
+        if child is not None:
+            value[node] = value[child] + value[child + 1]
     total = 0.0
-    for (lo, hi), first in zip(segments, coarse):
-        total += _refine(g, lo, hi, tau, 0, first)
+    for v in value[:segments]:
+        total += v
     return math.sqrt(sphere * max(total, 0.0))
 
 

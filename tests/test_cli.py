@@ -240,6 +240,14 @@ def test_computation_failure_exits_3(monkeypatch, capsys):
     assert "computation error" in capsys.readouterr().err
 
 
+def test_tolerance_below_roundoff_exits_3(capsys):
+    # 1e-30 is below the integrand's roundoff: the quadrature stops at once
+    # instead of splitting noise-limited panels forever
+    code = main(["curve", *FRACTIONAL, "--k", "0,2", "--t-min", "1000", "--quad-tol", "1e-30"])
+    assert code == 3
+    assert "below the roundoff" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------- serialization
 
 

@@ -257,6 +257,43 @@ def test_lower_bound_band_needs_velocity_mass(frictional_params):
         lower_bound_band(curve)
 
 
+# Recorded at commit e452c66, where the quadrature refined one panel per
+# integrand call; refining a whole level per call must leave every norm and
+# the count of cancellation nodes bit-for-bit unchanged.
+RECORDED_FRICTIONAL_K1 = [
+    0.067517417065620047,
+    0.0063453376300798021,
+    0.0005847743203287243,
+    5.352894456927871e-05,
+]
+RECORDED_FRACTIONAL_K2 = [
+    0.00024069024457154366,
+    2.0210749433723335e-06,
+    1.8795885267043592e-08,
+]
+
+
+@ignore_cancellation
+def test_error_curves_match_recorded_values(frictional_params, fractional_params):
+    friction = error_curve(
+        frictional_params,
+        RateCase.ZERO_SIGMA1,
+        1,
+        gaussian_data(),
+        t_grid=[10.0, 100.0, 1e3, 1e4],
+    )
+    assert friction.values.tolist() == RECORDED_FRICTIONAL_K1
+    fractional = error_curve(
+        fractional_params,
+        RateCase.POSITIVE_SIGMA1,
+        2,
+        gaussian_data(),
+        t_grid=[100.0, 1e3, 1e4],
+    )
+    assert fractional.values.tolist() == RECORDED_FRACTIONAL_K2
+    assert fractional.cancellation_hits == 2285
+
+
 # -------------------------------------------------------- high frequency
 
 

@@ -1,11 +1,16 @@
-"""Radial quadrature: frozen norms, cutoff algebra, scaling exponents."""
+"""Radial quadrature: frozen norms, batched refinement, cutoff algebra, scaling exponents."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from sigmadamp.quadrature import (
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
+    R_FLOOR,
+    REL_FLOOR,
     CutoffSpec,
     NonConvergence,
     RadialIntegrand,
@@ -77,10 +82,111 @@ def test_non_integrable_singularity_rejected(exponent, n):
 
 def test_refinement_depth_cap():
     # undefined values can never meet the agreement test, so the refinement
-    # must stop at the depth cap instead of recursing forever
+    # must stop (at the first non-finite panel) instead of refining forever
     f = lambda r: np.where(r < 0.25, np.nan, np.exp(-r))  # noqa: E731
     with pytest.raises(NonConvergence):
         l2_radial(f, n=1, r_max=1.0, tol=1e-10)
+
+
+class CountingIntegrand:
+    """Records the radii of every call to the wrapped radial function."""
+
+    def __init__(self, func):
+        self.func = func
+        self.calls = []
+
+    def __call__(self, r):
+        self.calls.append(np.array(r))
+        return self.func(r)
+
+
+def test_one_integrand_call_per_refinement_level():
+    f = CountingIntegrand(lambda r: np.exp(-(r**2)))
+    got = l2_radial(f, n=1, r_max=8.0, tol=1e-10)
+    assert got == pytest.approx(GAUSS_N1, rel=1e-9)
+    # the coarse pass over all ladder segments, then one level accepting them all
+    assert len(f.calls) == 2
+    assert f.calls[1].size == 2 * f.calls[0].size
+
+
+def test_step_refines_one_path_one_call_per_level():
+    f = CountingIntegrand(lambda r: np.where(r < 0.3, 1.0, 0.0))
+    got = l2_radial(f, n=1, r_max=1.0, tol=1e-10)
+    assert got == pytest.approx(math.sqrt(0.6), rel=1e-9)
+    sizes = [c.size for c in f.calls]
+    assert sizes[1] == 2 * sizes[0]
+    # past level 0 only the panel holding the jump is split, so each call
+    # evaluates the halves of its two children: 2 x 2 x 15 nodes
+    assert sizes[2:] == [60] * (len(sizes) - 2)
+    # call i spans the panel split at depth i - 2 inside the segment [0.25, 0.5];
+    # checked while that panel is still much wider than the spacing of doubles
+    for i in range(2, 40):
+        span = f.calls[i].max() - f.calls[i].min()
+        assert round(math.log2(0.25 / span)) == i - 2
+    deepest = len(sizes) - 2
+    assert deepest > 45
+
+
+def depth_first_norm(f, n, r_max, tol):
+    """Reference: the one-panel-per-call recursion that l2_radial batches."""
+
+    def g(r):
+        values = np.asarray(f(r), dtype=float)
+        return values * values * r ** (n - 1)
+
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        return half * float(np.dot(GAUSS_WEIGHTS, g(0.5 * (hi + lo) + half * GAUSS_NODES)))
+
+    def refine(lo, hi, tau, coarse):
+        mid = 0.5 * (lo + hi)
+        left, right = panel(lo, mid), panel(mid, hi)
+        fine = left + right
+        if abs(fine - coarse) <= max(tau, REL_FLOOR * abs(fine)):
+            return fine
+        return refine(lo, mid, 0.5 * tau, left) + refine(mid, hi, 0.5 * tau, right)
+
+    bounds = [r_max]
+    while bounds[-1] * 0.5 > R_FLOOR:
+        bounds.append(bounds[-1] * 0.5)
+    bounds.append(R_FLOOR)
+    segments = list(zip(bounds[1:], bounds[:-1]))[::-1]
+    coarse = [panel(lo, hi) for lo, hi in segments]
+    sphere = surface_area(n)
+    norm0 = math.sqrt(sphere * max(sum(coarse), 0.0))
+    tau = 2.0 * norm0 * tol * (1.0 + norm0) / sphere / len(segments)
+    total = 0.0
+    for (lo, hi), first in zip(segments, coarse):
+        total += refine(lo, hi, tau, first)
+    return math.sqrt(sphere * max(total, 0.0))
+
+
+@pytest.mark.parametrize(
+    "f,n,r_max,tol",
+    [
+        (lambda r: np.exp(-(r**2)), 1, 8.0, 1e-10),
+        (lambda r: r**-0.5, 3, 1.0, 1e-10),
+        (lambda r: np.where(r < 0.3, 1.0, 0.0), 1, 1.0, 1e-10),
+        (lambda r: np.abs(r - 0.37) ** 1.5, 2, 2.0, 1e-12),
+        (lambda r: np.sin(60.0 * r) * np.exp(-r), 3, 10.0, 1e-13),
+    ],
+    ids=["gaussian", "singular", "step", "kink", "oscillatory"],
+)
+def test_level_batching_matches_depth_first_bit_for_bit(f, n, r_max, tol):
+    # same panels, same per-panel reductions, same summation tree: equal floats
+    assert l2_radial(f, n, r_max, tol) == depth_first_norm(f, n, r_max, tol)
+
+
+def test_roundoff_limited_refinement_stops():
+    # 1e-10 relative noise (a deterministic function of the bits of r) sits far
+    # above tol, so no panel meets its budget and every split panel's halves
+    # stay off it: without the roundoff guard the open panels double per level
+    f = CountingIntegrand(lambda r: np.exp(-r) * (1.0 + 1e-10 * (np.modf(r * 1e13)[0] - 0.5)))
+    start = time.perf_counter()
+    with pytest.raises(NonConvergence, match="below the roundoff"):
+        l2_radial(f, n=1, r_max=1.0, tol=1e-14)
+    assert time.perf_counter() - start < 1.0
+    assert sum(c.size for c in f.calls) < 100_000
 
 
 @pytest.mark.parametrize(
