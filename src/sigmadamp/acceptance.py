@@ -4,9 +4,10 @@ Each suite exercises one advertised property of the implementation on two
 reference configurations (one per damping case) and reports a CheckResult.
 The suites deliberately re-derive their reference values through independent
 routes: raw bivariate derivative tables assembled with explicit Leibniz
-products and partition sums for the jet oracle, central finite differences
-on a plain closed-form evaluator, five-point stencils for the defining ODE,
-and closed-form modal sums for the low-order profiles.
+products and partition sums, whose degree sums the lab's one-variable series
+must reproduce; central finite differences on a plain closed-form evaluator;
+five-point stencils for the defining ODE; and closed-form modal sums for the
+low-order profiles.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .experiments import (
     tail_window,
 )
 from .fitting import geometric_grid
-from .jet2 import Jet2, faa_di_bruno_coeff
+from .jet2 import faa_di_bruno_coeff
 from .kernels import exact_multipliers, kernel_jets
 from .model import ModelParams, RateCase, eps_star, oscillation_band
 from .profiles import ModalSum, golden_modal, profile_pair
@@ -82,7 +83,7 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# raw bivariate derivative tables (independent of the jet arithmetic)
+# raw bivariate derivative tables (independent of the series arithmetic)
 # ---------------------------------------------------------------------------
 
 
@@ -130,21 +131,28 @@ def _tbl_mul(t1, t2, order: int):
     return out
 
 
-def _tbl_as_jet(table, order: int) -> Jet2:
-    jet = Jet2(order)
-    for j in range(order + 1):
-        for m in range(order - j + 1):
-            jet.coeff[j][m] = table[j][m] / (math.factorial(j) * math.factorial(m))
-    return jet
-
-
 def _tbl_compose(outer_derivs, table, order: int):
-    inner = _tbl_as_jet(table, order)
     out = _tbl_zero(order)
     for j in range(order + 1):
         for m in range(order - j + 1):
-            out[j][m] = faa_di_bruno_coeff(outer_derivs, inner, j, m)
+            out[j][m] = faa_di_bruno_coeff(outer_derivs, table, j, m)
     return out
+
+
+def table_degree_sums(table) -> list[float]:
+    """Degree-d Taylor coefficients on the diagonal a = b = eps, d = 0 .. order.
+
+    Sums the scaled table entries table[j][m] / (j! m!) over j + m = d, which
+    is the coefficient the lab's one-variable series must hold.
+    """
+    order = len(table) - 1
+    return [
+        sum(
+            table[j][d - j] / (math.factorial(j) * math.factorial(d - j))
+            for j in range(d + 1)
+        )
+        for d in range(order + 1)
+    ]
 
 
 def _derivs_recip(center: float, order: int) -> list[float]:
@@ -169,10 +177,12 @@ def _derivs_exp_scaled(rate0: float, t: float, order: int) -> list[float]:
 
 
 def kernel_tables(p: ModelParams, t: float, r: float, order: int = 4) -> dict[str, list]:
-    """Raw derivative tables of the four tagged multipliers at (a, b) = (0, 0).
+    """Raw derivative tables of the tagged kernels at (a, b) = (0, 0).
 
-    Built from scratch with Leibniz products and partition-sum compositions;
-    shares no code path with the jet engine beyond the partition enumerator.
+    Holds the four multiplier pieces and the building blocks gamma1, gamma2,
+    g_inv, lam_slow and lam_fast, each as a triangular table of
+    d^{j+m} f / da^j db^m.  Built from scratch with Leibniz products and
+    partition-sum compositions; shares no code with the series engine.
     """
     nu = r ** (2.0 * p.sigma1)
     x = r ** (2.0 * (p.sigma2 - p.sigma1))
@@ -209,6 +219,11 @@ def kernel_tables(p: ModelParams, t: float, r: float, order: int = 4) -> dict[st
         "pos_slow": _tbl_mul(_tbl_mul(g_inv, lam_fast, order), exp_slow, order),
         "vel_slow": _tbl_mul(g_inv, exp_slow, order),
         "vel_fast": _tbl_mul(g_inv, exp_fast, order),
+        "gamma1": g1,
+        "gamma2": g2,
+        "g_inv": g_inv,
+        "lam_slow": lam_slow,
+        "lam_fast": lam_fast,
     }
 
 
@@ -530,7 +545,6 @@ class AcceptanceLab:
         rng = np.random.default_rng(_ORACLE_SEED)
         worst_table = 0.0
         worst_fd = 0.0
-        ok = True
         for _ in range(draws):
             sigma = float(rng.uniform(1.0, 1.6))
             sigma1 = float(rng.uniform(0.08, 0.35) * sigma)
@@ -539,20 +553,17 @@ class AcceptanceLab:
             t = float(rng.uniform(0.2, 3.0))
             r = float(rng.uniform(0.6, 1.4))
 
-            jets = kernel_jets(p, t, r, order=4)
+            series = kernel_jets(p, t, r, order=4)
             tables = kernel_tables(p, t, r, order=4)
             for name in _KERNEL_NAMES:
-                jet = getattr(jets, name)
-                for j, m in jet.indices():
-                    raw_jet = jet.coeff[j][m] * math.factorial(j) * math.factorial(m)
-                    gap = _rel_gap(float(raw_jet), tables[name][j][m])
-                    worst_table = max(worst_table, gap)
+                table = tables[name]
+                for coeff, diag in zip(getattr(series, name), table_degree_sums(table)):
+                    worst_table = max(worst_table, _rel_gap(float(coeff), diag))
                 fd = _fd_table(
                     lambda a, b, nm=name: kernel_direct(p, t, r, a, b)[nm], FD_STEP
                 )
                 for (j, m), fd_value in fd.items():
-                    raw_jet = jet.coeff[j][m] * math.factorial(j) * math.factorial(m)
-                    worst_fd = max(worst_fd, _rel_gap(float(raw_jet), fd_value))
+                    worst_fd = max(worst_fd, _rel_gap(table[j][m], fd_value))
         ok = worst_table <= ORACLE_RTOL and worst_fd <= FD_RTOL
         return CheckResult(
             "jet_oracle",

@@ -172,14 +172,16 @@ def _normalize(values: dict) -> dict:
     out = dict(values)
     if "k" in out:
         k = out["k"]
-        if isinstance(k, int):
-            out["k"] = (k,)
-        elif isinstance(k, str):
-            out["k"] = _parse_orders(k)
-        elif isinstance(k, (list, tuple)):
-            out["k"] = tuple(int(v) for v in k)
+        if isinstance(k, str):
+            try:
+                out["k"] = _parse_orders(k)
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(str(exc)) from None
         else:
-            raise ConfigError(f"bad value for k: {k!r}")
+            orders = k if isinstance(k, (list, tuple)) else (k,)
+            if not orders or any(isinstance(v, bool) or not isinstance(v, int) for v in orders):
+                raise ConfigError(f"profile orders must be a nonempty list of integers, got {k!r}")
+            out["k"] = tuple(orders)
     if "suites" in out and out["suites"] is not None:
         suites = out["suites"]
         if isinstance(suites, str):
@@ -212,6 +214,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"data must be one of {tuple(DATA_PRESETS)}, got {cfg.data!r}")
     if any(k < 0 or k > 3 for k in cfg.k):
         raise ConfigError(f"profile orders must lie in [0, 3], got {cfg.k}")
+    if len(set(cfg.k)) != len(cfg.k):
+        raise ConfigError(f"profile orders must not repeat, got {cfg.k}")
     if not (0.0 < cfg.t_min < cfg.t_max < math.inf):
         raise ConfigError(f"need 0 < t_min < t_max < inf, got {cfg.t_min}, {cfg.t_max}")
     if cfg.per_decade < 1:

@@ -1,22 +1,26 @@
-"""Truncated bivariate Taylor jets plus a combinatorial chain-rule oracle.
+"""Truncated one-variable Taylor series, plus a bivariate chain-rule oracle.
 
-A jet of order K stores the scaled derivatives
+The kernels tag their two damping monomials with bookkeeping parameters
+(a, b), but a profile reads the tagged Taylor polynomial only at a = b = 1:
+the sum of the scaled coefficients c_jm over j + m <= K.  On the diagonal
+a = b = eps the degree-d coefficient of f(eps, eps) is the shell sum
+sum_{j+m=d} c_jm, so that value is also the sum of the first K + 1
+coefficients of a one-variable series (the univariate-Taylor reduction of
+Griewank, Utke and Walther, Math. Comp. 69, 2000).  The lab therefore
+propagates series in eps only.
 
-    coeff[j][m] = (1/(j! m!)) * d^{j+m} f / da^j db^m   at (a, b) = (0, 0)
-
-for every j + m <= K.  Arithmetic is exact truncation: no operation reads or
-writes past total degree K, so algebraic identities such as
-mul(x, reciprocal(x)) = 1 hold exactly inside the retained degrees, up to
-float rounding.
-
-Coefficients may be floats or numpy arrays of one common shape.  Every
-operation broadcasts, which lets a single jet computation run over a whole
-radial grid at once.
+A series of order K is a float array of shape (K + 1, *r.shape): row d holds
+the degree-d coefficient at every radial node.  `mul` is the truncated
+Cauchy product, and `reciprocal`, `sqrt_series` and `exp_series` follow the
+standard recurrences (Griewank and Walther, Evaluating Derivatives, 2nd ed.,
+SIAM 2008, ch. 13); each costs O(K^2) whole-array operations, so a higher
+order adds rows, not Python loops per node.
 
 `enumerate_partitions` and `faa_di_bruno_coeff` evaluate the bivariate
 higher-order chain rule by direct summation over multi-index partitions.
-They share no code with the Horner-style composition used by the analytic
-jet functions, so they can serve as an independent oracle for it.
+They share no code with the recurrences, so the derivative tables built from
+them (`acceptance.kernel_tables`) are the independent oracle: their degree
+sums must reproduce the lab's series coefficients.
 """
 
 from __future__ import annotations
@@ -27,13 +31,9 @@ from functools import lru_cache
 
 import numpy as np
 
-# Orders above this are outside the double-precision comfort zone for the
-# compositions built on top of these jets.
-MAX_ORDER = 8
-
 
 class JetError(ValueError):
-    """Base class for jet arithmetic failures."""
+    """Base class for series arithmetic failures."""
 
 
 class OrderTooSmall(JetError):
@@ -52,180 +52,73 @@ class InsufficientOuterDerivs(JetError):
     pass
 
 
-class Jet2:
-    """Bivariate Taylor jet of fixed total order around (a, b) = (0, 0).
-
-    coeff is a triangular list of rows: coeff[j][m] exists only for
-    j + m <= order.  Entries are floats or numpy arrays of a shared shape.
-    """
-
-    __slots__ = ("order", "coeff")
-
-    def __init__(self, order: int, coeff=None):
-        if order < 0:
-            raise OrderTooSmall(f"jet order must be nonnegative, got {order}")
-        if order > MAX_ORDER:
-            raise JetError(f"jet order {order} exceeds the supported maximum {MAX_ORDER}")
-        self.order = order
-        if coeff is None:
-            coeff = [[0.0] * (order + 1 - j) for j in range(order + 1)]
-        self.coeff = coeff
-
-    def indices(self):
-        for j in range(self.order + 1):
-            for m in range(self.order + 1 - j):
-                yield j, m
-
-    def copy(self) -> "Jet2":
-        return Jet2(self.order, [row[:] for row in self.coeff])
-
-    def __repr__(self):
-        entries = ", ".join(f"({j},{m})={self.coeff[j][m]!r}" for j, m in self.indices())
-        return f"Jet2(order={self.order}, {entries})"
-
-
-def _check_same_order(x: Jet2, y: Jet2) -> None:
-    if x.order != y.order:
-        raise OrderMismatch(f"jet orders differ: {x.order} vs {y.order}")
-
-
-def jet_const(value, order: int) -> Jet2:
-    out = Jet2(order)
-    out.coeff[0][0] = value
+def linear_series(c0, c1, order: int) -> np.ndarray:
+    """Series of c0 + c1*eps; the linear term is dropped at order 0."""
+    if order < 0:
+        raise OrderTooSmall(f"series order must be nonnegative, got {order}")
+    c0 = np.asarray(c0, dtype=float)
+    c1 = np.asarray(c1, dtype=float)
+    out = np.zeros((order + 1,) + np.broadcast_shapes(c0.shape, c1.shape))
+    out[0] = c0
+    if order >= 1:
+        out[1] = c1
     return out
 
 
-def add(x: Jet2, y: Jet2) -> Jet2:
-    _check_same_order(x, y)
-    out = Jet2(x.order)
-    for j, m in x.indices():
-        out.coeff[j][m] = x.coeff[j][m] + y.coeff[j][m]
-    return out
-
-
-def scale(x: Jet2, c) -> Jet2:
-    out = Jet2(x.order)
-    for j, m in x.indices():
-        out.coeff[j][m] = c * x.coeff[j][m]
-    return out
-
-
-def mul(x: Jet2, y: Jet2) -> Jet2:
-    """Truncated Cauchy product.
-
-    Terms are grouped into swap-symmetric pairs before accumulation, so the
-    result is bitwise identical under operand exchange.
-    """
-    _check_same_order(x, y)
-    K = x.order
-    out = Jet2(K)
-    xc = x.coeff
-    yc = y.coeff
-    for J in range(K + 1):
-        for M in range(K + 1 - J):
-            s = 0.0
-            for j1 in range(J + 1):
-                j2 = J - j1
-                for m1 in range(M + 1):
-                    m2 = M - m1
-                    if (j1, m1) > (j2, m2):
-                        continue
-                    if j1 == j2 and m1 == m2:
-                        s = s + xc[j1][m1] * yc[j1][m1]
-                    else:
-                        s = s + (xc[j1][m1] * yc[j2][m2] + xc[j2][m2] * yc[j1][m1])
-            out.coeff[J][M] = s
-    return out
-
-
-def evaluate(x: Jet2, da=1.0, db=1.0):
-    """Value of the truncated Taylor polynomial at increments (da, db)."""
-    pa = [1.0]
-    pb = [1.0]
-    for _ in range(x.order):
-        pa.append(pa[-1] * da)
-        pb.append(pb[-1] * db)
-    total = 0.0
-    for j, m in x.indices():
-        total = total + x.coeff[j][m] * pa[j] * pb[m]
-    return total
-
-
-def _compose(x: Jet2, outer) -> Jet2:
-    """Horner evaluation of sum_l outer[l] * N^l with N the nilpotent part of x.
-
-    outer[l] must be the scaled Taylor coefficient f^(l)(c00) / l!.  N has a
-    zero constant term, so N^(K+1) vanishes and the Horner loop is exact.
-    """
-    K = x.order
-    nil = x.copy()
-    nil.coeff[0][0] = nil.coeff[0][0] * 0.0
-    acc = jet_const(outer[K], K)
-    for l in range(K - 1, -1, -1):
-        acc = mul(acc, nil)
-        acc.coeff[0][0] = acc.coeff[0][0] + outer[l]
+def _dot(x, y):
+    """sum_i x[i] * y[i] over the leading axis, accumulated in index order."""
+    acc = x[0] * y[0]
+    for i in range(1, len(x)):
+        acc += x[i] * y[i]
     return acc
 
 
-def reciprocal(x: Jet2) -> Jet2:
-    c0 = x.coeff[0][0]
-    if np.any(np.asarray(c0) == 0.0):
+def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Truncated product of two series of one shape: out[d] = sum_{i <= d} x[i] y[d - i]."""
+    if x.shape != y.shape:
+        raise OrderMismatch(f"series shapes differ: {x.shape} vs {y.shape}")
+    out = np.empty(x.shape)
+    for d in range(len(x)):
+        out[d] = _dot(x[: d + 1], y[d::-1])
+    return out
+
+
+def reciprocal(x: np.ndarray) -> np.ndarray:
+    """1/x: y[0] = 1/x[0], y[d] = -(sum_{i=1..d} x[i] y[d-i]) / x[0]."""
+    if np.any(x[0] == 0.0):
         raise SingularConstantTerm("reciprocal needs a nonzero constant term")
-    outer = [1.0 / c0]
-    for _ in range(x.order):
-        outer.append(-outer[-1] / c0)
-    return _compose(x, outer)
+    out = np.empty(x.shape)
+    out[0] = 1.0 / x[0]
+    for d in range(1, len(x)):
+        out[d] = -out[0] * _dot(x[1 : d + 1], out[d - 1 :: -1])
+    return out
 
 
-def sqrt_jet(x: Jet2) -> Jet2:
-    c0 = x.coeff[0][0]
-    if np.any(np.asarray(c0) <= 0.0):
+def sqrt_series(x: np.ndarray) -> np.ndarray:
+    """sqrt(x): y[0] = sqrt(x[0]), y[d] = (x[d] - sum_{i=1..d-1} y[i] y[d-i]) / (2 y[0])."""
+    if np.any(x[0] <= 0.0):
         raise SingularConstantTerm("sqrt needs a positive constant term")
-    outer = [np.sqrt(c0)]
-    for l in range(1, x.order + 1):
-        outer.append(outer[-1] * ((1.5 - l) / l) / c0)
-    return _compose(x, outer)
+    out = np.empty(x.shape)
+    out[0] = np.sqrt(x[0])
+    half_inv = 0.5 / out[0]
+    for d in range(1, len(x)):
+        rest = x[d] - _dot(out[1:d], out[d - 1 : 0 : -1]) if d > 1 else x[d]
+        out[d] = half_inv * rest
+    return out
 
 
-def exp_jet(x: Jet2) -> Jet2:
-    outer = [np.exp(x.coeff[0][0])]
-    for l in range(1, x.order + 1):
-        outer.append(outer[-1] / l)
-    return _compose(x, outer)
-
-
-def ln_jet(x: Jet2) -> Jet2:
-    c0 = x.coeff[0][0]
-    if np.any(np.asarray(c0) <= 0.0):
-        raise SingularConstantTerm("ln needs a positive constant term")
-    outer = [np.log(c0)]
-    if x.order >= 1:
-        outer.append(1.0 / c0)
-    for l in range(2, x.order + 1):
-        outer.append(-outer[-1] * ((l - 1) / l) / c0)
-    return _compose(x, outer)
-
-
-def pow_real(x: Jet2, alpha: float) -> Jet2:
-    c0 = x.coeff[0][0]
-    if np.any(np.asarray(c0) <= 0.0):
-        raise SingularConstantTerm("real power needs a positive constant term")
-    outer = [np.asarray(c0) ** alpha if isinstance(c0, np.ndarray) else c0**alpha]
-    for l in range(1, x.order + 1):
-        outer.append(outer[-1] * ((alpha - l + 1) / l) / c0)
-    return _compose(x, outer)
-
-
-def allclose(x: Jet2, y: Jet2, rtol=1e-12, atol=0.0) -> bool:
-    _check_same_order(x, y)
-    for j, m in x.indices():
-        if not np.allclose(x.coeff[j][m], y.coeff[j][m], rtol=rtol, atol=atol):
-            return False
-    return True
+def exp_series(x: np.ndarray) -> np.ndarray:
+    """exp(x): y[0] = e^{x[0]}, y[d] = (1/d) sum_{i=1..d} i x[i] y[d-i]."""
+    out = np.empty(x.shape)
+    out[0] = np.exp(x[0])
+    weighted = [i * x[i] for i in range(1, len(x))]
+    for d in range(1, len(x)):
+        out[d] = _dot(weighted[:d], out[d - 1 :: -1]) / d
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Combinatorial chain rule (independent of the Horner composition above).
+# Combinatorial chain rule (independent of the series recurrences above).
 
 
 @dataclass(frozen=True)
@@ -283,12 +176,12 @@ def enumerate_partitions(j: int, m: int, ell: int) -> tuple[PartitionTriple, ...
     return tuple(found)
 
 
-def faa_di_bruno_coeff(outer_derivs, inner: Jet2, j: int, m: int):
+def faa_di_bruno_coeff(outer_derivs, inner_table, j: int, m: int):
     """Raw derivative d^{j+m} (f o g) / da^j db^m at (0, 0) by partition sum.
 
     outer_derivs[l] must be f^(l) evaluated at g(0, 0) for l = 0 .. j + m.
-    The inner jet supplies the scaled derivatives of g; the result uses the
-    identity (1/(b1! b2!)) d^{b1+b2} g = coeff[b1][b2].
+    inner_table is triangular: inner_table[b1][b2] = d^{b1+b2} g / da^b1 db^b2
+    at (0, 0) for b1 + b2 <= its order.
     """
     if j == 0 and m == 0:
         if len(outer_derivs) < 1:
@@ -298,15 +191,18 @@ def faa_di_bruno_coeff(outer_derivs, inner: Jet2, j: int, m: int):
         raise InsufficientOuterDerivs(
             f"need outer derivatives up to order {j + m}, got {len(outer_derivs) - 1}"
         )
-    if inner.order < j + m:
-        raise OrderMismatch(f"inner jet order {inner.order} below requested bi-order {j + m}")
+    if len(inner_table) - 1 < j + m:
+        raise OrderMismatch(
+            f"inner table order {len(inner_table) - 1} below requested bi-order {j + m}"
+        )
     total = 0.0
     for ell in range(1, j + m + 1):
         part_sum = 0.0
         for part in enumerate_partitions(j, m, ell):
             prod = 1.0
             for a, (b1, b2) in zip(part.mults, part.orders):
-                prod = prod * inner.coeff[b1][b2] ** a / math.factorial(a)
+                scaled = inner_table[b1][b2] / (math.factorial(b1) * math.factorial(b2))
+                prod = prod * scaled**a / math.factorial(a)
             part_sum = part_sum + prod
         total = total + outer_derivs[ell] * part_sum
     return math.factorial(j) * math.factorial(m) * total

@@ -1,16 +1,16 @@
-"""Mode multipliers and their parameter jets.
+"""Mode multipliers and their Taylor series in the damping tags.
 
 Each Fourier mode solves v'' + (r^{2*sigma1} + r^{2*sigma2}) v' +
 r^{2*sigma} v = 0, so v(t) = K0(t, r) v(0) + K1(t, r) v'(0).  To expand the
-multipliers around the slow-mode limit, the two damping monomials and the
+multipliers around the slow-mode limit, the strong damping monomial and the
 restoring monomial are tagged with bookkeeping parameters (a, b):
 
-    v'' + (r^{2*sigma1} + a r^{2*sigma2}) v' + b r^{2*sigma} v = 0,
+    v'' + (r^{2*sigma1} + a r^{2*sigma2}) v' + b r^{2*sigma} v = 0.
 
-and everything is Taylor-expanded in (a, b) at (0, 0).  The characteristic
-roots split there into a slow branch (constant term -r^{2(sigma-sigma1)})
-and a fast branch (constant term -r^{2*sigma1}); the b-singular root
-normalization is avoided by using the algebraic forms
+The characteristic roots split at (a, b) = (0, 0) into a slow branch
+(constant term -r^{2(sigma-sigma1)}) and a fast branch (constant term
+-r^{2*sigma1}); the b-singular root normalization is avoided by using the
+algebraic forms
 
     lambda_slow = -2 r^{2(sigma-sigma1)} Gamma1 (1 + Gamma2)^{-1},
     lambda_fast = -(r^{2*sigma1}/2) (1 + a r^{2(sigma2-sigma1)}) (1 + Gamma2),
@@ -25,13 +25,20 @@ multipliers decompose into four rank-one pieces
     K1 = vel_slow - vel_fast,   vel_slow = G^{-1} e^{lambda_slow t},
                                 vel_fast = G^{-1} e^{lambda_fast t}.
 
-`root_jets` builds Gamma1, Gamma2, G^{-1} and both roots once per radial
-grid, `kernel_jets` the (a, b) jets of the four pieces at fixed (t, r);
+The profiles only read the tagged Taylor polynomials at a = b = 1, so the
+pieces are expanded on the diagonal a = b = eps as one-variable series (see
+`jet2`): the a-tag enters as 1 + eps x, and the b-tag shifts the series of
+Gamma1^2 up by one degree in 1 - 4 eps w Gamma1^2.  The degree-d coefficient
+is the sum of the bivariate coefficients c_jm over j + m = d; the bivariate
+tables themselves are built independently in `acceptance.kernel_tables`.
+
+`root_jets` builds the series of Gamma1, Gamma2, G^{-1} and both roots once
+per radial grid, `kernel_jets` those of the four pieces at fixed (t, r);
 `exact_multipliers` evaluates K0, K1 themselves at a = b = 1, stably through
 the oscillation band where the roots turn complex.
 
-All radial arguments broadcast: passing an array r yields jets with array
-coefficients and array multipliers.
+All radial arguments broadcast: an array r yields series of shape
+(order + 1, *r.shape) and array multipliers.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jet2 import Jet2, add, exp_jet, jet_const, mul, reciprocal, scale, sqrt_jet
+from .jet2 import exp_series, linear_series, mul, reciprocal, sqrt_series
 from .model import ModelParams
 
 # Decay exponents beyond this underflow double precision; the whole
@@ -50,23 +57,23 @@ EXP_FLUSH = 700.0
 
 @dataclass(frozen=True)
 class RootJets:
-    """Jets in (a, b) of the t-independent building blocks at fixed r."""
+    """Series in eps = a = b of the t-independent building blocks at fixed r."""
 
-    gamma1: Jet2
-    gamma2: Jet2
-    g_inv: Jet2
-    lam_slow: Jet2
-    lam_fast: Jet2
+    gamma1: np.ndarray
+    gamma2: np.ndarray
+    g_inv: np.ndarray
+    lam_slow: np.ndarray
+    lam_fast: np.ndarray
 
 
 @dataclass(frozen=True)
 class KernelJets:
-    """Jets in (a, b) of the four rank-one multiplier pieces at fixed (t, r)."""
+    """Series in eps = a = b of the four rank-one multiplier pieces at fixed (t, r)."""
 
-    pos_fast: Jet2
-    pos_slow: Jet2
-    vel_slow: Jet2
-    vel_fast: Jet2
+    pos_fast: np.ndarray
+    pos_slow: np.ndarray
+    vel_slow: np.ndarray
+    vel_fast: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,41 +84,34 @@ class ExactMultipliers:
     K1: object
 
 
-def _linear_jet(c0, ca, cb, order: int) -> Jet2:
-    """Jet of c0 + ca*a + cb*b; the linear part is dropped at order 0."""
-    out = Jet2(order)
-    out.coeff[0][0] = c0
-    if order >= 1:
-        out.coeff[1][0] = ca
-        out.coeff[0][1] = cb
-    return out
-
-
 def root_jets(p: ModelParams, r, order: int) -> RootJets:
     """Gamma1, Gamma2, G^{-1} = r^{-2*sigma1} Gamma1 Gamma2^{-1} and the two roots.
 
-    Gamma1 = (1 + a r^{2(sigma2-sigma1)})^{-1} and Gamma2 = sqrt(1 - 4 b
-    r^{2(sigma-2*sigma1)} Gamma1^2) have constant term 1.  The roots have
-    constant terms -r^{2(sigma-sigma1)} (slow) and -r^{2*sigma1} (fast): at
-    small r the slow branch vanishes to higher order, so it dominates for
-    large time.
+    Gamma1 = (1 + eps x)^{-1} and Gamma2 = sqrt(1 - 4 eps w Gamma1^2), with
+    x = r^{2(sigma2-sigma1)} and w = r^{2(sigma-2*sigma1)}, have constant
+    term 1.  The roots have constant terms -r^{2(sigma-sigma1)} (slow) and
+    -r^{2*sigma1} (fast): at small r the slow branch vanishes to higher
+    order, so it dominates for large time.
     """
     r = np.asarray(r, dtype=float)
     x = r ** (2.0 * (p.sigma2 - p.sigma1))
     w = r ** (2.0 * (p.sigma - 2.0 * p.sigma1))
-    one_plus_ax = _linear_jet(np.ones_like(x), x, np.zeros_like(x), order)
+    one_plus_ax = linear_series(1.0, x, order)
     g1 = reciprocal(one_plus_ax)
-    b = _linear_jet(np.zeros_like(w), np.zeros_like(w), np.ones_like(w), order)
-    one = jet_const(np.ones_like(x), order)
-    g2 = sqrt_jet(add(one, scale(mul(b, mul(g1, g1)), -4.0 * w)))
-    one_plus_g2 = add(one, g2)
+    # 1 - 4 eps w Gamma1^2: the factor eps shifts Gamma1^2 up by one degree
+    inside = np.zeros_like(g1)
+    inside[0] = 1.0
+    inside[1:] = -4.0 * w * mul(g1, g1)[:-1]
+    g2 = sqrt_series(inside)
+    one_plus_g2 = g2.copy()
+    one_plus_g2[0] += 1.0
     mu = r ** (2.0 * (p.sigma - p.sigma1))
     return RootJets(
         gamma1=g1,
         gamma2=g2,
-        g_inv=scale(mul(g1, reciprocal(g2)), r ** (-2.0 * p.sigma1)),
-        lam_slow=scale(mul(g1, reciprocal(one_plus_g2)), -2.0 * mu),
-        lam_fast=scale(mul(one_plus_ax, one_plus_g2), -0.5 * r ** (2.0 * p.sigma1)),
+        g_inv=r ** (-2.0 * p.sigma1) * mul(g1, reciprocal(g2)),
+        lam_slow=-2.0 * mu * mul(g1, reciprocal(one_plus_g2)),
+        lam_fast=-0.5 * r ** (2.0 * p.sigma1) * mul(one_plus_ax, one_plus_g2),
     )
 
 
@@ -121,23 +121,21 @@ def _flushed_exp(arg):
     return np.where(dead, 0.0, np.exp(-np.where(dead, 0.0, arg)))
 
 
-def _exp_of_root(lam: Jet2, t: float) -> Jet2:
-    """Jet of e^{lambda t} for a root jet with nonpositive constant term.
+def _exp_of_root(lam: np.ndarray, t: float) -> np.ndarray:
+    """Series of e^{lambda t} for a root series with nonpositive constant term.
 
-    Split as e^{lam00 t} * exp(nilpotent part * t); the scalar envelope is
+    Split as e^{lam[0] t} * exp(nilpotent part * t); the scalar envelope is
     flushed to exact zero past the underflow threshold, killing the whole
-    jet without producing inf * 0 intermediates.
+    series without producing inf * 0 intermediates.
     """
-    envelope = _flushed_exp(-np.asarray(lam.coeff[0][0], dtype=float) * t)
-    nil = Jet2(lam.order)
-    for j, m in lam.indices():
-        nil.coeff[j][m] = lam.coeff[j][m] * t
-    nil.coeff[0][0] = nil.coeff[0][0] * 0.0
-    return scale(exp_jet(nil), envelope)
+    envelope = _flushed_exp(-lam[0] * t)
+    nil = lam * t
+    nil[0] = 0.0
+    return envelope * exp_series(nil)
 
 
 def kernel_jets(p: ModelParams, t: float, r, order: int) -> KernelJets:
-    """Jets in (a, b) of the four multiplier pieces at fixed time t.
+    """Series in eps = a = b of the four multiplier pieces at fixed time t.
 
     Constant terms recover the slow-mode limits: pos_fast has
     -r^{2(sigma-2*sigma1)} e^{-r^{2*sigma1} t}, pos_slow has
@@ -147,14 +145,14 @@ def kernel_jets(p: ModelParams, t: float, r, order: int) -> KernelJets:
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
     roots = root_jets(p, r, order)
-    ginv = roots.g_inv
-    e_slow = _exp_of_root(roots.lam_slow, t)
-    e_fast = _exp_of_root(roots.lam_fast, t)
+    # both roots side by side on a new axis 1: (slow, fast)
+    lam = np.stack([roots.lam_slow, roots.lam_fast], axis=1)
+    exps = _exp_of_root(lam, t)
+    vel = mul(np.broadcast_to(roots.g_inv[:, None], exps.shape), exps)
+    # pos_fast = G^{-1} e^{lambda_fast t} lambda_slow, pos_slow the other way round
+    pos = mul(vel[:, ::-1], lam)
     return KernelJets(
-        pos_fast=mul(mul(ginv, roots.lam_slow), e_fast),
-        pos_slow=mul(mul(ginv, roots.lam_fast), e_slow),
-        vel_slow=mul(ginv, e_slow),
-        vel_fast=mul(ginv, e_fast),
+        pos_fast=pos[:, 0], pos_slow=pos[:, 1], vel_slow=vel[:, 0], vel_fast=vel[:, 1]
     )
 
 

@@ -2,11 +2,13 @@
 
 The k-th order profile pair approximates (K0, K1) for small frequencies by
 the total-degree-(k-1) Taylor polynomial of the tagged multipliers in the
-bookkeeping parameters (a, b), evaluated back at a = b = 1:
+bookkeeping parameters (a, b), evaluated back at a = b = 1.  That value is
+the sum of the first k coefficients of the one-variable series on the
+diagonal a = b = eps, which `kernels.kernel_jets` builds in one pass:
 
   * fractional weak damping (sigma1 > 0): both exponential branches matter,
-    profile_A sums coefficient differences of the pos_fast/pos_slow and
-    vel_slow/vel_fast jet pairs;
+    profile_A sums the series of the pos_fast/pos_slow and vel_slow/vel_fast
+    pairs and takes their differences;
   * frictional damping (sigma1 = 0): the fast branch contributes only
     exponentially-in-time small terms, so profile_B keeps a single family
     per multiplier (pos_slow with flipped sign, vel_slow as is).
@@ -14,7 +16,7 @@ bookkeeping parameters (a, b), evaluated back at a = b = 1:
 For k = 1 and k = 2 the same profiles exist in closed form as short sums of
 c * r^p * t^h * e^{-r^q t} terms.  `golden_modal` returns those reference
 sums from a hand-maintained catalog.  Cross-checking the catalog against the
-jet engine exposed two slips in its original recorded form (both in the
+series exposed two slips in its original recorded form (both in the
 k = 1, 2 position profiles of the fractional case); the affected terms are
 stored corrected and flagged, every other term is a verbatim transcription.
 """
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jet2 import evaluate
 from .kernels import kernel_jets
 from .model import CaseMismatch, ModelParams, RateCase
 
@@ -84,17 +85,17 @@ def profile_A(k: int, p: ModelParams, t: float, r):
     if k == 0:
         zero = np.zeros_like(np.asarray(r, dtype=float))
         return (zero, zero) if zero.ndim else (0.0, 0.0)
-    jets = kernel_jets(p, t, r, k - 1)
-    a0 = evaluate(jets.pos_fast, 1.0, 1.0) - evaluate(jets.pos_slow, 1.0, 1.0)
-    a1 = evaluate(jets.vel_slow, 1.0, 1.0) - evaluate(jets.vel_fast, 1.0, 1.0)
+    series = kernel_jets(p, t, r, k - 1)
+    a0 = series.pos_fast.sum(axis=0) - series.pos_slow.sum(axis=0)
+    a1 = series.vel_slow.sum(axis=0) - series.vel_fast.sum(axis=0)
     return a0, a1
 
 
 def profile_B(k: int, p: ModelParams, t: float, r):
     """Order-k profile pair (B0, B1) for the frictional case sigma1 = 0.
 
-    Only the slow-branch families enter: B0 = -(pos_slow coefficients),
-    B1 = +(vel_slow coefficients); k = 0 returns the zero pair.
+    Only the slow-branch families enter: B0 = -(pos_slow series sum),
+    B1 = +(vel_slow series sum); k = 0 returns the zero pair.
     """
     if p.sigma1 != 0.0:
         raise CaseMismatch("profile_B needs sigma1 = 0; use profile_A")
@@ -103,8 +104,8 @@ def profile_B(k: int, p: ModelParams, t: float, r):
     if k == 0:
         zero = np.zeros_like(np.asarray(r, dtype=float))
         return (zero, zero) if zero.ndim else (0.0, 0.0)
-    jets = kernel_jets(p, t, r, k - 1)
-    return -evaluate(jets.pos_slow, 1.0, 1.0), evaluate(jets.vel_slow, 1.0, 1.0)
+    series = kernel_jets(p, t, r, k - 1)
+    return -series.pos_slow.sum(axis=0), series.vel_slow.sum(axis=0)
 
 
 def profile_pair(k: int, p: ModelParams, case: RateCase, t: float, r):

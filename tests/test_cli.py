@@ -218,10 +218,22 @@ def test_config_file_unknown_key(tmp_path, capsys):
         ["curve", "--s", "nan"],
         ["curve", "--t-max", "inf"],
         ["curve", "--quad-tol", "inf"],
+        ["rates", "--k", "2,2"],  # a repeated order would be computed twice
+        ["curve", "--k", "3,3"],
     ],
 )
 def test_bad_flag_values_exit_2(argv, capsys):
     assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [[2.7], [True], [2, 2], "1,1", "2,x", 2.7, True, []])
+def test_config_file_orders_must_be_distinct_integers(k, tmp_path, capsys):
+    # neither truncated (2.7 -> 2), nor read as a number (true -> 1), nor
+    # repeated; an unparsable string is a configuration error, not a traceback
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"k": k}))
+    assert main(["rates", "--config", str(cfg)]) == 2
     assert "configuration error" in capsys.readouterr().err
 
 

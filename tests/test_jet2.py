@@ -1,4 +1,5 @@
-"""Truncated bivariate Taylor arithmetic, checked against hand series and itself."""
+"""Truncated one-variable series arithmetic, checked against hand series and
+itself, and the bivariate chain-rule oracle against the series."""
 
 import math
 
@@ -7,81 +8,106 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmadamp.acceptance import table_degree_sums
 from sigmadamp.jet2 import (
     InsufficientOuterDerivs,
-    Jet2,
     OrderMismatch,
     OrderTooSmall,
     SingularConstantTerm,
-    add,
-    allclose,
     enumerate_partitions,
-    evaluate,
-    exp_jet,
+    exp_series,
     faa_di_bruno_coeff,
-    jet_const,
-    ln_jet,
+    linear_series,
     mul,
-    pow_real,
     reciprocal,
-    scale,
-    sqrt_jet,
+    sqrt_series,
 )
 
 
-def linear_jet(c0, ca, cb, order=4):
-    x = jet_const(c0, order)
-    x.coeff[1][0] = ca
-    x.coeff[0][1] = cb
-    return x
-
-
-def random_jet(rng, order=4, lo=0.5, hi=2.0):
-    x = Jet2(order)
-    for j, m in x.indices():
-        x.coeff[j][m] = rng.uniform(-1.0, 1.0)
+def random_series(rng, order=4, lo=0.5, hi=2.0):
+    x = rng.uniform(-1.0, 1.0, order + 1)
     # keep the constant term away from 0 so reciprocal/sqrt stay regular
-    x.coeff[0][0] = rng.uniform(lo, hi)
+    x[0] = rng.uniform(lo, hi)
     return x
+
+
+def random_table(rng, order=4):
+    """Triangular table of raw bivariate derivatives with a regular constant term."""
+    table = [list(rng.uniform(-1.0, 1.0, order + 1 - j)) for j in range(order + 1)]
+    table[0][0] = rng.uniform(0.5, 2.0)
+    return table
+
+
+def binomial_power(x, alpha):
+    """x^alpha as sum_l binom(alpha, l) x0^(alpha - l) N^l, N the nilpotent part.
+
+    A reference independent of the recurrences: only `mul` and the binomial
+    series are involved.
+    """
+    nil = x.copy()
+    nil[0] = 0.0
+    out = np.zeros_like(x)
+    power = linear_series(1.0, 0.0, len(x) - 1)
+    coeff = 1.0
+    for ell in range(len(x)):
+        out = out + coeff * x[0] ** (alpha - ell) * power
+        power = mul(power, nil)
+        coeff *= (alpha - ell) / (ell + 1)
+    return out
+
+
+def ln_series(x):
+    """Logarithm by its recurrence: x y' = x', so d x0 y[d] = d x[d] - sum i y[i] x[d-i]."""
+    out = np.empty(x.shape)
+    out[0] = math.log(x[0])
+    for d in range(1, len(x)):
+        acc = d * x[d] - sum(i * out[i] * x[d - i] for i in range(1, d))
+        out[d] = acc / (d * x[0])
+    return out
 
 
 # -- frozen series ----------------------------------------------------------
 
 
 def test_reciprocal_of_one_plus_a_is_alternating_geometric():
-    x = linear_jet(1.0, 1.0, 0.0, order=5)
-    r = reciprocal(x)
-    for j in range(6):
-        assert r.coeff[j][0] == pytest.approx((-1.0) ** j, rel=1e-14)
-    for j, m in r.indices():
-        if m > 0:
-            assert r.coeff[j][m] == 0.0
+    r = reciprocal(linear_series(1.0, 1.0, 5))
+    for d in range(6):
+        assert r[d] == pytest.approx((-1.0) ** d, rel=1e-14)
 
 
 def test_sqrt_of_one_minus_four_b_matches_binomial_series():
-    # (1-4b)^{1/2} = 1 - 2b - 2b^2 - 4b^3 - ...
-    x = linear_jet(1.0, 0.0, -4.0, order=3)
-    s = sqrt_jet(x)
+    # (1-4 eps)^{1/2} = 1 - 2 eps - 2 eps^2 - 4 eps^3 - ...
+    s = sqrt_series(linear_series(1.0, -4.0, 3))
     expected = {0: 1.0, 1: -2.0, 2: -2.0, 3: -4.0}
-    for m, val in expected.items():
-        assert s.coeff[0][m] == pytest.approx(val, rel=1e-14)
+    for d, val in expected.items():
+        assert s[d] == pytest.approx(val, rel=1e-14)
 
 
 def test_exp_of_linear_jet_matches_hand_expansion():
-    # e^{c + ua + vb}: coeff[j][m] = e^c u^j v^m / (j! m!)
+    # e^{c + u a + v b} on a = b = eps: the degree-d coefficient is the shell
+    # sum of e^c u^j v^m / (j! m!) over j + m = d, i.e. e^c (u + v)^d / d!
     c, u, v = 0.3, -0.7, 1.1
-    e = exp_jet(linear_jet(c, u, v, order=4))
-    for j, m in e.indices():
-        want = math.exp(c) * u**j * v**m / (math.factorial(j) * math.factorial(m))
-        assert e.coeff[j][m] == pytest.approx(want, rel=1e-13)
+    e = exp_series(linear_series(c, u + v, 4))
+    for d in range(5):
+        shell = sum(
+            math.exp(c) * u**j * v ** (d - j) / (math.factorial(j) * math.factorial(d - j))
+            for j in range(d + 1)
+        )
+        assert e[d] == pytest.approx(shell, rel=1e-13)
+        assert e[d] == pytest.approx(math.exp(c) * (u + v) ** d / math.factorial(d), rel=1e-13)
 
 
-def test_evaluate_sums_the_truncated_polynomial():
-    x = linear_jet(2.0, 3.0, -1.0, order=2)
-    x.coeff[1][1] = 0.5
-    assert evaluate(x, 1.0, 1.0) == pytest.approx(2.0 + 3.0 - 1.0 + 0.5)
-    assert evaluate(x, 0.0, 0.0) == pytest.approx(2.0)
-    assert evaluate(x, 2.0, -1.0) == pytest.approx(2.0 + 6.0 + 1.0 - 1.0)
+def test_series_broadcast_over_radial_nodes():
+    # a (K + 1, nodes) array is K + 1 coefficient rows evaluated node by node
+    rng = np.random.default_rng(3)
+    x = np.stack([random_series(rng) for _ in range(6)], axis=1)
+    y = np.stack([random_series(rng) for _ in range(6)], axis=1)
+    xy, rx, sx, ex = mul(x, y), reciprocal(x), sqrt_series(x), exp_series(x)
+    for i in range(6):
+        assert np.array_equal(xy[:, i], mul(x[:, i], y[:, i]))
+        assert np.array_equal(rx[:, i], reciprocal(x[:, i]))
+        assert np.array_equal(sx[:, i], sqrt_series(x[:, i]))
+        assert np.array_equal(ex[:, i], exp_series(x[:, i]))
 
 
 # -- algebraic round trips --------------------------------------------------
@@ -91,54 +117,47 @@ def test_evaluate_sums_the_truncated_polynomial():
 @settings(max_examples=40, deadline=None)
 def test_mul_commutes_and_associates(seed):
     rng = np.random.default_rng(seed)
-    x, y, z = (random_jet(rng) for _ in range(3))
-    assert allclose(mul(x, y), mul(y, x), rtol=1e-12, atol=1e-14)
-    assert allclose(mul(mul(x, y), z), mul(x, mul(y, z)), rtol=1e-11, atol=1e-13)
+    x, y, z = (random_series(rng) for _ in range(3))
+    assert np.allclose(mul(x, y), mul(y, x), rtol=1e-12, atol=1e-14)
+    assert np.allclose(mul(mul(x, y), z), mul(x, mul(y, z)), rtol=1e-11, atol=1e-13)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_reciprocal_is_an_involution(seed):
     rng = np.random.default_rng(seed)
-    x = random_jet(rng)
-    assert allclose(reciprocal(reciprocal(x)), x, rtol=1e-10, atol=1e-12)
+    x = random_series(rng)
+    assert np.allclose(reciprocal(reciprocal(x)), x, rtol=1e-10, atol=1e-12)
     one = mul(x, reciprocal(x))
-    assert one.coeff[0][0] == pytest.approx(1.0, rel=1e-12)
-    assert all(abs(one.coeff[j][m]) < 1e-11 for j, m in one.indices() if (j, m) != (0, 0))
+    assert one[0] == pytest.approx(1.0, rel=1e-12)
+    assert np.all(np.abs(one[1:]) < 1e-11)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_sqrt_squares_back_and_matches_pow_half(seed):
     rng = np.random.default_rng(seed)
-    x = random_jet(rng)
-    s = sqrt_jet(x)
-    assert allclose(mul(s, s), x, rtol=1e-10, atol=1e-12)
-    assert allclose(s, pow_real(x, 0.5), rtol=1e-11, atol=1e-13)
+    x = random_series(rng)
+    s = sqrt_series(x)
+    assert np.allclose(mul(s, s), x, rtol=1e-10, atol=1e-12)
+    assert np.allclose(s, binomial_power(x, 0.5), rtol=1e-11, atol=1e-13)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_exp_ln_round_trip(seed):
     rng = np.random.default_rng(seed)
-    x = random_jet(rng)
-    assert allclose(exp_jet(ln_jet(x)), x, rtol=1e-10, atol=1e-12)
+    x = random_series(rng)
+    assert np.allclose(exp_series(ln_series(x)), x, rtol=1e-10, atol=1e-12)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_exp_turns_sums_into_products(seed):
     rng = np.random.default_rng(seed)
-    x, y = random_jet(rng), random_jet(rng)
-    assert allclose(exp_jet(add(x, y)), mul(exp_jet(x), exp_jet(y)), rtol=1e-10, atol=1e-12)
-
-
-def test_scale_and_add_are_linear():
-    rng = np.random.default_rng(7)
-    x, y = random_jet(rng), random_jet(rng)
-    lhs = scale(add(x, y), 2.5)
-    rhs = add(scale(x, 2.5), scale(y, 2.5))
-    assert allclose(lhs, rhs, rtol=1e-14)
+    x, y = random_series(rng), random_series(rng)
+    product = mul(exp_series(x), exp_series(y))
+    assert np.allclose(exp_series(x + y), product, rtol=1e-10, atol=1e-12)
 
 
 # -- combinatorial oracle ---------------------------------------------------
@@ -174,7 +193,7 @@ def test_partition_block_counts_sum_to_ell():
 def test_chain_rule_on_reciprocal_of_scaled_variable():
     # d^2/da^2 of 1/(1 + c a) at 0 is 2 c^2
     c = 0.37
-    inner = linear_jet(0.0, c, 0.0, order=2)
+    inner = [[0.0, 0.0, 0.0], [c, 0.0], [0.0]]  # raw derivatives of c*a
     outer = [1.0, -1.0, 2.0]  # derivatives of 1/(1+q) at q=0
     got = faa_di_bruno_coeff(outer, inner, 2, 0)
     assert got == pytest.approx(2.0 * c * c, rel=1e-14)
@@ -182,17 +201,18 @@ def test_chain_rule_on_reciprocal_of_scaled_variable():
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
-def test_chain_rule_agrees_with_horner_composition_for_exp(seed):
-    # exp has outer derivatives e^{c00} at every order, so the partition sum
-    # must land on j! m! times the jet coefficient produced by exp_jet.
+def test_chain_rule_agrees_with_series_exp_on_the_diagonal(seed):
+    # exp has outer derivatives e^{g(0,0)} at every order; the partition sums
+    # of exp(g), summed over each shell j + m = d, must land on the series
+    # exp of g's diagonal restriction
     rng = np.random.default_rng(seed)
-    x = random_jet(rng, order=4)
-    e = exp_jet(x)
-    outer = [math.exp(x.coeff[0][0])] * 5
-    for j, m in x.indices():
-        raw = faa_di_bruno_coeff(outer, x, j, m)
-        want = e.coeff[j][m] * math.factorial(j) * math.factorial(m)
-        assert raw == pytest.approx(want, rel=1e-10, abs=1e-12)
+    table = random_table(rng, order=4)
+    outer = [math.exp(table[0][0])] * 5
+    composed = [
+        [faa_di_bruno_coeff(outer, table, j, m) for m in range(5 - j)] for j in range(5)
+    ]
+    diagonal = np.array(table_degree_sums(table))
+    assert np.allclose(table_degree_sums(composed), exp_series(diagonal), rtol=1e-10, atol=1e-12)
 
 
 # -- error paths ------------------------------------------------------------
@@ -200,16 +220,16 @@ def test_chain_rule_agrees_with_horner_composition_for_exp(seed):
 
 def test_error_paths():
     with pytest.raises(OrderTooSmall):
-        Jet2(-1)
+        linear_series(1.0, 0.0, -1)
     with pytest.raises(OrderMismatch):
-        add(Jet2(2), Jet2(3))
+        mul(linear_series(1.0, 0.0, 2), linear_series(1.0, 0.0, 3))
     with pytest.raises(SingularConstantTerm):
-        reciprocal(linear_jet(0.0, 1.0, 0.0))
+        reciprocal(linear_series(0.0, 1.0, 4))
     with pytest.raises(SingularConstantTerm):
-        sqrt_jet(linear_jet(-1.0, 0.0, 0.0))
-    with pytest.raises(SingularConstantTerm):
-        ln_jet(linear_jet(0.0, 1.0, 1.0))
+        sqrt_series(linear_series(-1.0, 0.0, 4))
     with pytest.raises(InsufficientOuterDerivs):
-        faa_di_bruno_coeff([1.0, 1.0], linear_jet(0.0, 1.0, 0.0, order=3), 2, 1)
+        faa_di_bruno_coeff([1.0, 1.0], [[0.0] * (4 - j) for j in range(4)], 2, 1)
+    with pytest.raises(OrderMismatch):
+        faa_di_bruno_coeff([1.0] * 4, [[0.0] * (3 - j) for j in range(3)], 2, 1)
     with pytest.raises(ValueError):
         enumerate_partitions(1, 1, 3)

@@ -1,5 +1,10 @@
-"""Kernel jets against hand-derived series, and exact multipliers against
-closed forms, a complex-arithmetic oracle, and the mode ODE itself."""
+"""Kernel series and derivative tables against hand-derived series, and exact
+multipliers against closed forms, a complex-arithmetic oracle, and the mode
+ODE itself.
+
+Coefficients of separate a and b powers are read from the bivariate tables of
+`acceptance.kernel_tables`; the lab's one-variable series in eps = a = b must
+equal their degree sums."""
 
 import cmath
 import math
@@ -7,8 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from sigmadamp.jet2 import add, allclose, jet_const, mul, scale
 from sigmadamp import kernels
+from sigmadamp.acceptance import kernel_tables, table_degree_sums
+from sigmadamp.jet2 import mul
 from sigmadamp.kernels import EXP_FLUSH, exact_multipliers, kernel_jets, root_jets
 from sigmadamp.model import ModelParams, eps_star, oscillation_band
 
@@ -18,6 +24,8 @@ SAMPLE_POINTS = [
     (ModelParams(5, 1.4, 0.3, 1.0), 1.7, 0.45),
     (ModelParams(2, 1.0, 0.1, 0.9), 5.0, 0.9),
 ]
+ROOT_NAMES = ("gamma1", "gamma2", "g_inv", "lam_slow", "lam_fast")
+PIECE_NAMES = ("pos_fast", "pos_slow", "vel_slow", "vel_fast")
 
 
 def powers(p, r):
@@ -28,52 +36,67 @@ def powers(p, r):
     return nu, mu, x, w
 
 
-# -- building-block jets ------------------------------------------------------
+# -- building blocks ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("p, t, r", SAMPLE_POINTS)
 def test_gamma_and_root_jets_match_hand_series(p, t, r):
+    # first derivatives in a and b separately, from the bivariate tables
     nu, mu, x, w = powers(p, r)
+    tables = kernel_tables(p, t, r, order=2)
+    g1 = tables["gamma1"]
+    assert g1[0][0] == pytest.approx(1.0)
+    assert g1[1][0] == pytest.approx(-x, rel=1e-13)
+    assert g1[0][1] == 0.0
+
+    g2 = tables["gamma2"]
+    assert g2[0][0] == pytest.approx(1.0)
+    assert g2[0][1] == pytest.approx(-2.0 * w, rel=1e-13)
+    assert g2[1][0] == 0.0
+
+    ginv = tables["g_inv"]
+    assert ginv[0][0] == pytest.approx(1.0 / nu, rel=1e-13)
+    assert ginv[1][0] == pytest.approx(-x / nu, rel=1e-13)
+    assert ginv[0][1] == pytest.approx(2.0 * w / nu, rel=1e-13)
+
+    lam_slow, lam_fast = tables["lam_slow"], tables["lam_fast"]
+    assert lam_slow[0][0] == pytest.approx(-mu, rel=1e-13)
+    assert lam_slow[1][0] == pytest.approx(mu * x, rel=1e-13)
+    assert lam_slow[0][1] == pytest.approx(-mu * w, rel=1e-13)
+    assert lam_fast[0][0] == pytest.approx(-nu, rel=1e-13)
+    assert lam_fast[1][0] == pytest.approx(-nu * x, rel=1e-13)
+    assert lam_fast[0][1] == pytest.approx(mu, rel=1e-13)
+
+    # the series carry the same numbers, shell by shell
     roots = root_jets(p, r, 2)
-    g1 = roots.gamma1
-    assert g1.coeff[0][0] == pytest.approx(1.0)
-    assert g1.coeff[1][0] == pytest.approx(-x, rel=1e-13)
-    assert g1.coeff[0][1] == 0.0
-
-    g2 = roots.gamma2
-    assert g2.coeff[0][0] == pytest.approx(1.0)
-    assert g2.coeff[0][1] == pytest.approx(-2.0 * w, rel=1e-13)
-    assert g2.coeff[1][0] == 0.0
-
-    ginv = roots.g_inv
-    assert ginv.coeff[0][0] == pytest.approx(1.0 / nu, rel=1e-13)
-    assert ginv.coeff[1][0] == pytest.approx(-x / nu, rel=1e-13)
-    assert ginv.coeff[0][1] == pytest.approx(2.0 * w / nu, rel=1e-13)
-
-    lam_slow, lam_fast = roots.lam_slow, roots.lam_fast
-    assert lam_slow.coeff[0][0] == pytest.approx(-mu, rel=1e-13)
-    assert lam_slow.coeff[1][0] == pytest.approx(mu * x, rel=1e-13)
-    assert lam_slow.coeff[0][1] == pytest.approx(-mu * w, rel=1e-13)
-    assert lam_fast.coeff[0][0] == pytest.approx(-nu, rel=1e-13)
-    assert lam_fast.coeff[1][0] == pytest.approx(-nu * x, rel=1e-13)
-    assert lam_fast.coeff[0][1] == pytest.approx(mu, rel=1e-13)
+    for name in ROOT_NAMES:
+        table = tables[name]
+        series = getattr(roots, name)
+        assert series[0] == pytest.approx(table[0][0], rel=1e-13), name
+        assert series[1] == pytest.approx(table[1][0] + table[0][1], rel=1e-13, abs=1e-15), name
 
 
 def test_gamma1_pure_a_row_is_alternating_geometric():
     p = ModelParams(3, 1.0, 0.25, 0.75)
     r = 0.8
     x = r ** (2.0 * (p.sigma2 - p.sigma1))
-    g1 = root_jets(p, r, 4).gamma1
+    g1 = kernel_tables(p, 1.0, r, order=4)["gamma1"]
     for j in range(5):
-        assert g1.coeff[j][0] == pytest.approx((-x) ** j, rel=1e-12)
+        assert g1[j][0] == pytest.approx(math.factorial(j) * (-x) ** j, rel=1e-12)
+        # Gamma1 does not depend on b
+        assert all(g1[j][m] == 0.0 for m in range(1, 5 - j))
+    # b is absent, so the diagonal series is the same geometric row
+    series = root_jets(p, r, 4).gamma1
+    for d in range(5):
+        assert series[d] == pytest.approx((-x) ** d, rel=1e-12)
 
 
 def test_lambda_constant_terms_at_half():
     p = ModelParams(3, 1.0, 0.25, 0.75)
     roots = root_jets(p, 0.5, 1)
     lam_slow, lam_fast = roots.lam_slow, roots.lam_fast
-    assert lam_slow.coeff[0][0] == pytest.approx(-(0.5**1.5), rel=1e-14)
-    assert lam_fast.coeff[0][0] == pytest.approx(-(0.5**0.5), rel=1e-14)
+    assert lam_slow[0] == pytest.approx(-(0.5**1.5), rel=1e-14)
+    assert lam_fast[0] == pytest.approx(-(0.5**0.5), rel=1e-14)
 
 
 @pytest.mark.parametrize("p, t, r", SAMPLE_POINTS)
@@ -84,9 +107,31 @@ def test_slow_root_round_trip_reconstructs_its_defining_quotient(p, t, r):
     order = 3
     mu = r ** (2.0 * (p.sigma - p.sigma1))
     roots = root_jets(p, r, order)
-    lhs = mul(roots.lam_slow, add(jet_const(1.0, order), roots.gamma2))
-    rhs = scale(roots.gamma1, -2.0 * mu)
-    assert allclose(lhs, rhs, rtol=1e-11, atol=1e-13)
+    one_plus_g2 = roots.gamma2.copy()
+    one_plus_g2[0] += 1.0
+    lhs = mul(roots.lam_slow, one_plus_g2)
+    rhs = -2.0 * mu * roots.gamma1
+    assert np.allclose(lhs, rhs, rtol=1e-11, atol=1e-13)
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_series_coefficients_are_the_table_degree_sums(order):
+    # the univariate-Taylor reduction: the degree-d series coefficient is the
+    # sum of table[j][m] / (j! m!) over j + m = d, for every number the lab
+    # consumes, at orders past the ones the profiles use.  Shells can cancel
+    # (at r = 1.3 the first config has x = w, and lambda_slow's shells sum to
+    # zero), so the gap is measured against the sum of the absolute terms
+    # (worst measured 9.9e-15).
+    for p, t, r in SAMPLE_POINTS:
+        tables = kernel_tables(p, t, r, order=order)
+        roots = root_jets(p, r, order)
+        pieces = kernel_jets(p, t, r, order)
+        for name in ROOT_NAMES + PIECE_NAMES:
+            series = getattr(roots if name in ROOT_NAMES else pieces, name)
+            assert series.shape == (order + 1,)
+            want = np.array(table_degree_sums(tables[name]))
+            scale = np.array(table_degree_sums([[abs(v) for v in row] for row in tables[name]]))
+            assert np.all(np.abs(series - want) <= 1e-12 * scale), (name, p, t, r)
 
 
 # -- first-order kernel coefficients ------------------------------------------
@@ -95,7 +140,8 @@ def test_slow_root_round_trip_reconstructs_its_defining_quotient(p, t, r):
 @pytest.mark.parametrize("p, t, r", SAMPLE_POINTS)
 def test_kernel_first_order_coefficients_match_hand_derivation(p, t, r):
     nu, mu, x, w = powers(p, r)
-    X = kernel_jets(p, t, r, 1)
+    tables = kernel_tables(p, t, r, order=1)
+    series = kernel_jets(p, t, r, 1)
     es, ef = math.exp(-mu * t), math.exp(-nu * t)
 
     want = {
@@ -105,10 +151,12 @@ def test_kernel_first_order_coefficients_match_hand_derivation(p, t, r):
         "vel_fast": (ef / nu, -ef * x * (1.0 + nu * t) / nu, ef * (2.0 * w + mu * t) / nu),
     }
     for name, (c00, c10, c01) in want.items():
-        jet = getattr(X, name)
-        assert jet.coeff[0][0] == pytest.approx(c00, rel=1e-12), name
-        assert jet.coeff[1][0] == pytest.approx(c10, rel=1e-12), name
-        assert jet.coeff[0][1] == pytest.approx(c01, rel=1e-12), name
+        table = tables[name]
+        assert table[0][0] == pytest.approx(c00, rel=1e-12), name
+        assert table[1][0] == pytest.approx(c10, rel=1e-12), name
+        assert table[0][1] == pytest.approx(c01, rel=1e-12), name
+        assert getattr(series, name)[0] == pytest.approx(c00, rel=1e-12), name
+        assert getattr(series, name)[1] == pytest.approx(c10 + c01, rel=1e-11), name
 
 
 def test_position_kernel_difference_at_time_zero():
@@ -116,13 +164,13 @@ def test_position_kernel_difference_at_time_zero():
     for r in (0.3, 0.7, 1.1):
         X = kernel_jets(p, 0.0, r, 0)
         w = r ** (2.0 * (p.sigma - 2.0 * p.sigma1))
-        diff = X.pos_fast.coeff[0][0] - X.pos_slow.coeff[0][0]
+        diff = X.pos_fast[0] - X.pos_slow[0]
         assert diff == pytest.approx(1.0 - w, rel=1e-14)
 
 
 def test_velocity_kernel_pure_a_coefficient_is_linear_in_slow_phase():
-    # c[1][0] of the slow velocity kernel divided by its envelope is a
-    # degree-1 polynomial in mu*t; the fitted coefficients are (-1, +1)
+    # the a-derivative of the slow velocity kernel divided by its envelope is
+    # a degree-1 polynomial in mu*t; the fitted coefficients are (-1, +1)
     p = ModelParams(3, 1.0, 0.25, 0.75)
     r = 0.6
     nu, mu, x, w = powers(p, r)
@@ -130,9 +178,9 @@ def test_velocity_kernel_pure_a_coefficient_is_linear_in_slow_phase():
     phase = mu * ts
     reduced = []
     for t in ts:
-        X = kernel_jets(p, float(t), r, 1)
+        table = kernel_tables(p, float(t), r, order=1)["vel_slow"]
         envelope = math.exp(-mu * t) * x / nu
-        reduced.append(X.vel_slow.coeff[1][0] / envelope)
+        reduced.append(table[1][0] / envelope)
     c1, c0 = np.polyfit(phase, reduced, 1)
     assert c0 == pytest.approx(-1.0, abs=1e-9)
     assert c1 == pytest.approx(1.0, abs=1e-9)
@@ -154,10 +202,10 @@ def test_derivative_growth_stays_inside_decay_envelope():
         es = eps_star(p)
         for t in (1.0, 10.0, 100.0):
             for r in np.geomspace(1e-4, es, 10):
-                X = kernel_jets(p, t, float(r), 3)
+                table = kernel_tables(p, t, float(r), order=3)["pos_fast"]
                 nu = r ** (2.0 * p.sigma1)
                 for (j, m), cap in ceilings.items():
-                    raw = abs(X.pos_fast.coeff[j][m]) * math.factorial(j) * math.factorial(m)
+                    raw = abs(table[j][m])
                     expo = (
                         2.0 * (p.sigma - 2.0 * p.sigma1)
                         + 2.0 * j * (p.sigma2 - p.sigma1)
@@ -168,16 +216,16 @@ def test_derivative_growth_stays_inside_decay_envelope():
 
 
 def test_kernel_jets_builds_the_root_jets_once(monkeypatch):
-    # Gamma2 is the only square root in the kernel: one sqrt_jet per call
+    # Gamma2 is the only square root in the kernel: one sqrt_series per call
     # means Gamma1, Gamma2, G^{-1} and both roots come from a single pass
     calls = []
-    real = kernels.sqrt_jet
+    real = kernels.sqrt_series
 
     def counted(x):
-        calls.append(x.order)
+        calls.append(len(x) - 1)
         return real(x)
 
-    monkeypatch.setattr(kernels, "sqrt_jet", counted)
+    monkeypatch.setattr(kernels, "sqrt_series", counted)
     p = ModelParams(3, 1.0, 0.25, 0.75)
     for order in (0, 1, 2, 4):
         kernel_jets(p, 1.0, np.array([0.2, 0.7]), order)
@@ -194,8 +242,8 @@ def test_exponential_flush_zeroes_the_fast_family():
     r = 2.0
     t = 1.2 * EXP_FLUSH / r ** (2.0 * p.sigma1)  # nu*t beyond the flush point
     X = kernel_jets(p, t, r, 2)
-    assert all(X.pos_fast.coeff[j][m] == 0.0 for j, m in X.pos_fast.indices())
-    assert all(X.vel_fast.coeff[j][m] == 0.0 for j, m in X.vel_fast.indices())
+    assert np.all(X.pos_fast == 0.0)
+    assert np.all(X.vel_fast == 0.0)
 
 
 # -- exact multipliers --------------------------------------------------------

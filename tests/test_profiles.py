@@ -1,4 +1,4 @@
-"""Jet-built asymptotic profiles against the catalogued closed forms."""
+"""Series-built asymptotic profiles against the catalogued closed forms."""
 
 import numpy as np
 import pytest
@@ -80,7 +80,8 @@ def test_profiles_vanish_at_order_zero(fractional_params, frictional_params):
 
 
 def test_profile_orders_telescope_by_jet_shells(fractional_params, frictional_params):
-    # profile(k+1) - profile(k) must equal the j+m = k-th coefficient shell
+    # profile(k+1) - profile(k) must equal the degree-k series coefficient,
+    # which is the j+m = k shell of the bivariate jet on a = b
     for p, case in [(fractional_params, POS), (frictional_params, ZERO)]:
         for k in (0, 1, 2):
             for t, r in [(2.0, 0.3), (7.0, 0.45)]:
@@ -88,17 +89,11 @@ def test_profile_orders_telescope_by_jet_shells(fractional_params, frictional_pa
                 hi0, hi1 = profile_pair(k + 1, p, case, t, r)
                 X = kernel_jets(p, t, r, k)
                 if case is POS:
-                    shell0 = sum(
-                        X.pos_fast.coeff[j][k - j] - X.pos_slow.coeff[j][k - j]
-                        for j in range(k + 1)
-                    )
-                    shell1 = sum(
-                        X.vel_slow.coeff[j][k - j] - X.vel_fast.coeff[j][k - j]
-                        for j in range(k + 1)
-                    )
+                    shell0 = X.pos_fast[k] - X.pos_slow[k]
+                    shell1 = X.vel_slow[k] - X.vel_fast[k]
                 else:
-                    shell0 = sum(-X.pos_slow.coeff[j][k - j] for j in range(k + 1))
-                    shell1 = sum(X.vel_slow.coeff[j][k - j] for j in range(k + 1))
+                    shell0 = -X.pos_slow[k]
+                    shell1 = X.vel_slow[k]
                 assert hi0 - lo0 == pytest.approx(shell0, rel=1e-11, abs=1e-14)
                 assert hi1 - lo1 == pytest.approx(shell1, rel=1e-11, abs=1e-14)
 
@@ -110,8 +105,8 @@ def test_first_order_profiles_are_the_kernel_constant_terms(fractional_params):
     for t, r in [(1.5, 0.25), (9.0, 0.6)]:
         X = kernel_jets(p, t, r, 0)
         a0, a1 = profile_A(1, p, t, r)
-        assert a0 == pytest.approx(X.pos_fast.coeff[0][0] - X.pos_slow.coeff[0][0], rel=1e-14)
-        assert a1 == pytest.approx(X.vel_slow.coeff[0][0] - X.vel_fast.coeff[0][0], rel=1e-14)
+        assert a0 == pytest.approx(X.pos_fast[0] - X.pos_slow[0], rel=1e-14)
+        assert a1 == pytest.approx(X.vel_slow[0] - X.vel_fast[0], rel=1e-14)
 
 
 def test_one_kernel_pass_per_profile_pair(monkeypatch, fractional_params, frictional_params):
