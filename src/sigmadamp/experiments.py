@@ -116,25 +116,32 @@ class ErrorCurve:
         return error_exponent(self.params, self.k, self.case)
 
 
-def error_r_max(p: ModelParams, t: float) -> float:
+def error_r_max(p: ModelParams, t: float, star: float | None = None) -> float:
     """Truncation radius for the error integrand at time t.
 
     High frequencies are damped at rate at least r^{2 sigma1}, so beyond
     (EXP_FLUSH / t)^{1/(2 sigma1)} every surviving factor is flushed to zero;
-    the radius is clamped to [10, 10 / eps_star].
+    the radius is clamped to [10, 10 / eps_star].  A caller that samples many
+    times passes star = eps_star(p), computed once, instead of rescanning the
+    oscillation band per time.
     """
     if p.sigma1 > 0.0:
         reach = (EXP_FLUSH / t) ** (0.5 / p.sigma1) if t > 0.0 else math.inf
-        return max(10.0, min(reach, 10.0 / eps_star(p)))
+        if star is None:
+            star = eps_star(p)
+        return max(10.0, min(reach, 10.0 / star))
     return 10.0
 
 
 def _error_integrand(p, case, k, data, t, cancel_box):
+    # identical position and velocity data are evaluated once per node set
+    same_data = data.u0_hat == data.u1_hat
+
     def f(r):
         em = exact_multipliers(p, t, r)
         pr0, pr1 = profile_pair(k, p, case, t, r)
         u0 = data.u0_hat(r)
-        u1 = data.u1_hat(r)
+        u1 = u0 if same_data else data.u1_hat(r)
         exact = em.K0 * u0 + em.K1 * u1
         approx = pr0 * u0 + pr1 * u1
         diff = exact - approx
@@ -166,12 +173,13 @@ def error_curve(
     t_grid = np.asarray(t_grid, dtype=float)
 
     cancel_box = [0]
+    star = eps_star(p) if p.sigma1 > 0.0 else None
     values = np.array(
         [
             l2_radial(
                 _error_integrand(p, case, k, data, t, cancel_box),
                 p.n,
-                r_max=error_r_max(p, t),
+                r_max=error_r_max(p, t, star),
                 tol=quad_tol,
             )
             for t in t_grid

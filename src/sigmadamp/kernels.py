@@ -115,10 +115,11 @@ def root_jets(p: ModelParams, r, order: int) -> RootJets:
     )
 
 
-def _flushed_exp(arg):
-    """e^{-arg} for arg >= 0, exactly zero past the underflow threshold."""
-    dead = arg > EXP_FLUSH
-    return np.where(dead, 0.0, np.exp(-np.where(dead, 0.0, arg)))
+def _flushed_exp(arg: np.ndarray) -> np.ndarray:
+    """e^{-arg} for an array arg >= 0, exactly zero past the underflow threshold."""
+    out = np.exp(-arg)
+    out[arg > EXP_FLUSH] = 0.0
+    return out
 
 
 def _exp_of_root(lam: np.ndarray, t: float) -> np.ndarray:
@@ -178,7 +179,8 @@ def exact_multipliers(p: ModelParams, t: float, r) -> ExactMultipliers:
     4 r^{2*sigma}, the closed forms are K0 = e^{-At/2} (cosh z +
     (At/2) sinhc z) and K1 = e^{-At/2} t sinhc z at z = sqrt(D2) t/2, which
     continue through D2 < 0 via cosh(iy) = cos y and sinhc(iy) = sinc y.
-    Evaluation is split three ways to stay inside double precision:
+    Evaluation is split three ways to stay inside double precision, and each
+    form is evaluated only on the nodes of its own regime:
 
       * D2 < 0: the trigonometric form verbatim (all factors bounded);
       * D2 >= 0, z <= 1/2: the hyperbolic form verbatim (no overflow);
@@ -188,47 +190,58 @@ def exact_multipliers(p: ModelParams, t: float, r) -> ExactMultipliers:
         with lambda_slow = -2 r^{2*sigma}/(A + sqrt(D2)) evaluated
         cancellation-free.
 
-    K0(0, r) = 1 and K1(0, r) = 0 hold exactly; broadcasts over r.
+    K0(0, r) = 1 and K1(0, r) = 0 hold exactly; broadcasts over r, and a
+    scalar r gives Python floats.
     """
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
     r_arr = np.asarray(r, dtype=float)
-    nu = r_arr ** (2.0 * p.sigma1)
-    a_sym = nu + r_arr ** (2.0 * p.sigma2)
-    s_sym = r_arr ** (2.0 * p.sigma)
+    r_flat = r_arr.ravel()
+    a_sym = r_flat ** (2.0 * p.sigma1) + r_flat ** (2.0 * p.sigma2)
+    s_sym = r_flat ** (2.0 * p.sigma)
     disc = a_sym * a_sym - 4.0 * s_sym
     half_t = 0.5 * t
-    env_arg = a_sym * half_t
-    env = _flushed_exp(env_arg)
+    k0 = np.empty_like(disc)
+    k1 = np.empty_like(disc)
 
-    osc = disc < 0.0
-    y = np.sqrt(np.where(osc, -disc, 0.0)) * half_t
-    root = np.sqrt(np.where(osc, 0.0, disc))
+    # the node indices of each regime; its values are scattered back by them
+    is_osc = disc < 0.0
+    osc = np.flatnonzero(is_osc)
+    real = np.flatnonzero(~is_osc)
+    root = np.sqrt(disc[real])
     z = root * half_t
-    near = ~osc & (z <= 0.5)
+    is_near = z <= 0.5
+    near, far = real[is_near], real[~is_near]
 
-    sinc_y = _sinc(y)
-    k0_osc = env * (np.cos(y) + env_arg * sinc_y)
-    k1_osc = env * t * sinc_y
+    if osc.size:
+        env_arg = a_sym[osc] * half_t
+        env = _flushed_exp(env_arg)
+        y = np.sqrt(-disc[osc]) * half_t
+        sinc_y = _sinc(y)
+        k0[osc] = env * (np.cos(y) + env_arg * sinc_y)
+        k1[osc] = env * t * sinc_y
 
-    z_near = np.where(near, z, 0.0)
-    shc = _sinhc(z_near)
-    k0_near = env * (np.cosh(z_near) + env_arg * shc)
-    k1_near = env * t * shc
+    if near.size:
+        env_arg = a_sym[near] * half_t
+        env = _flushed_exp(env_arg)
+        z_near = z[is_near]
+        shc = _sinhc(z_near)
+        k0[near] = env * (np.cosh(z_near) + env_arg * shc)
+        k1[near] = env * t * shc
 
     # Far branch: division by sqrt(D2) is safe (z > 1/2 forces root*t > 1),
     # and both exponentials decay, so nothing overflows.
-    far = ~osc & ~near
-    root_far = np.where(far, root, 1.0)
-    lam_slow = -2.0 * s_sym / (a_sym + root_far)
-    lam_fast = -0.5 * (a_sym + root_far)
-    e_slow = _flushed_exp(np.where(far, -lam_slow * t, 0.0))
-    e_fast = _flushed_exp(np.where(far, -lam_fast * t, 0.0))
-    k0_far = (lam_slow * e_fast - lam_fast * e_slow) / root_far
-    k1_far = e_slow * (-np.expm1(-2.0 * np.where(far, z, 1.0))) / root_far
+    if far.size:
+        is_far = ~is_near
+        root_far = root[is_far]
+        a_plus_root = a_sym[far] + root_far
+        lam_slow = -2.0 * s_sym[far] / a_plus_root
+        lam_fast = -0.5 * a_plus_root
+        e_slow = _flushed_exp(-lam_slow * t)
+        e_fast = _flushed_exp(-lam_fast * t)
+        k0[far] = (lam_slow * e_fast - lam_fast * e_slow) / root_far
+        k1[far] = e_slow * (-np.expm1(-2.0 * z[is_far])) / root_far
 
-    k0 = np.where(osc, k0_osc, np.where(near, k0_near, k0_far))
-    k1 = np.where(osc, k1_osc, np.where(near, k1_near, k1_far))
-    if k0.ndim == 0:
-        return ExactMultipliers(K0=float(k0), K1=float(k1))
-    return ExactMultipliers(K0=k0, K1=k1)
+    if r_arr.ndim == 0:
+        return ExactMultipliers(K0=float(k0[0]), K1=float(k1[0]))
+    return ExactMultipliers(K0=k0.reshape(r_arr.shape), K1=k1.reshape(r_arr.shape))

@@ -15,14 +15,18 @@ Refinement is level-batched, after Shampine's vectorised quadgk (J. Comput.
 Appl. Math. 211, 2008): the coarse pass is one integrand call over every
 segment, and each bisection level is one call over both halves of every panel
 still open, so a norm costs one call per level instead of one per panel.
-Each panel is still reduced on its own 15 nodes and the accepted values are
-summed in the order of the bisection tree (left + right for every split
-panel, segments in ascending order), so the norms are the floats a
-depth-first recursion gives.  Refinement stops with NonConvergence on a
-non-finite panel, at the depth cap, or when neither half of a split panel
-improves on a gap already below the roundoff of the total: that gap is
-roundoff in the integrand, which a tol below roundoff would otherwise keep
-splitting, doubling the open panels on every level.
+The accept test, the stall test and the fold of the bisection tree run as
+array operations on a whole level.  Each panel is reduced on its own 15
+nodes by NumPy's row sum, which reduces every row alike whatever the number
+of rows and does not go through BLAS, so the norms do not depend on the BLAS
+build or on the CPU it picks its kernels for.  The accepted values are summed
+in the order of the bisection tree (left + right for every split panel,
+segments in ascending order), so the norms are the floats a depth-first
+recursion with the same per-panel reduction gives.  Refinement stops with
+NonConvergence on a non-finite panel, at the depth cap, or when neither half
+of a split panel improves on a gap already below the roundoff of the total:
+that gap is roundoff in the integrand, which a tol below roundoff would
+otherwise keep splitting, doubling the open panels on every level.
 
 Also provides the smooth radial cutoffs used to split low and high
 frequencies, and `scaling_check`, which verifies the norm decay exponent of
@@ -116,13 +120,13 @@ class CutoffSpec:
         return 1.0 - self.chi_low(r)
 
 
-def _panels(g, lo: np.ndarray, hi: np.ndarray) -> list[float]:
+def _panels(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Gauss-Legendre values of g on the panels [lo[i], hi[i]], from one call of g."""
     half = 0.5 * (hi - lo)
     r = (0.5 * (hi + lo))[:, None] + half[:, None] * GAUSS_NODES
     values = g(r.ravel()).reshape(r.shape)
-    # one dot per row: a matrix-vector product would reorder the row sums
-    return [h * float(np.dot(GAUSS_WEIGHTS, row)) for h, row in zip(half.tolist(), values)]
+    # a row sum reduces every row alike, whatever the number of rows
+    return half * (values * GAUSS_WEIGHTS).sum(axis=1)
 
 
 def _segments(r_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -145,9 +149,10 @@ def l2_radial(f, n: int, r_max: float, tol: float = 1e-8) -> float:
     Refinement runs level by level: one call of f evaluates both halves of
     every panel still open at that depth.  A panel is accepted when its halves
     agree with it to the budget (or to REL_FLOOR relative) and is split
-    otherwise.  The accepted values are summed as the bisection tree nests,
-    left + right for each split panel and segments in ascending order, which
-    is the float a depth-first recursion returns.
+    otherwise; the whole level is tested at once.  The accepted values are
+    summed as the bisection tree nests, folded one level at a time from the
+    deepest, left + right for each split panel and segments in ascending
+    order, which is the float a depth-first recursion returns.
 
     Raises NonConvergence when a panel value is not finite, when a panel is
     still off budget at MAX_DEPTH, or when both halves of a split panel stay
@@ -176,72 +181,78 @@ def l2_radial(f, n: int, r_max: float, tol: float = 1e-8) -> float:
     lo, hi = _segments(r_max)
 
     coarse = _panels(g, lo, hi)
-    coarse_total = sum(coarse)
+    coarse_total = sum(coarse.tolist())
     norm0 = math.sqrt(sphere * max(coarse_total, 0.0))
     eps_total = 2.0 * norm0 * tol * (1.0 + norm0) / sphere
-    segments = len(coarse)
-    tau = eps_total / segments
+    tau = eps_total / len(coarse)
     # a gap below this cannot move the total by more than its own roundoff
     noise = REL_FLOOR * abs(coarse_total)
 
-    # Bisection tree: nodes 0..segments-1 are the ladder segments, the two
-    # children of a split node get consecutive ids (the first in first_child),
-    # and the panels open at one level are the consecutive ids from `start`.
-    value = [0.0] * segments
-    first_child: dict[int, int] = {}
-    parent_gap = [math.inf] * segments
-    start = depth = 0
+    # Bisection tree, one level per entry: the values of the panels open at
+    # that depth and which of them were split.  The children of the split
+    # panels are the next level's panels, left and right half side by side.
+    levels: list[tuple[np.ndarray, np.ndarray]] = []
+    parent_gap = np.full(len(coarse), math.inf)
+    depth = 0
     while len(lo):
+        m = len(lo)
         mid = 0.5 * (lo + hi)
         halves = _panels(g, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
-        m = len(lo)
-        stalled = [False] * m
-        kept, next_coarse, next_gap = [], [], []
-        next_start = len(value)
-        for i in range(m):
-            left, right = halves[i], halves[m + i]
-            fine = left + right
-            if not math.isfinite(fine):
-                raise NonConvergence(
-                    f"segment [{lo[i]:.6e}, {hi[i]:.6e}] has non-finite value {fine} "
-                    f"at depth {depth}"
-                )
-            gap = abs(fine - coarse[i])
-            if gap <= max(tau, REL_FLOOR * abs(fine)):
-                value[start + i] = fine
-                continue
-            if depth >= MAX_DEPTH:
-                raise NonConvergence(
-                    f"segment [{lo[i]:.6e}, {hi[i]:.6e}] still off budget at depth {depth}"
-                )
-            # siblings sit side by side, the left half at even i
-            stalled[i] = parent_gap[i] <= gap <= noise
-            if stalled[i] and i % 2 and stalled[i - 1]:
-                raise NonConvergence(
-                    f"segment [{lo[i - 1]:.6e}, {hi[i]:.6e}] stalled at depth {depth}: "
-                    f"neither half improved on its refinement gap {parent_gap[i]:.3e}, "
-                    f"so tol={tol:g} is below the roundoff of the integrand"
-                )
-            first_child[start + i] = len(value)
-            value += [0.0, 0.0]
-            kept.append(i)
-            next_coarse += [left, right]
-            next_gap += [gap, gap]
-        # the children in id order: left then right half of each split panel
-        lo = np.column_stack((lo[kept], mid[kept])).ravel()
-        hi = np.column_stack((mid[kept], hi[kept])).ravel()
-        coarse, parent_gap, start = next_coarse, next_gap, next_start
+        left, right = halves[:m], halves[m:]
+        fine = left + right
+        with np.errstate(invalid="ignore"):  # inf - inf: reported below as non-finite
+            gap = np.abs(fine - coarse)
+        # written as not-accepted so that a NaN gap is split, never accepted
+        split = ~(gap <= np.maximum(tau, REL_FLOOR * np.abs(fine)))
+        # siblings sit side by side, the left half at even i
+        stalled = split & (parent_gap <= gap) & (gap <= noise)
+        stalled_pair = stalled[0 : m - 1 : 2] & stalled[1::2]
+        finite = np.isfinite(fine)
+        if not finite.all() or stalled_pair.any() or (depth >= MAX_DEPTH and split.any()):
+            _raise_first_failure(lo, hi, fine, finite, split, stalled_pair, parent_gap, depth, tol)
+        levels.append((fine, split))
+        bounds = np.stack((lo[split], mid[split], hi[split]), axis=1)
+        lo, hi = bounds[:, :2].ravel(), bounds[:, 1:].ravel()
+        coarse = np.stack((left[split], right[split]), axis=1).ravel()
+        parent_gap = np.repeat(gap[split], 2)
         tau *= 0.5
         depth += 1
 
-    for node in range(len(value) - 1, -1, -1):
-        child = first_child.get(node)
-        if child is not None:
-            value[node] = value[child] + value[child + 1]
+    # fold the tree bottom up: a split panel's value is left + right of its halves
+    below = None
+    for value, split in reversed(levels):
+        if below is not None:
+            value[split] = below[0::2] + below[1::2]
+        below = value
     total = 0.0
-    for v in value[:segments]:
+    for v in below.tolist():
         total += v
     return math.sqrt(sphere * max(total, 0.0))
+
+
+def _raise_first_failure(lo, hi, fine, finite, split, stalled_pair, parent_gap, depth, tol):
+    """Raise NonConvergence for the first panel of a level that failed.
+
+    Panels are checked in order, each for a non-finite value, then the depth
+    cap, then (at the right half of a sibling pair) a stall of both halves.
+    """
+    for i in range(len(lo)):
+        if not finite[i]:
+            raise NonConvergence(
+                f"segment [{lo[i]:.6e}, {hi[i]:.6e}] has non-finite value {float(fine[i])} "
+                f"at depth {depth}"
+            )
+        if split[i] and depth >= MAX_DEPTH:
+            raise NonConvergence(
+                f"segment [{lo[i]:.6e}, {hi[i]:.6e}] still off budget at depth {depth}"
+            )
+        if i % 2 and stalled_pair[i // 2]:
+            raise NonConvergence(
+                f"segment [{lo[i - 1]:.6e}, {hi[i]:.6e}] stalled at depth {depth}: "
+                f"neither half improved on its refinement gap {parent_gap[i]:.3e}, "
+                f"so tol={tol:g} is below the roundoff of the integrand"
+            )
+    raise AssertionError("no failing panel")
 
 
 def scaling_check(

@@ -15,10 +15,20 @@ in the `rates_fractional` test alone, which roughly doubles its cost.
 
 import pytest
 
-from sigmadamp.acceptance import CONFIG_FRACTIONAL, SLOPE_TOL, SUITES, AcceptanceLab
+from sigmadamp.acceptance import (
+    CONFIG_FRACTIONAL,
+    ORACLE_RTOL,
+    SLOPE_TOL,
+    SUITES,
+    AcceptanceLab,
+    kernel_tables,
+    series_table_gap,
+    table_degree_sums,
+)
 from sigmadamp.experiments import SpectralDataSpec, error_curve, gaussian, tail_window
 from sigmadamp.fitting import fit_loglog
-from sigmadamp.model import RateCase, error_exponent
+from sigmadamp.kernels import root_jets
+from sigmadamp.model import ModelParams, RateCase, error_exponent
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +137,25 @@ def test_acceptance_closed_forms(lab, capsys):
 
 def test_acceptance_jet_oracle(lab, capsys):
     _run(lab, capsys, "jet_oracle")
+
+
+@pytest.mark.parametrize(
+    "p, t, r",
+    [(CONFIG_FRACTIONAL, 0.3, 1.3), (ModelParams(n=5, sigma=1.3, sigma1=0.3, sigma2=1.0), 2.1, 0.8)],
+)
+def test_jet_oracle_scores_the_kink(p, t, r):
+    # on the kink sigma2 = sigma - sigma1 the shells of lam_slow cancel: its
+    # degree sums hold roundoff only, so a gap relative to them reads about 1,
+    # while the gap against the absolute shells stays at roundoff
+    assert p.sigma2 == p.sigma - p.sigma1
+    tables = kernel_tables(p, t, r)
+    series = root_jets(p, r, 4).lam_slow
+    plain = max(
+        abs(c - s) / max(abs(c), abs(s), 1e-300)
+        for c, s in zip(series.tolist(), table_degree_sums(tables["lam_slow"]))
+    )
+    assert plain > 0.1
+    assert series_table_gap(p, t, r, tables) <= 1e-14 < ORACLE_RTOL
 
 
 def test_acceptance_cutoff_scaling(lab, capsys):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sigmadamp import experiments
 from sigmadamp.experiments import (
     CancellationWarning,
     ErrorCurve,
@@ -174,6 +175,26 @@ def test_truncation_radius_branches(fractional_params, frictional_params):
     assert error_r_max(frictional_params, 1e6) == 10.0
 
 
+def test_error_curve_finds_eps_star_once_per_curve(monkeypatch, fractional_params, frictional_params):
+    # the truncation radius of every sample time reuses one eps_star scan
+    calls = []
+    real_eps_star = experiments.eps_star
+
+    def counting_eps_star(p):
+        calls.append(p)
+        return real_eps_star(p)
+
+    monkeypatch.setattr(experiments, "eps_star", counting_eps_star)
+    times = geometric_grid(10.0, 1e3, 5)
+    curve = error_curve(fractional_params, RateCase.POSITIVE_SIGMA1, 0, gaussian_data(), t_grid=times)
+    assert len(curve.values) == len(times) == 11
+    assert calls == [fractional_params]
+    calls.clear()
+    # without sigma1 the radius is the floor, and no scan runs at all
+    error_curve(frictional_params, RateCase.ZERO_SIGMA1, 0, gaussian_data(), t_grid=times)
+    assert calls == []
+
+
 def test_error_curve_rejects_bad_order_and_case(fractional_params):
     with pytest.raises(ValueError):
         error_curve(fractional_params, RateCase.POSITIVE_SIGMA1, 4, gaussian_data())
@@ -257,22 +278,27 @@ def test_lower_bound_band_needs_velocity_mass(frictional_params):
         lower_bound_band(curve)
 
 
-# The frictional k=1 values were recorded at commit e452c66, where the
+# The frictional k=1 values were first recorded at commit e452c66, where the
 # quadrature refined one panel per integrand call; refining a whole level per
 # call left every norm bit-for-bit unchanged.  The fractional k=2 values and
 # its cancellation-node count were re-recorded on the change after d7f9b0f,
 # where one-variable series replaced the bivariate jets: the sums moved by at
-# most 6.0e-13 relative (2285 cancellation nodes before).  tests/test_oracle.py
-# checks the series against an independent 100-digit rebuild.
+# most 6.0e-13 relative (2285 cancellation nodes before).  Both were
+# re-recorded on the change after 8a64ee1, where each Gauss-Legendre panel is
+# reduced by NumPy's row sum instead of a BLAS dot: three of the seven
+# values moved, by at most 2.1e-16 relative, and the cancellation count
+# stayed 2306.
+# tests/test_oracle.py checks the series against an independent 100-digit
+# rebuild.
 RECORDED_FRICTIONAL_K1 = [
-    0.067517417065620047,
+    0.067517417065620033,
     0.0063453376300798021,
     0.0005847743203287243,
-    5.352894456927871e-05,
+    5.3528944569278703e-05,
 ]
 RECORDED_FRACTIONAL_K2 = [
     0.00024069024457154298,
-    2.0210749433722043e-06,
+    2.0210749433722048e-06,
     1.8795885267054802e-08,
 ]
 

@@ -307,6 +307,51 @@ def test_multipliers_are_continuous_across_band_edges(frictional_params):
             assert abs(inner.K1 - outer.K1) < 1e-7
 
 
+def _bisect_radius(f, lo, hi):
+    """A radius where the increasing function f crosses zero on [lo, hi]."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    return lo
+
+
+def test_multipliers_on_an_array_equal_the_scalar_calls_bit_for_bit(frictional_params):
+    # each regime is evaluated on its own nodes and scattered back, so one
+    # array across every seam must give the floats of one-node calls
+    p = frictional_params
+    a_sym = lambda r: r ** (2.0 * p.sigma1) + r ** (2.0 * p.sigma2)  # noqa: E731
+    disc = lambda r: a_sym(r) ** 2 - 4.0 * r ** (2.0 * p.sigma)  # noqa: E731
+    band = oscillation_band(p)
+    for t in (0.0, 0.7, 5.0, 500.0):
+        seams = [*band, 0.5 * (band[0] + band[1])]
+        if t > 0.0:
+            # z = sqrt(D2) t / 2 = 1/2 just outside the band, and the flush of the
+            # envelope e^{-At/2} and of the fast exponential e^{lambda_fast t}
+            seams.append(_bisect_radius(lambda r: disc(r) - (1.0 / t) ** 2, band[1], 50.0))
+            seams.append(_bisect_radius(lambda r: a_sym(r) * t / 2.0 - EXP_FLUSH, 1e-3, 1e3))
+            fast = lambda r: 0.5 * (a_sym(r) + math.sqrt(max(disc(r), 0.0))) * t  # noqa: E731
+            seams.append(_bisect_radius(lambda r: fast(r) - EXP_FLUSH, band[1], 1e3))
+        r = np.sort(
+            np.concatenate(
+                [np.geomspace(1e-3, 40.0, 400)]
+                + [np.nextafter(s, np.inf) * (1.0 + 1e-12 * np.arange(-3, 4)) for s in seams]
+            )
+        )
+        em = exact_multipliers(p, t, r)
+        scalar = [exact_multipliers(p, t, float(x)) for x in r]
+        assert all(type(e.K0) is float and type(e.K1) is float for e in scalar)
+        assert em.K0.tobytes() == np.array([e.K0 for e in scalar]).tobytes()
+        assert em.K1.tobytes() == np.array([e.K1 for e in scalar]).tobytes()
+        # the array does straddle every seam
+        d = np.array([disc(x) for x in r])
+        z = np.sqrt(np.maximum(d, 0.0)) * t / 2.0
+        assert np.any(d < 0.0) and np.any((d >= 0.0) & (z <= 0.5))
+        if t > 0.0:
+            assert np.any(z > 0.5)
+            for arg in (a_sym(r) * t / 2.0, np.array([fast(x) for x in r])):
+                assert np.any(arg > EXP_FLUSH) and np.any(arg <= EXP_FLUSH)
+
+
 def test_multipliers_flush_to_zero_at_extreme_damping():
     p = ModelParams(3, 1.0, 0.25, 0.75)
     em = exact_multipliers(p, 1e6, 2.0)

@@ -1,11 +1,13 @@
 """Radial quadrature: frozen norms, batched refinement, cutoff algebra, scaling exponents."""
 
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
+from sigmadamp import quadrature
 from sigmadamp.quadrature import (
     GAUSS_NODES,
     GAUSS_WEIGHTS,
@@ -88,6 +90,28 @@ def test_refinement_depth_cap():
         l2_radial(f, n=1, r_max=1.0, tol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "f,message",
+    [
+        (
+            lambda r: np.where((r < 0.3) | (r > 0.7), 1.0, 0.0),
+            "segment [2.968750e-01, 3.046875e-01] still off budget at depth 5",
+        ),
+        (
+            lambda r: np.where(((r > 0.3) & (r < 0.31)) | ((r > 0.7) & (r < 0.71)), np.nan, 1.0),
+            "segment [2.500000e-01, 3.750000e-01] has non-finite value nan at depth 1",
+        ),
+    ],
+    ids=["depth_cap", "non_finite"],
+)
+def test_failure_names_the_first_offending_panel(monkeypatch, f, message):
+    # a level is tested as a whole, but the panel reported is the first one a
+    # panel-by-panel scan meets: the one at 0.3, not the one at 0.7
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 5)
+    with pytest.raises(NonConvergence, match=re.escape(message)):
+        l2_radial(f, n=1, r_max=1.0, tol=1e-10)
+
+
 class CountingIntegrand:
     """Records the radii of every call to the wrapped radial function."""
 
@@ -135,8 +159,9 @@ def depth_first_norm(f, n, r_max, tol):
         return values * values * r ** (n - 1)
 
     def panel(lo, hi):
+        # the reduction of _panels, one row at a time
         half = 0.5 * (hi - lo)
-        return half * float(np.dot(GAUSS_WEIGHTS, g(0.5 * (hi + lo) + half * GAUSS_NODES)))
+        return half * float((g(0.5 * (hi + lo) + half * GAUSS_NODES) * GAUSS_WEIGHTS).sum())
 
     def refine(lo, hi, tau, coarse):
         mid = 0.5 * (lo + hi)
