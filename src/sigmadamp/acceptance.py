@@ -380,18 +380,6 @@ class AcceptanceLab:
         self.quad_tol = quad_tol
         self._t_grid = geometric_grid(t_min, t_max, per_decade)
         self._curves: dict = {}
-        self._checks = {
-            "rates_fractional": self.check_rates_fractional,
-            "rates_frictional": self.check_rates_frictional,
-            "weight_shift": self.check_weight_shift,
-            "lower_band": self.check_lower_band,
-            "closed_forms": self.check_closed_forms,
-            "jet_oracle": self.check_jet_oracle,
-            "cutoff_scaling": self.check_cutoff_scaling,
-            "high_frequency": self.check_high_frequency,
-            "ode_residual": self.check_ode_residual,
-            "order_improvement": self.check_order_improvement,
-        }
 
     def _timed_curve(self, p: ModelParams, case: RateCase, k: int):
         """(gaussian-data error curve, seconds its first computation took)."""
@@ -408,12 +396,13 @@ class AcceptanceLab:
         return self._timed_curve(p, case, k)[0]
 
     def run(self, names=None) -> list[CheckResult]:
+        """Run the named suites (all of SUITES by default), each by its check_<name> method."""
         if names is None:
             names = SUITES
-        unknown = [n for n in names if n not in self._checks]
+        unknown = [n for n in names if n not in SUITES]
         if unknown:
             raise ValueError(f"unknown suite names: {', '.join(unknown)}")
-        return [self._checks[name]() for name in names]
+        return [getattr(self, f"check_{name}")() for name in names]
 
     # -- rate suites --------------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Command line front end: validate / rates / goldens / curve / verify.
 
-All subcommands accept the same parameter flags plus an optional JSON config
-file (flags override file values; unknown file keys are rejected).  Reports
-are printed as human-readable text; with --out, machine-readable JSON (and
-CSV for curves) is written alongside, every number carrying 17 significant
-digits so repeated runs are byte-identical.
+Each flag is declared once in FLAGS, and each subcommand registers only the
+flags it reads (COMMANDS); the flag types hold the checks.  A JSON config file
+(--config) holds the subcommand's flags by name (t_min for --t-min); its
+entries are parsed as flags placed before the command-line ones, which win.
+Reports are printed as text; with --out, JSON (and CSV for curves) is written
+alongside, every float with 17 significant digits so reruns are byte-identical.
 
 Exit codes: 0 ok, 1 failed checks, 2 bad configuration, 3 computation error.
 """
@@ -12,11 +13,9 @@ Exit codes: 0 ok, 1 failed checks, 2 bad configuration, 3 computation error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from .acceptance import GOLDEN_RTOL, SUITES, AcceptanceLab, golden_comparison
 from .experiments import (
     DATA_PRESETS,
+    MAX_PROFILE_ORDER,
     curve_csv,
     curve_json_dict,
     error_curve,
@@ -60,26 +60,6 @@ class ComputationError(Exception):
 
 class SuiteFailure(Exception):
     """One or more requested checks failed; maps to exit code 1."""
-
-
-@dataclass
-class RunConfig:
-    dim: int = 3
-    sigma: float = 1.0
-    sigma1: float = 0.25
-    sigma2: float = 0.75
-    s: float = 0.0
-    k: tuple[int, ...] = (1,)
-    data: str = "gaussian"
-    t_min: float = 10.0
-    t_max: float = 1e4
-    per_decade: int = 25
-    quad_tol: float = 1e-6
-    suites: tuple[str, ...] | None = None
-    out: str | None = None
-
-
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +112,28 @@ def _write_json(out_dir: str | None, name: str, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# flag values
 # ---------------------------------------------------------------------------
+
+
+def _number(convert, accept=lambda value: True, wanted: str = "a finite number"):
+    """A flag type: `convert` the text, then refuse non-finite values and those not accepted."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"need {wanted}, got {text!r}")
+        return value
+
+    return parse
+
+
+_real = _number(float)
+_positive = _number(float, lambda value: value > 0.0, "a positive finite number")
+_per_decade = _number(int, lambda value: value >= 1, "an integer >= 1")
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
@@ -143,6 +143,10 @@ def _parse_orders(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad order list {text!r}: {exc}") from None
     if not orders:
         raise argparse.ArgumentTypeError("order list is empty")
+    if any(not 0 <= k <= MAX_PROFILE_ORDER for k in orders):
+        raise argparse.ArgumentTypeError(f"orders must lie in [0, {MAX_PROFILE_ORDER}], got {text}")
+    if len(set(orders)) != len(orders):
+        raise argparse.ArgumentTypeError(f"profile orders must not repeat, got {text}")
     return orders
 
 
@@ -150,10 +154,46 @@ def _parse_suites(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip() != "")
     if not names:
         raise argparse.ArgumentTypeError("suite list is empty")
+    unknown = sorted(set(names) - set(SUITES))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown suites: {', '.join(unknown)}; available: {', '.join(SUITES)}"
+        )
     return names
 
 
-def _load_config_file(path: str) -> dict:
+def _preset(text: str) -> str:
+    if text not in DATA_PRESETS:
+        raise argparse.ArgumentTypeError(f"must be one of {', '.join(DATA_PRESETS)}, got {text!r}")
+    return text
+
+
+# option name (t_min for --t-min): (type, default, help)
+FLAGS = {
+    "dim": (int, 3, "space dimension n"),
+    "sigma": (_real, 1.0, "restoring exponent sigma"),
+    "sigma1": (_real, 0.25, "weak damping exponent sigma1"),
+    "sigma2": (_real, 0.75, "strong damping exponent sigma2"),
+    "s": (_real, 0.0, "radial weight power in the error norm"),
+    "k": (_parse_orders, (1,), "profile orders, comma separated (e.g. 0,1,2)"),
+    "data": (_preset, "gaussian", f"spectral data preset: {', '.join(DATA_PRESETS)}"),
+    "t_min": (_positive, 10.0, "first sample time"),
+    "t_max": (_positive, 1e4, "last sample time"),
+    "per_decade": (_per_decade, 25, "time samples per decade"),
+    "quad_tol": (_positive, 1e-6, "quadrature tolerance"),
+    "suites": (_parse_suites, None, f"comma separated suite names (default: {', '.join(SUITES)})"),
+    "out": (str, None, "directory for machine-readable reports"),
+}
+# a config file gives these as JSON strings, every other flag as JSON numbers
+_TEXT_FLAGS = frozenset({"data", "suites", "out"})
+
+
+def _config_argv(path: str, names) -> list[str]:
+    """The entries of a JSON config file as `--name=value` arguments.
+
+    A value is written as on the command line: a number, or a string for the
+    text flags; a list stands for its items joined by commas.
+    """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -162,77 +202,28 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_FIELDS)
+    unknown = sorted(set(raw) - set(names))
     if unknown:
         raise ConfigError(f"config {path} has unknown keys: {', '.join(unknown)}")
-    return raw
+    argv = []
+    for name, value in raw.items():
+        items = value if isinstance(value, list) else [value]
+        text = name in _TEXT_FLAGS
+        kind = str if text else (int, float)
+        if any(isinstance(item, bool) or not isinstance(item, kind) for item in items):
+            wanted = "a string" if text else "a number"
+            raise ConfigError(f"config {path}: {name} takes {wanted} or a list, got {value!r}")
+        texts = [item if isinstance(item, str) else repr(item) for item in items]
+        argv.append(f"--{name.replace('_', '-')}={','.join(texts)}")
+    return argv
 
 
-def _normalize(values: dict) -> dict:
-    out = dict(values)
-    if "k" in out:
-        k = out["k"]
-        if isinstance(k, str):
-            try:
-                out["k"] = _parse_orders(k)
-            except argparse.ArgumentTypeError as exc:
-                raise ConfigError(str(exc)) from None
-        else:
-            orders = k if isinstance(k, (list, tuple)) else (k,)
-            if not orders or any(isinstance(v, bool) or not isinstance(v, int) for v in orders):
-                raise ConfigError(f"profile orders must be a nonempty list of integers, got {k!r}")
-            out["k"] = tuple(orders)
-    if "suites" in out and out["suites"] is not None:
-        suites = out["suites"]
-        if isinstance(suites, str):
-            out["suites"] = _parse_suites(suites)
-        elif isinstance(suites, (list, tuple)):
-            out["suites"] = tuple(str(v) for v in suites)
-        else:
-            raise ConfigError(f"bad value for suites: {suites!r}")
-    return out
+def _model(cfg: argparse.Namespace) -> ModelParams:
+    return ModelParams(cfg.dim, cfg.sigma, cfg.sigma1, cfg.sigma2, cfg.s)
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(_normalize(_load_config_file(args.config)))
-    flags = {
-        name: getattr(args, name)
-        for name in _CONFIG_FIELDS
-        if getattr(args, name, None) is not None
-    }
-    values.update(_normalize(flags))
-    try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(f"bad configuration: {exc}") from None
-
-    if not isinstance(cfg.dim, int):
-        raise ConfigError(f"dim must be an integer, got {cfg.dim!r}")
-    if cfg.data not in DATA_PRESETS:
-        raise ConfigError(f"data must be one of {tuple(DATA_PRESETS)}, got {cfg.data!r}")
-    if any(k < 0 or k > 3 for k in cfg.k):
-        raise ConfigError(f"profile orders must lie in [0, 3], got {cfg.k}")
-    if len(set(cfg.k)) != len(cfg.k):
-        raise ConfigError(f"profile orders must not repeat, got {cfg.k}")
-    if not (0.0 < cfg.t_min < cfg.t_max < math.inf):
-        raise ConfigError(f"need 0 < t_min < t_max < inf, got {cfg.t_min}, {cfg.t_max}")
-    if cfg.per_decade < 1:
-        raise ConfigError(f"per_decade must be >= 1, got {cfg.per_decade}")
-    if not (0.0 < cfg.quad_tol < math.inf):
-        raise ConfigError(f"quad_tol must be positive and finite, got {cfg.quad_tol}")
-    if cfg.suites is not None:
-        unknown = sorted(set(cfg.suites) - set(SUITES))
-        if unknown:
-            raise ConfigError(
-                f"unknown suites: {', '.join(unknown)}; available: {', '.join(SUITES)}"
-            )
-    return cfg
-
-
-def _params(cfg: RunConfig) -> tuple[ModelParams, object]:
-    p = ModelParams(n=cfg.dim, sigma=cfg.sigma, sigma1=cfg.sigma1, sigma2=cfg.sigma2, s=cfg.s)
+def _params(cfg: argparse.Namespace) -> tuple[ModelParams, object]:
+    p = _model(cfg)
     try:
         case = case_for(p)
         validate(p, case)
@@ -246,8 +237,8 @@ def _params(cfg: RunConfig) -> tuple[ModelParams, object]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    p = ModelParams(n=cfg.dim, sigma=cfg.sigma, sigma1=cfg.sigma1, sigma2=cfg.sigma2, s=cfg.s)
+def cmd_validate(cfg: argparse.Namespace) -> int:
+    p = _model(cfg)
     print(
         f"configuration: dim={p.n} sigma={p.sigma:g} sigma1={p.sigma1:g} "
         f"sigma2={p.sigma2:g} s={p.s:g}"
@@ -288,7 +279,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_rates(cfg: RunConfig) -> int:
+def cmd_rates(cfg: argparse.Namespace) -> int:
     p, case = _params(cfg)
     rows = [{"k": k, "exponent": error_exponent(p, k, case)} for k in cfg.k]
     print(f"error decay exponents (case {case.value}):")
@@ -302,7 +293,7 @@ def cmd_rates(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_goldens(cfg: RunConfig) -> int:
+def cmd_goldens(cfg: argparse.Namespace) -> int:
     p, case = _params(cfg)
     bad = [k for k in cfg.k if k not in (1, 2)]
     if bad:
@@ -344,7 +335,9 @@ def cmd_goldens(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_curve(cfg: RunConfig) -> int:
+def cmd_curve(cfg: argparse.Namespace) -> int:
+    if not cfg.t_min < cfg.t_max:
+        raise ConfigError(f"need t_min < t_max, got {cfg.t_min}, {cfg.t_max}")
     p, case = _params(cfg)
     data = DATA_PRESETS[cfg.data]()
     t_grid = geometric_grid(cfg.t_min, cfg.t_max, cfg.per_decade)
@@ -378,7 +371,7 @@ def _stable_details(details: dict) -> dict:
     return {k: v for k, v in details.items() if k not in _VOLATILE_DETAIL_KEYS}
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     lab = AcceptanceLab(quad_tol=cfg.quad_tol)
     results = lab.run(cfg.suites)
     for result in results:
@@ -412,60 +405,63 @@ def cmd_verify(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+_MODEL_FLAGS = ("dim", "sigma", "sigma1", "sigma2", "s")
+
+# subcommand: (handler, help, the FLAGS it reads besides --config and --out)
+COMMANDS = {
+    "validate": (cmd_validate, "check a parameter set", _MODEL_FLAGS),
+    "rates": (cmd_rates, "print predicted decay exponents", (*_MODEL_FLAGS, "k")),
+    "goldens": (cmd_goldens, "compare profiles to the closed-form catalog", (*_MODEL_FLAGS, "k")),
+    "curve": (
+        cmd_curve,
+        "sample and fit an error curve",
+        (*_MODEL_FLAGS, "k", "data", "t_min", "t_max", "per_decade", "quad_tol"),
+    ),
+    "verify": (cmd_verify, "run acceptance suites", ("quad_tol", "suites")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ConfigError instead of exiting on bad input."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--dim", type=int, help="space dimension n")
-    common.add_argument("--sigma", type=float, help="restoring exponent sigma")
-    common.add_argument("--sigma1", type=float, help="weak damping exponent sigma1")
-    common.add_argument("--sigma2", type=float, help="strong damping exponent sigma2")
-    common.add_argument("--s", type=float, help="radial weight power in the error norm")
-    common.add_argument(
-        "--k", type=_parse_orders, help="profile orders, comma separated (e.g. 0,1,2)"
-    )
-    common.add_argument("--data", choices=DATA_PRESETS, help="spectral data preset")
-    common.add_argument("--t-min", dest="t_min", type=float, help="first sample time")
-    common.add_argument("--t-max", dest="t_max", type=float, help="last sample time")
-    common.add_argument(
-        "--per-decade", dest="per_decade", type=int, help="time samples per decade"
-    )
-    common.add_argument("--quad-tol", dest="quad_tol", type=float, help="quadrature tolerance")
-    common.add_argument("--out", help="directory for machine-readable reports")
-
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigmadamp",
         description="Decay-rate toolkit for doubly damped sigma-evolution modes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    cmd = sub.add_parser("validate", parents=[common], help="check a parameter set")
-    cmd.set_defaults(func=cmd_validate)
-    cmd = sub.add_parser("rates", parents=[common], help="print predicted decay exponents")
-    cmd.set_defaults(func=cmd_rates)
-    cmd = sub.add_parser("goldens", parents=[common], help="compare profiles to the closed-form catalog")
-    cmd.set_defaults(func=cmd_goldens)
-    cmd = sub.add_parser("curve", parents=[common], help="sample and fit an error curve")
-    cmd.set_defaults(func=cmd_curve)
-    cmd = sub.add_parser("verify", parents=[common], help="run acceptance suites")
-    cmd.add_argument(
-        "--suites",
-        type=_parse_suites,
-        help=f"comma separated suite names (default: all of {', '.join(SUITES)})",
-    )
-    cmd.set_defaults(func=cmd_verify)
+    for command, (func, help_text, names) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        cmd.set_defaults(func=func)
+        cmd.add_argument("--config", help="JSON config file; flags override its values")
+        for name in (*names, "out"):
+            kind, default, flag_help = FLAGS[name]
+            cmd.add_argument("--" + name.replace("_", "-"), type=kind, default=default, help=flag_help)
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a config file's entries are parsed ahead of the flags, which win."""
     parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    names = (*COMMANDS[args.command][2], "out")
+    at = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:at], *_config_argv(args.config, names), *argv[at:]])
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _parse(argv)
+        return args.func(args)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        cfg = _merge_config(args)
-        return args.func(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -151,7 +151,7 @@ def discriminant(p: ModelParams, r, a: float = 1.0, b: float = 1.0):
     return out if out.ndim else float(out)
 
 
-# Scan geometry for sign-change hunting; 400 log-spaced samples over twelve
+# Scan geometry for slow_rate_radius; 400 log-spaced samples over twelve
 # decades keep every bracket under 7% relative width.
 _SCAN_LO = 1e-6
 _SCAN_HI = 1e6
@@ -193,52 +193,35 @@ def _bisect_edge(f, lo: float, hi: float) -> float:
 def oscillation_band(p: ModelParams) -> tuple[float, float] | None:
     """Endpoints (r_low, r_high) of the complex-root frequency band, or None.
 
-    The band is the set where discriminant(p, r, 1, 1) < 0.  By convexity of
-    r^{2*sigma1 - sigma} + r^{2*sigma2 - sigma} in log r it is a single
-    interval; it is empty exactly when sigma1 + sigma2 = sigma (the two-term
-    arithmetic-geometric mean inequality is then an identity at r = 1).
-    Endpoints are located by sign scanning plus bisection.
+    The band is the set where discriminant(p, r, 1, 1) < 0, that is where
+    phi(u) = e^{(2*sigma1 - sigma) u} + e^{(2*sigma2 - sigma) u} < 2 with
+    u = log r.  phi is convex with phi(0) = 2, so one edge is exactly r = 1:
+    the band is [r_low, 1] when sigma1 + sigma2 > sigma, [1, r_high] when
+    sigma1 + sigma2 < sigma, and empty when they are equal.  The other edge
+    is bracketed by walking out by decades from the deepest point of the band,
+    r_deep = ((sigma - 2*sigma1) / (2*sigma2 - sigma))^{1/(2*(sigma2 - sigma1))},
+    away from 1, and then bisected.  Needs sigma1 < sigma/2 < sigma2, as
+    validate() checks.
     """
 
     def d(r: float) -> float:
         return discriminant(p, r, 1.0, 1.0)
 
-    grid = _scan_grid()
-    vals = discriminant(p, grid, 1.0, 1.0)
-    neg = np.flatnonzero(vals < 0.0)
-    if neg.size == 0:
-        return None
-    first, last = int(neg[0]), int(neg[-1])
-
-    if first > 0:
-        left_lo, left_hi = float(grid[first - 1]), float(grid[first])
+    excess = p.sigma1 + p.sigma2 - p.sigma
+    ratio = (p.sigma - 2.0 * p.sigma1) / (2.0 * p.sigma2 - p.sigma)
+    inner = ratio ** (0.5 / (p.sigma2 - p.sigma1))
+    if excess == 0.0 or not d(inner) < 0.0:
+        return None  # empty, or too narrow to show in double precision
+    step = 0.1 if excess > 0.0 else 10.0
+    for _ in range(60):
+        outer = inner * step
+        if d(outer) >= 0.0:
+            break
+        inner = outer
     else:
-        # Band runs off the scan window; walk outward by decades for a bracket.
-        left_hi = float(grid[0])
-        left_lo = left_hi * 0.1
-        for _ in range(60):
-            if d(left_lo) >= 0.0:
-                break
-            left_hi = left_lo
-            left_lo *= 0.1
-        else:
-            raise BisectionFailure("negative discriminant persists below the scan window")
-    r_low = _bisect_edge(d, left_lo, left_hi)
-
-    if last < grid.size - 1:
-        right_lo, right_hi = float(grid[last]), float(grid[last + 1])
-    else:
-        right_lo = float(grid[-1])
-        right_hi = right_lo * 10.0
-        for _ in range(60):
-            if d(right_hi) >= 0.0:
-                break
-            right_lo = right_hi
-            right_hi *= 10.0
-        else:
-            raise BisectionFailure("negative discriminant persists above the scan window")
-    r_high = _bisect_edge(d, right_lo, right_hi)
-    return r_low, r_high
+        raise BisectionFailure("negative discriminant persists over 60 decades")
+    edge = _bisect_edge(d, min(inner, outer), max(inner, outer))
+    return (edge, 1.0) if excess > 0.0 else (1.0, edge)
 
 
 def eps_star(p: ModelParams) -> float:

@@ -130,12 +130,11 @@ def _panels(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _segments(r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    bounds = [r_max]
-    while bounds[-1] * 0.5 > R_FLOOR:
-        bounds.append(bounds[-1] * 0.5)
-    bounds.append(R_FLOOR)
+    # the edges r_max * 2^-i above R_FLOOR, ascending after R_FLOOR itself;
+    # halving a normal double is exact, so these are the floats repeated halving gives
+    ladder = np.ldexp(r_max, np.arange(-math.ceil(math.log2(r_max) - math.log2(R_FLOOR)) - 1, 1))
     # ascending segments: a fixed reduction order keeps sums reproducible
-    edges = np.array(bounds[::-1])
+    edges = np.concatenate(([R_FLOOR], ladder[ladder > R_FLOOR]))
     return edges[:-1], edges[1:]
 
 
@@ -163,8 +162,8 @@ def l2_radial(f, n: int, r_max: float, tol: float = 1e-8) -> float:
     above that floor, so neither trips the guard.
     """
     integrand = f if isinstance(f, RadialIntegrand) else RadialIntegrand(f)
-    if not (r_max > R_FLOOR):
-        raise ValueError(f"r_max must exceed {R_FLOOR:g}, got {r_max}")
+    if not (R_FLOOR < r_max < math.inf):
+        raise ValueError(f"r_max must be finite and exceed {R_FLOOR:g}, got {r_max}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
     if 2.0 * integrand.singularity_exponent + n <= 0.0:

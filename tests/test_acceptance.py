@@ -64,6 +64,9 @@ def test_suite_registry_order(lab):
     )
     with pytest.raises(ValueError):
         lab.run(["nonesuch"])
+    # each suite runs as its check_<name> method, and every such method is a suite
+    checks = {name[len("check_"):] for name in dir(AcceptanceLab) if name.startswith("check_")}
+    assert checks == set(SUITES)
 
 
 def test_acceptance_rates_fractional(lab, capsys):

@@ -191,7 +191,7 @@ def test_stable_details_drops_wall_clock():
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"dim": 1, "sigma1": 0.0, "sigma2": 0.8, "k": [1]}))
+    cfg.write_text(json.dumps({"dim": 1, "sigma1": 0.0, "sigma2": 0.8}))
     code = main(["validate", "--config", str(cfg), "--sigma2", "0.9"])
     out = capsys.readouterr().out
     assert code == 0
@@ -204,6 +204,36 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code = main(["validate", "--config", str(cfg)])
     assert code == 2
     assert "unknown keys: dims" in capsys.readouterr().err
+
+
+def test_config_file_holds_only_the_subcommands_flags(tmp_path, capsys):
+    # validate reads no profile order, so a file naming one is refused
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dim": 1, "sigma1": 0.0, "sigma2": 0.8, "k": [1]}))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "unknown keys: k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        ("curve", {"quad_tol": "abc"}),  # a string where a number goes
+        ("validate", {"sigma": "x"}),
+        ("rates", {"s": "1"}),
+        ("curve", {"t_min": None}),
+        ("verify", {"out": 5}),  # a number where a directory name goes
+        ("validate", {"dim": True, "sigma1": 0, "sigma2": 0.8}),  # not read as dim = 1
+        ("curve", {"per_decade": 2.5}),  # refused as a flag, so refused in a file
+        ("curve", {"data": ["gaussian", ["moment_free"]]}),  # nested value
+    ],
+)
+def test_bad_config_values_exit_2(command, values, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "valid: yes" not in captured.out
 
 
 @pytest.mark.parametrize(
@@ -220,6 +250,10 @@ def test_config_file_unknown_key(tmp_path, capsys):
         ["curve", "--quad-tol", "inf"],
         ["rates", "--k", "2,2"],  # a repeated order would be computed twice
         ["curve", "--k", "3,3"],
+        ["verify", "--sigma", "1.7"],  # flags the subcommand does not read
+        ["validate", "--k", "3"],
+        ["rates", "--quad-tol", "1e-3"],
+        ["goldens", "--data", "moment_free"],
     ],
 )
 def test_bad_flag_values_exit_2(argv, capsys):

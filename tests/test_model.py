@@ -145,7 +145,7 @@ def test_band_of_frictional_configuration(frictional_params):
     band = oscillation_band(frictional_params)
     assert band is not None
     lo, hi = band
-    assert lo == pytest.approx(1.0, abs=1e-9)
+    assert lo == 1.0  # sigma1 + sigma2 < sigma: the band starts at r = 1 exactly
     assert hi == pytest.approx(1.9206486159732264, rel=1e-12)
     mid = 0.5 * (lo + hi)
     assert discriminant(frictional_params, mid, 1.0, 1.0) < 0.0
@@ -162,8 +162,25 @@ def test_band_at_viscoelastic_endpoint():
     assert band is not None
     lo, hi = band
     assert lo == pytest.approx(0.38196601125010515, rel=1e-10)
-    assert hi == pytest.approx(1.0, abs=1e-9)
+    assert hi == 1.0
     assert eps_star(p) == pytest.approx(lo / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma2, side", [(0.752, "below"), (0.748, "above"), (0.7501, "below")])
+def test_narrow_bands_next_to_the_perfect_square(sigma2, side):
+    # |sigma1 + sigma2 - sigma| <= 0.002: the band is a sliver on one side of
+    # r = 1, e.g. D(0.9921) = -6.2e-5 for sigma2 = 0.752, and is still found
+    p = ModelParams(3, 1.0, 0.25, sigma2)
+    band = oscillation_band(p)
+    assert band is not None
+    lo, hi = band
+    assert (hi if side == "below" else lo) == 1.0
+    assert 0.98 < lo < hi < 1.02
+    assert discriminant(p, math.sqrt(lo * hi), 1.0, 1.0) < 0.0
+    for edge in band:
+        assert abs(discriminant(p, edge, 1.0, 1.0)) < 1e-12
+    if sigma2 == 0.752:
+        assert lo < 0.9921 and discriminant(p, 0.9921, 1.0, 1.0) < 0.0
 
 
 def test_mode_decay_rate_is_continuous_and_positive(frictional_params):

@@ -216,11 +216,30 @@ def test_roundoff_limited_refinement_stops():
 
 @pytest.mark.parametrize(
     "r_max,tol",
-    [(0.0, 1e-8), (1e-13, 1e-8), (1.0, 0.0), (1.0, -1e-9)],
+    [(0.0, 1e-8), (1e-13, 1e-8), (1.0, 0.0), (1.0, -1e-9), (math.inf, 1e-8)],
 )
 def test_l2_radial_argument_validation(r_max, tol):
     with pytest.raises(ValueError):
         l2_radial(lambda r: np.ones_like(r), n=1, r_max=r_max, tol=tol)
+
+
+def test_segments_are_the_halving_ladder():
+    # the ladder of segment edges equals repeated halving from r_max, bit for
+    # bit, including r_max at and next to R_FLOOR * 2^k
+    def halving(r_max):
+        bounds = [r_max]
+        while bounds[-1] * 0.5 > R_FLOOR:
+            bounds.append(bounds[-1] * 0.5)
+        return np.array([R_FLOOR, *bounds[::-1]])
+
+    rng = np.random.default_rng(8)
+    spread = np.exp(rng.uniform(math.log(2e-12), math.log(1e300), 500))
+    at_powers = R_FLOOR * 2.0 ** np.arange(1, 100)
+    nearby = [*np.nextafter(at_powers, 0.0), *np.nextafter(at_powers, np.inf)]
+    for r_max in [*spread, *at_powers, *nearby, 1.5e-12, 1e308]:
+        lo, hi = quadrature._segments(float(r_max))
+        edges = halving(float(r_max))
+        assert np.array_equal(lo, edges[:-1]) and np.array_equal(hi, edges[1:]), r_max
 
 
 def test_domination_monotonicity():
