@@ -429,13 +429,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a prefix of a flag is not an alias for it
     parser = _Parser(
         prog="sigmadamp",
         description="Decay-rate toolkit for doubly damped sigma-evolution modes.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, help_text, names) in COMMANDS.items():
-        cmd = sub.add_parser(command, help=help_text)
+        cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
         cmd.set_defaults(func=func)
         cmd.add_argument("--config", help="JSON config file; flags override its values")
         for name in (*names, "out"):

@@ -133,29 +133,6 @@ def error_r_max(p: ModelParams, t: float, star: float | None = None) -> float:
     return 10.0
 
 
-def _error_integrand(p, case, k, data, t, cancel_box):
-    # identical position and velocity data are evaluated once per node set
-    same_data = data.u0_hat == data.u1_hat
-
-    def f(r):
-        em = exact_multipliers(p, t, r)
-        pr0, pr1 = profile_pair(k, p, case, t, r)
-        u0 = data.u0_hat(r)
-        u1 = u0 if same_data else data.u1_hat(r)
-        exact = em.K0 * u0 + em.K1 * u1
-        approx = pr0 * u0 + pr1 * u1
-        diff = exact - approx
-        scale = np.maximum(np.abs(exact), np.abs(approx))
-        cancel_box[0] += int(
-            np.count_nonzero((np.abs(diff) < CANCELLATION_RTOL * scale) & (scale > 0.0))
-        )
-        return r**p.s * np.abs(diff)
-
-    # the profile families carry at worst the r^{-2 sigma1} velocity prefactor
-    expo = p.s - (2.0 * p.sigma1 if k >= 1 else 0.0)
-    return RadialIntegrand(f, singularity_exponent=expo)
-
-
 def error_curve(
     p: ModelParams,
     case: RateCase,
@@ -172,27 +149,44 @@ def error_curve(
         t_grid = geometric_grid(10.0, 1e4, 25)
     t_grid = np.asarray(t_grid, dtype=float)
 
-    cancel_box = [0]
+    # identical position and velocity data are evaluated once per node set
+    same_data = data.u0_hat == data.u1_hat
+    cancel_hits = 0
+
+    def f(r, j):
+        # every node at the time of the sample it belongs to
+        nonlocal cancel_hits
+        t = t_grid[j]
+        em = exact_multipliers(p, t, r)
+        pr0, pr1 = profile_pair(k, p, case, t, r)
+        u0 = data.u0_hat(r)
+        u1 = u0 if same_data else data.u1_hat(r)
+        exact = em.K0 * u0 + em.K1 * u1
+        approx = pr0 * u0 + pr1 * u1
+        diff = exact - approx
+        scale = np.maximum(np.abs(exact), np.abs(approx))
+        cancel_hits += int(
+            np.count_nonzero((np.abs(diff) < CANCELLATION_RTOL * scale) & (scale > 0.0))
+        )
+        return r**p.s * np.abs(diff)
+
+    # the profile families carry at worst the r^{-2 sigma1} velocity prefactor
+    expo = p.s - (2.0 * p.sigma1 if k >= 1 else 0.0)
     star = eps_star(p) if p.sigma1 > 0.0 else None
-    values = np.array(
-        [
-            l2_radial(
-                _error_integrand(p, case, k, data, t, cancel_box),
-                p.n,
-                r_max=error_r_max(p, t, star),
-                tol=quad_tol,
-            )
-            for t in t_grid
-        ]
+    values = l2_radial(
+        RadialIntegrand(f, singularity_exponent=expo),
+        p.n,
+        r_max=np.array([error_r_max(p, t, star) for t in t_grid]),
+        tol=quad_tol,
     )
-    if cancel_box[0]:
+    if cancel_hits:
         warnings.warn(
-            f"error integrand lost precision at {cancel_box[0]} quadrature nodes "
+            f"error integrand lost precision at {cancel_hits} quadrature nodes "
             f"(k={k}, {data.label()}); the sampled curve may be noise-limited there",
             CancellationWarning,
             stacklevel=2,
         )
-    return ErrorCurve(p, case, k, data, t_grid, values, cancel_box[0])
+    return ErrorCurve(p, case, k, data, t_grid, values, cancel_hits)
 
 
 def tail_window(curve: ErrorCurve, t_min: float = 100.0, t_max: float = 1e4) -> slice:
@@ -265,16 +259,16 @@ def high_freq_decay_check(
     alpha_min = min(data.u0_hat.alpha, data.u1_hat.alpha)
     r_max = max(10.0, 1.5 * cutoff_radius, np.sqrt(EXP_FLUSH / alpha_min))
 
-    def integrand_at(t: float):
-        def f(r):
-            em = exact_multipliers(p, t, r)
-            return r**p.s * np.abs(em.K0 * data.u0_hat(r) + em.K1 * data.u1_hat(r)) * cut.chi_high(r)
+    def f(r, j):
+        em = exact_multipliers(p, t_grid[j], r)
+        return r**p.s * np.abs(em.K0 * data.u0_hat(r) + em.K1 * data.u1_hat(r)) * cut.chi_high(r)
 
-        # chi_high vanishes identically near the origin
-        return RadialIntegrand(f, singularity_exponent=0.0)
-
-    h_values = np.array(
-        [l2_radial(integrand_at(t), p.n, r_max=r_max, tol=quad_tol) for t in t_grid]
+    # chi_high vanishes identically near the origin
+    h_values = l2_radial(
+        RadialIntegrand(f, singularity_exponent=0.0),
+        p.n,
+        r_max=np.full(len(t_grid), float(r_max)),
+        tol=quad_tol,
     )
     fit = fit_exponential(t_grid, h_values, target=0.0)
     return HighFreqReport(

@@ -33,12 +33,14 @@ is the sum of the bivariate coefficients c_jm over j + m = d; the bivariate
 tables themselves are built independently in `acceptance.kernel_tables`.
 
 `root_jets` builds the series of Gamma1, Gamma2, G^{-1} and both roots once
-per radial grid, `kernel_jets` those of the four pieces at fixed (t, r);
+per radial grid, `kernel_jets` those of the four pieces at given (t, r);
 `exact_multipliers` evaluates K0, K1 themselves at a = b = 1, stably through
 the oscillation band where the roots turn complex.
 
 All radial arguments broadcast: an array r yields series of shape
-(order + 1, *r.shape) and array multipliers.
+(order + 1, *r.shape) and array multipliers.  Times broadcast with the
+radii, so one call can evaluate every node at its own time; each node's
+values are the floats a call at its time alone gives.
 """
 
 from __future__ import annotations
@@ -115,6 +117,14 @@ def root_jets(p: ModelParams, r, order: int) -> RootJets:
     )
 
 
+def _times(t) -> np.ndarray:
+    """t as a float array, refused if any entry is negative."""
+    t = np.asarray(t, dtype=float)
+    if (t < 0.0).any():
+        raise ValueError(f"time must be nonnegative, got {t[t < 0.0].min()}")
+    return t
+
+
 def _flushed_exp(arg: np.ndarray) -> np.ndarray:
     """e^{-arg} for an array arg >= 0, exactly zero past the underflow threshold."""
     out = np.exp(-arg)
@@ -122,10 +132,10 @@ def _flushed_exp(arg: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_of_root(lam: np.ndarray, t: float) -> np.ndarray:
+def _exp_of_root(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Series of e^{lambda t} for a root series with nonpositive constant term.
 
-    Split as e^{lam[0] t} * exp(nilpotent part * t); the scalar envelope is
+    Split as e^{lam[0] t} * exp(nilpotent part * t); the envelope is
     flushed to exact zero past the underflow threshold, killing the whole
     series without producing inf * 0 intermediates.
     """
@@ -135,17 +145,19 @@ def _exp_of_root(lam: np.ndarray, t: float) -> np.ndarray:
     return envelope * exp_series(nil)
 
 
-def kernel_jets(p: ModelParams, t: float, r, order: int) -> KernelJets:
-    """Series in eps = a = b of the four multiplier pieces at fixed time t.
+def kernel_jets(p: ModelParams, t, r, order: int) -> KernelJets:
+    """Series in eps = a = b of the four multiplier pieces at times t.
+
+    t is a time or an array of times that broadcasts with r.
 
     Constant terms recover the slow-mode limits: pos_fast has
     -r^{2(sigma-2*sigma1)} e^{-r^{2*sigma1} t}, pos_slow has
     -e^{-r^{2(sigma-sigma1)} t}, and the velocity pieces carry the common
     prefactor r^{-2*sigma1}.
     """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    roots = root_jets(p, r, order)
+    t = _times(t)
+    r = np.asarray(r, dtype=float)
+    roots = root_jets(p, np.broadcast_to(r, np.broadcast_shapes(r.shape, t.shape)), order)
     # both roots side by side on a new axis 1: (slow, fast)
     lam = np.stack([roots.lam_slow, roots.lam_fast], axis=1)
     exps = _exp_of_root(lam, t)
@@ -157,22 +169,32 @@ def kernel_jets(p: ModelParams, t: float, r, order: int) -> KernelJets:
     )
 
 
-def _sinc(y):
-    """sin(y)/y with the removable singularity filled by its Taylor value."""
-    y = np.asarray(y, dtype=float)
-    small = np.abs(y) < 1e-4
-    safe = np.where(small, 1.0, y)
-    return np.where(small, 1.0 - y * y / 6.0, np.sin(safe) / safe)
+def _removable(x: np.ndarray, form, taylor) -> np.ndarray:
+    """form(x), with the removable singularity at 0 filled by taylor(x).
+
+    Each node gets only its own form: taylor below |x| = 1e-4, form elsewhere.
+    """
+    small = np.abs(x) < 1e-4
+    if not small.any():
+        return form(x)
+    out = np.empty_like(x)
+    out[small] = taylor(x[small])
+    wide = ~small
+    out[wide] = form(x[wide])
+    return out
 
 
-def _sinhc(z):
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < 1e-4
-    safe = np.where(small, 1.0, z)
-    return np.where(small, 1.0 + z * z / 6.0, np.sinh(safe) / safe)
+def _sinc(y: np.ndarray) -> np.ndarray:
+    """sin(y)/y on a 1-d array."""
+    return _removable(y, lambda v: np.sin(v) / v, lambda v: 1.0 - v * v / 6.0)
 
 
-def exact_multipliers(p: ModelParams, t: float, r) -> ExactMultipliers:
+def _sinhc(z: np.ndarray) -> np.ndarray:
+    """sinh(z)/z on a 1-d array."""
+    return _removable(z, lambda v: np.sinh(v) / v, lambda v: 1.0 + v * v / 6.0)
+
+
+def exact_multipliers(p: ModelParams, t, r) -> ExactMultipliers:
     """Solution multipliers K0, K1 at a = b = 1, real in every root regime.
 
     With A = r^{2*sigma1} + r^{2*sigma2} and discriminant D2 = A^2 -
@@ -190,17 +212,17 @@ def exact_multipliers(p: ModelParams, t: float, r) -> ExactMultipliers:
         with lambda_slow = -2 r^{2*sigma}/(A + sqrt(D2)) evaluated
         cancellation-free.
 
-    K0(0, r) = 1 and K1(0, r) = 0 hold exactly; broadcasts over r, and a
-    scalar r gives Python floats.
+    K0(0, r) = 1 and K1(0, r) = 0 hold exactly.  t and r broadcast together
+    (each node at its own time when both are arrays); scalar t and r give
+    Python floats.
     """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    r_arr = np.asarray(r, dtype=float)
+    r_arr, t_arr = np.broadcast_arrays(np.asarray(r, dtype=float), _times(t))
     r_flat = r_arr.ravel()
+    t_flat = t_arr.ravel()
     a_sym = r_flat ** (2.0 * p.sigma1) + r_flat ** (2.0 * p.sigma2)
     s_sym = r_flat ** (2.0 * p.sigma)
     disc = a_sym * a_sym - 4.0 * s_sym
-    half_t = 0.5 * t
+    half_t = 0.5 * t_flat
     k0 = np.empty_like(disc)
     k1 = np.empty_like(disc)
 
@@ -209,25 +231,26 @@ def exact_multipliers(p: ModelParams, t: float, r) -> ExactMultipliers:
     osc = np.flatnonzero(is_osc)
     real = np.flatnonzero(~is_osc)
     root = np.sqrt(disc[real])
-    z = root * half_t
+    z = root * half_t[real]
     is_near = z <= 0.5
     near, far = real[is_near], real[~is_near]
 
     if osc.size:
-        env_arg = a_sym[osc] * half_t
+        half_t_osc = half_t[osc]
+        env_arg = a_sym[osc] * half_t_osc
         env = _flushed_exp(env_arg)
-        y = np.sqrt(-disc[osc]) * half_t
+        y = np.sqrt(-disc[osc]) * half_t_osc
         sinc_y = _sinc(y)
         k0[osc] = env * (np.cos(y) + env_arg * sinc_y)
-        k1[osc] = env * t * sinc_y
+        k1[osc] = env * t_flat[osc] * sinc_y
 
     if near.size:
-        env_arg = a_sym[near] * half_t
+        env_arg = a_sym[near] * half_t[near]
         env = _flushed_exp(env_arg)
         z_near = z[is_near]
         shc = _sinhc(z_near)
         k0[near] = env * (np.cosh(z_near) + env_arg * shc)
-        k1[near] = env * t * shc
+        k1[near] = env * t_flat[near] * shc
 
     # Far branch: division by sqrt(D2) is safe (z > 1/2 forces root*t > 1),
     # and both exponentials decay, so nothing overflows.
@@ -237,8 +260,9 @@ def exact_multipliers(p: ModelParams, t: float, r) -> ExactMultipliers:
         a_plus_root = a_sym[far] + root_far
         lam_slow = -2.0 * s_sym[far] / a_plus_root
         lam_fast = -0.5 * a_plus_root
-        e_slow = _flushed_exp(-lam_slow * t)
-        e_fast = _flushed_exp(-lam_fast * t)
+        t_far = t_flat[far]
+        e_slow = _flushed_exp(-lam_slow * t_far)
+        e_fast = _flushed_exp(-lam_fast * t_far)
         k0[far] = (lam_slow * e_fast - lam_fast * e_slow) / root_far
         k1[far] = e_slow * (-np.expm1(-2.0 * z[is_far])) / root_far
 

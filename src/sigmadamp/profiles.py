@@ -72,26 +72,30 @@ class ModalSum:
         return tuple(i for i, term in enumerate(self.terms) if term.provenance == CORRECTED)
 
 
-def profile_A(k: int, p: ModelParams, t: float, r):
+def _zero_pair(t, r):
+    zero = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r)))
+    return (zero, zero) if zero.ndim else (0.0, 0.0)
+
+
+def profile_A(k: int, p: ModelParams, t, r):
     """Order-k profile pair (A0, A1) for the fractional case sigma1 > 0.
 
     A0 multiplies the initial position, A1 the initial velocity; k = 0
-    returns the zero pair.  Broadcasts over r.
+    returns the zero pair.  t and r broadcast together, as in `kernel_jets`.
     """
     if p.sigma1 == 0.0:
         raise CaseMismatch("profile_A needs sigma1 > 0; use profile_B")
     if k < 0:
         raise ValueError(f"order k must be >= 0, got {k}")
     if k == 0:
-        zero = np.zeros_like(np.asarray(r, dtype=float))
-        return (zero, zero) if zero.ndim else (0.0, 0.0)
+        return _zero_pair(t, r)
     series = kernel_jets(p, t, r, k - 1)
     a0 = series.pos_fast.sum(axis=0) - series.pos_slow.sum(axis=0)
     a1 = series.vel_slow.sum(axis=0) - series.vel_fast.sum(axis=0)
     return a0, a1
 
 
-def profile_B(k: int, p: ModelParams, t: float, r):
+def profile_B(k: int, p: ModelParams, t, r):
     """Order-k profile pair (B0, B1) for the frictional case sigma1 = 0.
 
     Only the slow-branch families enter: B0 = -(pos_slow series sum),
@@ -102,13 +106,12 @@ def profile_B(k: int, p: ModelParams, t: float, r):
     if k < 0:
         raise ValueError(f"order k must be >= 0, got {k}")
     if k == 0:
-        zero = np.zeros_like(np.asarray(r, dtype=float))
-        return (zero, zero) if zero.ndim else (0.0, 0.0)
+        return _zero_pair(t, r)
     series = kernel_jets(p, t, r, k - 1)
     return -series.pos_slow.sum(axis=0), series.vel_slow.sum(axis=0)
 
 
-def profile_pair(k: int, p: ModelParams, case: RateCase, t: float, r):
+def profile_pair(k: int, p: ModelParams, case: RateCase, t, r):
     """Dispatch to profile_A or profile_B by rate case."""
     if case is RateCase.POSITIVE_SIGMA1:
         return profile_A(k, p, t, r)

@@ -12,21 +12,26 @@ refinement agrees with the parent panel inside its share of the error
 budget.  Integrands must accept numpy arrays of radii and act elementwise.
 
 Refinement is level-batched, after Shampine's vectorised quadgk (J. Comput.
-Appl. Math. 211, 2008): the coarse pass is one integrand call over every
-segment, and each bisection level is one call over both halves of every panel
-still open, so a norm costs one call per level instead of one per panel.
-The accept test, the stall test and the fold of the bisection tree run as
-array operations on a whole level.  Each panel is reduced on its own 15
-nodes by NumPy's row sum, which reduces every row alike whatever the number
-of rows and does not go through BLAS, so the norms do not depend on the BLAS
-build or on the CPU it picks its kernels for.  The accepted values are summed
-in the order of the bisection tree (left + right for every split panel,
-segments in ascending order), so the norms are the floats a depth-first
-recursion with the same per-panel reduction gives.  Refinement stops with
-NonConvergence on a non-finite panel, at the depth cap, or when neither half
-of a split panel improves on a gap already below the roundoff of the total:
-that gap is roundoff in the integrand, which a tol below roundoff would
-otherwise keep splitting, doubling the open panels on every level.
+Appl. Math. 211, 2008), and carried from one norm to a family of norms: a
+caller with many norms of one kind (an error curve over its time grid) hands
+over one integrand f(r, j) and one radius per member j, and a single
+refinement loop computes them all.  The coarse pass covers every segment of
+every member, and each bisection level covers both halves of every panel
+still open, the integrand being called once per PANELS_PER_CALL panels.
+Each member keeps its own error budget and noise floor; the accept test,
+the stall test and the fold of the bisection tree run as array operations
+on a whole level.  Each panel is reduced on its own 15 nodes by NumPy's row
+sum, which reduces every row alike whatever the number of rows and does not
+go through BLAS, so the norms do not depend on the BLAS build or on the CPU
+it picks its kernels for, nor on the family they are computed in.  The
+accepted values are summed in the order of the bisection tree (left + right
+for every split panel, each member's segments in ascending order), so every
+norm is the float a depth-first recursion with the same per-panel reduction
+gives.  Refinement stops with NonConvergence on a non-finite panel, at the
+depth cap, or when neither half of a split panel improves on a gap already
+below the roundoff of its member's total: that gap is roundoff in the
+integrand, which a tol below roundoff would otherwise keep splitting,
+doubling the open panels on every level.
 
 Also provides the smooth radial cutoffs used to split low and high
 frequencies, and `scaling_check`, which verifies the norm decay exponent of
@@ -47,6 +52,9 @@ R_FLOOR = 1e-12
 MAX_DEPTH = 60
 # refinement agreement below this relative level is treated as roundoff noise
 REL_FLOOR = 5e-16
+# panels per integrand call: fewer calls cost less fixed overhead, while more
+# nodes per call raise peak memory (256 panels are 3,840 nodes)
+PANELS_PER_CALL = 256
 
 
 class QuadratureError(RuntimeError):
@@ -66,14 +74,15 @@ class RadialIntegrand:
     """A radial function together with its declared power behavior at 0.
 
     singularity_exponent e asserts f(r) = O(r^e) as r -> 0; integrability of
-    the squared integrand then requires 2e + n > 0.
+    the squared integrand then requires 2e + n > 0.  For a family of norms
+    (see `l2_radial`) func is f(r, j) and the exponent bounds every member.
     """
 
     func: object
     singularity_exponent: float = 0.0
 
-    def __call__(self, r):
-        return self.func(r)
+    def __call__(self, *args):
+        return self.func(*args)
 
 
 def surface_area(n: int) -> float:
@@ -120,13 +129,21 @@ class CutoffSpec:
         return 1.0 - self.chi_low(r)
 
 
-def _panels(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre values of g on the panels [lo[i], hi[i]], from one call of g."""
-    half = 0.5 * (hi - lo)
-    r = (0.5 * (hi + lo))[:, None] + half[:, None] * GAUSS_NODES
-    values = g(r.ravel()).reshape(r.shape)
-    # a row sum reduces every row alike, whatever the number of rows
-    return half * (values * GAUSS_WEIGHTS).sum(axis=1)
+def _panels(g, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre values of g on the panels [lo[i], hi[i]] of members owner[i].
+
+    g is called once per PANELS_PER_CALL panels, with the nodes of that slice
+    and the member each node belongs to; the nodes are built per slice.
+    """
+    out = np.empty(len(lo))
+    for start in range(0, len(lo), PANELS_PER_CALL):
+        part = slice(start, start + PANELS_PER_CALL)
+        half = 0.5 * (hi[part] - lo[part])
+        r = (0.5 * (hi[part] + lo[part]))[:, None] + half[:, None] * GAUSS_NODES
+        values = g(r.ravel(), np.repeat(owner[part], len(GAUSS_NODES))).reshape(r.shape)
+        # a row sum reduces every row alike, whatever the number of rows
+        out[part] = half * (values * GAUSS_WEIGHTS).sum(axis=1)
+    return out
 
 
 def _segments(r_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -138,32 +155,47 @@ def _segments(r_max: float) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:]
 
 
-def l2_radial(f, n: int, r_max: float, tol: float = 1e-8) -> float:
+def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     """Radial L2 norm of f over the ball of radius r_max in R^n.
+
+    A float r_max gives one norm, and f is called as f(r).  A 1-d array
+    r_max gives a family of norms, one per member j over the ball of radius
+    r_max[j], returned as an array; f is then called as f(r, j) with the
+    owning member's index for every node, and must evaluate member j's
+    function at its nodes.  Every member is refined as if it were alone, so
+    its norm is the float a one-member call returns.
 
     The absolute norm error is targeted at tol * (1 + norm); the budget is
     converted to an integral tolerance using a coarse first pass, split
     evenly over segments, and halved on each bisection.
 
-    Refinement runs level by level: one call of f evaluates both halves of
-    every panel still open at that depth.  A panel is accepted when its halves
-    agree with it to the budget (or to REL_FLOOR relative) and is split
-    otherwise; the whole level is tested at once.  The accepted values are
-    summed as the bisection tree nests, folded one level at a time from the
-    deepest, left + right for each split panel and segments in ascending
-    order, which is the float a depth-first recursion returns.
+    Refinement runs level by level over the panels of all members: the
+    halves of every panel still open at that depth are evaluated in calls
+    of at most PANELS_PER_CALL panels.  A panel is accepted when its halves
+    agree with it to its member's budget (or to REL_FLOOR relative) and is
+    split otherwise; the whole level is tested at once.  The accepted values
+    are summed as the bisection tree nests, folded one level at a time from
+    the deepest, left + right for each split panel and each member's
+    segments in ascending order, which is the float a depth-first recursion
+    returns.
 
     Raises NonConvergence when a panel value is not finite, when a panel is
     still off budget at MAX_DEPTH, or when both halves of a split panel stay
     off budget with gaps no smaller than the panel's own and no larger than
-    REL_FLOOR times the coarse total: such gaps are roundoff in f, not
-    truncation, and tol asks for more than f can resolve.  A jump or kink
-    stalls only the half that holds it, and an unresolved panel has gaps
-    above that floor, so neither trips the guard.
+    REL_FLOOR times its member's coarse total: such gaps are roundoff in f,
+    not truncation, and tol asks for more than f can resolve.  A jump or
+    kink stalls only the half that holds it, and an unresolved panel has
+    gaps above that floor, so neither trips the guard.  The panel named is
+    the first failing one of the level, members in order.
     """
     integrand = f if isinstance(f, RadialIntegrand) else RadialIntegrand(f)
-    if not (R_FLOOR < r_max < math.inf):
-        raise ValueError(f"r_max must be finite and exceed {R_FLOOR:g}, got {r_max}")
+    family = np.ndim(r_max) == 1
+    radii = np.atleast_1d(np.asarray(r_max, dtype=float))
+    if radii.ndim != 1:
+        raise ValueError(f"r_max must be a float or a 1-d array, got shape {radii.shape}")
+    inside = (radii > R_FLOOR) & (radii < math.inf)
+    if not inside.all():
+        raise ValueError(f"r_max must be finite and exceed {R_FLOOR:g}, got {radii[~inside][0]}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
     if 2.0 * integrand.singularity_exponent + n <= 0.0:
@@ -171,40 +203,53 @@ def l2_radial(f, n: int, r_max: float, tol: float = 1e-8) -> float:
             f"declared origin exponent {integrand.singularity_exponent} with n={n} "
             "makes the squared integrand non-integrable"
         )
+    if not radii.size:
+        return np.empty(0)
 
-    def g(r):
-        values = np.asarray(integrand.func(r), dtype=float)
+    func = integrand.func
+
+    def g(r, j):
+        values = np.asarray(func(r, j) if family else func(r), dtype=float)
         return values * values * r ** (n - 1)
 
     sphere = surface_area(n)
-    lo, hi = _segments(r_max)
+    segments = [_segments(float(x)) for x in radii]
+    counts = np.array([len(seg_lo) for seg_lo, _ in segments])
+    # member j owns the panels first[j]:first[j + 1] of the coarse level
+    first = np.concatenate(([0], np.cumsum(counts)))
+    lo = np.concatenate([seg_lo for seg_lo, _ in segments])
+    hi = np.concatenate([seg_hi for _, seg_hi in segments])
+    owner = np.repeat(np.arange(len(radii)), counts)
 
-    coarse = _panels(g, lo, hi)
-    coarse_total = sum(coarse.tolist())
-    norm0 = math.sqrt(sphere * max(coarse_total, 0.0))
+    coarse = _panels(g, lo, hi, owner)
+    coarse_total = np.array([sum(coarse[a:b].tolist()) for a, b in zip(first[:-1], first[1:])])
+    norm0 = np.sqrt(sphere * np.maximum(coarse_total, 0.0))
     eps_total = 2.0 * norm0 * tol * (1.0 + norm0) / sphere
-    tau = eps_total / len(coarse)
-    # a gap below this cannot move the total by more than its own roundoff
-    noise = REL_FLOOR * abs(coarse_total)
+    tau = eps_total / counts
+    # a gap below this cannot move the member's total by more than its own roundoff
+    noise = REL_FLOOR * np.abs(coarse_total)
 
     # Bisection tree, one level per entry: the values of the panels open at
     # that depth and which of them were split.  The children of the split
-    # panels are the next level's panels, left and right half side by side.
+    # panels are the next level's panels, left and right half side by side,
+    # so the panels of each member stay together and in order.
     levels: list[tuple[np.ndarray, np.ndarray]] = []
     parent_gap = np.full(len(coarse), math.inf)
     depth = 0
     while len(lo):
         m = len(lo)
         mid = 0.5 * (lo + hi)
-        halves = _panels(g, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        halves = _panels(
+            g, np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((owner, owner))
+        )
         left, right = halves[:m], halves[m:]
         fine = left + right
         with np.errstate(invalid="ignore"):  # inf - inf: reported below as non-finite
             gap = np.abs(fine - coarse)
         # written as not-accepted so that a NaN gap is split, never accepted
-        split = ~(gap <= np.maximum(tau, REL_FLOOR * np.abs(fine)))
+        split = ~(gap <= np.maximum(tau[owner], REL_FLOOR * np.abs(fine)))
         # siblings sit side by side, the left half at even i
-        stalled = split & (parent_gap <= gap) & (gap <= noise)
+        stalled = split & (parent_gap <= gap) & (gap <= noise[owner])
         stalled_pair = stalled[0 : m - 1 : 2] & stalled[1::2]
         finite = np.isfinite(fine)
         if not finite.all() or stalled_pair.any() or (depth >= MAX_DEPTH and split.any()):
@@ -212,6 +257,7 @@ def l2_radial(f, n: int, r_max: float, tol: float = 1e-8) -> float:
         levels.append((fine, split))
         bounds = np.stack((lo[split], mid[split], hi[split]), axis=1)
         lo, hi = bounds[:, :2].ravel(), bounds[:, 1:].ravel()
+        owner = np.repeat(owner[split], 2)
         coarse = np.stack((left[split], right[split]), axis=1).ravel()
         parent_gap = np.repeat(gap[split], 2)
         tau *= 0.5
@@ -223,10 +269,13 @@ def l2_radial(f, n: int, r_max: float, tol: float = 1e-8) -> float:
         if below is not None:
             value[split] = below[0::2] + below[1::2]
         below = value
-    total = 0.0
-    for v in below.tolist():
-        total += v
-    return math.sqrt(sphere * max(total, 0.0))
+    norms = np.empty(len(radii))
+    for j, (a, b) in enumerate(zip(first[:-1], first[1:])):
+        total = 0.0
+        for v in below[a:b].tolist():
+            total += v
+        norms[j] = math.sqrt(sphere * max(total, 0.0))
+    return norms if family else float(norms[0])
 
 
 def _raise_first_failure(lo, hi, fine, finite, split, stalled_pair, parent_gap, depth, tol):
@@ -279,14 +328,14 @@ def scaling_check(
     t_grid = np.asarray(t_grid, dtype=float)
     cut = CutoffSpec(eps)
 
-    def profile_at(t: float):
-        def f(r):
-            return r**alpha * np.exp(-c * r**beta * t) * cut.chi_low(r)
+    def f(r, j):
+        return r**alpha * np.exp(-c * r**beta * t_grid[j]) * cut.chi_low(r)
 
-        return RadialIntegrand(f, singularity_exponent=alpha)
-
-    norms = np.array(
-        [l2_radial(profile_at(t), n, r_max=eps, tol=quad_tol) for t in t_grid]
+    norms = l2_radial(
+        RadialIntegrand(f, singularity_exponent=alpha),
+        n,
+        r_max=np.full(len(t_grid), float(eps)),
+        tol=quad_tol,
     )
     target = -0.5 * n / beta - alpha / beta
     return fit_loglog(t_grid, norms, target)

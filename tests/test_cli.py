@@ -254,6 +254,8 @@ def test_bad_config_values_exit_2(command, values, tmp_path, capsys):
         ["validate", "--k", "3"],
         ["rates", "--quad-tol", "1e-3"],
         ["goldens", "--data", "moment_free"],
+        ["verify", "--quad", "1e-3"],  # a prefix of a flag is not that flag
+        ["verify", "--s", "1"],
     ],
 )
 def test_bad_flag_values_exit_2(argv, capsys):

@@ -16,7 +16,8 @@ from sigmadamp import kernels
 from sigmadamp.acceptance import kernel_tables, table_degree_sums
 from sigmadamp.jet2 import mul
 from sigmadamp.kernels import EXP_FLUSH, exact_multipliers, kernel_jets, root_jets
-from sigmadamp.model import ModelParams, eps_star, oscillation_band
+from sigmadamp.model import ModelParams, RateCase, eps_star, oscillation_band
+from sigmadamp.profiles import profile_pair
 
 SAMPLE_POINTS = [
     (ModelParams(3, 1.0, 0.25, 0.75), 2.0, 0.7),
@@ -379,3 +380,56 @@ def test_multipliers_solve_the_mode_equation():
                     if denom == 0.0:
                         continue
                     assert abs(sum(terms)) / denom < 1e-6
+
+
+# -- per-node times --------------------------------------------------------------
+
+TIME_GRID = (0.0, 0.7, 10.0, 316.0, 1e4)
+
+
+def _nodes_at_times(p):
+    # every radius at every time, the times interleaved: r spans all three root
+    # regimes and the flush edges
+    r = np.geomspace(1e-6, 40.0, 300)
+    if p.sigma1 == 0.0:
+        r = np.concatenate((r, np.linspace(*oscillation_band(p), 50)))
+    t = np.repeat(np.array(TIME_GRID), r.size)
+    return np.tile(r, len(TIME_GRID)), t, r
+
+
+@pytest.mark.parametrize("params", ["fractional_params", "frictional_params"])
+def test_multipliers_at_per_node_times_equal_the_scalar_time_calls(params, request):
+    p = request.getfixturevalue(params)
+    r_all, t_all, r = _nodes_at_times(p)
+    em = exact_multipliers(p, t_all, r_all)
+    for i, t in enumerate(TIME_GRID):
+        at_t = slice(i * r.size, (i + 1) * r.size)
+        one = exact_multipliers(p, t, r)
+        assert np.array_equal(em.K0[at_t], one.K0) and np.array_equal(em.K1[at_t], one.K1)
+    # a scalar radius against an array of times broadcasts to the times
+    em = exact_multipliers(p, np.array(TIME_GRID), 0.3)
+    assert em.K0.tolist() == [exact_multipliers(p, t, 0.3).K0 for t in TIME_GRID]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("params", ["fractional_params", "frictional_params"])
+def test_profiles_at_per_node_times_equal_the_scalar_time_calls(params, k, request):
+    p = request.getfixturevalue(params)
+    case = RateCase.POSITIVE_SIGMA1 if p.sigma1 > 0.0 else RateCase.ZERO_SIGMA1
+    r_all, t_all, r = _nodes_at_times(p)
+    pair = profile_pair(k, p, case, t_all, r_all)
+    for i, t in enumerate(TIME_GRID):
+        at_t = slice(i * r.size, (i + 1) * r.size)
+        for got, want in zip(pair, profile_pair(k, p, case, t, r)):
+            assert np.array_equal(got[at_t], want)
+
+
+def test_one_negative_time_in_an_array_is_refused(fractional_params):
+    t = np.array([1.0, 10.0, -1e-300, 100.0])
+    r = np.full(4, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_multipliers(fractional_params, t, r)
+    with pytest.raises(ValueError, match="nonnegative"):
+        kernel_jets(fractional_params, t, r, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        profile_pair(2, fractional_params, RateCase.POSITIVE_SIGMA1, t, r)

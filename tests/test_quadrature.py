@@ -202,6 +202,95 @@ def test_level_batching_matches_depth_first_bit_for_bit(f, n, r_max, tol):
     assert l2_radial(f, n, r_max, tol) == depth_first_norm(f, n, r_max, tol)
 
 
+# one radial function per member of a family: different radii and scales,
+# one step that refines down to the spacing of doubles, and oscillations that
+# open hundreds of panels on a level
+FAMILY = (
+    (lambda r: np.exp(-(r**2)), 8.0),
+    (lambda r: 1e6 * np.exp(-r), 5.0),
+    (lambda r: np.where(r < 0.3, 1.0, 0.0), 1.0),
+    (lambda r: np.sin(60.0 * r) * np.exp(-r), 10.0),
+    (lambda r: np.abs(r - 0.37) ** 1.5, 2.0),
+    (lambda r: np.cos(200.0 * r), 3.0),
+    (lambda r: r**-0.5, 1.0),
+)
+
+
+class CountingFamily:
+    """Records the radii of every call to a family integrand f(r, j)."""
+
+    def __init__(self, members):
+        self.members = members
+        self.calls = []
+
+    def __call__(self, r, j):
+        self.calls.append(np.array(r))
+        out = np.empty_like(r)
+        for i, (f, _) in enumerate(self.members):
+            mine = j == i
+            out[mine] = f(r[mine])
+        return out
+
+
+def test_family_equals_one_call_per_member_bit_for_bit():
+    family = CountingFamily(FAMILY)
+    r_max = np.array([radius for _, radius in FAMILY])
+    got = l2_radial(family, n=3, r_max=r_max, tol=1e-12)
+    assert isinstance(got, np.ndarray) and got.shape == (len(FAMILY),)
+    alone = [l2_radial(f, n=3, r_max=radius, tol=1e-12) for f, radius in FAMILY]
+    assert np.array_equal(got, alone)
+    # levels wider than one call are evaluated in slices of PANELS_PER_CALL panels
+    sizes = [c.size for c in family.calls]
+    per_call = quadrature.PANELS_PER_CALL * len(GAUSS_NODES)
+    assert max(sizes) == per_call
+    assert all(size % len(GAUSS_NODES) == 0 and size <= per_call for size in sizes)
+    # the step member alone refines about 50 levels, the others far fewer
+    assert len(sizes) > 50
+
+
+def test_one_member_family_is_the_float_call():
+    f = lambda r: np.exp(-(r**2)) * (1.0 + r) ** -0.5  # noqa: E731
+    got = l2_radial(lambda r, j: f(r), n=2, r_max=np.array([6.0]), tol=1e-10)
+    assert got.tolist() == [l2_radial(f, n=2, r_max=6.0, tol=1e-10)]
+    assert l2_radial(lambda r, j: f(r), n=2, r_max=np.array([]), tol=1e-10).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "bad,match",
+    [
+        (lambda r: np.where((r > 0.3) & (r < 0.31), np.nan, 1.0), "non-finite value nan"),
+        (lambda r: np.exp(-r) * (1.0 + 1e-10 * (np.modf(r * 1e13)[0] - 0.5)), "below the roundoff"),
+    ],
+    ids=["non_finite", "roundoff"],
+)
+def test_a_failing_member_fails_the_family(bad, match):
+    members = ((lambda r: np.exp(-(r**2)), 8.0), (bad, 1.0), (lambda r: np.ones_like(r), 2.0))
+    r_max = np.array([radius for _, radius in members])
+    with pytest.raises(NonConvergence, match=match):
+        l2_radial(CountingFamily(members), n=1, r_max=r_max, tol=1e-14)
+
+
+def test_each_member_has_its_own_noise_floor():
+    # the roundoff guard of a member scaled by 1e6 trips at its own floor, a
+    # trillion times above that of the unit member beside it, which converges
+    # at this tol on its own
+    clean = lambda r: np.exp(-(r**2))  # noqa: E731
+    noisy = lambda r: 1e6 * np.exp(-r) * (1.0 + 1e-10 * (np.modf(r * 1e13)[0] - 0.5))  # noqa: E731
+    assert l2_radial(clean, n=1, r_max=8.0, tol=1e-20) == pytest.approx(GAUSS_N1, rel=1e-11)
+    family = CountingFamily(((clean, 8.0), (noisy, 1.0)))
+    start = time.perf_counter()
+    with pytest.raises(NonConvergence, match="below the roundoff"):
+        l2_radial(family, n=1, r_max=np.array([8.0, 1.0]), tol=1e-20)
+    assert time.perf_counter() - start < 1.0
+    assert sum(c.size for c in family.calls) < 100_000
+
+
+@pytest.mark.parametrize("r_max", [[1.0, 0.0], [2.0, math.inf, 1.0], [[1.0, 2.0]]])
+def test_family_radii_are_validated(r_max):
+    with pytest.raises(ValueError, match="r_max"):
+        l2_radial(lambda r, j: np.ones_like(r), n=1, r_max=np.array(r_max), tol=1e-8)
+
+
 def test_roundoff_limited_refinement_stops():
     # 1e-10 relative noise (a deterministic function of the bits of r) sits far
     # above tol, so no panel meets its budget and every split panel's halves
