@@ -17,7 +17,7 @@ import numpy as np  # noqa: E402
 
 from sigmadamp.experiments import error_curve, fit_slope, gaussian_data, tail_window  # noqa: E402
 from sigmadamp.fitting import geometric_grid  # noqa: E402
-from sigmadamp.model import ModelParams, case_for, validate  # noqa: E402
+from sigmadamp.model import ModelParams  # noqa: E402
 
 
 def parse_args():
@@ -46,9 +46,7 @@ def main():
     print(f"{'sigma2':>8}  {'predicted':>10}  {'fitted':>10}  {'gap':>8}")
     for sigma2 in sigma2_values:
         p = ModelParams(n=args.dim, sigma=args.sigma, sigma1=args.sigma1, sigma2=float(sigma2))
-        case = case_for(p)
-        validate(p, case)
-        curve = error_curve(p, case, args.k, data, t_grid=grid)
+        curve = error_curve(p, args.k, data, t_grid=grid)
         fit = fit_slope(curve, tail_window(curve, 100.0, args.t_max))
         rows.append((float(sigma2), fit.target, fit.slope, fit.gap))
         print(f"{sigma2:8.4f}  {fit.target:+10.4f}  {fit.slope:+10.4f}  {fit.gap:8.4f}")

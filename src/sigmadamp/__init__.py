@@ -43,8 +43,6 @@ from .profiles import (
     ModalTerm,
     UnsupportedOrder,
     golden_modal,
-    profile_A,
-    profile_B,
     profile_pair,
 )
 from .quadrature import (
@@ -133,8 +131,6 @@ __all__ = [
     "moment_free",
     "moment_free_data",
     "oscillation_band",
-    "profile_A",
-    "profile_B",
     "profile_pair",
     "rate_step",
     "scaling_check",

@@ -30,7 +30,7 @@ from .experiments import (
 from .fitting import geometric_grid
 from .jet2 import faa_di_bruno_coeff
 from .kernels import exact_multipliers, kernel_jets, root_jets
-from .model import ModelParams, RateCase, eps_star, oscillation_band
+from .model import ModelParams, RateCase, case_for, eps_star, oscillation_band
 from .profiles import ModalSum, golden_modal, profile_pair
 from .quadrature import scaling_check
 
@@ -294,17 +294,17 @@ def _rel_gap(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def golden_comparison(p: ModelParams, case: RateCase, k: int) -> list[tuple[ModalSum, float]]:
+def golden_comparison(p: ModelParams, k: int) -> list[tuple[ModalSum, float]]:
     """(catalog sum, worst scaled gap to the jet profile) per profile component.
 
     The gap |profile - catalog| / (1 + |catalog|) is maximised over 20
     radii spanning [1e-3, 1] * eps_star and the times 1, 10 and 100.
     """
     r_grid = np.geomspace(1e-3 * eps_star(p), eps_star(p), 20)
-    golden = golden_modal(k, case, p)
+    golden = golden_modal(k, p)
     gaps = [0.0, 0.0]
     for t in (1.0, 10.0, 100.0):
-        for i, prof in enumerate(profile_pair(k, p, case, t, r_grid)):
+        for i, prof in enumerate(profile_pair(k, p, case_for(p), t, r_grid)):
             ref = golden[i].evaluate(t, r_grid)
             gaps[i] = max(gaps[i], float(np.max(np.abs(prof - ref) / (1.0 + np.abs(ref)))))
     return list(zip(golden, gaps))
@@ -381,19 +381,17 @@ class AcceptanceLab:
         self._t_grid = geometric_grid(t_min, t_max, per_decade)
         self._curves: dict = {}
 
-    def _timed_curve(self, p: ModelParams, case: RateCase, k: int):
+    def _timed_curve(self, p: ModelParams, k: int):
         """(gaussian-data error curve, seconds its first computation took)."""
-        key = (p, case, k)
+        key = (p, k)
         if key not in self._curves:
             start = time.perf_counter()
-            curve = error_curve(
-                p, case, k, gaussian_data(), t_grid=self._t_grid, quad_tol=self.quad_tol
-            )
+            curve = error_curve(p, k, gaussian_data(), t_grid=self._t_grid, quad_tol=self.quad_tol)
             self._curves[key] = (curve, time.perf_counter() - start)
         return self._curves[key]
 
-    def curve(self, p: ModelParams, case: RateCase, k: int):
-        return self._timed_curve(p, case, k)[0]
+    def curve(self, p: ModelParams, k: int):
+        return self._timed_curve(p, k)[0]
 
     def run(self, names=None) -> list[CheckResult]:
         """Run the named suites (all of SUITES by default), each by its check_<name> method."""
@@ -406,13 +404,13 @@ class AcceptanceLab:
 
     # -- rate suites --------------------------------------------------------
 
-    def _rates_check(self, name: str, p: ModelParams, case: RateCase, orders, budget=None) -> CheckResult:
+    def _rates_check(self, name: str, p: ModelParams, orders, budget=None) -> CheckResult:
         # the budget covers computing the fitted curves, whichever suite did it
         elapsed = 0.0
         rows = []
         ok = True
         for k in orders:
-            curve, seconds = self._timed_curve(p, case, k)
+            curve, seconds = self._timed_curve(p, k)
             elapsed += seconds
             fit = fit_slope(curve, tail_window(curve))
             rows.append(
@@ -428,17 +426,11 @@ class AcceptanceLab:
 
     def check_rates_fractional(self) -> CheckResult:
         return self._rates_check(
-            "rates_fractional",
-            CONFIG_FRACTIONAL,
-            RateCase.POSITIVE_SIGMA1,
-            (0, 1, 2),
-            budget=RATES_TIME_BUDGET,
+            "rates_fractional", CONFIG_FRACTIONAL, (0, 1, 2), budget=RATES_TIME_BUDGET
         )
 
     def check_rates_frictional(self) -> CheckResult:
-        return self._rates_check(
-            "rates_frictional", CONFIG_FRICTIONAL, RateCase.ZERO_SIGMA1, (1, 2)
-        )
+        return self._rates_check("rates_frictional", CONFIG_FRICTIONAL, (1, 2))
 
     def check_weight_shift(self) -> CheckResult:
         """Raising s to 0.5 must steepen every fitted slope by -s/(2(sigma-sigma1)).
@@ -454,14 +446,8 @@ class AcceptanceLab:
         rows = []
         ok = True
         for k in (0, 1, 2):
-            fit0 = fit_slope(
-                self.curve(base, RateCase.POSITIVE_SIGMA1, k),
-                tail_window(self.curve(base, RateCase.POSITIVE_SIGMA1, k)),
-            )
-            fit5 = fit_slope(
-                self.curve(shifted, RateCase.POSITIVE_SIGMA1, k),
-                tail_window(self.curve(shifted, RateCase.POSITIVE_SIGMA1, k)),
-            )
+            fit0 = fit_slope(self.curve(base, k), tail_window(self.curve(base, k)))
+            fit5 = fit_slope(self.curve(shifted, k), tail_window(self.curve(shifted, k)))
             shift = fit5.slope - fit0.slope
             gap = abs(shift - expected)
             rows.append(
@@ -484,20 +470,16 @@ class AcceptanceLab:
     # -- sharpness band ------------------------------------------------------
 
     def check_lower_band(self) -> CheckResult:
-        cases = [
-            (CONFIG_FRACTIONAL, RateCase.POSITIVE_SIGMA1, (0, 1, 2)),
-            (CONFIG_FRICTIONAL, RateCase.ZERO_SIGMA1, (1, 2)),
-        ]
         rows = []
         ok = True
-        for p, case, orders in cases:
+        for p, orders in ((CONFIG_FRACTIONAL, (0, 1, 2)), (CONFIG_FRICTIONAL, (1, 2))):
             for k in orders:
-                curve = self.curve(p, case, k)
+                curve = self.curve(p, k)
                 lo, hi = lower_bound_band(curve, tail_window(curve))
                 ratio = hi / lo if lo > 0.0 else math.inf
                 rows.append(
                     {
-                        "case": case.value,
+                        "case": curve.case.value,
                         "k": k,
                         "band_min": lo,
                         "band_max": hi,
@@ -516,15 +498,12 @@ class AcceptanceLab:
     # -- closed-form catalog --------------------------------------------------
 
     def check_closed_forms(self) -> CheckResult:
-        setups = [
-            (CONFIG_FRACTIONAL, RateCase.POSITIVE_SIGMA1),
-            (CONFIG_FRICTIONAL, RateCase.ZERO_SIGMA1),
-        ]
         rows = []
         ok = True
-        for p, case in setups:
+        for p in (CONFIG_FRACTIONAL, CONFIG_FRICTIONAL):
+            case = case_for(p)
             for k in (1, 2):
-                (golden0, gap0), (golden1, gap1) = golden_comparison(p, case, k)
+                (golden0, gap0), (golden1, gap1) = golden_comparison(p, k)
                 flags = (golden0.corrected_indices(), golden1.corrected_indices())
                 flags_ok = flags == _EXPECTED_CORRECTIONS[(case, k)]
                 max_gap = max(gap0, gap1)
@@ -671,21 +650,17 @@ class AcceptanceLab:
     # -- order improvement --------------------------------------------------------------
 
     def check_order_improvement(self) -> CheckResult:
-        setups = [
-            (CONFIG_FRACTIONAL, RateCase.POSITIVE_SIGMA1),
-            (CONFIG_FRICTIONAL, RateCase.ZERO_SIGMA1),
-        ]
         rows = []
         ok = True
-        for p, case in setups:
+        for p in (CONFIG_FRACTIONAL, CONFIG_FRICTIONAL):
             at_boundary = p.sigma1 + p.sigma2 == p.sigma
             for k in (0, 1):
-                lower = self.curve(p, case, k)
-                higher = self.curve(p, case, k + 1)
+                lower = self.curve(p, k)
+                higher = self.curve(p, k + 1)
                 fit = order_improvement_from_curves(lower, higher, tail_window(lower))
                 rows.append(
                     {
-                        "case": case.value,
+                        "case": lower.case.value,
                         "k": k,
                         "slope": fit.slope,
                         "target": fit.target,

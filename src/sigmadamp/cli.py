@@ -81,7 +81,9 @@ def dumps17(obj, indent: int = 0) -> str:
         value = float(obj)
         if not math.isfinite(value):
             raise ComputationError(f"non-finite number in report: {value!r}")
-        return format(value, ".17g")
+        text = format(value, ".17g")
+        # an integral float keeps a fraction, so a JSON reader gets a float back
+        return text if "." in text or "e" in text else text + ".0"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
@@ -222,14 +224,13 @@ def _model(cfg: argparse.Namespace) -> ModelParams:
     return ModelParams(cfg.dim, cfg.sigma, cfg.sigma1, cfg.sigma2, cfg.s)
 
 
-def _params(cfg: argparse.Namespace) -> tuple[ModelParams, object]:
+def _params(cfg: argparse.Namespace) -> ModelParams:
     p = _model(cfg)
     try:
-        case = case_for(p)
-        validate(p, case)
+        validate(p, case_for(p))
     except ModelError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from None
-    return p, case
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +263,14 @@ def cmd_validate(cfg: argparse.Namespace) -> int:
         "valid": True,
         "case": case.value,
         "delta": delta(p),
-        "rate_step": rate_step(p, case),
+        "rate_step": rate_step(p),
         "eps_star": eps_star(p),
         "oscillation_band": list(band) if band else None,
     }
     print(f"case: {case.value}")
     print("valid: yes")
     print(f"delta = {delta(p):.17g}")
-    print(f"rate step per order = {rate_step(p, case):.17g}")
+    print(f"rate step per order = {rate_step(p):.17g}")
     print(f"eps_star = {eps_star(p):.17g}")
     if band is None:
         print("oscillation band: none")
@@ -280,8 +281,9 @@ def cmd_validate(cfg: argparse.Namespace) -> int:
 
 
 def cmd_rates(cfg: argparse.Namespace) -> int:
-    p, case = _params(cfg)
-    rows = [{"k": k, "exponent": error_exponent(p, k, case)} for k in cfg.k]
+    p = _params(cfg)
+    case = case_for(p)
+    rows = [{"k": k, "exponent": error_exponent(p, k)} for k in cfg.k]
     print(f"error decay exponents (case {case.value}):")
     for row in rows:
         print(f"  k={row['k']}  {row['exponent']:.17g}")
@@ -294,14 +296,14 @@ def cmd_rates(cfg: argparse.Namespace) -> int:
 
 
 def cmd_goldens(cfg: argparse.Namespace) -> int:
-    p, case = _params(cfg)
+    p = _params(cfg)
     bad = [k for k in cfg.k if k not in (1, 2)]
     if bad:
         raise ConfigError(f"goldens are catalogued for k in {{1, 2}}, got {bad}")
     rows = []
     all_ok = True
     for k in cfg.k:
-        for comp, (gold, max_gap) in zip(("position", "velocity"), golden_comparison(p, case, k)):
+        for comp, (gold, max_gap) in zip(("position", "velocity"), golden_comparison(p, k)):
             ok = max_gap <= GOLDEN_RTOL
             all_ok = all_ok and ok
             corrected = list(gold.corrected_indices())
@@ -324,7 +326,7 @@ def cmd_goldens(cfg: argparse.Namespace) -> int:
         {
             "schema_version": 1,
             "params": params_dict(p),
-            "case": case.value,
+            "case": case_for(p).value,
             "rtol": GOLDEN_RTOL,
             "comparisons": rows,
             "all_passed": all_ok,
@@ -338,11 +340,11 @@ def cmd_goldens(cfg: argparse.Namespace) -> int:
 def cmd_curve(cfg: argparse.Namespace) -> int:
     if not cfg.t_min < cfg.t_max:
         raise ConfigError(f"need t_min < t_max, got {cfg.t_min}, {cfg.t_max}")
-    p, case = _params(cfg)
+    p = _params(cfg)
     data = DATA_PRESETS[cfg.data]()
     t_grid = geometric_grid(cfg.t_min, cfg.t_max, cfg.per_decade)
     for k in cfg.k:
-        curve = error_curve(p, case, k, data, t_grid=t_grid, quad_tol=cfg.quad_tol)
+        curve = error_curve(p, k, data, t_grid=t_grid, quad_tol=cfg.quad_tol)
         try:
             window = tail_window(curve, 100.0, cfg.t_max)
             fit = fit_slope(curve, window)
@@ -356,7 +358,7 @@ def cmd_curve(cfg: argparse.Namespace) -> int:
                 f"gap {fit.gap:.6f} ({curve.times.size} points)"
             )
         if cfg.out is not None:
-            stem = f"curve_{case.value}_k{k}_{cfg.data}"
+            stem = f"curve_{curve.case.value}_k{k}_{cfg.data}"
             _write_text(Path(cfg.out) / f"{stem}.csv", curve_csv(curve, fit))
             _write_json(cfg.out, f"{stem}.json", curve_json_dict(curve, fit))
             print(f"wrote {stem}.csv")

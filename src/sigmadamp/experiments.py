@@ -20,7 +20,7 @@ import numpy as np
 
 from .fitting import DegenerateFit, FitResult, fit_exponential, fit_loglog, geometric_grid
 from .kernels import EXP_FLUSH, exact_multipliers
-from .model import ModelParams, RateCase, error_exponent, eps_star, rate_step, slow_rate_radius, validate
+from .model import ModelParams, RateCase, case_for, error_exponent, eps_star, rate_step, slow_rate_radius, validate
 from .profiles import profile_pair
 from .quadrature import CutoffSpec, RadialIntegrand, l2_radial
 
@@ -105,43 +105,49 @@ class ErrorCurve:
     """Sampled error norm E(t) for one configuration and profile order."""
 
     params: ModelParams
-    case: RateCase
     k: int
     data: SpectralDataSpec
     times: np.ndarray
     values: np.ndarray
     cancellation_hits: int = 0
 
+    @property
+    def case(self) -> RateCase:
+        return case_for(self.params)
+
     def target(self) -> float:
-        return error_exponent(self.params, self.k, self.case)
+        return error_exponent(self.params, self.k)
 
 
-def error_r_max(p: ModelParams, t: float, star: float | None = None) -> float:
-    """Truncation radius for the error integrand at time t.
+def error_r_max(p: ModelParams, times) -> np.ndarray:
+    """Truncation radius for the error integrand at each of the times.
 
     High frequencies are damped at rate at least r^{2 sigma1}, so beyond
     (EXP_FLUSH / t)^{1/(2 sigma1)} every surviving factor is flushed to zero;
-    the radius is clamped to [10, 10 / eps_star].  A caller that samples many
-    times passes star = eps_star(p), computed once, instead of rescanning the
-    oscillation band per time.
+    the radius is clamped to [10, 10 / eps_star], with the oscillation band
+    scanned for eps_star once for all the times.  Without weak damping
+    (sigma1 = 0) the radius is 10.
     """
-    if p.sigma1 > 0.0:
+    times = np.asarray(times, dtype=float)
+    if p.sigma1 == 0.0:
+        return np.full(times.shape, 10.0)
+    star = eps_star(p)
+    radii = []
+    for t in times:
         reach = (EXP_FLUSH / t) ** (0.5 / p.sigma1) if t > 0.0 else math.inf
-        if star is None:
-            star = eps_star(p)
-        return max(10.0, min(reach, 10.0 / star))
-    return 10.0
+        radii.append(max(10.0, min(reach, 10.0 / star)))
+    return np.array(radii)
 
 
 def error_curve(
     p: ModelParams,
-    case: RateCase,
     k: int,
     data: SpectralDataSpec,
     t_grid=None,
     quad_tol: float = 1e-6,
 ) -> ErrorCurve:
     """Sample E(t) on a geometric time grid (default 25 points per decade on [10, 1e4])."""
+    case = case_for(p)
     validate(p, case)
     if not (0 <= k <= MAX_PROFILE_ORDER):
         raise ValueError(f"profile order must be in [0, {MAX_PROFILE_ORDER}], got {k}")
@@ -172,11 +178,10 @@ def error_curve(
 
     # the profile families carry at worst the r^{-2 sigma1} velocity prefactor
     expo = p.s - (2.0 * p.sigma1 if k >= 1 else 0.0)
-    star = eps_star(p) if p.sigma1 > 0.0 else None
     values = l2_radial(
         RadialIntegrand(f, singularity_exponent=expo),
         p.n,
-        r_max=np.array([error_r_max(p, t, star) for t in t_grid]),
+        r_max=error_r_max(p, t_grid),
         tol=quad_tol,
     )
     if cancel_hits:
@@ -186,7 +191,7 @@ def error_curve(
             CancellationWarning,
             stacklevel=2,
         )
-    return ErrorCurve(p, case, k, data, t_grid, values, cancel_hits)
+    return ErrorCurve(p, k, data, t_grid, values, cancel_hits)
 
 
 def tail_window(curve: ErrorCurve, t_min: float = 100.0, t_max: float = 1e4) -> slice:
@@ -197,13 +202,11 @@ def tail_window(curve: ErrorCurve, t_min: float = 100.0, t_max: float = 1e4) -> 
     return slice(int(idx[0]), int(idx[-1]) + 1)
 
 
-def fit_slope(curve: ErrorCurve, window: slice | None = None, target: float | None = None) -> FitResult:
+def fit_slope(curve: ErrorCurve, window: slice | None = None) -> FitResult:
     """Power-law fit of the curve over the window (default: the [1e2, 1e4] tail)."""
     if window is None:
         window = tail_window(curve)
-    if target is None:
-        target = curve.target()
-    return fit_loglog(curve.times[window], curve.values[window], target)
+    return fit_loglog(curve.times[window], curve.values[window], curve.target())
 
 
 def lower_bound_band(curve: ErrorCurve, window: slice | None = None) -> tuple[float, float]:
@@ -287,13 +290,13 @@ def order_improvement_from_curves(
     """Fit the decay of E_{k+1}(t) / E_k(t); the gain per order is one rate step."""
     if higher.k != lower.k + 1:
         raise ValueError(f"need consecutive orders, got k={lower.k} and k={higher.k}")
-    if lower.params != higher.params or lower.case is not higher.case:
-        raise ValueError("order-improvement curves must share parameters and case")
+    if lower.params != higher.params:
+        raise ValueError("order-improvement curves must share parameters")
     if lower.times.shape != higher.times.shape or not np.array_equal(lower.times, higher.times):
         raise ValueError("order-improvement curves must share the time grid")
     if window is None:
         window = tail_window(lower)
-    target = -rate_step(lower.params, lower.case)
+    target = -rate_step(lower.params)
     ratios = higher.values[window] / lower.values[window]
     return fit_loglog(lower.times[window], ratios, target)
 

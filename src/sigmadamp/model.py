@@ -109,14 +109,14 @@ def delta(p: ModelParams) -> float:
     return min(p.sigma2 - p.sigma1, p.sigma - 2.0 * p.sigma1)
 
 
-def rate_step(p: ModelParams, case: RateCase) -> float:
+def rate_step(p: ModelParams) -> float:
     """Decay-exponent improvement per expansion order (a positive number)."""
-    if case is RateCase.POSITIVE_SIGMA1:
+    if case_for(p) is RateCase.POSITIVE_SIGMA1:
         return delta(p) / (p.sigma - p.sigma1)
     return p.sigma2 / p.sigma
 
 
-def error_exponent(p: ModelParams, k: int, case: RateCase) -> float:
+def error_exponent(p: ModelParams, k: int) -> float:
     """Theoretical power-law exponent of the k-th order expansion error.
 
     The weighted L2 norm of the error behaves like (1+t) to this power.
@@ -128,6 +128,7 @@ def error_exponent(p: ModelParams, k: int, case: RateCase) -> float:
     read off the kernel prefactor and measured on split error curves; the
     paper text held in this repository (the abstract) does not state it.
     """
+    case = case_for(p)
     validate(p, case)
     if k < 0:
         raise ValueError(f"expansion order k must be >= 0, got {k}")
@@ -136,7 +137,7 @@ def error_exponent(p: ModelParams, k: int, case: RateCase) -> float:
         base = -p.n / (4.0 * x) - p.s / (2.0 * x) + p.sigma1 / x
     else:
         base = -p.n / (4.0 * p.sigma) - p.s / (2.0 * p.sigma)
-    return base - k * rate_step(p, case)
+    return base - k * rate_step(p)
 
 
 def discriminant(p: ModelParams, r, a: float = 1.0, b: float = 1.0):
@@ -156,7 +157,6 @@ def discriminant(p: ModelParams, r, a: float = 1.0, b: float = 1.0):
 _SCAN_LO = 1e-6
 _SCAN_HI = 1e6
 _SCAN_POINTS = 400
-_BISECT_TOL = 1e-14
 
 
 def _scan_grid() -> np.ndarray:
@@ -166,7 +166,8 @@ def _scan_grid() -> np.ndarray:
 def _bisect_edge(f, lo: float, hi: float) -> float:
     """Root of f between lo and hi given f(lo), f(hi) of opposite strict sign.
 
-    Plain bisection to absolute width 1e-14; sign convention follows f(lo).
+    Plain bisection until the midpoint equals an endpoint, so the bracket
+    ends as two adjacent floats; sign convention follows f(lo).
     """
     flo = f(lo)
     fhi = f(hi)
@@ -176,9 +177,9 @@ def _bisect_edge(f, lo: float, hi: float) -> float:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise BisectionFailure(f"no sign change on [{lo}, {hi}]")
-    for _ in range(300):
+    while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_TOL or mid == lo or mid == hi:
+        if mid == lo or mid == hi:
             return mid
         fmid = f(mid)
         if fmid == 0.0:
@@ -187,7 +188,6 @@ def _bisect_edge(f, lo: float, hi: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def oscillation_band(p: ModelParams) -> tuple[float, float] | None:

@@ -4,14 +4,15 @@ The k-th order profile pair approximates (K0, K1) for small frequencies by
 the total-degree-(k-1) Taylor polynomial of the tagged multipliers in the
 bookkeeping parameters (a, b), evaluated back at a = b = 1.  That value is
 the sum of the first k coefficients of the one-variable series on the
-diagonal a = b = eps, which `kernels.kernel_jets` builds in one pass:
+diagonal a = b = eps.  `profile_pair` builds them in one `kernels.kernel_jets`
+pass and combines them by the damping case that sigma1 fixes:
 
   * fractional weak damping (sigma1 > 0): both exponential branches matter,
-    profile_A sums the series of the pos_fast/pos_slow and vel_slow/vel_fast
+    so it sums the series of the pos_fast/pos_slow and vel_slow/vel_fast
     pairs and takes their differences;
   * frictional damping (sigma1 = 0): the fast branch contributes only
-    exponentially-in-time small terms, so profile_B keeps a single family
-    per multiplier (pos_slow with flipped sign, vel_slow as is).
+    exponentially-in-time small terms, so it keeps a single family per
+    multiplier (pos_slow with flipped sign, vel_slow as is).
 
 For k = 1 and k = 2 the same profiles exist in closed form as short sums of
 c * r^p * t^h * e^{-r^q t} terms.  `golden_modal` returns those reference
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import kernel_jets
-from .model import CaseMismatch, ModelParams, RateCase
+from .model import CaseMismatch, ModelParams, RateCase, case_for
 
 TRANSCRIBED = "transcribed"
 CORRECTED = "corrected"
@@ -72,50 +73,28 @@ class ModalSum:
         return tuple(i for i, term in enumerate(self.terms) if term.provenance == CORRECTED)
 
 
-def _zero_pair(t, r):
-    zero = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r)))
-    return (zero, zero) if zero.ndim else (0.0, 0.0)
-
-
-def profile_A(k: int, p: ModelParams, t, r):
-    """Order-k profile pair (A0, A1) for the fractional case sigma1 > 0.
-
-    A0 multiplies the initial position, A1 the initial velocity; k = 0
-    returns the zero pair.  t and r broadcast together, as in `kernel_jets`.
-    """
-    if p.sigma1 == 0.0:
-        raise CaseMismatch("profile_A needs sigma1 > 0; use profile_B")
-    if k < 0:
-        raise ValueError(f"order k must be >= 0, got {k}")
-    if k == 0:
-        return _zero_pair(t, r)
-    series = kernel_jets(p, t, r, k - 1)
-    a0 = series.pos_fast.sum(axis=0) - series.pos_slow.sum(axis=0)
-    a1 = series.vel_slow.sum(axis=0) - series.vel_fast.sum(axis=0)
-    return a0, a1
-
-
-def profile_B(k: int, p: ModelParams, t, r):
-    """Order-k profile pair (B0, B1) for the frictional case sigma1 = 0.
-
-    Only the slow-branch families enter: B0 = -(pos_slow series sum),
-    B1 = +(vel_slow series sum); k = 0 returns the zero pair.
-    """
-    if p.sigma1 != 0.0:
-        raise CaseMismatch("profile_B needs sigma1 = 0; use profile_A")
-    if k < 0:
-        raise ValueError(f"order k must be >= 0, got {k}")
-    if k == 0:
-        return _zero_pair(t, r)
-    series = kernel_jets(p, t, r, k - 1)
-    return -series.pos_slow.sum(axis=0), series.vel_slow.sum(axis=0)
-
-
 def profile_pair(k: int, p: ModelParams, case: RateCase, t, r):
-    """Dispatch to profile_A or profile_B by rate case."""
-    if case is RateCase.POSITIVE_SIGMA1:
-        return profile_A(k, p, t, r)
-    return profile_B(k, p, t, r)
+    """Order-k profile pair (P0, P1) from one `kernel_jets` pass.
+
+    P0 multiplies the initial position, P1 the initial velocity; k = 0
+    returns the zero pair.  t and r broadcast together, as in `kernel_jets`.
+    The case must be `case_for(p)`; a case that disagrees with sigma1 raises
+    CaseMismatch.
+    """
+    if case is not case_for(p):
+        raise CaseMismatch(f"rate case {case.value} does not match sigma1 = {p.sigma1}")
+    if k < 0:
+        raise ValueError(f"order k must be >= 0, got {k}")
+    if k == 0:
+        zero = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r)))
+        return (zero, zero) if zero.ndim else (0.0, 0.0)
+    series = kernel_jets(p, t, r, k - 1)
+    if case is RateCase.ZERO_SIGMA1:
+        return -series.pos_slow.sum(axis=0), series.vel_slow.sum(axis=0)
+    return (
+        series.pos_fast.sum(axis=0) - series.pos_slow.sum(axis=0),
+        series.vel_slow.sum(axis=0) - series.vel_fast.sum(axis=0),
+    )
 
 
 _NOTE_MISSING_T = (
@@ -128,18 +107,17 @@ _NOTE_HALF_POWER = (
 )
 
 
-def golden_modal(k: int, case: RateCase, p: ModelParams) -> tuple[ModalSum, ModalSum]:
+def golden_modal(k: int, p: ModelParams) -> tuple[ModalSum, ModalSum]:
     """Closed-form reference profiles for k in {1, 2}, as flagged term sums.
 
-    Returns (position profile, velocity profile).  Terms flagged `corrected`
-    differ from the catalog's original recorded form (see module docstring);
-    all others are verbatim transcriptions.
+    The case is read off sigma1.  Returns (position profile, velocity
+    profile).  Terms flagged `corrected` differ from the catalog's original
+    recorded form (see module docstring); all others are verbatim
+    transcriptions.
     """
     if k not in (1, 2):
         raise UnsupportedOrder(f"closed forms are catalogued for k in {{1, 2}}, got {k}")
-    if case is RateCase.POSITIVE_SIGMA1:
-        if p.sigma1 == 0.0:
-            raise CaseMismatch("positive_sigma1 reference forms need sigma1 > 0")
+    if case_for(p) is RateCase.POSITIVE_SIGMA1:
         pn = -2.0 * p.sigma1  # velocity-family prefactor r^{-2 sigma1}
         px = 2.0 * (p.sigma2 - p.sigma1)  # strong/weak damping ratio power
         pw = 2.0 * (p.sigma - 2.0 * p.sigma1)  # restoring/weak-squared power
@@ -180,8 +158,6 @@ def golden_modal(k: int, case: RateCase, p: ModelParams) -> tuple[ModalSum, Moda
             )
         return ModalSum(comp0), ModalSum(comp1)
 
-    if p.sigma1 != 0.0:
-        raise CaseMismatch("zero_sigma1 reference forms need sigma1 = 0")
     ts = 2.0 * p.sigma  # the single decay exponent of the frictional case
     ts2 = 2.0 * p.sigma2
     if k == 1:

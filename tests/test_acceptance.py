@@ -81,20 +81,20 @@ def test_acceptance_rates_fractional(lab, capsys):
     assert res.passed == (in_tol and in_budget), res.message
 
     # (b) the k=2 error is linear in (u0, u1): split it by datum on the fit window
-    p, case = CONFIG_FRACTIONAL, RateCase.POSITIVE_SIGMA1
-    combined = lab.curve(p, case, 2)
+    p = CONFIG_FRACTIONAL
+    combined = lab.curve(p, 2)
     times = combined.times[tail_window(combined)]
     velocity = error_curve(
-        p, case, 2, SpectralDataSpec(gaussian(c=0.0), gaussian()),
+        p, 2, SpectralDataSpec(gaussian(c=0.0), gaussian()),
         t_grid=times, quad_tol=lab.quad_tol,
     )
     position = error_curve(
-        p, case, 2, SpectralDataSpec(gaussian(), gaussian(c=0.0)),
+        p, 2, SpectralDataSpec(gaussian(), gaussian(c=0.0)),
         t_grid=times, quad_tol=lab.quad_tol,
     )
     # the velocity family carries the r^{-2 sigma1} prefactor; the position one does not
     offset = -p.sigma1 / (p.sigma - p.sigma1)
-    target = error_exponent(p, 2, case)
+    target = error_exponent(p, 2)
     vel_fit = fit_loglog(times, velocity.values, target)
     pos_fit = fit_loglog(times, position.values, target + offset)
     ratio_fit = fit_loglog(times, position.values / velocity.values, offset)

@@ -312,6 +312,12 @@ def test_dumps17_formats():
     assert dumps17([]) == "[]"
     assert dumps17({}) == "{}"
     assert dumps17({"k": 2}) == '{\n  "k": 2\n}'
+    # an integral float keeps a fraction; an int stays bare
+    assert dumps17(1.0) == "1.0"
+    assert dumps17(-2.0) == "-2.0"
+    assert dumps17(0.0) == "0.0"
+    assert dumps17(1e16) == "10000000000000000.0"
+    assert dumps17(1) == "1"
 
 
 def test_dumps17_rejects_non_finite():

@@ -33,7 +33,7 @@ from sigmadamp.fitting import (
     fit_loglog,
     geometric_grid,
 )
-from sigmadamp.model import CaseMismatch, ModelParams, RateCase, rate_step, slow_rate_radius
+from sigmadamp.model import ModelParams, RateCase, case_for, rate_step, slow_rate_radius
 
 GAUSS_N1 = 1.1195151349202476  # (pi/2)^{1/4}, norm of e^{-r^2} on the line
 
@@ -50,7 +50,6 @@ def short_frictional_curve():
         warnings.simplefilter("ignore", CancellationWarning)
         return error_curve(
             p,
-            RateCase.ZERO_SIGMA1,
             1,
             gaussian_data(),
             t_grid=geometric_grid(10.0, 1e3, 10),
@@ -157,7 +156,6 @@ def test_initial_error_is_velocity_data_norm(frictional_params):
         warnings.simplefilter("ignore", CancellationWarning)
         curve = error_curve(
             frictional_params,
-            RateCase.ZERO_SIGMA1,
             1,
             gaussian_data(),
             t_grid=np.array([0.0]),
@@ -167,12 +165,13 @@ def test_initial_error_is_velocity_data_norm(frictional_params):
 
 
 def test_truncation_radius_branches(fractional_params, frictional_params):
-    assert error_r_max(fractional_params, 0.0) == 20.0  # capped at 10 / eps_star
-    assert error_r_max(fractional_params, 1e12) == 10.0  # floor
     mid_t = 700.0 / 15.0**0.5
-    assert error_r_max(fractional_params, mid_t) == pytest.approx(15.0, rel=1e-9)
-    assert error_r_max(frictional_params, 0.0) == 10.0  # no slow tail without sigma1
-    assert error_r_max(frictional_params, 1e6) == 10.0
+    capped, floor, mid = error_r_max(fractional_params, [0.0, 1e12, mid_t])
+    assert capped == 20.0  # capped at 10 / eps_star
+    assert floor == 10.0
+    assert mid == pytest.approx(15.0, rel=1e-9)
+    # no slow tail without sigma1
+    assert error_r_max(frictional_params, [0.0, 1e6]).tolist() == [10.0, 10.0]
 
 
 def test_error_curve_finds_eps_star_once_per_curve(monkeypatch, fractional_params, frictional_params):
@@ -186,22 +185,20 @@ def test_error_curve_finds_eps_star_once_per_curve(monkeypatch, fractional_param
 
     monkeypatch.setattr(experiments, "eps_star", counting_eps_star)
     times = geometric_grid(10.0, 1e3, 5)
-    curve = error_curve(fractional_params, RateCase.POSITIVE_SIGMA1, 0, gaussian_data(), t_grid=times)
+    curve = error_curve(fractional_params, 0, gaussian_data(), t_grid=times)
     assert len(curve.values) == len(times) == 11
     assert calls == [fractional_params]
     calls.clear()
     # without sigma1 the radius is the floor, and no scan runs at all
-    error_curve(frictional_params, RateCase.ZERO_SIGMA1, 0, gaussian_data(), t_grid=times)
+    error_curve(frictional_params, 0, gaussian_data(), t_grid=times)
     assert calls == []
 
 
-def test_error_curve_rejects_bad_order_and_case(fractional_params):
+def test_error_curve_rejects_bad_order(fractional_params):
     with pytest.raises(ValueError):
-        error_curve(fractional_params, RateCase.POSITIVE_SIGMA1, 4, gaussian_data())
+        error_curve(fractional_params, 4, gaussian_data())
     with pytest.raises(ValueError):
-        error_curve(fractional_params, RateCase.POSITIVE_SIGMA1, -1, gaussian_data())
-    with pytest.raises(CaseMismatch):
-        error_curve(fractional_params, RateCase.ZERO_SIGMA1, 1, gaussian_data())
+        error_curve(fractional_params, -1, gaussian_data())
 
 
 def test_cancellation_warning_emitted(fractional_params):
@@ -210,7 +207,6 @@ def test_cancellation_warning_emitted(fractional_params):
     with pytest.warns(CancellationWarning):
         curve = error_curve(
             fractional_params,
-            RateCase.POSITIVE_SIGMA1,
             2,
             gaussian_data(),
             t_grid=geometric_grid(10.0, 1e3, 5),
@@ -223,7 +219,6 @@ def test_no_cancellation_at_order_zero(fractional_params):
         warnings.simplefilter("error", CancellationWarning)
         curve = error_curve(
             fractional_params,
-            RateCase.POSITIVE_SIGMA1,
             0,
             gaussian_data(),
             t_grid=geometric_grid(10.0, 100.0, 5),
@@ -251,7 +246,6 @@ def test_moment_free_data_decays_strictly_faster(frictional_params):
     # killing it must steepen the observed decay well past the generic target
     curve = error_curve(
         frictional_params,
-        RateCase.ZERO_SIGMA1,
         1,
         moment_free_data(),
         t_grid=geometric_grid(10.0, 1e3, 10),
@@ -269,7 +263,6 @@ def test_lower_bound_band_positive(short_frictional_curve):
 def test_lower_bound_band_needs_velocity_mass(frictional_params):
     curve = error_curve(
         frictional_params,
-        RateCase.ZERO_SIGMA1,
         1,
         moment_free_data(),
         t_grid=geometric_grid(10.0, 1e3, 10),
@@ -307,7 +300,6 @@ RECORDED_FRACTIONAL_K2 = [
 def test_error_curves_match_recorded_values(frictional_params, fractional_params):
     friction = error_curve(
         frictional_params,
-        RateCase.ZERO_SIGMA1,
         1,
         gaussian_data(),
         t_grid=[10.0, 100.0, 1e3, 1e4],
@@ -315,7 +307,6 @@ def test_error_curves_match_recorded_values(frictional_params, fractional_params
     assert friction.values.tolist() == RECORDED_FRICTIONAL_K1
     fractional = error_curve(
         fractional_params,
-        RateCase.POSITIVE_SIGMA1,
         2,
         gaussian_data(),
         t_grid=[100.0, 1e3, 1e4],
@@ -343,19 +334,17 @@ def test_high_frequency_norm_decays_exponentially(frictional_params):
 # ----------------------------------------------------- order improvement
 
 
-def _synthetic_pair(p, case, k, times, low_vals, high_vals):
+def _synthetic_pair(p, k, times, low_vals, high_vals):
     data = gaussian_data()
-    low = ErrorCurve(p, case, k, data, times, low_vals)
-    high = ErrorCurve(p, case, k + 1, data, times, high_vals)
+    low = ErrorCurve(p, k, data, times, low_vals)
+    high = ErrorCurve(p, k + 1, data, times, high_vals)
     return low, high
 
 
 def test_order_improvement_recovers_rate_step(frictional_params):
-    step = rate_step(frictional_params, RateCase.ZERO_SIGMA1)
+    step = rate_step(frictional_params)
     t = geometric_grid(10.0, 1e4, 10)
-    low, high = _synthetic_pair(
-        frictional_params, RateCase.ZERO_SIGMA1, 0, t, t**-1.0, t ** (-1.0 - step)
-    )
+    low, high = _synthetic_pair(frictional_params, 0, t, t**-1.0, t ** (-1.0 - step))
     fit = order_improvement_from_curves(low, high)
     assert fit.target == -step
     assert fit.slope == pytest.approx(-step, abs=1e-12)
@@ -363,27 +352,23 @@ def test_order_improvement_recovers_rate_step(frictional_params):
 
 def test_order_improvement_identical_curves(frictional_params):
     t = geometric_grid(10.0, 1e4, 10)
-    low, high = _synthetic_pair(
-        frictional_params, RateCase.ZERO_SIGMA1, 1, t, t**-1.0, t**-1.0
-    )
+    low, high = _synthetic_pair(frictional_params, 1, t, t**-1.0, t**-1.0)
     fit = order_improvement_from_curves(low, high)
     assert fit.slope == pytest.approx(0.0, abs=1e-13)
-    assert fit.gap == pytest.approx(rate_step(frictional_params, RateCase.ZERO_SIGMA1), abs=1e-13)
+    assert fit.gap == pytest.approx(rate_step(frictional_params), abs=1e-13)
 
 
 def test_order_improvement_input_validation(frictional_params, fractional_params):
     t = geometric_grid(10.0, 1e4, 10)
     v = t**-1.0
-    low, high = _synthetic_pair(frictional_params, RateCase.ZERO_SIGMA1, 0, t, v, v)
-    skip = ErrorCurve(frictional_params, RateCase.ZERO_SIGMA1, 2, gaussian_data(), t, v)
+    low, high = _synthetic_pair(frictional_params, 0, t, v, v)
+    skip = ErrorCurve(frictional_params, 2, gaussian_data(), t, v)
     with pytest.raises(ValueError):
         order_improvement_from_curves(low, skip)  # non-consecutive orders
-    other_params = ErrorCurve(fractional_params, RateCase.ZERO_SIGMA1, 1, gaussian_data(), t, v)
+    other_params = ErrorCurve(fractional_params, 1, gaussian_data(), t, v)
     with pytest.raises(ValueError):
         order_improvement_from_curves(low, other_params)
-    other_grid = ErrorCurve(
-        frictional_params, RateCase.ZERO_SIGMA1, 1, gaussian_data(), t[:-1], v[:-1]
-    )
+    other_grid = ErrorCurve(frictional_params, 1, gaussian_data(), t[:-1], v[:-1])
     with pytest.raises(ValueError):
         order_improvement_from_curves(low, other_grid)
 
@@ -424,7 +409,6 @@ def test_curve_rendering_is_reproducible(frictional_params):
     def build():
         curve = error_curve(
             frictional_params,
-            RateCase.ZERO_SIGMA1,
             1,
             gaussian_data(),
             t_grid=geometric_grid(10.0, 100.0, 5),
@@ -432,6 +416,15 @@ def test_curve_rendering_is_reproducible(frictional_params):
         return curve_csv(curve, fit_slope(curve, slice(None)))
 
     assert build() == build()
+
+
+def test_curve_case_is_read_off_sigma1(short_frictional_curve, fractional_params):
+    t = geometric_grid(10.0, 1e3, 2)
+    fractional = ErrorCurve(fractional_params, 1, gaussian_data(), t, t**-1.0)
+    for curve, case in ((short_frictional_curve, RateCase.ZERO_SIGMA1), (fractional, RateCase.POSITIVE_SIGMA1)):
+        assert curve.case is case is case_for(curve.params)
+        assert f"# case = {case.value}\n" in curve_csv(curve)
+        assert curve_json_dict(curve)["case"] == case.value
 
 
 def test_curve_json_schema(short_frictional_curve):

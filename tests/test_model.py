@@ -14,6 +14,7 @@ from sigmadamp.model import (
     ModelParams,
     OrderingViolation,
     RateCase,
+    _bisect_edge,
     case_for,
     delta,
     discriminant,
@@ -68,33 +69,33 @@ def test_delta_examples():
 
 
 def test_rate_steps(fractional_params, frictional_params):
-    assert rate_step(fractional_params, POS) == pytest.approx(Fraction(2, 3))
-    assert rate_step(frictional_params, ZERO) == pytest.approx(0.8)
+    assert rate_step(fractional_params) == pytest.approx(Fraction(2, 3))
+    assert rate_step(frictional_params) == pytest.approx(0.8)
 
 
 def test_error_exponents_fractional(fractional_params):
     want = [Fraction(-2, 3), Fraction(-4, 3), Fraction(-2, 1)]
     for k, target in enumerate(want):
-        assert error_exponent(fractional_params, k, POS) == pytest.approx(float(target))
+        assert error_exponent(fractional_params, k) == pytest.approx(float(target))
 
 
 def test_error_exponents_frictional(frictional_params):
-    assert error_exponent(frictional_params, 1, ZERO) == pytest.approx(-1.05)
-    assert error_exponent(frictional_params, 2, ZERO) == pytest.approx(-1.85)
+    assert error_exponent(frictional_params, 1) == pytest.approx(-1.05)
+    assert error_exponent(frictional_params, 2) == pytest.approx(-1.85)
 
 
 def test_weight_shifts_every_exponent_uniformly(fractional_params):
     heavy = ModelParams(3, 1.0, 0.25, 0.75, s=0.5)
     for k in range(3):
-        gap = error_exponent(heavy, k, POS) - error_exponent(fractional_params, k, POS)
+        gap = error_exponent(heavy, k) - error_exponent(fractional_params, k)
         assert gap == pytest.approx(-1.0 / 3.0)
 
 
 def test_exponent_steps_are_exact(fractional_params, frictional_params):
-    for p, case in [(fractional_params, POS), (frictional_params, ZERO)]:
-        step = rate_step(p, case)
+    for p in (fractional_params, frictional_params):
+        step = rate_step(p)
         for k in range(3):
-            drop = error_exponent(p, k, case) - error_exponent(p, k + 1, case)
+            drop = error_exponent(p, k) - error_exponent(p, k + 1)
             assert drop == pytest.approx(step, rel=1e-14)
 
 
@@ -164,6 +165,17 @@ def test_band_at_viscoelastic_endpoint():
     assert lo == pytest.approx(0.38196601125010515, rel=1e-10)
     assert hi == 1.0
     assert eps_star(p) == pytest.approx(lo / 2.0, rel=1e-12)
+
+
+def test_band_edge_does_not_depend_on_the_bracket():
+    # bisection runs down to adjacent floats, so brackets of any width agree
+    # to the discriminant's own noise near the edge (3 - sqrt(5))/2
+    p = ModelParams(3, 1.0, 0.25, 1.0)
+    edges = [
+        _bisect_edge(lambda r: discriminant(p, r, 1.0, 1.0), lo, hi)
+        for lo, hi in ((0.01, 0.6), (0.2, 0.9), (0.3, 0.5), (0.38, 0.39))
+    ]
+    assert max(edges) - min(edges) <= 2e-15 * min(edges)
 
 
 @pytest.mark.parametrize("sigma2, side", [(0.752, "below"), (0.748, "above"), (0.7501, "below")])

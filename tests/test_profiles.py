@@ -6,13 +6,7 @@ import pytest
 from sigmadamp import profiles
 from sigmadamp.kernels import kernel_jets
 from sigmadamp.model import CaseMismatch, ModelParams, RateCase, case_for, eps_star
-from sigmadamp.profiles import (
-    UnsupportedOrder,
-    golden_modal,
-    profile_A,
-    profile_B,
-    profile_pair,
-)
+from sigmadamp.profiles import UnsupportedOrder, golden_modal, profile_pair
 
 POS = RateCase.POSITIVE_SIGMA1
 ZERO = RateCase.ZERO_SIGMA1
@@ -31,10 +25,10 @@ def scaled_gap(a, b):
 @pytest.mark.parametrize("k", [1, 2])
 def test_fractional_profiles_match_closed_forms(fractional_params, k):
     p = fractional_params
-    ref0, ref1 = golden_modal(k, POS, p)
+    ref0, ref1 = golden_modal(k, p)
     rs, ts = reference_grid(p)
     for t in ts:
-        a0, a1 = profile_A(k, p, t, rs)
+        a0, a1 = profile_pair(k, p, POS, t, rs)
         assert scaled_gap(a0, ref0.evaluate(t, rs)) < 1e-12
         assert scaled_gap(a1, ref1.evaluate(t, rs)) < 1e-12
 
@@ -42,10 +36,10 @@ def test_fractional_profiles_match_closed_forms(fractional_params, k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_frictional_profiles_match_closed_forms(frictional_params, k):
     p = frictional_params
-    ref0, ref1 = golden_modal(k, ZERO, p)
+    ref0, ref1 = golden_modal(k, p)
     rs, ts = reference_grid(p)
     for t in ts:
-        b0, b1 = profile_B(k, p, t, rs)
+        b0, b1 = profile_pair(k, p, ZERO, t, rs)
         assert scaled_gap(b0, ref0.evaluate(t, rs)) < 1e-12
         assert scaled_gap(b1, ref1.evaluate(t, rs)) < 1e-12
 
@@ -61,21 +55,21 @@ def test_corrected_term_flags_are_exactly_as_documented(fractional_params, frict
     }
     for (case, k), (want0, want1) in expected.items():
         p = fractional_params if case is POS else frictional_params
-        ref0, ref1 = golden_modal(k, case, p)
+        ref0, ref1 = golden_modal(k, p)
         assert ref0.corrected_indices() == want0, (case, k)
         assert ref1.corrected_indices() == want1, (case, k)
     # the repaired terms say how they differ from the recorded form
-    ref0, _ = golden_modal(1, POS, fractional_params)
+    ref0, _ = golden_modal(1, fractional_params)
     assert "time factor" in ref0.terms[1].note
-    ref0, _ = golden_modal(2, POS, fractional_params)
+    ref0, _ = golden_modal(2, fractional_params)
     assert "radial power" in ref0.terms[6].note
 
 
 def test_profiles_vanish_at_order_zero(fractional_params, frictional_params):
-    assert profile_A(0, fractional_params, 3.0, 0.5) == (0.0, 0.0)
-    assert profile_B(0, frictional_params, 3.0, 0.5) == (0.0, 0.0)
+    assert profile_pair(0, fractional_params, POS, 3.0, 0.5) == (0.0, 0.0)
+    assert profile_pair(0, frictional_params, ZERO, 3.0, 0.5) == (0.0, 0.0)
     rs = np.array([0.2, 0.4])
-    a0, a1 = profile_A(0, fractional_params, 3.0, rs)
+    a0, a1 = profile_pair(0, fractional_params, POS, 3.0, rs)
     assert np.all(a0 == 0.0) and np.all(a1 == 0.0)
 
 
@@ -104,7 +98,7 @@ def test_first_order_profiles_are_the_kernel_constant_terms(fractional_params):
     p = fractional_params
     for t, r in [(1.5, 0.25), (9.0, 0.6)]:
         X = kernel_jets(p, t, r, 0)
-        a0, a1 = profile_A(1, p, t, r)
+        a0, a1 = profile_pair(1, p, POS, t, r)
         assert a0 == pytest.approx(X.pos_fast[0] - X.pos_slow[0], rel=1e-14)
         assert a1 == pytest.approx(X.vel_slow[0] - X.vel_fast[0], rel=1e-14)
 
@@ -125,26 +119,22 @@ def test_one_kernel_pass_per_profile_pair(monkeypatch, fractional_params, fricti
 
 
 def test_case_dispatch_and_mismatches(fractional_params, frictional_params):
+    # the case is read off sigma1; a passed case that disagrees is refused
     t, r = 2.0, 0.5
-    assert profile_pair(1, fractional_params, POS, t, r) == profile_A(1, fractional_params, t, r)
-    assert profile_pair(1, frictional_params, ZERO, t, r) == profile_B(1, frictional_params, t, r)
-    with pytest.raises(CaseMismatch):
-        profile_A(1, frictional_params, t, r)
-    with pytest.raises(CaseMismatch):
-        profile_B(1, fractional_params, t, r)
-    with pytest.raises(CaseMismatch):
-        golden_modal(1, POS, frictional_params)
-    with pytest.raises(CaseMismatch):
-        golden_modal(1, ZERO, fractional_params)
+    for k in (0, 1):
+        with pytest.raises(CaseMismatch):
+            profile_pair(k, frictional_params, POS, t, r)
+        with pytest.raises(CaseMismatch):
+            profile_pair(k, fractional_params, ZERO, t, r)
 
 
 def test_unsupported_orders(fractional_params):
     with pytest.raises(UnsupportedOrder):
-        golden_modal(0, POS, fractional_params)
+        golden_modal(0, fractional_params)
     with pytest.raises(UnsupportedOrder):
-        golden_modal(3, POS, fractional_params)
+        golden_modal(3, fractional_params)
     with pytest.raises(ValueError):
-        profile_A(-1, fractional_params, 1.0, 0.5)
+        profile_pair(-1, fractional_params, POS, 1.0, 0.5)
 
 
 def test_degenerate_viscoelastic_parameters_still_evaluate():
@@ -154,8 +144,8 @@ def test_degenerate_viscoelastic_parameters_still_evaluate():
     assert case_for(p) is POS
     rs, ts = reference_grid(p)
     for k in (1, 2):
-        ref0, ref1 = golden_modal(k, POS, p)
+        ref0, ref1 = golden_modal(k, p)
         for t in ts:
-            a0, a1 = profile_A(k, p, t, rs)
+            a0, a1 = profile_pair(k, p, POS, t, rs)
             assert scaled_gap(a0, ref0.evaluate(t, rs)) < 1e-12
             assert scaled_gap(a1, ref1.evaluate(t, rs)) < 1e-12
