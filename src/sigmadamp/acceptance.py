@@ -25,7 +25,6 @@ from .experiments import (
     lower_bound_band,
     high_freq_decay_check,
     order_improvement_from_curves,
-    tail_window,
 )
 from .fitting import geometric_grid
 from .jet2 import faa_di_bruno_coeff
@@ -62,6 +61,7 @@ HIGH_FREQ_RATIO_MAX = 1e-10
 RATES_TIME_BUDGET = 120.0
 
 _ORACLE_SEED = 20260821
+_ORACLE_DRAWS = 20
 
 _KERNEL_NAMES = ("pos_fast", "pos_slow", "vel_slow", "vel_fast")
 
@@ -374,11 +374,15 @@ def residual_grid(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 class AcceptanceLab:
-    """Runs the acceptance suites with a shared cache of sampled error curves."""
+    """Runs the acceptance suites with a shared cache of sampled error curves.
 
-    def __init__(self, quad_tol: float = 1e-6, t_min: float = 10.0, t_max: float = 1e4, per_decade: int = 25):
+    Every curve is sampled 25 times per decade on [10, 1e4], each norm to
+    quad_tol * (1 + E).
+    """
+
+    def __init__(self, quad_tol: float = 1e-6):
         self.quad_tol = quad_tol
-        self._t_grid = geometric_grid(t_min, t_max, per_decade)
+        self._t_grid = geometric_grid(10.0, 1e4, 25)
         self._curves: dict = {}
 
     def _timed_curve(self, p: ModelParams, k: int):
@@ -412,7 +416,7 @@ class AcceptanceLab:
         for k in orders:
             curve, seconds = self._timed_curve(p, k)
             elapsed += seconds
-            fit = fit_slope(curve, tail_window(curve))
+            fit = fit_slope(curve)
             rows.append(
                 {"k": k, "slope": fit.slope, "target": fit.target, "gap": fit.gap}
             )
@@ -446,8 +450,8 @@ class AcceptanceLab:
         rows = []
         ok = True
         for k in (0, 1, 2):
-            fit0 = fit_slope(self.curve(base, k), tail_window(self.curve(base, k)))
-            fit5 = fit_slope(self.curve(shifted, k), tail_window(self.curve(shifted, k)))
+            fit0 = fit_slope(self.curve(base, k))
+            fit5 = fit_slope(self.curve(shifted, k))
             shift = fit5.slope - fit0.slope
             gap = abs(shift - expected)
             rows.append(
@@ -475,7 +479,7 @@ class AcceptanceLab:
         for p, orders in ((CONFIG_FRACTIONAL, (0, 1, 2)), (CONFIG_FRICTIONAL, (1, 2))):
             for k in orders:
                 curve = self.curve(p, k)
-                lo, hi = lower_bound_band(curve, tail_window(curve))
+                lo, hi = lower_bound_band(curve)
                 ratio = hi / lo if lo > 0.0 else math.inf
                 rows.append(
                     {
@@ -529,11 +533,11 @@ class AcceptanceLab:
 
     # -- jet oracle -----------------------------------------------------------
 
-    def check_jet_oracle(self, draws: int = 20) -> CheckResult:
+    def check_jet_oracle(self) -> CheckResult:
         rng = np.random.default_rng(_ORACLE_SEED)
         worst_table = 0.0
         worst_fd = 0.0
-        for _ in range(draws):
+        for _ in range(_ORACLE_DRAWS):
             sigma = float(rng.uniform(1.0, 1.6))
             sigma1 = float(rng.uniform(0.08, 0.35) * sigma)
             sigma2 = float(rng.uniform(0.6, 1.0) * sigma)
@@ -557,7 +561,7 @@ class AcceptanceLab:
             f"worst gap to derivative tables {worst_table:.3e} (tol {ORACLE_RTOL:g}), "
             f"to finite differences {worst_fd:.3e} (tol {FD_RTOL:g})",
             {
-                "draws": draws,
+                "draws": _ORACLE_DRAWS,
                 "table_gap": worst_table,
                 "table_rtol": ORACLE_RTOL,
                 "fd_gap": worst_fd,
@@ -657,7 +661,7 @@ class AcceptanceLab:
             for k in (0, 1):
                 lower = self.curve(p, k)
                 higher = self.curve(p, k + 1)
-                fit = order_improvement_from_curves(lower, higher, tail_window(lower))
+                fit = order_improvement_from_curves(lower, higher)
                 rows.append(
                     {
                         "case": lower.case.value,

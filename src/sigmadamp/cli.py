@@ -161,6 +161,8 @@ def _parse_suites(text: str) -> tuple[str, ...]:
         raise argparse.ArgumentTypeError(
             f"unknown suites: {', '.join(unknown)}; available: {', '.join(SUITES)}"
         )
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"suite names must not repeat, got {text}")
     return names
 
 
@@ -346,8 +348,8 @@ def cmd_curve(cfg: argparse.Namespace) -> int:
     for k in cfg.k:
         curve = error_curve(p, k, data, t_grid=t_grid, quad_tol=cfg.quad_tol)
         try:
-            window = tail_window(curve, 100.0, cfg.t_max)
-            fit = fit_slope(curve, window)
+            # the fit window is [FIT_T_MIN, --t-max]
+            fit = fit_slope(curve, tail_window(curve, cfg.t_max))
         except DegenerateFit:
             fit = None
         if fit is None:

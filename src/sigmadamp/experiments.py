@@ -18,13 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import DegenerateFit, FitResult, fit_exponential, fit_loglog, geometric_grid
+from .fitting import DegenerateFit, FitResult, fit_exponential, fit_loglog
 from .kernels import EXP_FLUSH, exact_multipliers
 from .model import ModelParams, RateCase, case_for, error_exponent, eps_star, rate_step, slow_rate_radius, validate
 from .profiles import profile_pair
 from .quadrature import CutoffSpec, RadialIntegrand, l2_radial
 
 MAX_PROFILE_ORDER = 3
+# left end of every decay-fit window (`tail_window`)
+FIT_T_MIN = 100.0
 # |exact - approx| below this relative level loses most significant digits
 CANCELLATION_RTOL = 1e-13
 
@@ -143,16 +145,14 @@ def error_curve(
     p: ModelParams,
     k: int,
     data: SpectralDataSpec,
-    t_grid=None,
+    t_grid,
     quad_tol: float = 1e-6,
 ) -> ErrorCurve:
-    """Sample E(t) on a geometric time grid (default 25 points per decade on [10, 1e4])."""
+    """Sample E(t) at the times of t_grid, each norm to quad_tol * (1 + E)."""
     case = case_for(p)
     validate(p, case)
     if not (0 <= k <= MAX_PROFILE_ORDER):
         raise ValueError(f"profile order must be in [0, {MAX_PROFILE_ORDER}], got {k}")
-    if t_grid is None:
-        t_grid = geometric_grid(10.0, 1e4, 25)
     t_grid = np.asarray(t_grid, dtype=float)
 
     # identical position and velocity data are evaluated once per node set
@@ -194,11 +194,11 @@ def error_curve(
     return ErrorCurve(p, k, data, t_grid, values, cancel_hits)
 
 
-def tail_window(curve: ErrorCurve, t_min: float = 100.0, t_max: float = 1e4) -> slice:
-    """Index window of the curve restricted to [t_min, t_max]."""
-    idx = np.flatnonzero((curve.times >= t_min) & (curve.times <= t_max))
+def tail_window(curve: ErrorCurve, t_max: float = 1e4) -> slice:
+    """Index window of the curve restricted to [FIT_T_MIN, t_max]."""
+    idx = np.flatnonzero((curve.times >= FIT_T_MIN) & (curve.times <= t_max))
     if idx.size == 0:
-        raise DegenerateFit(f"no curve samples inside [{t_min:g}, {t_max:g}]")
+        raise DegenerateFit(f"no curve samples inside [{FIT_T_MIN:g}, {t_max:g}]")
     return slice(int(idx[0]), int(idx[-1]) + 1)
 
 
@@ -209,8 +209,8 @@ def fit_slope(curve: ErrorCurve, window: slice | None = None) -> FitResult:
     return fit_loglog(curve.times[window], curve.values[window], curve.target())
 
 
-def lower_bound_band(curve: ErrorCurve, window: slice | None = None) -> tuple[float, float]:
-    """Range of E(t) * (1 + t)^{|target|} over the window.
+def lower_bound_band(curve: ErrorCurve) -> tuple[float, float]:
+    """Range of E(t) * (1 + t)^{|target|} over the [1e2, 1e4] tail.
 
     A positive lower end pinned within a bounded ratio of the upper end
     witnesses that the predicted rate is sharp, not just an upper bound.
@@ -220,8 +220,7 @@ def lower_bound_band(curve: ErrorCurve, window: slice | None = None) -> tuple[fl
         raise RequiresNonzeroP1(
             "sharpness band needs u1_hat(0) != 0; this data pair has none"
         )
-    if window is None:
-        window = tail_window(curve)
+    window = tail_window(curve)
     scaled = curve.values[window] * (1.0 + curve.times[window]) ** (-curve.target())
     return float(scaled.min()), float(scaled.max())
 
@@ -238,25 +237,17 @@ class HighFreqReport:
     ratio: float
 
 
-def high_freq_decay_check(
-    p: ModelParams,
-    data: SpectralDataSpec,
-    t_grid=None,
-    cutoff_radius: float | None = None,
-    quad_tol: float = 1e-8,
-) -> HighFreqReport:
+def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqReport:
     """Fit the decay of H(t) = || r^s (K0 u0 + K1 u1) chi_high ||_{L2(R^n)}.
 
     Frequencies above the cutoff are uniformly damped, so H decays
-    exponentially; the default cutoff places the chi_high onset at the
-    radius where the slow decay rate reaches 0.6, making e^{-0.6 t} the
-    worst surviving mode.
+    exponentially; the cutoff places the chi_high onset at the radius where
+    the slow decay rate reaches 0.6, making e^{-0.6 t} the worst surviving
+    mode.  H is sampled at 25 times evenly spaced on [1, 50], each norm to
+    1e-8 * (1 + H).
     """
-    if cutoff_radius is None:
-        cutoff_radius = 2.0 * slow_rate_radius(p, 0.6)
-    if t_grid is None:
-        t_grid = np.linspace(1.0, 50.0, 25)
-    t_grid = np.asarray(t_grid, dtype=float)
+    cutoff_radius = 2.0 * slow_rate_radius(p, 0.6)
+    t_grid = np.linspace(1.0, 50.0, 25)
     cut = CutoffSpec(cutoff_radius)
     # data tails die like e^{-alpha r^2}: past sqrt(EXP_FLUSH/alpha) they underflow
     alpha_min = min(data.u0_hat.alpha, data.u1_hat.alpha)
@@ -271,7 +262,7 @@ def high_freq_decay_check(
         RadialIntegrand(f, singularity_exponent=0.0),
         p.n,
         r_max=np.full(len(t_grid), float(r_max)),
-        tol=quad_tol,
+        tol=1e-8,
     )
     fit = fit_exponential(t_grid, h_values, target=0.0)
     return HighFreqReport(
@@ -284,18 +275,18 @@ def high_freq_decay_check(
     )
 
 
-def order_improvement_from_curves(
-    lower: ErrorCurve, higher: ErrorCurve, window: slice | None = None
-) -> FitResult:
-    """Fit the decay of E_{k+1}(t) / E_k(t); the gain per order is one rate step."""
+def order_improvement_from_curves(lower: ErrorCurve, higher: ErrorCurve) -> FitResult:
+    """Fit the decay of E_{k+1}(t) / E_k(t) over the [1e2, 1e4] tail.
+
+    The gain per order is one rate step.
+    """
     if higher.k != lower.k + 1:
         raise ValueError(f"need consecutive orders, got k={lower.k} and k={higher.k}")
     if lower.params != higher.params:
         raise ValueError("order-improvement curves must share parameters")
     if lower.times.shape != higher.times.shape or not np.array_equal(lower.times, higher.times):
         raise ValueError("order-improvement curves must share the time grid")
-    if window is None:
-        window = tail_window(lower)
+    window = tail_window(lower)
     target = -rate_step(lower.params)
     ratios = higher.values[window] / lower.values[window]
     return fit_loglog(lower.times[window], ratios, target)

@@ -140,15 +140,15 @@ def error_exponent(p: ModelParams, k: int) -> float:
     return base - k * rate_step(p)
 
 
-def discriminant(p: ModelParams, r, a: float = 1.0, b: float = 1.0):
-    """Characteristic discriminant (r^{2*sigma1} + a*r^{2*sigma2})^2 - 4b*r^{2*sigma}.
+def discriminant(p: ModelParams, r):
+    """Characteristic discriminant (r^{2*sigma1} + r^{2*sigma2})^2 - 4*r^{2*sigma}.
 
     Negative values mean complex conjugate roots (oscillating modes);
     broadcasts over r.
     """
     r = np.asarray(r, dtype=float)
-    half = r ** (2.0 * p.sigma1) + a * r ** (2.0 * p.sigma2)
-    out = half * half - 4.0 * b * r ** (2.0 * p.sigma)
+    half = r ** (2.0 * p.sigma1) + r ** (2.0 * p.sigma2)
+    out = half * half - 4.0 * r ** (2.0 * p.sigma)
     return out if out.ndim else float(out)
 
 
@@ -193,7 +193,7 @@ def _bisect_edge(f, lo: float, hi: float) -> float:
 def oscillation_band(p: ModelParams) -> tuple[float, float] | None:
     """Endpoints (r_low, r_high) of the complex-root frequency band, or None.
 
-    The band is the set where discriminant(p, r, 1, 1) < 0, that is where
+    The band is the set where discriminant(p, r) < 0, that is where
     phi(u) = e^{(2*sigma1 - sigma) u} + e^{(2*sigma2 - sigma) u} < 2 with
     u = log r.  phi is convex with phi(0) = 2, so one edge is exactly r = 1:
     the band is [r_low, 1] when sigma1 + sigma2 > sigma, [1, r_high] when
@@ -205,7 +205,7 @@ def oscillation_band(p: ModelParams) -> tuple[float, float] | None:
     """
 
     def d(r: float) -> float:
-        return discriminant(p, r, 1.0, 1.0)
+        return discriminant(p, r)
 
     excess = p.sigma1 + p.sigma2 - p.sigma
     ratio = (p.sigma - 2.0 * p.sigma1) / (2.0 * p.sigma2 - p.sigma)

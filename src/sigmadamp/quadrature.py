@@ -308,19 +308,13 @@ def _raise_first_failure(lo, hi, fine, finite, split, stalled_pair, parent_gap, 
     raise AssertionError("no failing panel")
 
 
-def scaling_check(
-    alpha: float,
-    beta: float,
-    c: float,
-    n: int,
-    t_grid=None,
-    eps: float = 0.5,
-    quad_tol: float = 1e-8,
-) -> FitResult:
+def scaling_check(alpha: float, beta: float, c: float, n: int) -> FitResult:
     """Fit the decay exponent of ||r^alpha e^{-c r^beta t} chi_low||_{L2(R^n)}.
 
     The norm concentrates at r ~ t^{-1/beta}, giving the power law
-    t^{-n/(2 beta) - alpha/beta}; the returned fit carries that target.
+    t^{-n/(2 beta) - alpha/beta}; the returned fit carries that target.  The
+    cutoff radius is 0.5, and the norm is sampled at 30 times log-spaced on
+    [1e2, 1e5], each to 1e-8 * (1 + norm).
     """
     if beta <= 0.0 or c <= 0.0:
         raise ValueError(f"need beta > 0 and c > 0, got beta={beta}, c={c}")
@@ -328,10 +322,8 @@ def scaling_check(
         raise SingularityTooStrong(
             f"alpha={alpha} with n={n} gives a non-normalizable model integrand"
         )
-    if t_grid is None:
-        t_grid = np.geomspace(1e2, 1e5, 30)
-    t_grid = np.asarray(t_grid, dtype=float)
-    cut = CutoffSpec(eps)
+    t_grid = np.geomspace(1e2, 1e5, 30)
+    cut = CutoffSpec(0.5)
 
     def f(r, j):
         return r**alpha * np.exp(-c * r**beta * t_grid[j]) * cut.chi_low(r)
@@ -339,8 +331,8 @@ def scaling_check(
     norms = l2_radial(
         RadialIntegrand(f, singularity_exponent=alpha),
         n,
-        r_max=np.full(len(t_grid), float(eps)),
-        tol=quad_tol,
+        r_max=np.full(len(t_grid), cut.eps),
+        tol=1e-8,
     )
     target = -0.5 * n / beta - alpha / beta
     return fit_loglog(t_grid, norms, target)

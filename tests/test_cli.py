@@ -225,6 +225,7 @@ def test_config_file_holds_only_the_subcommands_flags(tmp_path, capsys):
         ("validate", {"dim": True, "sigma1": 0, "sigma2": 0.8}),  # not read as dim = 1
         ("curve", {"per_decade": 2.5}),  # refused as a flag, so refused in a file
         ("curve", {"data": ["gaussian", ["moment_free"]]}),  # nested value
+        ("verify", {"suites": ["closed_forms", "closed_forms"]}),  # a repeated suite
     ],
 )
 def test_bad_config_values_exit_2(command, values, tmp_path, capsys):
@@ -256,6 +257,7 @@ def test_bad_config_values_exit_2(command, values, tmp_path, capsys):
         ["goldens", "--data", "moment_free"],
         ["verify", "--quad", "1e-3"],  # a prefix of a flag is not that flag
         ["verify", "--s", "1"],
+        ["verify", "--suites", "closed_forms,closed_forms"],  # a repeated suite would run twice
     ],
 )
 def test_bad_flag_values_exit_2(argv, capsys):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sigmadamp import experiments
+from sigmadamp import experiments, quadrature
 from sigmadamp.experiments import (
     CancellationWarning,
     ErrorCurve,
@@ -196,9 +196,9 @@ def test_error_curve_finds_eps_star_once_per_curve(monkeypatch, fractional_param
 
 def test_error_curve_rejects_bad_order(fractional_params):
     with pytest.raises(ValueError):
-        error_curve(fractional_params, 4, gaussian_data())
+        error_curve(fractional_params, 4, gaussian_data(), t_grid=[100.0])
     with pytest.raises(ValueError):
-        error_curve(fractional_params, -1, gaussian_data())
+        error_curve(fractional_params, -1, gaussian_data(), t_grid=[100.0])
 
 
 def test_cancellation_warning_emitted(fractional_params):
@@ -227,15 +227,16 @@ def test_no_cancellation_at_order_zero(fractional_params):
 
 
 def test_tail_window_bounds(short_frictional_curve):
-    win = tail_window(short_frictional_curve, 100.0, 1e3)
+    win = tail_window(short_frictional_curve, 1e3)
     ts = short_frictional_curve.times[win]
     assert ts[0] >= 100.0 and ts[-1] <= 1e3
     with pytest.raises(DegenerateFit):
-        tail_window(short_frictional_curve, 1e5, 1e6)
+        # the window opens at FIT_T_MIN = 100, past the 50 asked for
+        tail_window(short_frictional_curve, 50.0)
 
 
 def test_fitted_slope_tracks_target(short_frictional_curve):
-    fit = fit_slope(short_frictional_curve, tail_window(short_frictional_curve, 100.0, 1e3))
+    fit = fit_slope(short_frictional_curve, tail_window(short_frictional_curve, 1e3))
     assert fit.target == short_frictional_curve.target()
     assert abs(fit.slope - fit.target) < 0.05
 
@@ -250,12 +251,12 @@ def test_moment_free_data_decays_strictly_faster(frictional_params):
         moment_free_data(),
         t_grid=geometric_grid(10.0, 1e3, 10),
     )
-    fit = fit_slope(curve, tail_window(curve, 100.0, 1e3))
+    fit = fit_slope(curve, tail_window(curve, 1e3))
     assert fit.slope <= curve.target() - 0.1
 
 
 def test_lower_bound_band_positive(short_frictional_curve):
-    lo, hi = lower_bound_band(short_frictional_curve, tail_window(short_frictional_curve, 100.0, 1e3))
+    lo, hi = lower_bound_band(short_frictional_curve)
     assert 0.0 < lo <= hi
 
 
@@ -315,13 +316,27 @@ def test_error_curves_match_recorded_values(frictional_params, fractional_params
     assert fractional.cancellation_hits == 2306
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="l2_radial integrates only [R_FLOOR, r_max]; the mass below 1e-12 is dropped",
+)
+def test_error_curve_keeps_the_mass_below_the_quadrature_floor(monkeypatch):
+    # at k = 0 the velocity term grows like r^{-2 sigma1} at the origin, so in
+    # n = 1 the norm keeps mass below 1e-12: floors of 1e-40 and 1e-60 agree
+    # to every digit, and against them the lab's E(1e4) is 3.2e-5 relative
+    # low, 19 times the budget quad_tol * (1 + E) at the default tol
+    p = ModelParams(n=1, sigma=1.278, sigma1=0.1814, sigma2=0.6855)
+    lab = error_curve(p, 0, gaussian_data(), t_grid=[1e4])
+    monkeypatch.setattr(quadrature, "R_FLOOR", 1e-40)
+    ref = error_curve(p, 0, gaussian_data(), t_grid=[1e4])
+    assert abs(lab.values[0] - ref.values[0]) <= 1e-6 * (1.0 + ref.values[0])
+
+
 # -------------------------------------------------------- high frequency
 
 
 def test_high_frequency_norm_decays_exponentially(frictional_params):
-    report = high_freq_decay_check(
-        frictional_params, gaussian_data(), t_grid=np.linspace(1.0, 25.0, 13)
-    )
+    report = high_freq_decay_check(frictional_params, gaussian_data())
     assert report.cutoff_radius == pytest.approx(
         2.0 * slow_rate_radius(frictional_params, 0.6), rel=1e-12
     )
@@ -377,7 +392,7 @@ def test_order_improvement_input_validation(frictional_params, fractional_params
 
 
 def test_curve_csv_layout(short_frictional_curve):
-    fit = fit_slope(short_frictional_curve, tail_window(short_frictional_curve, 100.0, 1e3))
+    fit = fit_slope(short_frictional_curve, tail_window(short_frictional_curve, 1e3))
     text = curve_csv(short_frictional_curve, fit)
     lines = text.splitlines()
     header = [ln for ln in lines if ln.startswith("#")]
@@ -428,7 +443,7 @@ def test_curve_case_is_read_off_sigma1(short_frictional_curve, fractional_params
 
 
 def test_curve_json_schema(short_frictional_curve):
-    fit = fit_slope(short_frictional_curve, tail_window(short_frictional_curve, 100.0, 1e3))
+    fit = fit_slope(short_frictional_curve, tail_window(short_frictional_curve, 1e3))
     bare = curve_json_dict(short_frictional_curve)
     assert set(bare) == {
         "schema_version",
