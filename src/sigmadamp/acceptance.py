@@ -143,16 +143,17 @@ def table_degree_sums(table) -> list[float]:
     """Degree-d Taylor coefficients on the diagonal a = b = eps, d = 0 .. order.
 
     Sums the scaled table entries table[j][m] / (j! m!) over j + m = d, which
-    is the coefficient the lab's one-variable series must hold.
+    is the coefficient the lab's one-variable series must hold.  The shell is
+    added left to right in a loop, not by the builtin sum, which is
+    compensated from Python 3.12 on.
     """
-    order = len(table) - 1
-    return [
-        sum(
-            table[j][d - j] / (math.factorial(j) * math.factorial(d - j))
-            for j in range(d + 1)
-        )
-        for d in range(order + 1)
-    ]
+    sums = []
+    for d in range(len(table)):
+        acc = 0.0
+        for j in range(d + 1):
+            acc += table[j][d - j] / (math.factorial(j) * math.factorial(d - j))
+        sums.append(acc)
+    return sums
 
 
 def series_table_gap(p: ModelParams, t: float, r: float, tables: dict[str, list]) -> float:

@@ -54,10 +54,6 @@ class ConfigError(Exception):
     """Bad flags or config file; maps to exit code 2."""
 
 
-class ComputationError(Exception):
-    """A computation could not be completed; maps to exit code 3."""
-
-
 class SuiteFailure(Exception):
     """One or more requested checks failed; maps to exit code 1."""
 
@@ -80,7 +76,7 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         value = float(obj)
         if not math.isfinite(value):
-            raise ComputationError(f"non-finite number in report: {value!r}")
+            raise ValueError(f"non-finite number in report: {value!r}")
         text = format(value, ".17g")
         # an integral float keeps a fraction, so a JSON reader gets a float back
         return text if "." in text or "e" in text else text + ".0"
@@ -99,7 +95,7 @@ def dumps17(obj, indent: int = 0) -> str:
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    raise ComputationError(f"cannot serialize {type(obj).__name__} to JSON")
+    raise ValueError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -474,9 +470,6 @@ def main(argv=None) -> int:
     except SuiteFailure as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_SUITE
-    except ComputationError as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -35,10 +35,6 @@ class CancellationWarning(UserWarning):
     """The error integrand lost precision to cancellation at some nodes."""
 
 
-class RequiresNonzeroP1(ValueError):
-    """The requested bound is only meaningful when u1_hat(0) != 0."""
-
-
 @dataclass(frozen=True)
 class RadialProfileSpec:
     """Radial data profile: gaussian c e^{-alpha r^2} or moment-free c r^2 e^{-alpha r^2}."""
@@ -217,7 +213,7 @@ def lower_bound_band(curve: ErrorCurve) -> tuple[float, float]:
     Meaningful only when the velocity data has nonzero frequency-zero value.
     """
     if curve.data.p1 == 0.0:
-        raise RequiresNonzeroP1(
+        raise ValueError(
             "sharpness band needs u1_hat(0) != 0; this data pair has none"
         )
     window = tail_window(curve)
@@ -230,7 +226,6 @@ class HighFreqReport:
     """Exponential-decay fit of the high-frequency remainder norm."""
 
     rate: float
-    fit: FitResult
     cutoff_radius: float
     h_first: float
     h_last: float
@@ -267,7 +262,6 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     fit = fit_exponential(t_grid, h_values, target=0.0)
     return HighFreqReport(
         rate=-fit.slope,
-        fit=fit,
         cutoff_radius=float(cutoff_radius),
         h_first=float(h_values[0]),
         h_last=float(h_values[-1]),

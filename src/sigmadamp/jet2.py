@@ -32,30 +32,10 @@ from functools import lru_cache
 import numpy as np
 
 
-class JetError(ValueError):
-    """Base class for series arithmetic failures."""
-
-
-class OrderTooSmall(JetError):
-    pass
-
-
-class OrderMismatch(JetError):
-    pass
-
-
-class SingularConstantTerm(JetError):
-    """Analytic operation applied outside its domain at the base point."""
-
-
-class InsufficientOuterDerivs(JetError):
-    pass
-
-
 def linear_series(c0, c1, order: int) -> np.ndarray:
     """Series of c0 + c1*eps; the linear term is dropped at order 0."""
     if order < 0:
-        raise OrderTooSmall(f"series order must be nonnegative, got {order}")
+        raise ValueError(f"series order must be nonnegative, got {order}")
     c0 = np.asarray(c0, dtype=float)
     c1 = np.asarray(c1, dtype=float)
     out = np.zeros((order + 1,) + np.broadcast_shapes(c0.shape, c1.shape))
@@ -76,7 +56,7 @@ def _dot(x, y):
 def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Truncated product of two series of one shape: out[d] = sum_{i <= d} x[i] y[d - i]."""
     if x.shape != y.shape:
-        raise OrderMismatch(f"series shapes differ: {x.shape} vs {y.shape}")
+        raise ValueError(f"series shapes differ: {x.shape} vs {y.shape}")
     out = np.empty(x.shape)
     for d in range(len(x)):
         out[d] = _dot(x[: d + 1], y[d::-1])
@@ -86,7 +66,7 @@ def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def reciprocal(x: np.ndarray) -> np.ndarray:
     """1/x: y[0] = 1/x[0], y[d] = -(sum_{i=1..d} x[i] y[d-i]) / x[0]."""
     if np.any(x[0] == 0.0):
-        raise SingularConstantTerm("reciprocal needs a nonzero constant term")
+        raise ValueError("reciprocal needs a nonzero constant term")
     out = np.empty(x.shape)
     out[0] = 1.0 / x[0]
     for d in range(1, len(x)):
@@ -97,7 +77,7 @@ def reciprocal(x: np.ndarray) -> np.ndarray:
 def sqrt_series(x: np.ndarray) -> np.ndarray:
     """sqrt(x): y[0] = sqrt(x[0]), y[d] = (x[d] - sum_{i=1..d-1} y[i] y[d-i]) / (2 y[0])."""
     if np.any(x[0] <= 0.0):
-        raise SingularConstantTerm("sqrt needs a positive constant term")
+        raise ValueError("sqrt needs a positive constant term")
     out = np.empty(x.shape)
     out[0] = np.sqrt(x[0])
     half_inv = 0.5 / out[0]
@@ -132,10 +112,6 @@ class PartitionTriple:
 
     mults: tuple[int, ...]
     orders: tuple[tuple[int, int], ...]
-
-    @property
-    def block_count(self) -> int:
-        return len(self.mults)
 
 
 @lru_cache(maxsize=None)
@@ -185,14 +161,14 @@ def faa_di_bruno_coeff(outer_derivs, inner_table, j: int, m: int):
     """
     if j == 0 and m == 0:
         if len(outer_derivs) < 1:
-            raise InsufficientOuterDerivs("need the outer value f(g(0, 0))")
+            raise ValueError("need the outer value f(g(0, 0))")
         return outer_derivs[0]
     if len(outer_derivs) < j + m + 1:
-        raise InsufficientOuterDerivs(
+        raise ValueError(
             f"need outer derivatives up to order {j + m}, got {len(outer_derivs) - 1}"
         )
     if len(inner_table) - 1 < j + m:
-        raise OrderMismatch(
+        raise ValueError(
             f"inner table order {len(inner_table) - 1} below requested bi-order {j + m}"
         )
     total = 0.0

@@ -213,8 +213,8 @@ def exact_multipliers(p: ModelParams, t, r) -> ExactMultipliers:
         cancellation-free.
 
     K0(0, r) = 1 and K1(0, r) = 0 hold exactly.  t and r broadcast together
-    (each node at its own time when both are arrays); scalar t and r give
-    Python floats.
+    (each node at its own time when both are arrays), and K0, K1 take their
+    broadcast shape.
     """
     r_arr, t_arr = np.broadcast_arrays(np.asarray(r, dtype=float), _times(t))
     r_flat = r_arr.ravel()
@@ -266,6 +266,4 @@ def exact_multipliers(p: ModelParams, t, r) -> ExactMultipliers:
         k0[far] = (lam_slow * e_fast - lam_fast * e_slow) / root_far
         k1[far] = e_slow * (-np.expm1(-2.0 * z[is_far])) / root_far
 
-    if r_arr.ndim == 0:
-        return ExactMultipliers(K0=float(k0[0]), K1=float(k1[0]))
     return ExactMultipliers(K0=k0.reshape(r_arr.shape), K1=k1.reshape(r_arr.shape))

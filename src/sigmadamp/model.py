@@ -22,23 +22,11 @@ import numpy as np
 
 
 class ModelError(ValueError):
-    pass
+    """A parameter tuple breaks the hypotheses of the rate theorems.
 
-
-class OrderingViolation(ModelError):
-    """A standing inequality among (dim, sigma, sigma1, sigma2, s) fails."""
-
-
-class DimensionTooSmall(ModelError):
-    """dim <= 4*sigma1, so the fractional-damping rate theory does not apply."""
-
-
-class CaseMismatch(ModelError):
-    """The requested rate case disagrees with sigma1 (zero vs positive)."""
-
-
-class BisectionFailure(RuntimeError):
-    """Samples indicate a sign change that could not be bracketed."""
+    The one error the command line blames on its input (exit code 2); the
+    message names the inequality that fails.
+    """
 
 
 class RateCase(Enum):
@@ -71,30 +59,32 @@ def case_for(p: ModelParams) -> RateCase:
 def validate(p: ModelParams, case: RateCase) -> None:
     """Check the standing assumptions for the given rate case.
 
-    Raises OrderingViolation, DimensionTooSmall, or CaseMismatch; returns
+    Raises ModelError naming the first hypothesis that fails: an ordering
+    among (dim, sigma, sigma1, sigma2, s), dim > 4*sigma1 for the
+    fractional-damping rates, or a case that disagrees with sigma1.  Returns
     None when every hypothesis holds.
     """
     if p.n < 1 or int(p.n) != p.n:
-        raise OrderingViolation(f"n must be a positive integer, got {p.n}")
+        raise ModelError(f"n must be a positive integer, got {p.n}")
     if p.sigma < 1.0:
-        raise OrderingViolation(f"sigma must be >= 1, got {p.sigma}")
+        raise ModelError(f"sigma must be >= 1, got {p.sigma}")
     if not (0.0 <= p.s < math.inf):
-        raise OrderingViolation(f"weight s must be finite and >= 0, got {p.s}")
+        raise ModelError(f"weight s must be finite and >= 0, got {p.s}")
     if not (0.0 <= p.sigma1 < 0.5 * p.sigma):
-        raise OrderingViolation(
+        raise ModelError(
             f"need 0 <= sigma1 < sigma/2, got sigma1={p.sigma1}, sigma={p.sigma}"
         )
     if not (0.5 * p.sigma < p.sigma2 <= p.sigma):
-        raise OrderingViolation(
+        raise ModelError(
             f"need sigma/2 < sigma2 <= sigma, got sigma2={p.sigma2}, sigma={p.sigma}"
         )
     if case is RateCase.ZERO_SIGMA1 and p.sigma1 != 0.0:
-        raise CaseMismatch(f"rate case {case.value} requires sigma1 = 0, got {p.sigma1}")
+        raise ModelError(f"rate case {case.value} requires sigma1 = 0, got {p.sigma1}")
     if case is RateCase.POSITIVE_SIGMA1:
         if p.sigma1 == 0.0:
-            raise CaseMismatch("rate case positive_sigma1 requires sigma1 > 0")
+            raise ModelError("rate case positive_sigma1 requires sigma1 > 0")
         if p.n <= 4.0 * p.sigma1:
-            raise DimensionTooSmall(
+            raise ModelError(
                 f"need dim > 4*sigma1 for the fractional-damping rates, "
                 f"got n={p.n}, 4*sigma1={4.0 * p.sigma1}"
             )
@@ -148,8 +138,7 @@ def discriminant(p: ModelParams, r):
     """
     r = np.asarray(r, dtype=float)
     half = r ** (2.0 * p.sigma1) + r ** (2.0 * p.sigma2)
-    out = half * half - 4.0 * r ** (2.0 * p.sigma)
-    return out if out.ndim else float(out)
+    return half * half - 4.0 * r ** (2.0 * p.sigma)
 
 
 # Scan geometry for slow_rate_radius; 400 log-spaced samples over twelve
@@ -176,7 +165,7 @@ def _bisect_edge(f, lo: float, hi: float) -> float:
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
-        raise BisectionFailure(f"no sign change on [{lo}, {hi}]")
+        raise RuntimeError(f"no sign change on [{lo}, {hi}]")
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -219,7 +208,7 @@ def oscillation_band(p: ModelParams) -> tuple[float, float] | None:
             break
         inner = outer
     else:
-        raise BisectionFailure("negative discriminant persists over 60 decades")
+        raise RuntimeError("negative discriminant persists over 60 decades")
     edge = _bisect_edge(d, min(inner, outer), max(inner, outer))
     return (edge, 1.0) if excess > 0.0 else (1.0, edge)
 
@@ -249,8 +238,7 @@ def mode_decay_rate(p: ModelParams, r):
     disc = a_sym * a_sym - 4.0 * s_sym
     root = np.sqrt(np.maximum(disc, 0.0))
     slow = 2.0 * s_sym / (a_sym + root)
-    out = np.where(disc < 0.0, 0.5 * a_sym, slow)
-    return out if out.ndim else float(out)
+    return np.where(disc < 0.0, 0.5 * a_sym, slow)
 
 
 def slow_rate_radius(p: ModelParams, target: float) -> float:
@@ -258,7 +246,7 @@ def slow_rate_radius(p: ModelParams, target: float) -> float:
 
     Frequencies at or above the returned radius all decay at least like
     e^{-target * t} (up to the first crossing; the rate is increasing on the
-    configurations of interest).  Raises BisectionFailure when the scan never
+    configurations of interest).  Raises RuntimeError when the scan never
     reaches target.
     """
     if target <= 0.0:
@@ -267,7 +255,7 @@ def slow_rate_radius(p: ModelParams, target: float) -> float:
     rates = mode_decay_rate(p, grid)
     above = np.flatnonzero(rates >= target)
     if above.size == 0:
-        raise BisectionFailure(f"mode decay rate never reaches {target} on the scan window")
+        raise RuntimeError(f"mode decay rate never reaches {target} on the scan window")
     i = int(above[0])
     if i == 0:
         return float(grid[0])

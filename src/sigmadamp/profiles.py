@@ -29,14 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import kernel_jets
-from .model import CaseMismatch, ModelParams, RateCase, case_for
+from .model import ModelError, ModelParams, RateCase, case_for
 
 TRANSCRIBED = "transcribed"
 CORRECTED = "corrected"
-
-
-class UnsupportedOrder(ValueError):
-    """No closed-form reference profile is catalogued for this order."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ class ModalSum:
                 * float(t) ** term.t_power
                 * np.exp(-(r**term.decay_power) * t)
             )
-        return total if total.ndim else float(total)
+        return total
 
     def corrected_indices(self) -> tuple[int, ...]:
         return tuple(i for i, term in enumerate(self.terms) if term.provenance == CORRECTED)
@@ -79,15 +75,15 @@ def profile_pair(k: int, p: ModelParams, case: RateCase, t, r):
     P0 multiplies the initial position, P1 the initial velocity; k = 0
     returns the zero pair.  t and r broadcast together, as in `kernel_jets`.
     The case must be `case_for(p)`; a case that disagrees with sigma1 raises
-    CaseMismatch.
+    ModelError.
     """
     if case is not case_for(p):
-        raise CaseMismatch(f"rate case {case.value} does not match sigma1 = {p.sigma1}")
+        raise ModelError(f"rate case {case.value} does not match sigma1 = {p.sigma1}")
     if k < 0:
         raise ValueError(f"order k must be >= 0, got {k}")
     if k == 0:
         zero = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r)))
-        return (zero, zero) if zero.ndim else (0.0, 0.0)
+        return zero, zero
     series = kernel_jets(p, t, r, k - 1)
     if case is RateCase.ZERO_SIGMA1:
         return -series.pos_slow.sum(axis=0), series.vel_slow.sum(axis=0)
@@ -116,7 +112,7 @@ def golden_modal(k: int, p: ModelParams) -> tuple[ModalSum, ModalSum]:
     transcriptions.
     """
     if k not in (1, 2):
-        raise UnsupportedOrder(f"closed forms are catalogued for k in {{1, 2}}, got {k}")
+        raise ValueError(f"closed forms are catalogued for k in {{1, 2}}, got {k}")
     if case_for(p) is RateCase.POSITIVE_SIGMA1:
         pn = -2.0 * p.sigma1  # velocity-family prefactor r^{-2 sigma1}
         px = 2.0 * (p.sigma2 - p.sigma1)  # strong/weak damping ratio power

@@ -57,16 +57,8 @@ REL_FLOOR = 5e-16
 PANELS_PER_CALL = 256
 
 
-class QuadratureError(RuntimeError):
-    pass
-
-
-class NonConvergence(QuadratureError):
+class NonConvergence(RuntimeError):
     """A segment failed to meet its error budget within the depth cap."""
-
-
-class SingularityTooStrong(ValueError):
-    """The declared origin behavior makes f^2 r^{n-1} non-integrable."""
 
 
 @dataclass(frozen=True)
@@ -80,9 +72,6 @@ class RadialIntegrand:
 
     func: object
     singularity_exponent: float = 0.0
-
-    def __call__(self, *args):
-        return self.func(*args)
 
 
 def surface_area(n: int) -> float:
@@ -103,8 +92,7 @@ def smooth_step(x):
     x = np.asarray(x, dtype=float)
     lo = _bump(x)
     hi = _bump(1.0 - x)
-    out = lo / (lo + hi)
-    return out if out.ndim else float(out)
+    return lo / (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -204,7 +192,7 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
     if 2.0 * integrand.singularity_exponent + n <= 0.0:
-        raise SingularityTooStrong(
+        raise ValueError(
             f"declared origin exponent {integrand.singularity_exponent} with n={n} "
             "makes the squared integrand non-integrable"
         )
@@ -227,7 +215,7 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     owner = np.repeat(np.arange(len(radii)), counts)
 
     coarse = _panels(g, lo, hi, owner)
-    coarse_total = np.array([sum(coarse[a:b].tolist()) for a, b in zip(first[:-1], first[1:])])
+    coarse_total = _member_totals(coarse, first)
     norm0 = np.sqrt(sphere * np.maximum(coarse_total, 0.0))
     eps_total = 2.0 * norm0 * tol * (1.0 + norm0) / sphere
     tau = eps_total / counts
@@ -274,13 +262,23 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
         if below is not None:
             value[split] = below[0::2] + below[1::2]
         below = value
-    norms = np.empty(len(radii))
+    norms = np.sqrt(sphere * np.maximum(_member_totals(below, first), 0.0))
+    return norms if family else float(norms[0])
+
+
+def _member_totals(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Member j's total of values[first[j]:first[j + 1]], added left to right.
+
+    An explicit loop: the builtin sum of floats is compensated from Python
+    3.12 on, and would make the norms depend on the Python version.
+    """
+    totals = np.empty(len(first) - 1)
     for j, (a, b) in enumerate(zip(first[:-1], first[1:])):
         total = 0.0
-        for v in below[a:b].tolist():
+        for v in values[a:b].tolist():
             total += v
-        norms[j] = math.sqrt(sphere * max(total, 0.0))
-    return norms if family else float(norms[0])
+        totals[j] = total
+    return totals
 
 
 def _raise_first_failure(lo, hi, fine, finite, split, stalled_pair, parent_gap, depth, tol):
@@ -319,7 +317,7 @@ def scaling_check(alpha: float, beta: float, c: float, n: int) -> FitResult:
     if beta <= 0.0 or c <= 0.0:
         raise ValueError(f"need beta > 0 and c > 0, got beta={beta}, c={c}")
     if 2.0 * alpha + n <= 0.0:
-        raise SingularityTooStrong(
+        raise ValueError(
             f"alpha={alpha} with n={n} gives a non-normalizable model integrand"
         )
     t_grid = np.geomspace(1e2, 1e5, 30)

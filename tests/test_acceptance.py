@@ -15,6 +15,7 @@ in the `rates_fractional` test alone, which roughly doubles its cost.
 
 import pytest
 
+from sigmadamp import acceptance
 from sigmadamp.acceptance import (
     CONFIG_FRACTIONAL,
     ORACLE_RTOL,
@@ -159,6 +160,23 @@ def test_jet_oracle_scores_the_kink(p, t, r):
     )
     assert plain > 0.1
     assert series_table_gap(p, t, r, tables) <= 1e-14 < ORACLE_RTOL
+
+
+def _compensated_sum(items, start=0):
+    # Neumaier's summation, which the builtin sum of floats uses from Python 3.12 on
+    total, carry = start, 0.0
+    for x in items:
+        new = total + x
+        carry += (total - new) + x if abs(total) >= abs(x) else (x - new) + total
+        total = new
+    return total + carry
+
+
+def test_jet_oracle_does_not_depend_on_the_builtin_sum(monkeypatch):
+    # verify.json must not change with the Python version's float sum
+    plain = AcceptanceLab(1e-6).check_jet_oracle().details
+    monkeypatch.setattr(acceptance, "sum", _compensated_sum, raising=False)
+    assert AcceptanceLab(1e-6).check_jet_oracle().details == plain
 
 
 def test_acceptance_cutoff_scaling(lab, capsys):

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from sigmadamp import cli
-from sigmadamp.cli import ComputationError, _stable_details, dumps17, main
+from sigmadamp.cli import _stable_details, dumps17, main
 
 FRACTIONAL = ["--dim", "3", "--sigma", "1", "--sigma1", "0.25", "--sigma2", "0.75"]
 FRICTIONAL = ["--dim", "1", "--sigma", "1", "--sigma1", "0", "--sigma2", "0.8"]
@@ -323,9 +323,9 @@ def test_dumps17_formats():
 
 
 def test_dumps17_rejects_non_finite():
-    with pytest.raises(ComputationError):
+    with pytest.raises(ValueError, match="non-finite number in report: inf"):
         dumps17(math.inf)
-    with pytest.raises(ComputationError):
+    with pytest.raises(ValueError, match="non-finite number in report: nan"):
         dumps17({"x": math.nan})
-    with pytest.raises(ComputationError):
+    with pytest.raises(ValueError, match="cannot serialize object to JSON"):
         dumps17(object())

@@ -11,7 +11,6 @@ from sigmadamp.experiments import (
     CancellationWarning,
     ErrorCurve,
     RadialProfileSpec,
-    RequiresNonzeroP1,
     curve_csv,
     curve_json_dict,
     error_curve,
@@ -268,7 +267,7 @@ def test_lower_bound_band_needs_velocity_mass(frictional_params):
         moment_free_data(),
         t_grid=geometric_grid(10.0, 1e3, 10),
     )
-    with pytest.raises(RequiresNonzeroP1):
+    with pytest.raises(ValueError, match=r"sharpness band needs u1_hat\(0\) != 0"):
         lower_bound_band(curve)
 
 

@@ -10,10 +10,6 @@ from hypothesis import strategies as st
 
 from sigmadamp.acceptance import table_degree_sums
 from sigmadamp.jet2 import (
-    InsufficientOuterDerivs,
-    OrderMismatch,
-    OrderTooSmall,
-    SingularConstantTerm,
     enumerate_partitions,
     exp_series,
     faa_di_bruno_coeff,
@@ -219,17 +215,17 @@ def test_chain_rule_agrees_with_series_exp_on_the_diagonal(seed):
 
 
 def test_error_paths():
-    with pytest.raises(OrderTooSmall):
+    with pytest.raises(ValueError, match="series order must be nonnegative"):
         linear_series(1.0, 0.0, -1)
-    with pytest.raises(OrderMismatch):
+    with pytest.raises(ValueError, match="series shapes differ"):
         mul(linear_series(1.0, 0.0, 2), linear_series(1.0, 0.0, 3))
-    with pytest.raises(SingularConstantTerm):
+    with pytest.raises(ValueError, match="reciprocal needs a nonzero constant term"):
         reciprocal(linear_series(0.0, 1.0, 4))
-    with pytest.raises(SingularConstantTerm):
+    with pytest.raises(ValueError, match="sqrt needs a positive constant term"):
         sqrt_series(linear_series(-1.0, 0.0, 4))
-    with pytest.raises(InsufficientOuterDerivs):
+    with pytest.raises(ValueError, match="need outer derivatives up to order 3"):
         faa_di_bruno_coeff([1.0, 1.0], [[0.0] * (4 - j) for j in range(4)], 2, 1)
-    with pytest.raises(OrderMismatch):
+    with pytest.raises(ValueError, match="inner table order 2 below requested bi-order 3"):
         faa_di_bruno_coeff([1.0] * 4, [[0.0] * (3 - j) for j in range(3)], 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need j, m >= 0 and 1 <= ell <= j"):
         enumerate_partitions(1, 1, 3)

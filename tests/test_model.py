@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmadamp.model import (
-    CaseMismatch,
-    DimensionTooSmall,
+    ModelError,
     ModelParams,
-    OrderingViolation,
     RateCase,
     _bisect_edge,
     case_for,
@@ -42,23 +40,36 @@ def test_validate_accepts_reference_configurations(fractional_params, frictional
 
 
 @pytest.mark.parametrize(
-    "params, case, error",
+    "params, case, match",
     [
-        (ModelParams(3, 1.0, 0.5, 0.75), POS, OrderingViolation),  # sigma1 at sigma/2
-        (ModelParams(3, 1.0, 0.25, 0.5), POS, OrderingViolation),  # sigma2 at sigma/2
-        (ModelParams(3, 1.0, 0.25, 1.25), POS, OrderingViolation),  # sigma2 above sigma
-        (ModelParams(3, 0.9, 0.25, 0.75), POS, OrderingViolation),  # sigma below 1
-        (ModelParams(3, 1.0, 0.25, 0.75, s=-0.5), POS, OrderingViolation),
-        (ModelParams(0, 1.0, 0.25, 0.75), POS, OrderingViolation),
-        (ModelParams(1, 1.0, 0.25, 0.75), POS, DimensionTooSmall),  # n = 4 sigma1
-        (ModelParams(1, 1.0, 0.0, 0.8), POS, CaseMismatch),
-        (ModelParams(3, 1.0, 0.25, 0.75), ZERO, CaseMismatch),
-        (ModelParams(3, 1.0, 0.25, 0.75, s=math.nan), POS, OrderingViolation),
-        (ModelParams(3, 1.0, 0.25, 0.75, s=math.inf), POS, OrderingViolation),
+        (ModelParams(3, 1.0, 0.5, 0.75), POS, "need 0 <= sigma1 < sigma/2"),
+        (ModelParams(3, 1.0, 0.25, 0.5), POS, "need sigma/2 < sigma2 <= sigma"),
+        (ModelParams(3, 1.0, 0.25, 1.25), POS, "need sigma/2 < sigma2 <= sigma"),
+        (ModelParams(3, 0.9, 0.25, 0.75), POS, "sigma must be >= 1"),
+        (ModelParams(3, 1.0, 0.25, 0.75, s=-0.5), POS, "weight s must be finite and >= 0"),
+        (ModelParams(0, 1.0, 0.25, 0.75), POS, "n must be a positive integer"),
+        (ModelParams(1, 1.0, 0.25, 0.75), POS, r"dim > 4\*sigma1"),
+        (ModelParams(1, 1.0, 0.0, 0.8), POS, "requires sigma1 > 0"),
+        (ModelParams(3, 1.0, 0.25, 0.75), ZERO, "requires sigma1 = 0"),
+        (ModelParams(3, 1.0, 0.25, 0.75, s=math.nan), POS, "weight s must be finite and >= 0"),
+        (ModelParams(3, 1.0, 0.25, 0.75, s=math.inf), POS, "weight s must be finite and >= 0"),
+    ],
+    ids=[
+        "sigma1-at-half-sigma",
+        "sigma2-at-half-sigma",
+        "sigma2-above-sigma",
+        "sigma-below-1",
+        "negative-s",
+        "dim-0",
+        "dim-at-4-sigma1",
+        "positive-case-zero-sigma1",
+        "zero-case-positive-sigma1",
+        "nan-s",
+        "infinite-s",
     ],
 )
-def test_validate_rejects_broken_parameter_tuples(params, case, error):
-    with pytest.raises(error):
+def test_validate_rejects_broken_parameter_tuples(params, case, match):
+    with pytest.raises(ModelError, match=match):
         validate(params, case)
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from sigmadamp import profiles
 from sigmadamp.kernels import kernel_jets
-from sigmadamp.model import CaseMismatch, ModelParams, RateCase, case_for, eps_star
-from sigmadamp.profiles import UnsupportedOrder, golden_modal, profile_pair
+from sigmadamp.model import ModelError, ModelParams, RateCase, case_for, eps_star
+from sigmadamp.profiles import golden_modal, profile_pair
 
 POS = RateCase.POSITIVE_SIGMA1
 ZERO = RateCase.ZERO_SIGMA1
@@ -122,18 +122,18 @@ def test_case_dispatch_and_mismatches(fractional_params, frictional_params):
     # the case is read off sigma1; a passed case that disagrees is refused
     t, r = 2.0, 0.5
     for k in (0, 1):
-        with pytest.raises(CaseMismatch):
+        with pytest.raises(ModelError, match="rate case positive_sigma1 does not match"):
             profile_pair(k, frictional_params, POS, t, r)
-        with pytest.raises(CaseMismatch):
+        with pytest.raises(ModelError, match="rate case zero_sigma1 does not match"):
             profile_pair(k, fractional_params, ZERO, t, r)
 
 
 def test_unsupported_orders(fractional_params):
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(ValueError, match="closed forms are catalogued for k in"):
         golden_modal(0, fractional_params)
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(ValueError, match="closed forms are catalogued for k in"):
         golden_modal(3, fractional_params)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order k must be >= 0"):
         profile_pair(-1, fractional_params, POS, 1.0, 0.5)
 
 
