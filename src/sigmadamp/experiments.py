@@ -20,7 +20,17 @@ import numpy as np
 
 from .fitting import DegenerateFit, FitResult, fit_exponential, fit_loglog
 from .kernels import EXP_FLUSH, exact_multipliers
-from .model import ModelParams, RateCase, case_for, error_exponent, eps_star, rate_step, slow_rate_radius, validate
+from .model import (
+    ModelParams,
+    RateCase,
+    case_for,
+    check_reach,
+    error_exponent,
+    error_radius,
+    rate_step,
+    slow_rate_radius,
+    validate,
+)
 from .profiles import profile_pair
 from .quadrature import CutoffSpec, RadialIntegrand, l2_radial
 
@@ -122,18 +132,18 @@ def error_r_max(p: ModelParams, times) -> np.ndarray:
 
     High frequencies are damped at rate at least r^{2 sigma1}, so beyond
     (EXP_FLUSH / t)^{1/(2 sigma1)} every surviving factor is flushed to zero;
-    the radius is clamped to [10, 10 / eps_star], with the oscillation band
-    scanned for eps_star once for all the times.  Without weak damping
-    (sigma1 = 0) the radius is 10.
+    the radius is clamped to [10, model.error_radius(p)] (10 / eps_star), with
+    the oscillation band scanned for eps_star once for all the times.  Without
+    weak damping (sigma1 = 0) the radius is 10.
     """
     times = np.asarray(times, dtype=float)
+    top = error_radius(p)
     if p.sigma1 == 0.0:
-        return np.full(times.shape, 10.0)
-    star = eps_star(p)
+        return np.full(times.shape, top)
     radii = []
     for t in times:
         reach = (EXP_FLUSH / t) ** (0.5 / p.sigma1) if t > 0.0 else math.inf
-        radii.append(max(10.0, min(reach, 10.0 / star)))
+        radii.append(max(10.0, min(reach, top)))
     return np.array(radii)
 
 
@@ -239,7 +249,8 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     exponentially; the cutoff places the chi_high onset at the radius where
     the slow decay rate reaches 0.6, making e^{-0.6 t} the worst surviving
     mode.  H is sampled at 25 times evenly spaced on [1, 50], each norm to
-    1e-8 * (1 + H).
+    1e-8 * (1 + H).  Raises ModelError when the dimension overflows the
+    radial weight out to the truncation radius (`model.check_reach`).
     """
     cutoff_radius = 2.0 * slow_rate_radius(p, 0.6)
     t_grid = np.linspace(1.0, 50.0, 25)
@@ -247,6 +258,7 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     # data tails die like e^{-alpha r^2}: past sqrt(EXP_FLUSH/alpha) they underflow
     alpha_min = min(data.u0_hat.alpha, data.u1_hat.alpha)
     r_max = max(10.0, 1.5 * cutoff_radius, np.sqrt(EXP_FLUSH / alpha_min))
+    check_reach(p.n, r_max)
 
     def f(r, j):
         em = exact_multipliers(p, t_grid[j], r)

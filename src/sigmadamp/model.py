@@ -15,6 +15,7 @@ roots are complex (oscillating modes).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,13 +60,19 @@ def case_for(p: ModelParams) -> RateCase:
 def validate(p: ModelParams, case: RateCase) -> None:
     """Check the standing assumptions for the given rate case.
 
-    Raises ModelError naming the first hypothesis that fails: an ordering
-    among (dim, sigma, sigma1, sigma2, s), dim > 4*sigma1 for the
-    fractional-damping rates, or a case that disagrees with sigma1.  Returns
-    None when every hypothesis holds.
+    Raises ModelError naming the first hypothesis that fails: dim a positive
+    int (not a bool, nor an integral float), an ordering among (sigma,
+    sigma1, sigma2, s), dim > 4*sigma1 for the fractional-damping rates, a
+    case that disagrees with sigma1, or a dimension too large for the error
+    norms.  Those weight f(r)^2 by r^{n-1} out to error_radius(p), which is
+    10 when sigma1 = 0 and 10 / eps_star >= 20 otherwise, and `check_reach`
+    needs n * ln(radius) < ln(DBL_MAX) = 709.78: n <= 308 without weak
+    damping, n <= 236 at most with it.  `experiments.high_freq_decay_check`
+    checks its own radius, which depends on the data.  Returns None when
+    every hypothesis holds.
     """
-    if p.n < 1 or int(p.n) != p.n:
-        raise ModelError(f"n must be a positive integer, got {p.n}")
+    if isinstance(p.n, bool) or not isinstance(p.n, int) or p.n < 1:
+        raise ModelError(f"n must be a positive integer, got {p.n!r}")
     if p.sigma < 1.0:
         raise ModelError(f"sigma must be >= 1, got {p.sigma}")
     if not (0.0 <= p.s < math.inf):
@@ -88,6 +95,30 @@ def validate(p: ModelParams, case: RateCase) -> None:
                 f"need dim > 4*sigma1 for the fractional-damping rates, "
                 f"got n={p.n}, 4*sigma1={4.0 * p.sigma1}"
             )
+    # error_radius(p) < 20 * 2^{1/a} with a = sigma - 2*sigma1, because a lower
+    # band edge r = e^{-x} solves e^{a x} + e^{-b x} = 2 (b = 2*sigma2 - sigma),
+    # so e^{a x} < 2; only a dimension too large for that bound scans the band
+    if p.n * (math.log(20.0) + math.log(2.0) / (p.sigma - 2.0 * p.sigma1)) >= _LN_FLOAT_MAX:
+        check_reach(p.n, error_radius(p))
+
+
+# a norm over radius R in dimension n weights by r^{n-1}: its panels reach R^n
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def check_reach(n: int, radius: float) -> None:
+    """Raise ModelError unless radius^n is a finite double.
+
+    A radial norm in dimension n weights its integrand by r^{n-1} out to
+    radius; past this bound the weight overflows (and Gamma(n/2) in the
+    sphere measure overflows from n = 344 on), so the norm comes out inf or
+    NaN instead of a number.
+    """
+    if n * math.log(radius) >= _LN_FLOAT_MAX:
+        raise ModelError(
+            f"dim {n} overflows the radial weight r^(n-1) out to radius {radius:.6g}; "
+            f"need n * ln(radius) < {_LN_FLOAT_MAX:.2f}"
+        )
 
 
 def delta(p: ModelParams) -> float:
@@ -223,6 +254,14 @@ def eps_star(p: ModelParams) -> float:
     if band is None:
         return 0.5
     return 0.5 * band[0]
+
+
+def error_radius(p: ModelParams) -> float:
+    """Largest truncation radius of an error norm: 10 / eps_star, or 10 if sigma1 = 0.
+
+    experiments.error_r_max clamps the radius of every sample time below it.
+    """
+    return 10.0 if p.sigma1 == 0.0 else 10.0 / eps_star(p)
 
 
 def mode_decay_rate(p: ModelParams, r):

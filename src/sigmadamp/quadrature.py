@@ -53,7 +53,10 @@ MAX_DEPTH = 60
 # refinement agreement below this relative level is treated as roundoff noise
 REL_FLOOR = 5e-16
 # panels per integrand call: fewer calls cost less fixed overhead, while more
-# nodes per call raise peak memory (256 panels are 3,840 nodes)
+# nodes per call raise peak memory.  256 panels are 3,840 nodes, so an order-2
+# series array of shape (3, 2, 3840) is 184 KiB, past glibc's 128 KiB trim and
+# mmap thresholds; the heap top pad that `cli.main` sets keeps such arrays
+# mapped between calls instead of faulting them in on every call
 PANELS_PER_CALL = 256
 
 

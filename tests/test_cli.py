@@ -1,7 +1,10 @@
 """End-to-end runs of the command line front end, in process."""
 
+import ctypes
 import json
 import math
+import platform
+import types
 
 import pytest
 
@@ -258,6 +261,8 @@ def test_bad_config_values_exit_2(command, values, tmp_path, capsys):
         ["verify", "--quad", "1e-3"],  # a prefix of a flag is not that flag
         ["verify", "--s", "1"],
         ["verify", "--suites", "closed_forms,closed_forms"],  # a repeated suite would run twice
+        ["curve", "--dim", "343"],  # r^(n-1) overflows out to the error radius
+        ["curve", "--dim", "344"],  # so does Gamma(n/2) in the sphere measure
     ],
 )
 def test_bad_flag_values_exit_2(argv, capsys):
@@ -296,6 +301,40 @@ def test_tolerance_below_roundoff_exits_3(capsys):
     code = main(["curve", *FRACTIONAL, "--k", "0,2", "--t-min", "1000", "--quad-tol", "1e-30"])
     assert code == 3
     assert "below the roundoff" in capsys.readouterr().err
+
+
+# -------------------------------------------------------------- heap policy
+
+SMALL_K3 = ["curve", "--k", "3", "--t-min", "100", "--t-max", "1000", "--per-decade", "5"]
+
+
+@pytest.fixture
+def fresh_heap_pad():
+    """Let main look mallopt up again, in the test and after it."""
+    cli._pad_heap_top.cache_clear()
+    yield
+    cli._pad_heap_top.cache_clear()
+
+
+@ignore_cancellation
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="M_TOP_PAD is glibc's")
+def test_repeated_curve_keeps_its_heap_mapped(capsys):
+    # with glibc's default 128 KiB trim, each integrand call faulted its
+    # arrays in again: about 1,000 minor faults on the second run; 8-22 padded
+    import resource  # POSIX only, as glibc is
+
+    def faults_of_one_run():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(SMALL_K3) == 0
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults_of_one_run()
+    assert faults_of_one_run() < 200
+
+
+def test_main_runs_where_libc_has_no_mallopt(fresh_heap_pad, monkeypatch, capsys):
+    monkeypatch.setattr(ctypes, "pythonapi", types.SimpleNamespace())
+    assert main(["validate"]) == 0
 
 
 # ----------------------------------------------------------- serialization

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sigmadamp import experiments, quadrature
+from sigmadamp import model, quadrature
 from sigmadamp.experiments import (
     CancellationWarning,
     ErrorCurve,
@@ -32,7 +32,7 @@ from sigmadamp.fitting import (
     fit_loglog,
     geometric_grid,
 )
-from sigmadamp.model import ModelParams, RateCase, case_for, rate_step, slow_rate_radius
+from sigmadamp.model import ModelError, ModelParams, RateCase, case_for, rate_step, slow_rate_radius
 
 GAUSS_N1 = 1.1195151349202476  # (pi/2)^{1/4}, norm of e^{-r^2} on the line
 
@@ -175,14 +175,15 @@ def test_truncation_radius_branches(fractional_params, frictional_params):
 
 def test_error_curve_finds_eps_star_once_per_curve(monkeypatch, fractional_params, frictional_params):
     # the truncation radius of every sample time reuses one eps_star scan
+    # (model.error_radius runs it; validate does not at this dimension)
     calls = []
-    real_eps_star = experiments.eps_star
+    real_eps_star = model.eps_star
 
     def counting_eps_star(p):
         calls.append(p)
         return real_eps_star(p)
 
-    monkeypatch.setattr(experiments, "eps_star", counting_eps_star)
+    monkeypatch.setattr(model, "eps_star", counting_eps_star)
     times = geometric_grid(10.0, 1e3, 5)
     curve = error_curve(fractional_params, 0, gaussian_data(), t_grid=times)
     assert len(curve.values) == len(times) == 11
@@ -343,6 +344,13 @@ def test_high_frequency_norm_decays_exponentially(frictional_params):
     assert report.h_last < report.h_first
     assert report.ratio == report.h_last / report.h_first
     assert report.ratio < 1e-6
+
+
+def test_high_frequency_check_refuses_a_dimension_its_radius_overflows():
+    # the data tail sets its radius here: sqrt(700 / alpha) = 26.5, so n <= 216
+    p = ModelParams(217, 1.0, 0.0, 0.8)
+    with pytest.raises(ModelError, match="out to radius 26.4575"):
+        high_freq_decay_check(p, gaussian_data())
 
 
 # ----------------------------------------------------- order improvement

@@ -14,10 +14,12 @@ from sigmadamp.model import (
     RateCase,
     _bisect_edge,
     case_for,
+    check_reach,
     delta,
     discriminant,
     eps_star,
     error_exponent,
+    error_radius,
     mode_decay_rate,
     oscillation_band,
     rate_step,
@@ -53,6 +55,11 @@ def test_validate_accepts_reference_configurations(fractional_params, frictional
         (ModelParams(3, 1.0, 0.25, 0.75), ZERO, "requires sigma1 = 0"),
         (ModelParams(3, 1.0, 0.25, 0.75, s=math.nan), POS, "weight s must be finite and >= 0"),
         (ModelParams(3, 1.0, 0.25, 0.75, s=math.inf), POS, "weight s must be finite and >= 0"),
+        (ModelParams(3.0, 1.0, 0.25, 0.75), POS, "n must be a positive integer"),
+        (ModelParams(True, 1.0, 0.0, 0.8), ZERO, "n must be a positive integer"),
+        (ModelParams(237, 1.0, 0.25, 0.75), POS, "overflows the radial weight"),
+        (ModelParams(309, 1.0, 0.0, 0.8), ZERO, "overflows the radial weight"),
+        (ModelParams(186, 1.0, 0.3, 0.8), POS, "overflows the radial weight"),
     ],
     ids=[
         "sigma1-at-half-sigma",
@@ -66,11 +73,29 @@ def test_validate_accepts_reference_configurations(fractional_params, frictional
         "zero-case-positive-sigma1",
         "nan-s",
         "infinite-s",
+        "integral-float-dim",
+        "bool-dim",
+        "dim-overflows-radius-20",
+        "dim-overflows-radius-10",
+        "dim-overflows-band-radius",
     ],
 )
 def test_validate_rejects_broken_parameter_tuples(params, case, match):
     with pytest.raises(ModelError, match=match):
         validate(params, case)
+
+
+def test_dimension_bound_follows_the_error_radius():
+    # the largest dims whose weight r^(n-1) stays finite out to error_radius
+    for p, radius in (
+        (ModelParams(236, 1.0, 0.25, 0.75), 20.0),
+        (ModelParams(308, 1.0, 0.0, 0.8), 10.0),
+        (ModelParams(185, 1.0, 0.3, 0.8), 10.0 / eps_star(ModelParams(3, 1.0, 0.3, 0.8))),
+    ):
+        assert error_radius(p) == radius
+        validate(p, case_for(p))
+        with pytest.raises(ModelError, match="overflows the radial weight"):
+            check_reach(p.n + 1, radius)
 
 
 def test_delta_examples():
