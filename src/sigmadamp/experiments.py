@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import DegenerateFit, FitResult, fit_exponential, fit_loglog
-from .kernels import EXP_FLUSH, exact_multipliers
+from .kernels import EXP_FLUSH, exact_multipliers, kernel_roots, multiplier_symbols
 from .model import (
     ModelParams,
     RateCase,
@@ -165,22 +165,36 @@ def error_curve(
     same_data = data.u0_hat == data.u1_hat
     cancel_hits = 0
 
-    def f(r, j):
-        # every node at the time of the sample it belongs to
-        nonlocal cancel_hits
-        t = t_grid[j]
-        em = exact_multipliers(p, t, r)
-        pr0, pr1 = profile_pair(k, p, case, t, r)
+    def f(r):
+        # everything that depends on the radius alone, once per distinct radius
+        symbols = multiplier_symbols(p, r)
+        roots = kernel_roots(p, r, k - 1) if k else None
         u0 = data.u0_hat(r)
         u1 = u0 if same_data else data.u1_hat(r)
-        exact = em.K0 * u0 + em.K1 * u1
-        approx = pr0 * u0 + pr1 * u1
-        diff = exact - approx
-        scale = np.maximum(np.abs(exact), np.abs(approx))
-        cancel_hits += int(
-            np.count_nonzero((np.abs(diff) < CANCELLATION_RTOL * scale) & (scale > 0.0))
-        )
-        return r**p.s * np.abs(diff)
+        weight = r**p.s
+
+        def stage(at, j):
+            # every node at the time of the sample it belongs to
+            nonlocal cancel_hits
+            t = t_grid[j]
+            r_at = np.take(r, at)
+            em = exact_multipliers(p, t, r_at, symbols.take(at))
+            u0_at = np.take(u0, at)
+            u1_at = u0_at if same_data else np.take(u1, at)
+            exact = em.K0 * u0_at + em.K1 * u1_at
+            if not k:
+                # the zero profile pair subtracts +0.0 and cannot cancel
+                return np.take(weight, at) * np.abs(exact)
+            pr0, pr1 = profile_pair(k, p, case, t, r_at, roots.take(at))
+            approx = pr0 * u0_at + pr1 * u1_at
+            diff = exact - approx
+            scale = np.maximum(np.abs(exact), np.abs(approx))
+            cancel_hits += int(
+                np.count_nonzero((np.abs(diff) < CANCELLATION_RTOL * scale) & (scale > 0.0))
+            )
+            return np.take(weight, at) * np.abs(diff)
+
+        return stage
 
     # the profile families carry at worst the r^{-2 sigma1} velocity prefactor
     expo = p.s - (2.0 * p.sigma1 if k >= 1 else 0.0)
@@ -260,9 +274,16 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     r_max = max(10.0, 1.5 * cutoff_radius, np.sqrt(EXP_FLUSH / alpha_min))
     check_reach(p.n, r_max)
 
-    def f(r, j):
-        em = exact_multipliers(p, t_grid[j], r)
-        return r**p.s * np.abs(em.K0 * data.u0_hat(r) + em.K1 * data.u1_hat(r)) * cut.chi_high(r)
+    def f(r):
+        symbols = multiplier_symbols(p, r)
+        weight, u0, u1, chi = r**p.s, data.u0_hat(r), data.u1_hat(r), cut.chi_high(r)
+
+        def stage(at, j):
+            em = exact_multipliers(p, t_grid[j], np.take(r, at), symbols.take(at))
+            values = em.K0 * np.take(u0, at) + em.K1 * np.take(u1, at)
+            return np.take(weight, at) * np.abs(values) * np.take(chi, at)
+
+        return stage
 
     # chi_high vanishes identically near the origin
     h_values = l2_radial(

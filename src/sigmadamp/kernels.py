@@ -41,6 +41,14 @@ All radial arguments broadcast: an array r yields series of shape
 (order + 1, *r.shape) and array multipliers.  Times broadcast with the
 radii, so one call can evaluate every node at its own time; each node's
 values are the floats a call at its time alone gives.
+
+Time enters only through e^{lambda t}, so each layer splits into a radial
+stage and a time stage.  `kernel_roots` (built on `root_jets`) and
+`multiplier_symbols` are the radial stages of `kernel_jets` and
+`exact_multipliers`: a caller with many times per radius builds them once on
+its distinct radii, gathers them to its nodes with their `take`, and hands
+them to the time stage, which then skips them.  Every operation is
+elementwise, so a node's values are the floats the one-stage call gives.
 """
 
 from __future__ import annotations
@@ -69,6 +77,21 @@ class RootJets:
 
 
 @dataclass(frozen=True)
+class KernelRoots:
+    """The t-independent series `kernel_jets` reads: G^{-1} and both roots side by side.
+
+    lam holds (lambda_slow, lambda_fast) on its axis 1, so its radial axis is 2.
+    """
+
+    g_inv: np.ndarray
+    lam: np.ndarray
+
+    def take(self, at) -> "KernelRoots":
+        """The series at the radii of indices `at`."""
+        return KernelRoots(np.take(self.g_inv, at, axis=1), np.take(self.lam, at, axis=2))
+
+
+@dataclass(frozen=True)
 class KernelJets:
     """Series in eps = a = b of the four rank-one multiplier pieces at fixed (t, r)."""
 
@@ -76,6 +99,19 @@ class KernelJets:
     pos_slow: np.ndarray
     vel_slow: np.ndarray
     vel_fast: np.ndarray
+
+
+@dataclass(frozen=True)
+class MultiplierSymbols:
+    """The t-independent symbols of `exact_multipliers` at fixed r (flat arrays)."""
+
+    a_sym: np.ndarray
+    s_sym: np.ndarray
+    disc: np.ndarray
+
+    def take(self, at) -> "MultiplierSymbols":
+        """The symbols at the radii of indices `at`."""
+        return MultiplierSymbols(*(np.take(x, at) for x in vars(self).values()))
 
 
 @dataclass(frozen=True)
@@ -117,6 +153,12 @@ def root_jets(p: ModelParams, r, order: int) -> RootJets:
     )
 
 
+def kernel_roots(p: ModelParams, r, order: int) -> KernelRoots:
+    """The radial stage of `kernel_jets`: `root_jets` with both roots stacked on axis 1."""
+    roots = root_jets(p, r, order)
+    return KernelRoots(roots.g_inv, np.stack([roots.lam_slow, roots.lam_fast], axis=1))
+
+
 def _times(t) -> np.ndarray:
     """t as a float array, refused if any entry is negative."""
     t = np.asarray(t, dtype=float)
@@ -145,10 +187,12 @@ def _exp_of_root(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     return envelope * exp_series(nil)
 
 
-def kernel_jets(p: ModelParams, t, r, order: int) -> KernelJets:
+def kernel_jets(p: ModelParams, t, r, order: int, roots: KernelRoots | None = None) -> KernelJets:
     """Series in eps = a = b of the four multiplier pieces at times t.
 
-    t is a time or an array of times that broadcasts with r.
+    t is a time or an array of times that broadcasts with r.  roots, when
+    given, is `kernel_roots(p, r, order)` at the broadcast nodes (as a
+    gather of it on the distinct radii gives), and is not built again.
 
     Constant terms recover the slow-mode limits: pos_fast has
     -r^{2(sigma-2*sigma1)} e^{-r^{2*sigma1} t}, pos_slow has
@@ -156,10 +200,10 @@ def kernel_jets(p: ModelParams, t, r, order: int) -> KernelJets:
     prefactor r^{-2*sigma1}.
     """
     t = _times(t)
-    r = np.asarray(r, dtype=float)
-    roots = root_jets(p, np.broadcast_to(r, np.broadcast_shapes(r.shape, t.shape)), order)
-    # both roots side by side on a new axis 1: (slow, fast)
-    lam = np.stack([roots.lam_slow, roots.lam_fast], axis=1)
+    if roots is None:
+        r = np.asarray(r, dtype=float)
+        roots = kernel_roots(p, np.broadcast_to(r, np.broadcast_shapes(r.shape, t.shape)), order)
+    lam = roots.lam
     exps = _exp_of_root(lam, t)
     vel = mul(np.broadcast_to(roots.g_inv[:, None], exps.shape), exps)
     # pos_fast = G^{-1} e^{lambda_fast t} lambda_slow, pos_slow the other way round
@@ -194,7 +238,17 @@ def _sinhc(z: np.ndarray) -> np.ndarray:
     return _removable(z, lambda v: np.sinh(v) / v, lambda v: 1.0 + v * v / 6.0)
 
 
-def exact_multipliers(p: ModelParams, t, r) -> ExactMultipliers:
+def multiplier_symbols(p: ModelParams, r) -> MultiplierSymbols:
+    """A = r^{2*sigma1} + r^{2*sigma2}, r^{2*sigma} and D2 = A^2 - 4 r^{2*sigma}, flattened."""
+    r = np.asarray(r, dtype=float).ravel()
+    a_sym = r ** (2.0 * p.sigma1) + r ** (2.0 * p.sigma2)
+    s_sym = r ** (2.0 * p.sigma)
+    return MultiplierSymbols(a_sym, s_sym, a_sym * a_sym - 4.0 * s_sym)
+
+
+def exact_multipliers(
+    p: ModelParams, t, r, symbols: MultiplierSymbols | None = None
+) -> ExactMultipliers:
     """Solution multipliers K0, K1 at a = b = 1, real in every root regime.
 
     With A = r^{2*sigma1} + r^{2*sigma2} and discriminant D2 = A^2 -
@@ -214,14 +268,15 @@ def exact_multipliers(p: ModelParams, t, r) -> ExactMultipliers:
 
     K0(0, r) = 1 and K1(0, r) = 0 hold exactly.  t and r broadcast together
     (each node at its own time when both are arrays), and K0, K1 take their
-    broadcast shape.
+    broadcast shape.  symbols, when given, is `multiplier_symbols` of the
+    broadcast nodes (as a gather of it on the distinct radii gives), and is
+    not built again.
     """
     r_arr, t_arr = np.broadcast_arrays(np.asarray(r, dtype=float), _times(t))
-    r_flat = r_arr.ravel()
     t_flat = t_arr.ravel()
-    a_sym = r_flat ** (2.0 * p.sigma1) + r_flat ** (2.0 * p.sigma2)
-    s_sym = r_flat ** (2.0 * p.sigma)
-    disc = a_sym * a_sym - 4.0 * s_sym
+    if symbols is None:
+        symbols = multiplier_symbols(p, r_arr)
+    a_sym, s_sym, disc = symbols.a_sym, symbols.s_sym, symbols.disc
     half_t = 0.5 * t_flat
     k0 = np.empty_like(disc)
     k1 = np.empty_like(disc)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import kernel_jets
+from .kernels import KernelRoots, kernel_jets
 from .model import ModelError, ModelParams, RateCase, case_for
 
 TRANSCRIBED = "transcribed"
@@ -69,11 +69,12 @@ class ModalSum:
         return tuple(i for i, term in enumerate(self.terms) if term.provenance == CORRECTED)
 
 
-def profile_pair(k: int, p: ModelParams, case: RateCase, t, r):
+def profile_pair(k: int, p: ModelParams, case: RateCase, t, r, roots: KernelRoots | None = None):
     """Order-k profile pair (P0, P1) from one `kernel_jets` pass.
 
     P0 multiplies the initial position, P1 the initial velocity; k = 0
-    returns the zero pair.  t and r broadcast together, as in `kernel_jets`.
+    returns the zero pair.  t and r broadcast together, as in `kernel_jets`,
+    which also takes the radial stage `roots` (of order k - 1) when given.
     The case must be `case_for(p)`; a case that disagrees with sigma1 raises
     ModelError.
     """
@@ -84,7 +85,7 @@ def profile_pair(k: int, p: ModelParams, case: RateCase, t, r):
     if k == 0:
         zero = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r)))
         return zero, zero
-    series = kernel_jets(p, t, r, k - 1)
+    series = kernel_jets(p, t, r, k - 1, roots)
     if case is RateCase.ZERO_SIGMA1:
         return -series.pos_slow.sum(axis=0), series.vel_slow.sum(axis=0)
     return (

@@ -13,25 +13,41 @@ budget.  Integrands must accept numpy arrays of radii and act elementwise.
 
 Refinement is level-batched, after Shampine's vectorised quadgk (J. Comput.
 Appl. Math. 211, 2008), and carried from one norm to a family of norms: a
-caller with many norms of one kind (an error curve over its time grid) hands
-over one integrand f(r, j) and one radius per member j, and a single
+caller with many norms of one kind (an error curve over its time grid)
+hands over one radius per member and one family integrand, and a single
 refinement loop computes them all.  The coarse pass covers every segment of
 every member, and each bisection level covers both halves of every panel
-still open, the integrand being called once per PANELS_PER_CALL panels.
-Each member keeps its own error budget and noise floor; the accept test,
-the stall test and the fold of the bisection tree run as array operations
-on a whole level.  Each panel is reduced on its own 15 nodes by NumPy's row
-sum, which reduces every row alike whatever the number of rows and does not
-go through BLAS, so the norms do not depend on the BLAS build or on the CPU
-it picks its kernels for, nor on the family they are computed in.  The
-accepted values are summed in the order of the bisection tree (left + right
-for every split panel, each member's segments in ascending order), so every
-norm is the float a depth-first recursion with the same per-panel reduction
-gives.  Refinement stops with NonConvergence on a non-finite panel, at the
-depth cap, or when neither half of a split panel improves on a gap already
-below the roundoff of its member's total: that gap is roundoff in the
-integrand, which a tol below roundoff would otherwise keep splitting,
-doubling the open panels on every level.
+still open.  Each member keeps its own error budget and noise floor; the
+accept test, the stall test and the fold of the bisection tree run as array
+operations on a whole level.
+
+Members of a family share radii: members whose r_max are a power of 2 apart
+walk one ladder, so a level holds each distinct panel many times over.
+Panels are numbered so that equal panels share their number: a segment by
+the mantissa of its r_max and its place from the bottom of the ladder, and
+the halves of a panel numbered i by 2i and 2i + 1, renumbered in order on
+each level; no level is sorted.  A family integrand is called in two
+stages.  The radial stage f(r) runs once per block
+of at most PANELS_PER_CALL distinct panels of a level, on the block's
+distinct radii, and does there all the work that depends on the radius
+alone; it returns the time stage stage(at, j), which is called once per
+chunk of at most PANELS_PER_CALL member panels of the block and gets, per
+node, the index `at` of the node's radius in the block and the node's member
+j.  Gathers such as np.take(x, at) carry the radial work to the nodes.
+
+Each member panel is reduced on its own 15 nodes by NumPy's row sum, which
+reduces every row alike whatever the number of rows and does not go through
+BLAS, so the norms do not depend on the BLAS build or on the CPU it picks
+its kernels for, nor on the family they are computed in or on the blocks
+and chunks it is cut into.  The accepted values are summed in the order of
+the bisection tree (left + right for every split panel, each member's
+segments in ascending order), so every norm is the float a depth-first
+recursion with the same per-panel reduction gives.  Refinement stops with
+NonConvergence on a non-finite panel, at the depth cap, or when neither half
+of a split panel improves on a gap already below the roundoff of its
+member's total: that gap is roundoff in the integrand, which a tol below
+roundoff would otherwise keep splitting, doubling the open panels on every
+level.
 
 Also provides the smooth radial cutoffs used to split low and high
 frequencies, and `scaling_check`, which verifies the norm decay exponent of
@@ -52,11 +68,13 @@ R_FLOOR = 1e-12
 MAX_DEPTH = 60
 # refinement agreement below this relative level is treated as roundoff noise
 REL_FLOOR = 5e-16
-# panels per integrand call: fewer calls cost less fixed overhead, while more
-# nodes per call raise peak memory.  256 panels are 3,840 nodes, so an order-2
-# series array of shape (3, 2, 3840) is 184 KiB, past glibc's 128 KiB trim and
-# mmap thresholds; the heap top pad that `cli.main` sets keeps such arrays
-# mapped between calls instead of faulting them in on every call
+# panels per stage call, distinct panels per radial call and member panels per
+# time call: fewer calls cost less fixed overhead, while more nodes per call
+# raise peak memory, and a radial block's arrays stay alive while its member
+# panels are evaluated.  256 panels are 3,840 nodes, so an order-2 series
+# array of shape (3, 2, 3840) is 184 KiB, past glibc's 128 KiB trim and mmap
+# thresholds; the heap top pad that `cli.main` sets keeps such arrays mapped
+# between calls instead of faulting them in on every call
 PANELS_PER_CALL = 256
 
 
@@ -70,7 +88,8 @@ class RadialIntegrand:
 
     singularity_exponent e asserts f(r) = O(r^e) as r -> 0; integrability of
     the squared integrand then requires 2e + n > 0.  For a family of norms
-    (see `l2_radial`) func is f(r, j) and the exponent bounds every member.
+    (see `l2_radial`) func is the radial stage f(r), which returns the time
+    stage stage(at, j), and the exponent bounds every member.
     """
 
     func: object
@@ -120,21 +139,47 @@ class CutoffSpec:
         return 1.0 - self.chi_low(r)
 
 
-def _panels(g, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
+def _panels(radial, lo, hi, owner, ident, count) -> np.ndarray:
     """Gauss-Legendre values of g on the panels [lo[i], hi[i]] of members owner[i].
 
-    g is called once per PANELS_PER_CALL panels, with the nodes of that slice
-    and the member each node belongs to; the nodes are built per slice.
+    Equal panels share ident[i], one of 0 .. count - 1.  radial is called
+    once per block of PANELS_PER_CALL distinct panels, with their nodes, and
+    returns g's time stage; that is called once per chunk of PANELS_PER_CALL
+    member panels of the block, with the index of each node's radius in the
+    block and the node's member.
     """
+    nodes = len(GAUSS_NODES)
     out = np.empty(len(lo))
-    for start in range(0, len(lo), PANELS_PER_CALL):
-        part = slice(start, start + PANELS_PER_CALL)
-        half = 0.5 * (hi[part] - lo[part])
-        r = (0.5 * (hi[part] + lo[part]))[:, None] + half[:, None] * GAUSS_NODES
-        values = g(r.ravel(), np.repeat(owner[part], len(GAUSS_NODES))).reshape(r.shape)
-        # a row sum reduces every row alike, whatever the number of rows
-        out[part] = half * (values * GAUSS_WEIGHTS).sum(axis=1)
+    # equal panels have equal edges: any of them gives the distinct panel's
+    distinct_lo, distinct_hi = np.empty(count), np.empty(count)
+    distinct_lo[ident], distinct_hi[ident] = lo, hi
+    for block in range(0, count, PANELS_PER_CALL):
+        part = slice(block, block + PANELS_PER_CALL)
+        lo, hi = distinct_lo[part], distinct_hi[part]
+        half = 0.5 * (hi - lo)
+        r = (0.5 * (hi + lo))[:, None] + half[:, None] * GAUSS_NODES
+        stage = radial(r.ravel())
+        in_block = np.zeros(count, dtype=bool)
+        in_block[part] = True
+        members = np.flatnonzero(in_block[ident])
+        for start in range(0, len(members), PANELS_PER_CALL):
+            chunk = members[start : start + PANELS_PER_CALL]
+            mine = ident[chunk] - block
+            at = (mine[:, None] * nodes + np.arange(nodes)).ravel()
+            values = stage(at, np.repeat(owner[chunk], nodes)).reshape(-1, nodes)
+            # a row sum reduces every row alike, whatever the number of rows
+            out[chunk] = np.take(half, mine) * (values * GAUSS_WEIGHTS).sum(axis=1)
     return out
+
+
+def _renumber(ident: np.ndarray) -> tuple[np.ndarray, int]:
+    """The ids renumbered 0, 1, ... in ascending order, and how many there are."""
+    used = np.zeros(ident.max() + 1, dtype=bool)
+    used[ident] = True
+    kept = np.flatnonzero(used)
+    number = np.empty(len(used), dtype=np.intp)
+    number[kept] = np.arange(len(kept))
+    return number[ident], len(kept)
 
 
 def _segments(r_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -151,10 +196,14 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
 
     A float r_max gives one norm, and f is called as f(r).  A 1-d array
     r_max gives a family of norms, one per member j over the ball of radius
-    r_max[j], returned as an array; f is then called as f(r, j) with the
-    owning member's index for every node, and must evaluate member j's
-    function at its nodes.  Every member is refined as if it were alone, so
-    its norm is the float a one-member call returns.
+    r_max[j], returned as an array; f is then called in two stages.  The
+    radial stage f(r) gets the distinct radii of a block of panels and
+    returns the time stage stage(at, j), a function that gets node arrays
+    `at` and `j` and must return, at each node, member j's function at the
+    radius r[at].  Work that depends on the radius alone belongs in the
+    radial stage, which runs once per radius of a level however many members
+    share it.  Every member is refined as if it were alone, so its norm is
+    the float a one-member call returns.
 
     The absolute norm error is targeted at tol * (1 + norm); the budget is
     converted to an integral tolerance using a coarse first pass, split
@@ -166,14 +215,15 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     that miss is not met, and no error reports it.
 
     Refinement runs level by level over the panels of all members: the
-    halves of every panel still open at that depth are evaluated in calls
-    of at most PANELS_PER_CALL panels.  A panel is accepted when its halves
-    agree with it to its member's budget (or to REL_FLOOR relative) and is
-    split otherwise; the whole level is tested at once.  The accepted values
-    are summed as the bisection tree nests, folded one level at a time from
-    the deepest, left + right for each split panel and each member's
-    segments in ascending order, which is the float a depth-first recursion
-    returns.
+    halves of every panel still open at that depth are evaluated, radial
+    stages on blocks of at most PANELS_PER_CALL distinct panels and time
+    stages on chunks of at most PANELS_PER_CALL member panels.  A panel is
+    accepted when its halves agree with it to its member's budget (or to
+    REL_FLOOR relative) and is split otherwise; the whole level is tested at
+    once.  The accepted values are summed as the bisection tree nests,
+    folded one level at a time from the deepest, left + right for each split
+    panel and each member's segments in ascending order, which is the float
+    a depth-first recursion returns.
 
     Raises NonConvergence when a panel value is not finite, when a panel is
     still off budget at MAX_DEPTH, or when both halves of a split panel stay
@@ -204,9 +254,20 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
 
     func = integrand.func
 
-    def g(r, j):
-        values = np.asarray(func(r, j) if family else func(r), dtype=float)
-        return values * values * r ** (n - 1)
+    def radial(r):
+        # the stages of g = f^2 r^{n-1}; a single norm is a family of one
+        if family:
+            stage = func(r)
+        else:
+            values = np.asarray(func(r), dtype=float)
+            stage = lambda at, j: np.take(values, at)  # noqa: E731
+        weight = r ** (n - 1)
+
+        def g(at, j):
+            values = np.asarray(stage(at, j), dtype=float)
+            return values * values * np.take(weight, at)
+
+        return g
 
     sphere = surface_area(n)
     segments = [_segments(float(x)) for x in radii]
@@ -216,8 +277,18 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     lo = np.concatenate([seg_lo for seg_lo, _ in segments])
     hi = np.concatenate([seg_hi for _, seg_hi in segments])
     owner = np.repeat(np.arange(len(radii)), counts)
+    # Panels are numbered so that equal panels share their number.  Radii a
+    # power of 2 apart have one ladder of edges, so the segment i places from
+    # the bottom is one panel for every radius of one mantissa.
+    mantissas = np.frexp(radii)[0].tolist()
+    rungs: dict[float, int] = {}
+    for mantissa, count in zip(mantissas, counts.tolist()):
+        rungs[mantissa] = max(rungs.get(mantissa, 0), count)
+    offset = dict(zip(rungs, np.cumsum([0, *rungs.values()]).tolist()))
+    ident = np.concatenate([offset[m] + np.arange(c) for m, c in zip(mantissas, counts)])
+    count = sum(rungs.values())
 
-    coarse = _panels(g, lo, hi, owner)
+    coarse = _panels(radial, lo, hi, owner, ident, count)
     coarse_total = _member_totals(coarse, first)
     norm0 = np.sqrt(sphere * np.maximum(coarse_total, 0.0))
     eps_total = 2.0 * norm0 * tol * (1.0 + norm0) / sphere
@@ -235,8 +306,15 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     while len(lo):
         m = len(lo)
         mid = 0.5 * (lo + hi)
+        # the halves of equal panels are equal: the left one 2 id, the right 2 id + 1
+        ident, count = _renumber(np.concatenate((2 * ident, 2 * ident + 1)))
         halves = _panels(
-            g, np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((owner, owner))
+            radial,
+            np.concatenate((lo, mid)),
+            np.concatenate((mid, hi)),
+            np.concatenate((owner, owner)),
+            ident,
+            count,
         )
         left, right = halves[:m], halves[m:]
         fine = left + right
@@ -254,6 +332,7 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
         bounds = np.stack((lo[split], mid[split], hi[split]), axis=1)
         lo, hi = bounds[:, :2].ravel(), bounds[:, 1:].ravel()
         owner = np.repeat(owner[split], 2)
+        ident = np.stack((ident[:m][split], ident[m:][split]), axis=1).ravel()
         coarse = np.stack((left[split], right[split]), axis=1).ravel()
         parent_gap = np.repeat(gap[split], 2)
         tau *= 0.5
@@ -272,16 +351,18 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
 def _member_totals(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Member j's total of values[first[j]:first[j + 1]], added left to right.
 
-    An explicit loop: the builtin sum of floats is compensated from Python
-    3.12 on, and would make the norms depend on the Python version.
+    The members' values are laid out as rows padded with trailing +0.0, and
+    a cumulative sum adds each row strictly left to right.  The builtin sum
+    of floats is compensated from Python 3.12 on, and would make the norms
+    depend on the Python version.
     """
-    totals = np.empty(len(first) - 1)
-    for j, (a, b) in enumerate(zip(first[:-1], first[1:])):
-        total = 0.0
-        for v in values[a:b].tolist():
-            total += v
-        totals[j] = total
-    return totals
+    counts = np.diff(first)
+    width = counts.max()
+    rows = np.zeros((len(counts), width))
+    # value i sits in column i - first[j] of its member j's row
+    shift = np.repeat(np.arange(len(counts)) * width - first[:-1], counts)
+    rows.ravel()[np.arange(len(values)) + shift] = values
+    return np.cumsum(rows, axis=1)[:, -1]
 
 
 def _raise_first_failure(lo, hi, fine, finite, split, stalled_pair, parent_gap, depth, tol):
@@ -326,8 +407,13 @@ def scaling_check(alpha: float, beta: float, c: float, n: int) -> FitResult:
     t_grid = np.geomspace(1e2, 1e5, 30)
     cut = CutoffSpec(0.5)
 
-    def f(r, j):
-        return r**alpha * np.exp(-c * r**beta * t_grid[j]) * cut.chi_low(r)
+    def f(r):
+        power, rate, chi = r**alpha, -c * r**beta, cut.chi_low(r)
+
+        def stage(at, j):
+            return np.take(power, at) * np.exp(np.take(rate, at) * t_grid[j]) * np.take(chi, at)
+
+        return stage
 
     norms = l2_radial(
         RadialIntegrand(f, singularity_exponent=alpha),

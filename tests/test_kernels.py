@@ -15,7 +15,14 @@ import pytest
 from sigmadamp import kernels
 from sigmadamp.acceptance import kernel_tables, table_degree_sums
 from sigmadamp.jet2 import mul
-from sigmadamp.kernels import EXP_FLUSH, exact_multipliers, kernel_jets, root_jets
+from sigmadamp.kernels import (
+    EXP_FLUSH,
+    exact_multipliers,
+    kernel_jets,
+    kernel_roots,
+    multiplier_symbols,
+    root_jets,
+)
 from sigmadamp.model import ModelParams, RateCase, eps_star, oscillation_band
 from sigmadamp.profiles import profile_pair
 
@@ -231,6 +238,34 @@ def test_kernel_jets_builds_the_root_jets_once(monkeypatch):
     for order in (0, 1, 2, 4):
         kernel_jets(p, 1.0, np.array([0.2, 0.7]), order)
     assert calls == [0, 1, 2, 4]
+
+
+@pytest.mark.parametrize(
+    "p", [ModelParams(3, 1.0, 0.25, 0.9), ModelParams(1, 1.0, 0.0, 0.8)], ids=["fractional", "frictional"]
+)
+def test_radial_stages_gathered_to_nodes_equal_one_stage_calls(p):
+    # the radial stages are built once on distinct radii and gathered to
+    # nodes that repeat each radius at several times; every regime occurs
+    rng = np.random.default_rng(7)
+    radii = np.geomspace(1e-3, 20.0, 97)
+    at = rng.integers(0, len(radii), 600)
+    t = rng.choice([0.0, 0.3, 5.0, 200.0], len(at))
+    r = radii[at]
+    symbols = multiplier_symbols(p, radii).take(at)
+    z = np.sqrt(np.maximum(symbols.disc, 0.0)) * 0.5 * t
+    assert (symbols.disc < 0.0).any() and (z[symbols.disc >= 0.0] <= 0.5).any() and (z > 0.5).any()
+    split, one = exact_multipliers(p, t, r, symbols), exact_multipliers(p, t, r)
+    assert np.array_equal(split.K0, one.K0) and np.array_equal(split.K1, one.K1)
+    for order in (0, 1, 2):
+        roots = kernel_roots(p, radii, order).take(at)
+        split, one = kernel_jets(p, t, r, order, roots), kernel_jets(p, t, r, order)
+        for name in PIECE_NAMES:
+            assert np.array_equal(getattr(split, name), getattr(one, name))
+    case = RateCase.ZERO_SIGMA1 if p.sigma1 == 0.0 else RateCase.POSITIVE_SIGMA1
+    for k in (0, 1, 2, 3):
+        roots = kernel_roots(p, radii, k - 1).take(at) if k else None
+        for got, want in zip(profile_pair(k, p, case, t, r, roots), profile_pair(k, p, case, t, r)):
+            assert np.array_equal(got, want)
 
 
 def test_kernel_jets_rejects_negative_time():

@@ -107,9 +107,9 @@ def test_one_kernel_pass_per_profile_pair(monkeypatch, fractional_params, fricti
     calls = []
     real = profiles.kernel_jets
 
-    def counted(p, t, r, order):
+    def counted(p, t, r, order, roots=None):
         calls.append(order)
-        return real(p, t, r, order)
+        return real(p, t, r, order, roots)
 
     monkeypatch.setattr(profiles, "kernel_jets", counted)
     for p, case in ((fractional_params, POS), (frictional_params, ZERO)):

@@ -216,19 +216,41 @@ FAMILY = (
 
 
 class CountingFamily:
-    """Records the radii of every call to a family integrand f(r, j)."""
+    """A family integrand with one radial function per member, counting its stages.
+
+    The radial stage records its radii and evaluates every member on them;
+    the time stage records its node count and picks, for each node, member
+    j's value at the node's radius.
+    """
 
     def __init__(self, members):
         self.members = members
         self.calls = []
+        self.stage_sizes = []
 
-    def __call__(self, r, j):
+    def __call__(self, r):
         self.calls.append(np.array(r))
-        out = np.empty_like(r)
-        for i, (f, _) in enumerate(self.members):
-            mine = j == i
-            out[mine] = f(r[mine])
-        return out
+        values = [f(r) for f, _ in self.members]
+
+        def stage(at, j):
+            self.stage_sizes.append(at.size)
+            out = np.empty(at.shape)
+            for i, member in enumerate(values):
+                mine = j == i
+                out[mine] = member[at[mine]]
+            return out
+
+        return stage
+
+
+def same_function(f):
+    """The family integrand whose every member is the radial function f."""
+
+    def radial(r):
+        values = f(r)
+        return lambda at, j: values[at]
+
+    return radial
 
 
 def test_family_equals_one_call_per_member_bit_for_bit():
@@ -238,20 +260,73 @@ def test_family_equals_one_call_per_member_bit_for_bit():
     assert isinstance(got, np.ndarray) and got.shape == (len(FAMILY),)
     alone = [l2_radial(f, n=3, r_max=radius, tol=1e-12) for f, radius in FAMILY]
     assert np.array_equal(got, alone)
-    # levels wider than one call are evaluated in slices of PANELS_PER_CALL panels
-    sizes = [c.size for c in family.calls]
+    # levels wider than one call are evaluated in radial blocks and time
+    # chunks of PANELS_PER_CALL panels
     per_call = quadrature.PANELS_PER_CALL * len(GAUSS_NODES)
-    assert max(sizes) == per_call
-    assert all(size % len(GAUSS_NODES) == 0 and size <= per_call for size in sizes)
-    # the step member alone refines about 50 levels, the others far fewer
-    assert len(sizes) > 50
+    for sizes in ([c.size for c in family.calls], family.stage_sizes):
+        assert max(sizes) == per_call
+        assert all(size % len(GAUSS_NODES) == 0 and size <= per_call for size in sizes)
+        # the step member alone refines about 50 levels, the others far fewer
+        assert len(sizes) > 50
+
+
+def test_shared_panels_are_evaluated_radially_once():
+    # forty members on one radius share the panels of their ladder: the
+    # radial stage sees each panel once however many members it serves, and
+    # each member still gets the norm it gets alone
+    scales = np.linspace(1.0, 3.0, 40)
+    rows, member_nodes = [], []
+
+    def radial(r):
+        rows.append(r.reshape(-1, len(GAUSS_NODES)))
+        square = r * r
+
+        def stage(at, j):
+            member_nodes.append(at.size)
+            return np.exp(-np.take(square, at) * scales[j])
+
+        return stage
+
+    got = l2_radial(radial, n=2, r_max=np.full(len(scales), 6.0), tol=1e-12)
+    alone = [l2_radial(lambda r, a=a: np.exp(-(r * r) * a), n=2, r_max=6.0, tol=1e-12) for a in scales]
+    assert np.array_equal(got, alone)
+    # no panel twice, across levels too: a depth-d panel of the ladder lies
+    # inside its segment and has a width that no other depth gives there
+    radial_rows = np.concatenate(rows)
+    assert len(np.unique(radial_rows, axis=0)) == len(radial_rows)
+    # these members refine alike, so every panel serves all forty
+    assert sum(member_nodes) == len(scales) * radial_rows.size
+
+
+def test_radii_a_power_of_two_apart_share_their_ladder():
+    # 3, 6 and 12 share the segments below 3, while 6 and 6.5 share none;
+    # each member still gets the norm it gets alone
+    radii = np.array([6.0, 12.0, 3.0, 6.5, 6.0])
+    rows, member_nodes = [], []
+
+    def radial(r):
+        rows.append(r.reshape(-1, len(GAUSS_NODES)))
+        square = r * r
+
+        def stage(at, j):
+            member_nodes.append(at.size)
+            return 1.0 / (1.0 + np.take(square, at))
+
+        return stage
+
+    got = l2_radial(radial, n=2, r_max=radii, tol=1e-12)
+    alone = [l2_radial(lambda r: 1.0 / (1.0 + r * r), n=2, r_max=x, tol=1e-12) for x in radii]
+    assert np.array_equal(got, alone)
+    radial_rows = np.concatenate(rows)
+    assert len(np.unique(radial_rows, axis=0)) == len(radial_rows)
+    assert 2 * radial_rows.size < sum(member_nodes)
 
 
 def test_one_member_family_is_the_float_call():
     f = lambda r: np.exp(-(r**2)) * (1.0 + r) ** -0.5  # noqa: E731
-    got = l2_radial(lambda r, j: f(r), n=2, r_max=np.array([6.0]), tol=1e-10)
+    got = l2_radial(same_function(f), n=2, r_max=np.array([6.0]), tol=1e-10)
     assert got.tolist() == [l2_radial(f, n=2, r_max=6.0, tol=1e-10)]
-    assert l2_radial(lambda r, j: f(r), n=2, r_max=np.array([]), tol=1e-10).shape == (0,)
+    assert l2_radial(same_function(f), n=2, r_max=np.array([]), tol=1e-10).shape == (0,)
 
 
 @pytest.mark.parametrize(
@@ -282,12 +357,33 @@ def test_each_member_has_its_own_noise_floor():
         l2_radial(family, n=1, r_max=np.array([8.0, 1.0]), tol=1e-20)
     assert time.perf_counter() - start < 1.0
     assert sum(c.size for c in family.calls) < 100_000
+    assert sum(family.stage_sizes) < 100_000
 
 
 @pytest.mark.parametrize("r_max", [[1.0, 0.0], [2.0, math.inf, 1.0], [[1.0, 2.0]]])
 def test_family_radii_are_validated(r_max):
     with pytest.raises(ValueError, match="r_max"):
-        l2_radial(lambda r, j: np.ones_like(r), n=1, r_max=np.array(r_max), tol=1e-8)
+        l2_radial(same_function(np.ones_like), n=1, r_max=np.array(r_max), tol=1e-8)
+
+
+def member_totals_loop(values, first):
+    """Reference: each member's values added left to right by a Python loop."""
+    totals = []
+    for a, b in zip(first[:-1], first[1:]):
+        total = 0.0
+        for v in values[a:b].tolist():
+            total += v
+        totals.append(total)
+    return totals
+
+
+def test_member_totals_add_left_to_right(rng):
+    # magnitudes 40 decades apart make every summation order give its own float
+    for _ in range(300):
+        counts = rng.integers(1, 45, size=rng.integers(1, 77))
+        first = np.concatenate(([0], np.cumsum(counts)))
+        values = rng.standard_normal(first[-1]) * 10.0 ** rng.integers(-20, 20, first[-1])
+        assert quadrature._member_totals(values, first).tolist() == member_totals_loop(values, first)
 
 
 def test_roundoff_limited_refinement_stops():
