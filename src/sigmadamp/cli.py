@@ -437,7 +437,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing does not change the parser
     # allow_abbrev=False: a prefix of a flag is not an alias for it
     parser = _Parser(
         prog="sigmadamp",

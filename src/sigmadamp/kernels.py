@@ -169,7 +169,9 @@ def _times(t) -> np.ndarray:
 
 def _flushed_exp(arg: np.ndarray) -> np.ndarray:
     """e^{-arg} for an array arg >= 0, exactly zero past the underflow threshold."""
-    out = np.exp(-arg)
+    # clamped first: np.exp is many times slower on results that underflow,
+    # and every entry past the threshold is zeroed anyway
+    out = np.exp(-np.minimum(arg, EXP_FLUSH))
     out[arg > EXP_FLUSH] = 0.0
     return out
 

@@ -21,6 +21,18 @@ still open.  Each member keeps its own error budget and noise floor; the
 accept test, the stall test and the fold of the bisection tree run as array
 operations on a whole level.
 
+A segment whose coarse value is at most REL_FLOOR / count of its member's
+finite, nonzero coarse total settles: it enters the tree as a leaf with its
+coarse value, and its halves are never evaluated.  All the settled segments
+of a member hold at most REL_FLOOR of its total, so they cannot move the
+norm by more than the total's own roundoff (after Gander and Gautschi,
+"Adaptive Quadrature - Revisited", BIT 40, 2000, who stop refining where a
+contribution cannot change the sum in floating point).  On the lab's error
+curves 47-75% of the ladder segments settle, in the far tail and on the
+rungs next to the origin.  The rule sees only the 15 coarse nodes, so a
+feature narrower than their spacing inside a segment whose coarse value is
+below the floor goes unseen.
+
 Members of a family share radii: members whose r_max are a power of 2 apart
 walk one ladder, so a level holds each distinct panel many times over.
 Panels are numbered so that equal panels share their number: a segment by
@@ -207,15 +219,20 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
 
     The absolute norm error is targeted at tol * (1 + norm); the budget is
     converted to an integral tolerance using a coarse first pass, split
-    evenly over segments, and halved on each bisection.
+    evenly over segments, and halved on each bisection.  A segment settles
+    on its coarse value, unsplit, when that value is at most REL_FLOOR /
+    count of its member's coarse total and the total is finite and nonzero:
+    the settled segments together cannot move the total beyond its
+    roundoff.  A NaN value never settles, and a non-finite or zero total
+    settles nothing, so failures are found where refinement finds them.
 
     The integral runs over [R_FLOOR, r_max], not [0, r_max].  A function
     that is not small at the origin misses the mass of [0, R_FLOOR]: for
     e^{-r^2} in n = 1 the norm comes out 8.0e-13 relative low.  A tol below
     that miss is not met, and no error reports it.
 
-    Refinement runs level by level over the panels of all members: the
-    halves of every panel still open at that depth are evaluated, radial
+    Refinement runs level by level over the unsettled panels of all members:
+    the halves of every panel still open at that depth are evaluated, radial
     stages on blocks of at most PANELS_PER_CALL distinct panels and time
     stages on chunks of at most PANELS_PER_CALL member panels.  A panel is
     accepted when its halves agree with it to its member's budget (or to
@@ -295,6 +312,14 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     tau = eps_total / counts
     # a gap below this cannot move the member's total by more than its own roundoff
     noise = REL_FLOOR * np.abs(coarse_total)
+    # a segment holding at most its share of that roundoff settles: its coarse
+    # value is a leaf of the tree and its halves are never evaluated.  A NaN
+    # value compares false, and a non-finite or zero total settles nothing.
+    live = np.isfinite(coarse_total) & (coarse_total != 0.0)
+    settled = live[owner] & (np.abs(coarse) <= (noise / counts)[owner])
+    leaves, unsettled = coarse, ~settled
+    lo, hi, owner, ident = lo[unsettled], hi[unsettled], owner[unsettled], ident[unsettled]
+    coarse = coarse[unsettled]
 
     # Bisection tree, one level per entry: the values of the panels open at
     # that depth and which of them were split.  The children of the split
@@ -338,13 +363,14 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
         tau *= 0.5
         depth += 1
 
-    # fold the tree bottom up: a split panel's value is left + right of its halves
-    below = None
+    # fold the tree bottom up: a split panel's value is left + right of its
+    # halves; the deepest level splits none
+    below = np.empty(0)
     for value, split in reversed(levels):
-        if below is not None:
-            value[split] = below[0::2] + below[1::2]
+        value[split] = below[0::2] + below[1::2]
         below = value
-    norms = np.sqrt(sphere * np.maximum(_member_totals(below, first), 0.0))
+    leaves[unsettled] = below
+    norms = np.sqrt(sphere * np.maximum(_member_totals(leaves, first), 0.0))
     return norms if family else float(norms[0])
 
 

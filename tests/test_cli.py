@@ -303,6 +303,24 @@ def test_tolerance_below_roundoff_exits_3(capsys):
     assert "below the roundoff" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process, and a call leaves nothing in it
+    # for the next: a config file's values do not become defaults
+    cli._build_parser.cache_clear()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dim": 1, "sigma1": 0.0, "sigma2": 0.8}))
+    assert main(["validate", "--config", str(cfg), "--sigma2", "0.9"]) == 0
+    assert "sigma2=0.9" in capsys.readouterr().out
+    assert main(["validate"]) == 0
+    assert "sigma2=0.75" in capsys.readouterr().out
+    assert main(["validate", "--help"]) == 0
+    assert "usage: sigmadamp validate" in capsys.readouterr().out
+    assert main(["validate", "--k", "3"]) == 2
+    assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser.cache_info().hits == 3
+
+
 # -------------------------------------------------------------- heap policy
 
 SMALL_K3 = ["curve", "--k", "3", "--t-min", "100", "--t-max", "1000", "--per-decade", "5"]

@@ -282,6 +282,19 @@ def test_exponential_flush_zeroes_the_fast_family():
     assert np.all(X.vel_fast == 0.0)
 
 
+def test_flushed_exp_is_exp_then_flush_bit_for_bit():
+    # the argument is clamped to EXP_FLUSH before np.exp, which is slow on
+    # underflowing results; the entries past it are zeroed either way
+    arg = np.array(
+        [0.0, 1.5, 700.0, np.nextafter(700.0, np.inf), 708.4, 745.2, 1e4, np.inf, np.nan]
+    )
+    want = np.exp(-arg)
+    want[arg > EXP_FLUSH] = 0.0
+    got = kernels._flushed_exp(arg)
+    assert got.tobytes() == want.tobytes()
+    assert got[2] > 0.0 and np.isnan(got[-1]) and not got[3:-1].any()
+
+
 # -- exact multipliers --------------------------------------------------------
 
 

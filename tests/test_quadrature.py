@@ -137,7 +137,9 @@ def test_step_refines_one_path_one_call_per_level():
     got = l2_radial(f, n=1, r_max=1.0, tol=1e-10)
     assert got == pytest.approx(math.sqrt(0.6), rel=1e-9)
     sizes = [c.size for c in f.calls]
-    assert sizes[1] == 2 * sizes[0]
+    # f vanishes on the top segment [0.5, 1], which settles: it is not halved
+    assert sizes[1] == 2 * (sizes[0] - len(GAUSS_NODES))
+    assert f.calls[1].max() < 0.5
     # past level 0 only the panel holding the jump is split, so each call
     # evaluates the halves of its two children: 2 x 2 x 15 nodes
     assert sizes[2:] == [60] * (len(sizes) - 2)
@@ -150,21 +152,37 @@ def test_step_refines_one_path_one_call_per_level():
     assert deepest > 45
 
 
-def depth_first_norm(f, n, r_max, tol):
-    """Reference: the one-panel-per-call recursion that l2_radial batches."""
+def squared_integrand(f, n):
+    """g = f^2 r^{n-1}, the function l2_radial integrates for the norm of f."""
 
     def g(r):
         values = np.asarray(f(r), dtype=float)
         return values * values * r ** (n - 1)
 
-    def panel(lo, hi):
-        # the reduction of _panels, one row at a time
-        half = 0.5 * (hi - lo)
-        return half * float((g(0.5 * (hi + lo) + half * GAUSS_NODES) * GAUSS_WEIGHTS).sum())
+    return g
+
+
+def reference_panel(g, lo, hi):
+    """The reduction of _panels, one row at a time."""
+    half = 0.5 * (hi - lo)
+    return half * float((g(0.5 * (hi + lo) + half * GAUSS_NODES) * GAUSS_WEIGHTS).sum())
+
+
+def left_to_right(values):
+    """The sum l2_radial's member totals give: no compensated sum."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def depth_first_norm(f, n, r_max, tol):
+    """Reference: the one-panel-per-call recursion that l2_radial batches."""
+    g = squared_integrand(f, n)
 
     def refine(lo, hi, tau, coarse):
         mid = 0.5 * (lo + hi)
-        left, right = panel(lo, mid), panel(mid, hi)
+        left, right = reference_panel(g, lo, mid), reference_panel(g, mid, hi)
         fine = left + right
         if abs(fine - coarse) <= max(tau, REL_FLOOR * abs(fine)):
             return fine
@@ -175,13 +193,18 @@ def depth_first_norm(f, n, r_max, tol):
         bounds.append(bounds[-1] * 0.5)
     bounds.append(R_FLOOR)
     segments = list(zip(bounds[1:], bounds[:-1]))[::-1]
-    coarse = [panel(lo, hi) for lo, hi in segments]
+    coarse = [reference_panel(g, lo, hi) for lo, hi in segments]
     sphere = surface_area(n)
-    norm0 = math.sqrt(sphere * max(sum(coarse), 0.0))
+    coarse_total = left_to_right(coarse)
+    norm0 = math.sqrt(sphere * max(coarse_total, 0.0))
     tau = 2.0 * norm0 * tol * (1.0 + norm0) / sphere / len(segments)
+    # a segment holding at most its share of the total's roundoff settles on
+    # its coarse value; a non-finite or zero total settles nothing
+    live = math.isfinite(coarse_total) and coarse_total != 0.0
+    share = REL_FLOOR * abs(coarse_total) / len(segments) if live else -1.0
     total = 0.0
     for (lo, hi), first in zip(segments, coarse):
-        total += refine(lo, hi, tau, first)
+        total += first if abs(first) <= share else refine(lo, hi, tau, first)
     return math.sqrt(sphere * max(total, 0.0))
 
 
@@ -193,8 +216,9 @@ def depth_first_norm(f, n, r_max, tol):
         (lambda r: np.where(r < 0.3, 1.0, 0.0), 1, 1.0, 1e-10),
         (lambda r: np.abs(r - 0.37) ** 1.5, 2, 2.0, 1e-12),
         (lambda r: np.sin(60.0 * r) * np.exp(-r), 3, 10.0, 1e-13),
+        (lambda r: np.exp(-4.0 * r**2), 3, 8.0, 1e-10),
     ],
-    ids=["gaussian", "singular", "step", "kink", "oscillatory"],
+    ids=["gaussian", "singular", "step", "kink", "oscillatory", "settling"],
 )
 def test_level_batching_matches_depth_first_bit_for_bit(f, n, r_max, tol):
     # same panels, same per-panel reductions, same summation tree: equal floats
@@ -210,7 +234,7 @@ FAMILY = (
     (lambda r: np.where(r < 0.3, 1.0, 0.0), 1.0),
     (lambda r: np.sin(60.0 * r) * np.exp(-r), 10.0),
     (lambda r: np.abs(r - 0.37) ** 1.5, 2.0),
-    (lambda r: np.cos(200.0 * r), 3.0),
+    (lambda r: np.cos(600.0 * r), 3.0),
     (lambda r: r**-0.5, 1.0),
 )
 
@@ -273,29 +297,38 @@ def test_family_equals_one_call_per_member_bit_for_bit():
 def test_shared_panels_are_evaluated_radially_once():
     # forty members on one radius share the panels of their ladder: the
     # radial stage sees each panel once however many members it serves, and
-    # each member still gets the norm it gets alone
+    # each member still gets the norm, and evaluates the nodes, it gets alone
     scales = np.linspace(1.0, 3.0, 40)
-    rows, member_nodes = [], []
+    rows, served, member_nodes = [], [], np.zeros(len(scales), dtype=int)
 
     def radial(r):
         rows.append(r.reshape(-1, len(GAUSS_NODES)))
+        served.append(np.zeros(len(rows[-1]), dtype=bool))
         square = r * r
 
-        def stage(at, j):
-            member_nodes.append(at.size)
+        def stage(at, j, block=served[-1]):
+            block[at // len(GAUSS_NODES)] = True
+            np.add.at(member_nodes, j, 1)
             return np.exp(-np.take(square, at) * scales[j])
 
         return stage
 
     got = l2_radial(radial, n=2, r_max=np.full(len(scales), 6.0), tol=1e-12)
-    alone = [l2_radial(lambda r, a=a: np.exp(-(r * r) * a), n=2, r_max=6.0, tol=1e-12) for a in scales]
+    alone, alone_nodes = [], []
+    for a in scales:
+        f = CountingIntegrand(lambda r, a=a: np.exp(-(r * r) * a))
+        alone.append(l2_radial(f, n=2, r_max=6.0, tol=1e-12))
+        alone_nodes.append(sum(c.size for c in f.calls))
     assert np.array_equal(got, alone)
+    assert member_nodes.tolist() == alone_nodes
     # no panel twice, across levels too: a depth-d panel of the ladder lies
     # inside its segment and has a width that no other depth gives there
     radial_rows = np.concatenate(rows)
     assert len(np.unique(radial_rows, axis=0)) == len(radial_rows)
-    # these members refine alike, so every panel serves all forty
-    assert sum(member_nodes) == len(scales) * radial_rows.size
+    # members settle different segments of the tail, but every panel the
+    # radial stage sees serves at least one of them
+    assert all(block.all() for block in served)
+    assert sum(member_nodes) > 2 * radial_rows.size
 
 
 def test_radii_a_power_of_two_apart_share_their_ladder():
@@ -327,6 +360,136 @@ def test_one_member_family_is_the_float_call():
     got = l2_radial(same_function(f), n=2, r_max=np.array([6.0]), tol=1e-10)
     assert got.tolist() == [l2_radial(f, n=2, r_max=6.0, tol=1e-10)]
     assert l2_radial(same_function(f), n=2, r_max=np.array([]), tol=1e-10).shape == (0,)
+
+
+# Members whose segments settle at both ends of the ladder: their squared
+# integrands are below the roundoff of their totals near the origin and in
+# the far tail.  8, 16 and 1 share a ladder, and so do the two members on 6,
+# which differ in scale and width, so a panel one member settles can stay
+# open for another.
+SETTLING = (
+    (lambda r: np.exp(-4.0 * r**2), 8.0),
+    (lambda r: np.exp(-(r**2)), 16.0),
+    (lambda r: 1e-150 * np.exp(-3.0 * r**2), 6.0),
+    (lambda r: np.exp(-5.0 * r**2), 6.0),
+    (lambda r: np.where(r < 0.3, 1.0, 0.0), 1.0),
+)
+
+
+class SettleRecorder:
+    """A family integrand that records which segments each member halved.
+
+    Members are (radial function, r_max) pairs.  The time stage records the
+    radius of every node past the coarse pass, per member; the coarse pass
+    must fit one radial call.
+    """
+
+    def __init__(self, members):
+        self.members = members
+        self.r_max = np.array([radius for _, radius in members])
+        self.radial_calls = []
+        self.member_radii = [[] for _ in members]
+
+    def __call__(self, r):
+        self.radial_calls.append(r)
+        values = np.stack([f(r) for f, _ in self.members])
+        past_coarse = len(self.radial_calls) > 1
+
+        def stage(at, j):
+            if past_coarse:
+                for i in np.unique(j).tolist():
+                    self.member_radii[i].append(r[at[j == i]])
+            return values[j, at]
+
+        return stage
+
+    def segments(self, n):
+        """Per member: its segments, their coarse values and which it settled."""
+        out = []
+        for (f, radius), radii in zip(self.members, self.member_radii):
+            lo, hi = quadrature._segments(radius)
+            g = squared_integrand(f, n)
+            coarse = np.array([reference_panel(g, a, b) for a, b in zip(lo, hi)])
+            # Gauss nodes lie inside their panels, so never on an edge
+            halved = np.searchsorted(np.append(lo, hi[-1]), np.concatenate([[], *radii])) - 1
+            settled = np.ones(len(lo), dtype=bool)
+            settled[halved.astype(int)] = False
+            out.append((lo, hi, coarse, settled))
+        distinct = {(a, b) for lo, hi, _, _ in out for a, b in zip(lo.tolist(), hi.tolist())}
+        assert self.radial_calls[0].size == len(GAUSS_NODES) * len(distinct)
+        return out
+
+
+def test_settled_segments_reach_neither_stage():
+    family = SettleRecorder(SETTLING)
+    l2_radial(family, n=3, r_max=family.r_max, tol=1e-10)
+    members = family.segments(3)
+    for lo, hi, coarse, settled in members:
+        # the rule: at most REL_FLOOR / count of the coarse total, member by member
+        share = REL_FLOOR * abs(left_to_right(coarse)) / len(coarse)
+        assert settled.tolist() == (np.abs(coarse) <= share).tolist()
+        # every member settles segments at both ends of its ladder
+        assert settled[0] and settled[-1] and not settled.all()
+    # a radial node past the coarse pass lies in a segment some member left open
+    radii = np.concatenate(family.radial_calls[1:])
+    serves = np.zeros(radii.size, dtype=bool)
+    for lo, hi, _, settled in members:
+        for a, b in zip(lo[~settled], hi[~settled]):
+            serves |= (a < radii) & (radii < b)
+    assert serves.all()
+
+
+@pytest.mark.parametrize("members,tol", [(SETTLING, 1e-10), (FAMILY, 1e-12)], ids=["settling", "family"])
+def test_settled_mass_is_below_the_roundoff_of_the_total(members, tol):
+    family = SettleRecorder(members)
+    l2_radial(family, n=3, r_max=family.r_max, tol=tol)
+    for _, _, coarse, settled in family.segments(3):
+        assert left_to_right(np.abs(coarse[settled])) <= REL_FLOOR * abs(left_to_right(coarse))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_a_non_finite_member_settles_nothing(bad):
+    # an inf coarse value makes the member's total inf, and every segment
+    # would hold less than inf / count of it; the total must settle nothing,
+    # so the non-finite panel is found at depth 0 and named as before
+    tail = lambda r: np.exp(-4.0 * r**2)  # noqa: E731
+    broken = lambda r: np.where((r > 0.3) & (r < 0.4), bad, tail(r))  # noqa: E731
+    family = SettleRecorder(((tail, 8.0), (broken, 6.0)))
+    message = f"segment [1.875000e-01, 3.750000e-01] has non-finite value {bad} at depth 0"
+    with pytest.raises(NonConvergence, match=re.escape(message)):
+        l2_radial(family, n=1, r_max=family.r_max, tol=1e-10)
+    (_, _, _, clean), (_, _, coarse, halved_all) = family.segments(1)
+    assert clean.any() and not np.isfinite(left_to_right(coarse))
+    assert not halved_all.any()
+
+
+def test_a_zero_coarse_total_settles_nothing(monkeypatch):
+    # a bump between the coarse nodes of the top segment [0.5, 1] gives every
+    # coarse value 0, and so a zero total whose share every segment is within;
+    # its halves see the bump, which is refined, not settled away as 0
+    def bump(r):
+        x = np.clip((r - 0.6743) / 0.018, -1.0, 1.0)
+        with np.errstate(divide="ignore"):
+            return np.where(np.abs(x) < 1.0, np.exp(-1.0 / (1.0 - x * x)), 0.0)
+
+    assert not bump(0.75 + 0.25 * GAUSS_NODES).any()
+    assert bump(0.625 + 0.125 * GAUSS_NODES).any()
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 5)
+    with pytest.raises(NonConvergence, match="still off budget at depth 5"):
+        l2_radial(bump, n=1, r_max=1.0, tol=1e-6)
+
+
+def test_settling_family_equals_one_call_per_member_bit_for_bit():
+    family = SettleRecorder(SETTLING)
+    got = l2_radial(family, n=3, r_max=family.r_max, tol=1e-10)
+    alone = [l2_radial(f, n=3, r_max=radius, tol=1e-10) for f, radius in SETTLING]
+    assert np.array_equal(got, alone)
+    # some panel is settled by one member and halved for another on its ladder
+    status: dict[tuple[float, float], set[bool]] = {}
+    for lo, hi, _, settled in family.segments(3):
+        for a, b, done in zip(lo.tolist(), hi.tolist(), settled.tolist()):
+            status.setdefault((a, b), set()).add(done)
+    assert any(len(both) == 2 for both in status.values())
 
 
 @pytest.mark.parametrize(
