@@ -76,10 +76,13 @@ _EXPECTED_CORRECTIONS = {
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A suite's verdict; wall-clock time goes in seconds, not in the reported details."""
+
     name: str
     passed: bool
     message: str
     details: dict
+    seconds: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +425,12 @@ class AcceptanceLab:
                 {"k": k, "slope": fit.slope, "target": fit.target, "gap": fit.gap}
             )
             ok = ok and fit.gap <= SLOPE_TOL
-        details = {"fits": rows, "elapsed_seconds": elapsed, "slope_tol": SLOPE_TOL}
+        details = {"fits": rows, "slope_tol": SLOPE_TOL}
         if budget is not None:
             details["time_budget_seconds"] = budget
             ok = ok and elapsed < budget
         gaps = ", ".join(f"k={row['k']}: {row['gap']:.4f}" for row in rows)
-        return CheckResult(name, ok, f"slope gaps {gaps} (tol {SLOPE_TOL})", details)
+        return CheckResult(name, ok, f"slope gaps {gaps} (tol {SLOPE_TOL})", details, elapsed)
 
     def check_rates_fractional(self) -> CheckResult:
         return self._rates_check(

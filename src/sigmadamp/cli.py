@@ -6,6 +6,8 @@ flags it reads (COMMANDS); the flag types hold the checks.  A JSON config file
 entries are parsed as flags placed before the command-line ones, which win.
 Reports are printed as text; with --out, JSON (and CSV for curves) is written
 alongside, every float with 17 significant digits so reruns are byte-identical.
+This module owns every report's layout: the lab modules compute, and each
+parameter report here opens with its schema version and parameters (_report).
 
 Exit codes: 0 ok, 1 failed checks, 2 bad configuration, 3 computation error.
 """
@@ -26,14 +28,12 @@ from .acceptance import GOLDEN_RTOL, SUITES, AcceptanceLab, golden_comparison
 from .experiments import (
     DATA_PRESETS,
     MAX_PROFILE_ORDER,
-    curve_csv,
-    curve_json_dict,
+    ErrorCurve,
     error_curve,
     fit_slope,
-    params_dict,
     tail_window,
 )
-from .fitting import DegenerateFit, geometric_grid
+from .fitting import DegenerateFit, FitResult, geometric_grid
 from .model import (
     ModelParams,
     ModelError,
@@ -68,7 +68,7 @@ class SuiteFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON with 17 significant digits
+# reports: deterministic JSON and CSV with 17 significant digits
 # ---------------------------------------------------------------------------
 
 
@@ -116,6 +116,55 @@ def _write_json(out_dir: str | None, name: str, payload: dict) -> None:
     if out_dir is None:
         return
     _write_text(Path(out_dir) / name, dumps17(payload) + "\n")
+
+
+def params_dict(p: ModelParams) -> dict:
+    """The parameter tuple under the names the reports use."""
+    return {"dim": p.n, "sigma": p.sigma, "sigma1": p.sigma1, "sigma2": p.sigma2, "s": p.s}
+
+
+def _report(p: ModelParams, **fields) -> dict:
+    """A parameter report: schema version and parameters, then the fields in order."""
+    return {"schema_version": 1, "params": params_dict(p), **fields}
+
+
+def curve_csv(curve: ErrorCurve, fit: FitResult | None = None) -> str:
+    """Render a curve (and optional fit) as CSV with commented header metadata."""
+    meta: list[tuple[str, object]] = list(params_dict(curve.params).items())
+    meta += [
+        ("case", curve.case.value),
+        ("k", curve.k),
+        ("data", curve.data.label()),
+        ("target_rate", f"{curve.target():.17g}"),
+        ("cancellation_hits", curve.cancellation_hits),
+    ]
+    if fit is not None:
+        meta.append(("fitted_slope", f"{fit.slope:.17g}"))
+    lines = [f"# {key} = {value}" for key, value in meta]
+    lines.append("t,E")
+    lines += [f"{t:.17g},{v:.17g}" for t, v in zip(curve.times, curve.values)]
+    return "\n".join(lines) + "\n"
+
+
+def fit_json_dict(fit: FitResult) -> dict:
+    return {"slope": fit.slope, "target": fit.target, "gap": fit.gap, "residual": fit.max_residual}
+
+
+def curve_json_dict(curve: ErrorCurve, fit: FitResult | None = None) -> dict:
+    """Render a curve (and optional fit) as a JSON-ready parameter report."""
+    out = _report(
+        curve.params,
+        case=curve.case.value,
+        k=curve.k,
+        data=curve.data.label(),
+        target_rate=curve.target(),
+        cancellation_hits=curve.cancellation_hits,
+        times=[float(t) for t in curve.times],
+        values=[float(v) for v in curve.values],
+    )
+    if fit is not None:
+        out["fit"] = fit_json_dict(fit)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,24 +305,19 @@ def cmd_validate(cfg: argparse.Namespace) -> int:
         validate(p, case)
     except ModelError as exc:
         print(f"valid: no ({exc})")
-        _write_json(
-            cfg.out,
-            "validate.json",
-            {"schema_version": 1, "params": params_dict(p), "valid": False, "error": str(exc)},
-        )
+        _write_json(cfg.out, "validate.json", _report(p, valid=False, error=str(exc)))
         return EXIT_CONFIG
 
     band = oscillation_band(p)
-    report = {
-        "schema_version": 1,
-        "params": params_dict(p),
-        "valid": True,
-        "case": case.value,
-        "delta": delta(p),
-        "rate_step": rate_step(p),
-        "eps_star": eps_star(p),
-        "oscillation_band": list(band) if band else None,
-    }
+    report = _report(
+        p,
+        valid=True,
+        case=case.value,
+        delta=delta(p),
+        rate_step=rate_step(p),
+        eps_star=eps_star(p),
+        oscillation_band=list(band) if band else None,
+    )
     print(f"case: {case.value}")
     print("valid: yes")
     print(f"delta = {delta(p):.17g}")
@@ -294,11 +338,7 @@ def cmd_rates(cfg: argparse.Namespace) -> int:
     print(f"error decay exponents (case {case.value}):")
     for row in rows:
         print(f"  k={row['k']}  {row['exponent']:.17g}")
-    _write_json(
-        cfg.out,
-        "rates.json",
-        {"schema_version": 1, "params": params_dict(p), "case": case.value, "rates": rows},
-    )
+    _write_json(cfg.out, "rates.json", _report(p, case=case.value, rates=rows))
     return EXIT_OK
 
 
@@ -330,14 +370,7 @@ def cmd_goldens(cfg: argparse.Namespace) -> int:
     _write_json(
         cfg.out,
         "goldens.json",
-        {
-            "schema_version": 1,
-            "params": params_dict(p),
-            "case": case_for(p).value,
-            "rtol": GOLDEN_RTOL,
-            "comparisons": rows,
-            "all_passed": all_ok,
-        },
+        _report(p, case=case_for(p).value, rtol=GOLDEN_RTOL, comparisons=rows, all_passed=all_ok),
     )
     if not all_ok:
         raise SuiteFailure("golden comparison failed")
@@ -372,14 +405,6 @@ def cmd_curve(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# wall-clock readings vary run to run and would break byte-identical reports
-_VOLATILE_DETAIL_KEYS = frozenset({"elapsed_seconds"})
-
-
-def _stable_details(details: dict) -> dict:
-    return {k: v for k, v in details.items() if k not in _VOLATILE_DETAIL_KEYS}
-
-
 def cmd_verify(cfg: argparse.Namespace) -> int:
     lab = AcceptanceLab(quad_tol=cfg.quad_tol)
     results = lab.run(cfg.suites)
@@ -398,7 +423,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
                     "name": r.name,
                     "passed": r.passed,
                     "message": r.message,
-                    "details": _stable_details(r.details),
+                    "details": r.details,
                 }
                 for r in results
             ],

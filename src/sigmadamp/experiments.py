@@ -7,7 +7,7 @@ The central object is the weighted L2 error curve
 where (K0, K1) are the exact mode multipliers, (P0, P1) the order-k profile
 pair, and (u0, u1) radial spectral data.  The checks in this module fit the
 large-time decay of E and related norms and compare the fitted exponents to
-the predicted rates.
+the predicted rates.  This module only computes: `cli` renders every report.
 """
 
 from __future__ import annotations
@@ -140,6 +140,8 @@ def error_r_max(p: ModelParams, times) -> np.ndarray:
     top = error_radius(p)
     if p.sigma1 == 0.0:
         return np.full(times.shape, top)
+    # a Python loop, so each reach is libm's pow: NumPy's float power differs
+    # from it in the last ulp, which moved E(120.2) of a moment-free curve
     radii = []
     for t in times:
         reach = (EXP_FLUSH / t) ** (0.5 / p.sigma1) if t > 0.0 else math.inf
@@ -161,17 +163,13 @@ def error_curve(
         raise ValueError(f"profile order must be in [0, {MAX_PROFILE_ORDER}], got {k}")
     t_grid = np.asarray(t_grid, dtype=float)
 
-    # identical position and velocity data are evaluated once per node set
-    same_data = data.u0_hat == data.u1_hat
     cancel_hits = 0
 
     def f(r):
         # everything that depends on the radius alone, once per distinct radius
         symbols = multiplier_symbols(p, r)
         roots = kernel_roots(p, r, k - 1) if k else None
-        u0 = data.u0_hat(r)
-        u1 = u0 if same_data else data.u1_hat(r)
-        weight = r**p.s
+        u0, u1, weight = data.u0_hat(r), data.u1_hat(r), r**p.s
 
         def stage(at, j):
             # every node at the time of the sample it belongs to
@@ -179,8 +177,7 @@ def error_curve(
             t = t_grid[j]
             r_at = np.take(r, at)
             em = exact_multipliers(p, t, r_at, symbols.take(at))
-            u0_at = np.take(u0, at)
-            u1_at = u0_at if same_data else np.take(u1, at)
+            u0_at, u1_at = np.take(u0, at), np.take(u1, at)
             exact = em.K0 * u0_at + em.K1 * u1_at
             if not k:
                 # the zero profile pair subtracts +0.0 and cannot cancel
@@ -317,53 +314,3 @@ def order_improvement_from_curves(lower: ErrorCurve, higher: ErrorCurve) -> FitR
     target = -rate_step(lower.params)
     ratios = higher.values[window] / lower.values[window]
     return fit_loglog(lower.times[window], ratios, target)
-
-
-def params_dict(p: ModelParams) -> dict:
-    """The parameter tuple under the names the reports use."""
-    return {"dim": p.n, "sigma": p.sigma, "sigma1": p.sigma1, "sigma2": p.sigma2, "s": p.s}
-
-
-def curve_csv(curve: ErrorCurve, fit: FitResult | None = None) -> str:
-    """Render a curve (and optional fit) as CSV with commented header metadata."""
-    meta: list[tuple[str, object]] = list(params_dict(curve.params).items())
-    meta += [
-        ("case", curve.case.value),
-        ("k", curve.k),
-        ("data", curve.data.label()),
-        ("target_rate", f"{curve.target():.17g}"),
-        ("cancellation_hits", curve.cancellation_hits),
-    ]
-    if fit is not None:
-        meta.append(("fitted_slope", f"{fit.slope:.17g}"))
-    lines = [f"# {key} = {value}" for key, value in meta]
-    lines.append("t,E")
-    lines += [f"{t:.17g},{v:.17g}" for t, v in zip(curve.times, curve.values)]
-    return "\n".join(lines) + "\n"
-
-
-def fit_json_dict(fit: FitResult) -> dict:
-    return {
-        "slope": fit.slope,
-        "target": fit.target,
-        "gap": fit.gap,
-        "residual": fit.max_residual,
-    }
-
-
-def curve_json_dict(curve: ErrorCurve, fit: FitResult | None = None) -> dict:
-    """Render a curve (and optional fit) as a JSON-ready dict, schema_version 1."""
-    out = {
-        "schema_version": 1,
-        "params": params_dict(curve.params),
-        "case": curve.case.value,
-        "k": curve.k,
-        "data": curve.data.label(),
-        "target_rate": curve.target(),
-        "cancellation_hits": curve.cancellation_hits,
-        "times": [float(t) for t in curve.times],
-        "values": [float(v) for v in curve.values],
-    }
-    if fit is not None:
-        out["fit"] = fit_json_dict(fit)
-    return out

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jet2 import exp_series, linear_series, mul, reciprocal, sqrt_series
-from .model import ModelParams
+from .model import ModelParams, mode_symbols
 
 # Decay exponents beyond this underflow double precision; the whole
 # exponential factor is flushed to exact zero instead.
@@ -241,11 +241,8 @@ def _sinhc(z: np.ndarray) -> np.ndarray:
 
 
 def multiplier_symbols(p: ModelParams, r) -> MultiplierSymbols:
-    """A = r^{2*sigma1} + r^{2*sigma2}, r^{2*sigma} and D2 = A^2 - 4 r^{2*sigma}, flattened."""
-    r = np.asarray(r, dtype=float).ravel()
-    a_sym = r ** (2.0 * p.sigma1) + r ** (2.0 * p.sigma2)
-    s_sym = r ** (2.0 * p.sigma)
-    return MultiplierSymbols(a_sym, s_sym, a_sym * a_sym - 4.0 * s_sym)
+    """`model.mode_symbols` (A, r^{2*sigma}, D2) at the radii r, flattened."""
+    return MultiplierSymbols(*mode_symbols(p, np.ravel(r)))
 
 
 def exact_multipliers(

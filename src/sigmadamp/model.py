@@ -8,8 +8,9 @@ Fourier mode at radial frequency r obeys
 with one weak dissipative exponent sigma1 below sigma/2 and one strong
 exponent sigma2 above it.  This module validates the standing parameter
 assumptions, computes the theoretical decay exponents of the k-th order
-expansion error, and locates the band of frequencies whose characteristic
-roots are complex (oscillating modes).
+expansion error, builds the mode symbols (`mode_symbols`, for the whole lab),
+and locates the band of frequencies whose characteristic roots are complex
+(oscillating modes).
 """
 
 from __future__ import annotations
@@ -161,15 +162,17 @@ def error_exponent(p: ModelParams, k: int) -> float:
     return base - k * rate_step(p)
 
 
-def discriminant(p: ModelParams, r):
-    """Characteristic discriminant (r^{2*sigma1} + r^{2*sigma2})^2 - 4*r^{2*sigma}.
+def mode_symbols(p: ModelParams, r):
+    """The symbols (A, S, D2) of the mode equation lambda^2 + A lambda + S = 0 at r.
 
-    Negative values mean complex conjugate roots (oscillating modes);
-    broadcasts over r.
+    A = r^{2*sigma1} + r^{2*sigma2} is the damping, S = r^{2*sigma} the
+    restoring symbol and D2 = A^2 - 4 S the discriminant: negative values
+    mean complex conjugate roots (oscillating modes).  Broadcasts over r.
     """
     r = np.asarray(r, dtype=float)
-    half = r ** (2.0 * p.sigma1) + r ** (2.0 * p.sigma2)
-    return half * half - 4.0 * r ** (2.0 * p.sigma)
+    a_sym = r ** (2.0 * p.sigma1) + r ** (2.0 * p.sigma2)
+    s_sym = r ** (2.0 * p.sigma)
+    return a_sym, s_sym, a_sym * a_sym - 4.0 * s_sym
 
 
 # Scan geometry for slow_rate_radius; 400 log-spaced samples over twelve
@@ -213,19 +216,20 @@ def _bisect_edge(f, lo: float, hi: float) -> float:
 def oscillation_band(p: ModelParams) -> tuple[float, float] | None:
     """Endpoints (r_low, r_high) of the complex-root frequency band, or None.
 
-    The band is the set where discriminant(p, r) < 0, that is where
-    phi(u) = e^{(2*sigma1 - sigma) u} + e^{(2*sigma2 - sigma) u} < 2 with
-    u = log r.  phi is convex with phi(0) = 2, so one edge is exactly r = 1:
-    the band is [r_low, 1] when sigma1 + sigma2 > sigma, [1, r_high] when
-    sigma1 + sigma2 < sigma, and empty when they are equal.  The other edge
-    is bracketed by walking out by decades from the deepest point of the band,
+    The band is the set where the discriminant D2 of mode_symbols(p, r) is
+    negative, that is where phi(u) = e^{(2*sigma1 - sigma) u} +
+    e^{(2*sigma2 - sigma) u} < 2 with u = log r.  phi is convex with
+    phi(0) = 2, so one edge is exactly r = 1: the band is [r_low, 1] when
+    sigma1 + sigma2 > sigma, [1, r_high] when sigma1 + sigma2 < sigma, and
+    empty when they are equal.  The other edge is bracketed by walking out
+    by decades from the deepest point of the band,
     r_deep = ((sigma - 2*sigma1) / (2*sigma2 - sigma))^{1/(2*(sigma2 - sigma1))},
     away from 1, and then bisected.  Needs sigma1 < sigma/2 < sigma2, as
     validate() checks.
     """
 
     def d(r: float) -> float:
-        return discriminant(p, r)
+        return mode_symbols(p, r)[2]
 
     excess = p.sigma1 + p.sigma2 - p.sigma
     ratio = (p.sigma - 2.0 * p.sigma1) / (2.0 * p.sigma2 - p.sigma)
@@ -271,10 +275,7 @@ def mode_decay_rate(p: ModelParams, r):
     4 r^{2*sigma})); for complex roots both branches decay like e^{-A t / 2}.
     Continuous across the band edges; broadcasts over r.
     """
-    r = np.asarray(r, dtype=float)
-    a_sym = r ** (2.0 * p.sigma1) + r ** (2.0 * p.sigma2)
-    s_sym = r ** (2.0 * p.sigma)
-    disc = a_sym * a_sym - 4.0 * s_sym
+    a_sym, s_sym, disc = mode_symbols(p, r)
     root = np.sqrt(np.maximum(disc, 0.0))
     slow = 2.0 * s_sym / (a_sym + root)
     return np.where(disc < 0.0, 0.5 * a_sym, slow)

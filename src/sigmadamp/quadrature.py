@@ -219,7 +219,9 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
 
     The absolute norm error is targeted at tol * (1 + norm); the budget is
     converted to an integral tolerance using a coarse first pass, split
-    evenly over segments, and halved on each bisection.  A segment settles
+    evenly over segments, and halved on each bisection.  A member whose
+    coarse total is exactly 0 takes its budget and its roundoff floor from
+    its total on the first bisection level instead.  A segment settles
     on its coarse value, unsplit, when that value is at most REL_FLOOR /
     count of its member's coarse total and the total is finite and nonzero:
     the settled segments together cannot move the total beyond its
@@ -305,17 +307,20 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     ident = np.concatenate([offset[m] + np.arange(c) for m, c in zip(mantissas, counts)])
     count = sum(rungs.values())
 
+    def budget(total):
+        # each segment's share of the member's budget, and the roundoff floor:
+        # a gap below it cannot move the member's total by more than its roundoff
+        norm = np.sqrt(sphere * np.maximum(total, 0.0))
+        return 2.0 * norm * tol * (1.0 + norm) / sphere / counts, REL_FLOOR * np.abs(total)
+
     coarse = _panels(radial, lo, hi, owner, ident, count)
     coarse_total = _member_totals(coarse, first)
-    norm0 = np.sqrt(sphere * np.maximum(coarse_total, 0.0))
-    eps_total = 2.0 * norm0 * tol * (1.0 + norm0) / sphere
-    tau = eps_total / counts
-    # a gap below this cannot move the member's total by more than its own roundoff
-    noise = REL_FLOOR * np.abs(coarse_total)
-    # a segment holding at most its share of that roundoff settles: its coarse
-    # value is a leaf of the tree and its halves are never evaluated.  A NaN
-    # value compares false, and a non-finite or zero total settles nothing.
-    live = np.isfinite(coarse_total) & (coarse_total != 0.0)
+    tau, noise = budget(coarse_total)
+    # a segment holding at most its share of the roundoff floor settles: its
+    # coarse value is a leaf of the tree and its halves are never evaluated.
+    # A NaN value compares false, and a non-finite or zero total settles nothing.
+    zero = coarse_total == 0.0
+    live = np.isfinite(coarse_total) & ~zero
     settled = live[owner] & (np.abs(coarse) <= (noise / counts)[owner])
     leaves, unsettled = coarse, ~settled
     lo, hi, owner, ident = lo[unsettled], hi[unsettled], owner[unsettled], ident[unsettled]
@@ -343,6 +348,13 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
         )
         left, right = halves[:m], halves[m:]
         fine = left + right
+        if depth == 0 and zero.any():
+            # a coarse total of 0 gives no budget and no floor, and its member
+            # would refine to MAX_DEPTH: it takes both from its fine total
+            fine_tau, fine_noise = budget(
+                _member_totals(fine, np.searchsorted(owner, np.arange(len(radii) + 1)))
+            )
+            tau, noise = np.where(zero, fine_tau, tau), np.where(zero, fine_noise, noise)
         with np.errstate(invalid="ignore"):  # inf - inf: reported below as non-finite
             gap = np.abs(fine - coarse)
         # written as not-accepted so that a NaN gap is split, never accepted

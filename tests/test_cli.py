@@ -9,7 +9,7 @@ import types
 import pytest
 
 from sigmadamp import cli
-from sigmadamp.cli import _stable_details, dumps17, main
+from sigmadamp.cli import dumps17, main
 
 FRACTIONAL = ["--dim", "3", "--sigma", "1", "--sigma1", "0.25", "--sigma2", "0.75"]
 FRICTIONAL = ["--dim", "1", "--sigma", "1", "--sigma1", "0", "--sigma2", "0.8"]
@@ -184,9 +184,26 @@ def test_verify_rejects_unknown_suite(capsys):
     assert "unknown suites" in capsys.readouterr().err
 
 
-def test_stable_details_drops_wall_clock():
-    details = {"fits": [1, 2], "elapsed_seconds": 12.5, "time_budget_seconds": 120.0}
-    assert _stable_details(details) == {"fits": [1, 2], "time_budget_seconds": 120.0}
+@ignore_cancellation
+def test_parameter_reports_keep_their_key_order(tmp_path, capsys):
+    # every parameter report opens with its schema version and parameters,
+    # then its own fields in the order they were always written
+    fields = {
+        "validate.json": ["valid", "case", "delta", "rate_step", "eps_star", "oscillation_band"],
+        "rates.json": ["case", "rates"],
+        "goldens.json": ["case", "rtol", "comparisons", "all_passed"],
+        "curve_zero_sigma1_k0_gaussian.json": [
+            "case", "k", "data", "target_rate", "cancellation_hits", "times", "values", "fit",
+        ],
+    }
+    curve = ["curve", "--k", "0", "--t-min", "100", "--t-max", "1000", "--per-decade", "4"]
+    for command in (["validate"], ["rates", "--k", "0,1"], ["goldens", "--k", "1"], curve):
+        assert main([*command, *FRICTIONAL, "--out", str(tmp_path)]) == 0
+    assert main(["validate", "--dim", "0", "--out", str(tmp_path / "bad")]) == 2
+    fields["bad/validate.json"] = ["valid", "error"]
+    for name, names in fields.items():
+        report = json.loads((tmp_path / name).read_text())
+        assert list(report) == ["schema_version", "params", *names], name
 
 
 # ----------------------------------------------------------- configuration

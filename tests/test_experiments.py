@@ -11,11 +11,8 @@ from sigmadamp.experiments import (
     CancellationWarning,
     ErrorCurve,
     RadialProfileSpec,
-    curve_csv,
-    curve_json_dict,
     error_curve,
     error_r_max,
-    fit_json_dict,
     fit_slope,
     gaussian,
     gaussian_data,
@@ -26,6 +23,7 @@ from sigmadamp.experiments import (
     order_improvement_from_curves,
     tail_window,
 )
+from sigmadamp.cli import curve_csv, curve_json_dict, fit_json_dict
 from sigmadamp.fitting import (
     DegenerateFit,
     fit_exponential,

@@ -16,11 +16,11 @@ from sigmadamp.model import (
     case_for,
     check_reach,
     delta,
-    discriminant,
     eps_star,
     error_exponent,
     error_radius,
     mode_decay_rate,
+    mode_symbols,
     oscillation_band,
     rate_step,
     slow_rate_radius,
@@ -163,8 +163,8 @@ def test_rate_comparison_inequality(seed):
 def test_discriminant_values():
     p = ModelParams(3, 1.0, 0.0, 1.0)
     # (1 + r^2)^2 - 4 r^2 = (1 - r^2)^2
-    assert discriminant(p, 0.5) == pytest.approx(0.5625, rel=1e-14)
-    assert discriminant(p, 1.0) == pytest.approx(0.0, abs=1e-14)
+    assert mode_symbols(p, 0.5)[2] == pytest.approx(0.5625, rel=1e-14)
+    assert mode_symbols(p, 1.0)[2] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_band_is_empty_for_perfect_square_discriminants(fractional_params):
@@ -183,10 +183,10 @@ def test_band_of_frictional_configuration(frictional_params):
     assert lo == 1.0  # sigma1 + sigma2 < sigma: the band starts at r = 1 exactly
     assert hi == pytest.approx(1.9206486159732264, rel=1e-12)
     mid = 0.5 * (lo + hi)
-    assert discriminant(frictional_params, mid) < 0.0
+    assert mode_symbols(frictional_params, mid)[2] < 0.0
     # endpoints are discriminant zeros
-    assert abs(discriminant(frictional_params, lo)) < 1e-10
-    assert abs(discriminant(frictional_params, hi)) < 1e-10
+    assert abs(mode_symbols(frictional_params, lo)[2]) < 1e-10
+    assert abs(mode_symbols(frictional_params, hi)[2]) < 1e-10
     assert eps_star(frictional_params) == pytest.approx(0.5, rel=1e-12)
 
 
@@ -206,7 +206,7 @@ def test_band_edge_does_not_depend_on_the_bracket():
     # to the discriminant's own noise near the edge (3 - sqrt(5))/2
     p = ModelParams(3, 1.0, 0.25, 1.0)
     edges = [
-        _bisect_edge(lambda r: discriminant(p, r), lo, hi)
+        _bisect_edge(lambda r: mode_symbols(p, r)[2], lo, hi)
         for lo, hi in ((0.01, 0.6), (0.2, 0.9), (0.3, 0.5), (0.38, 0.39))
     ]
     assert max(edges) - min(edges) <= 2e-15 * min(edges)
@@ -222,11 +222,11 @@ def test_narrow_bands_next_to_the_perfect_square(sigma2, side):
     lo, hi = band
     assert (hi if side == "below" else lo) == 1.0
     assert 0.98 < lo < hi < 1.02
-    assert discriminant(p, math.sqrt(lo * hi)) < 0.0
+    assert mode_symbols(p, math.sqrt(lo * hi))[2] < 0.0
     for edge in band:
-        assert abs(discriminant(p, edge)) < 1e-12
+        assert abs(mode_symbols(p, edge)[2]) < 1e-12
     if sigma2 == 0.752:
-        assert lo < 0.9921 and discriminant(p, 0.9921) < 0.0
+        assert lo < 0.9921 and mode_symbols(p, 0.9921)[2] < 0.0
 
 
 def test_mode_decay_rate_is_continuous_and_positive(frictional_params):

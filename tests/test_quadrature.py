@@ -463,20 +463,44 @@ def test_a_non_finite_member_settles_nothing(bad):
     assert not halved_all.any()
 
 
+def bump(r):
+    """A C-infinity bump of half-width 0.018 at 0.6743, between the coarse nodes of [0.5, 1]."""
+    x = np.clip((r - 0.6743) / 0.018, -1.0, 1.0)
+    with np.errstate(divide="ignore"):
+        return np.where(np.abs(x) < 1.0, np.exp(-1.0 / (1.0 - x * x)), 0.0)
+
+
 def test_a_zero_coarse_total_settles_nothing(monkeypatch):
     # a bump between the coarse nodes of the top segment [0.5, 1] gives every
     # coarse value 0, and so a zero total whose share every segment is within;
     # its halves see the bump, which is refined, not settled away as 0
-    def bump(r):
-        x = np.clip((r - 0.6743) / 0.018, -1.0, 1.0)
-        with np.errstate(divide="ignore"):
-            return np.where(np.abs(x) < 1.0, np.exp(-1.0 / (1.0 - x * x)), 0.0)
-
     assert not bump(0.75 + 0.25 * GAUSS_NODES).any()
     assert bump(0.625 + 0.125 * GAUSS_NODES).any()
     monkeypatch.setattr(quadrature, "MAX_DEPTH", 5)
     with pytest.raises(NonConvergence, match="still off budget at depth 5"):
         l2_radial(bump, n=1, r_max=1.0, tol=1e-6)
+
+
+def test_a_zero_coarse_total_takes_its_budget_from_the_first_level(monkeypatch):
+    # the bump's coarse total is 0, which gives no budget and no roundoff
+    # floor: with both at 0 its refinement ran on to the depth cap (6,720
+    # nodes to depth 12, and past 400 MB at the real cap).  Taken from the
+    # first level's total, they stop it at depth 6 after 2,280 nodes; the
+    # lowered cap makes a runaway fail fast here
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 12)
+    nodes = []
+
+    def counted(r):
+        nodes.append(r.size)
+        return bump(r)
+
+    got = l2_radial(counted, n=1, r_max=1.0, tol=1e-6)
+    assert sum(nodes) <= 2500
+    # 200-node Gauss-Legendre over the bump's support, 2 = surface_area(1);
+    # measured 3.1e-10 relative, the norm's budget is tol * (1 + norm)
+    x, w = np.polynomial.legendre.leggauss(200)
+    reference = math.sqrt(2.0 * 0.018 * np.dot(w, bump(0.6743 + 0.018 * x) ** 2))
+    assert abs(got - reference) <= 1e-6 * (1.0 + reference)
 
 
 def test_settling_family_equals_one_call_per_member_bit_for_bit():
