@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .experiments import (
+    FIT_T_MIN,
     error_curve,
     fit_slope,
     gaussian_data,
@@ -27,7 +28,7 @@ from .experiments import (
     order_improvement_from_curves,
 )
 from .fitting import geometric_grid
-from .jet2 import faa_di_bruno_coeff
+from .jet2 import faa_di_bruno_table
 from .kernels import exact_multipliers, kernel_jets, root_jets
 from .model import ModelParams, RateCase, case_for, eps_star, oscillation_band
 from .profiles import ModalSum, golden_modal, profile_pair
@@ -134,14 +135,6 @@ def _tbl_mul(t1, t2, order: int):
     return out
 
 
-def _tbl_compose(outer_derivs, table, order: int):
-    out = _tbl_zero(order)
-    for j in range(order + 1):
-        for m in range(order - j + 1):
-            out[j][m] = faa_di_bruno_coeff(outer_derivs, table, j, m)
-    return out
-
-
 def table_degree_sums(table) -> list[float]:
     """Degree-d Taylor coefficients on the diagonal a = b = eps, d = 0 .. order.
 
@@ -169,7 +162,8 @@ def series_table_gap(p: ModelParams, t: float, r: float, tables: dict[str, list]
     cancelled sum measures only roundoff.
     """
     order = len(tables["gamma1"]) - 1
-    series = vars(root_jets(p, r, order)) | vars(kernel_jets(p, t, r, order))
+    roots = root_jets(p, r, order)
+    series = vars(roots) | vars(kernel_jets(p, t, r, order, roots.kernel_roots()))
     worst = 0.0
     for name, table in tables.items():
         sums = table_degree_sums(table)
@@ -213,22 +207,22 @@ def kernel_tables(p: ModelParams, t: float, r: float, order: int = 4) -> dict[st
     w = r ** (2.0 * (p.sigma - 2.0 * p.sigma1))
     mu = nu * w
 
-    g1 = _tbl_compose(_derivs_recip(1.0, order), _tbl_linear(0.0, x, 0.0, order), order)
+    g1 = faa_di_bruno_table(_derivs_recip(1.0, order), _tbl_linear(0.0, x, 0.0, order), order)
     g1_sq = _tbl_mul(g1, g1, order)
     inside = _tbl_add(
         _tbl_const(1.0, order),
         _tbl_scale(_tbl_mul(_tbl_linear(0.0, 0.0, 1.0, order), g1_sq, order), -4.0 * w),
     )
-    g2 = _tbl_compose(_derivs_sqrt(inside[0][0], order), inside, order)
+    g2 = faa_di_bruno_table(_derivs_sqrt(inside[0][0], order), inside, order)
     g_inv = _tbl_scale(
-        _tbl_mul(g1, _tbl_compose(_derivs_recip(g2[0][0], order), g2, order), order),
+        _tbl_mul(g1, faa_di_bruno_table(_derivs_recip(g2[0][0], order), g2, order), order),
         1.0 / nu,
     )
     one_plus_g2 = _tbl_add(_tbl_const(1.0, order), g2)
     lam_slow = _tbl_scale(
         _tbl_mul(
             g1,
-            _tbl_compose(_derivs_recip(one_plus_g2[0][0], order), one_plus_g2, order),
+            faa_di_bruno_table(_derivs_recip(one_plus_g2[0][0], order), one_plus_g2, order),
             order,
         ),
         -2.0 * mu,
@@ -236,8 +230,8 @@ def kernel_tables(p: ModelParams, t: float, r: float, order: int = 4) -> dict[st
     lam_fast = _tbl_scale(
         _tbl_mul(_tbl_linear(1.0, x, 0.0, order), one_plus_g2, order), -0.5 * nu
     )
-    exp_slow = _tbl_compose(_derivs_exp_scaled(lam_slow[0][0], t, order), lam_slow, order)
-    exp_fast = _tbl_compose(_derivs_exp_scaled(lam_fast[0][0], t, order), lam_fast, order)
+    exp_slow = faa_di_bruno_table(_derivs_exp_scaled(lam_slow[0][0], t, order), lam_slow, order)
+    exp_fast = faa_di_bruno_table(_derivs_exp_scaled(lam_fast[0][0], t, order), lam_fast, order)
     return {
         "pos_fast": _tbl_mul(_tbl_mul(g_inv, lam_slow, order), exp_fast, order),
         "pos_slow": _tbl_mul(_tbl_mul(g_inv, lam_fast, order), exp_slow, order),
@@ -272,21 +266,29 @@ def kernel_direct(p: ModelParams, t: float, r: float, a: float, b: float) -> dic
     }
 
 
-def _fd_table(func, h: float) -> dict[tuple[int, int], float]:
-    """Central finite differences through second order, mixed included."""
-    f = {
+def _fd_tables(func, h: float) -> dict[str, dict[tuple[int, int], float]]:
+    """Central finite differences through second order, mixed included.
+
+    func(a, b) returns a dict of named values; it is called once per stencil
+    point, and each name gets its own table.
+    """
+    shots = {
         (ia, ib): func(ia * h, ib * h)
         for ia in (-1, 0, 1)
         for ib in (-1, 0, 1)
     }
-    return {
-        (0, 0): f[(0, 0)],
-        (1, 0): (f[(1, 0)] - f[(-1, 0)]) / (2.0 * h),
-        (0, 1): (f[(0, 1)] - f[(0, -1)]) / (2.0 * h),
-        (2, 0): (f[(1, 0)] - 2.0 * f[(0, 0)] + f[(-1, 0)]) / (h * h),
-        (0, 2): (f[(0, 1)] - 2.0 * f[(0, 0)] + f[(0, -1)]) / (h * h),
-        (1, 1): (f[(1, 1)] - f[(1, -1)] - f[(-1, 1)] + f[(-1, -1)]) / (4.0 * h * h),
-    }
+    tables = {}
+    for name in shots[(0, 0)]:
+        f = {point: values[name] for point, values in shots.items()}
+        tables[name] = {
+            (0, 0): f[(0, 0)],
+            (1, 0): (f[(1, 0)] - f[(-1, 0)]) / (2.0 * h),
+            (0, 1): (f[(0, 1)] - f[(0, -1)]) / (2.0 * h),
+            (2, 0): (f[(1, 0)] - 2.0 * f[(0, 0)] + f[(-1, 0)]) / (h * h),
+            (0, 2): (f[(0, 1)] - 2.0 * f[(0, 0)] + f[(0, -1)]) / (h * h),
+            (1, 1): (f[(1, 1)] - f[(1, -1)] - f[(-1, 1)] + f[(-1, -1)]) / (4.0 * h * h),
+        }
+    return tables
 
 
 def _rel_gap(a: float, b: float) -> float:
@@ -302,15 +304,18 @@ def golden_comparison(p: ModelParams, k: int) -> list[tuple[ModalSum, float]]:
     """(catalog sum, worst scaled gap to the jet profile) per profile component.
 
     The gap |profile - catalog| / (1 + |catalog|) is maximised over 20
-    radii spanning [1e-3, 1] * eps_star and the times 1, 10 and 100.
+    radii spanning [1e-3, 1] * eps_star and the times 1, 10 and 100; the
+    profiles come from one call with a row per time.
     """
+    times = (1.0, 10.0, 100.0)
     r_grid = np.geomspace(1e-3 * eps_star(p), eps_star(p), 20)
     golden = golden_modal(k, p)
-    gaps = [0.0, 0.0]
-    for t in (1.0, 10.0, 100.0):
-        for i, prof in enumerate(profile_pair(k, p, case_for(p), t, r_grid)):
-            ref = golden[i].evaluate(t, r_grid)
-            gaps[i] = max(gaps[i], float(np.max(np.abs(prof - ref) / (1.0 + np.abs(ref)))))
+    nodes = np.broadcast_to(r_grid, (len(times), r_grid.size))
+    pair = profile_pair(k, p, case_for(p), np.array(times)[:, None], nodes)
+    gaps = []
+    for prof, gold in zip(pair, golden):
+        ref = np.array([gold.evaluate(t, r_grid) for t in times])
+        gaps.append(float(np.max(np.abs(prof - ref) / (1.0 + np.abs(ref)))))
     return list(zip(golden, gaps))
 
 
@@ -320,37 +325,33 @@ def golden_comparison(p: ModelParams, k: int) -> list[tuple[ModalSum, float]]:
 
 
 def ode_residual_max(p: ModelParams, r_values, t_values) -> tuple[float, dict]:
-    """Largest relative residual of v'' + A v' + S v = 0 over the grid.
+    """Largest relative residual of v'' + A v' + S v = 0 over the grid, and where it is.
 
     Residuals are scaled by the largest of the three terms, so agreement is
     measured against the dominant balance rather than tiny absolute values.
+    Each time t gets five-point stencils of step h = 1e-4 max(1, t); one
+    `exact_multipliers` call evaluates every (t, step, r) node.  Ties go to
+    the first worst node in (t, multiplier, r) order.
     """
     r = np.asarray(r_values, dtype=float)
+    t = np.asarray(t_values, dtype=float)[:, None, None]
     a_sym = r ** (2.0 * p.sigma1) + r ** (2.0 * p.sigma2)
     s_sym = r ** (2.0 * p.sigma)
-    worst = -1.0
-    where: dict = {}
-    for t in np.asarray(t_values, dtype=float):
-        h = 1e-4 * max(1.0, float(t))
-        shots = {
-            step: exact_multipliers(p, float(t) + step * h, r)
-            for step in (-2, -1, 0, 1, 2)
-        }
-        for name in ("K0", "K1"):
-            f = {step: np.asarray(getattr(em, name)) for step, em in shots.items()}
-            d1 = (-f[2] + 8.0 * f[1] - 8.0 * f[-1] + f[-2]) / (12.0 * h)
-            d2 = (-f[2] + 16.0 * f[1] - 30.0 * f[0] + 16.0 * f[-1] - f[-2]) / (
-                12.0 * h * h
-            )
-            terms = (d2, a_sym * d1, s_sym * f[0])
-            num = np.abs(terms[0] + terms[1] + terms[2])
-            den = np.maximum.reduce([np.abs(term) for term in terms])
-            res = num / np.maximum(den, 1e-300)
-            pos = int(np.argmax(res))
-            if float(res[pos]) > worst:
-                worst = float(res[pos])
-                where = {"multiplier": name, "t": float(t), "r": float(r[pos])}
-    return worst, where
+    h = 1e-4 * np.maximum(1.0, t)
+    shots = t + np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None] * h
+    em = exact_multipliers(p, shots, np.broadcast_to(r, shots.shape[:2] + r.shape))
+    # axes (t, multiplier, step, r)
+    f = np.stack([em.K0, em.K1], axis=1)
+    fm2, fm1, f0, f1, f2 = (f[:, :, i] for i in range(5))
+    d1 = (-f2 + 8.0 * f1 - 8.0 * fm1 + fm2) / (12.0 * h)
+    d2 = (-f2 + 16.0 * f1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
+    terms = (d2, a_sym * d1, s_sym * f0)
+    num = np.abs(terms[0] + terms[1] + terms[2])
+    den = np.maximum.reduce([np.abs(term) for term in terms])
+    res = num / np.maximum(den, 1e-300)
+    i_t, i_name, i_r = np.unravel_index(int(np.argmax(res)), res.shape)
+    where = {"multiplier": ("K0", "K1")[i_name], "t": float(t[i_t, 0, 0]), "r": float(r[i_r])}
+    return float(res[i_t, i_name, i_r]), where
 
 
 def residual_grid(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -380,13 +381,18 @@ def residual_grid(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 class AcceptanceLab:
     """Runs the acceptance suites with a shared cache of sampled error curves.
 
-    Every curve is sampled 25 times per decade on [10, 1e4], each norm to
-    quad_tol * (1 + E).
+    Every curve is sampled 25 times per decade on the fit window [1e2, 1e4],
+    the only part of a curve a verdict reads, each norm to quad_tol * (1 + E).
     """
 
     def __init__(self, quad_tol: float = 1e-6):
         self.quad_tol = quad_tol
-        self._t_grid = geometric_grid(10.0, 1e4, 25)
+        # the [1e2, 1e4] tail of the [10, 1e4] grid, whose sample times the
+        # reports hold; geometric_grid(1e2, 1e4, 25) differs from them in the
+        # last ulp.  Each norm is refined as if it were alone, so dropping the
+        # head leaves every sample's float as it was.
+        grid = geometric_grid(10.0, 1e4, 25)
+        self._t_grid = grid[grid >= FIT_T_MIN]
         self._curves: dict = {}
 
     def _timed_curve(self, p: ModelParams, k: int):
@@ -551,12 +557,10 @@ class AcceptanceLab:
 
             tables = kernel_tables(p, t, r, order=4)
             worst_table = max(worst_table, series_table_gap(p, t, r, tables))
+            fd = _fd_tables(lambda a, b: kernel_direct(p, t, r, a, b), FD_STEP)
             for name in _KERNEL_NAMES:
                 table = tables[name]
-                fd = _fd_table(
-                    lambda a, b, nm=name: kernel_direct(p, t, r, a, b)[nm], FD_STEP
-                )
-                for (j, m), fd_value in fd.items():
+                for (j, m), fd_value in fd[name].items():
                     worst_fd = max(worst_fd, _rel_gap(table[j][m], fd_value))
         ok = worst_table <= ORACLE_RTOL and worst_fd <= FD_RTOL
         return CheckResult(

@@ -16,8 +16,10 @@ standard recurrences (Griewank and Walther, Evaluating Derivatives, 2nd ed.,
 SIAM 2008, ch. 13); each costs O(K^2) whole-array operations, so a higher
 order adds rows, not Python loops per node.
 
-`enumerate_partitions` and `faa_di_bruno_coeff` evaluate the bivariate
-higher-order chain rule by direct summation over multi-index partitions.
+`enumerate_partitions` and `faa_di_bruno_table` evaluate the bivariate
+higher-order chain rule by direct summation over multi-index partitions: the
+table function scales the inner table once and walks one cached partition
+plan per bi-order, and `faa_di_bruno_coeff` is a single entry of its table.
 They share no code with the recurrences, so the derivative tables built from
 them (`acceptance.kernel_tables`) are the independent oracle: their degree
 sums must reproduce the lab's series coefficients.
@@ -152,33 +154,62 @@ def enumerate_partitions(j: int, m: int, ell: int) -> tuple[PartitionTriple, ...
     return tuple(found)
 
 
-def faa_di_bruno_coeff(outer_derivs, inner_table, j: int, m: int):
-    """Raw derivative d^{j+m} (f o g) / da^j db^m at (0, 0) by partition sum.
+@lru_cache(maxsize=None)
+def _partition_plan(j: int, m: int) -> tuple:
+    """Per ell = 1 .. j + m, the partitions of (j, m) into ell blocks as (a, b1, b2, a!) tuples."""
+    return tuple(
+        tuple(
+            tuple((a, b1, b2, math.factorial(a)) for a, (b1, b2) in zip(part.mults, part.orders))
+            for part in enumerate_partitions(j, m, ell)
+        )
+        for ell in range(1, j + m + 1)
+    )
 
-    outer_derivs[l] must be f^(l) evaluated at g(0, 0) for l = 0 .. j + m.
+
+def faa_di_bruno_table(outer_derivs, inner_table, order: int) -> list[list]:
+    """Raw derivatives d^{j+m} (f o g) / da^j db^m at (0, 0) for j + m <= order.
+
+    Returned as a triangular table, entry [j][m], each by partition sum.
+    outer_derivs[l] must be f^(l) evaluated at g(0, 0) for l = 0 .. order.
     inner_table is triangular: inner_table[b1][b2] = d^{b1+b2} g / da^b1 db^b2
     at (0, 0) for b1 + b2 <= its order.
     """
-    if j == 0 and m == 0:
-        if len(outer_derivs) < 1:
-            raise ValueError("need the outer value f(g(0, 0))")
-        return outer_derivs[0]
-    if len(outer_derivs) < j + m + 1:
+    if len(outer_derivs) < order + 1:
         raise ValueError(
-            f"need outer derivatives up to order {j + m}, got {len(outer_derivs) - 1}"
+            f"need outer derivatives up to order {order}, got {len(outer_derivs) - 1}"
         )
-    if len(inner_table) - 1 < j + m:
+    if len(inner_table) - 1 < order:
         raise ValueError(
-            f"inner table order {len(inner_table) - 1} below requested bi-order {j + m}"
+            f"inner table order {len(inner_table) - 1} below requested bi-order {order}"
         )
-    total = 0.0
-    for ell in range(1, j + m + 1):
-        part_sum = 0.0
-        for part in enumerate_partitions(j, m, ell):
-            prod = 1.0
-            for a, (b1, b2) in zip(part.mults, part.orders):
-                scaled = inner_table[b1][b2] / (math.factorial(b1) * math.factorial(b2))
-                prod = prod * scaled**a / math.factorial(a)
-            part_sum = part_sum + prod
-        total = total + outer_derivs[ell] * part_sum
-    return math.factorial(j) * math.factorial(m) * total
+    scaled = [
+        [
+            inner_table[b1][b2] / (math.factorial(b1) * math.factorial(b2))
+            for b2 in range(order - b1 + 1)
+        ]
+        for b1 in range(order + 1)
+    ]
+    out = []
+    for j in range(order + 1):
+        row = []
+        for m in range(order - j + 1):
+            if j == 0 and m == 0:
+                row.append(outer_derivs[0])
+                continue
+            total = 0.0
+            for ell, parts in enumerate(_partition_plan(j, m), start=1):
+                part_sum = 0.0
+                for part in parts:
+                    prod = 1.0
+                    for a, b1, b2, a_fact in part:
+                        prod = prod * scaled[b1][b2] ** a / a_fact
+                    part_sum = part_sum + prod
+                total = total + outer_derivs[ell] * part_sum
+            row.append(math.factorial(j) * math.factorial(m) * total)
+        out.append(row)
+    return out
+
+
+def faa_di_bruno_coeff(outer_derivs, inner_table, j: int, m: int):
+    """Raw derivative d^{j+m} (f o g) / da^j db^m at (0, 0): one entry of `faa_di_bruno_table`."""
+    return faa_di_bruno_table(outer_derivs, inner_table, j + m)[j][m]

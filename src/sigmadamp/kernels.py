@@ -75,6 +75,10 @@ class RootJets:
     lam_slow: np.ndarray
     lam_fast: np.ndarray
 
+    def kernel_roots(self) -> "KernelRoots":
+        """The series `kernel_jets` reads: G^{-1}, and both roots stacked on axis 1."""
+        return KernelRoots(self.g_inv, np.stack([self.lam_slow, self.lam_fast], axis=1))
+
 
 @dataclass(frozen=True)
 class KernelRoots:
@@ -155,8 +159,7 @@ def root_jets(p: ModelParams, r, order: int) -> RootJets:
 
 def kernel_roots(p: ModelParams, r, order: int) -> KernelRoots:
     """The radial stage of `kernel_jets`: `root_jets` with both roots stacked on axis 1."""
-    roots = root_jets(p, r, order)
-    return KernelRoots(roots.g_inv, np.stack([roots.lam_slow, roots.lam_fast], axis=1))
+    return root_jets(p, r, order).kernel_roots()
 
 
 def _times(t) -> np.ndarray:

@@ -13,23 +13,41 @@ criterion are reused by the later ones. The two split curves are computed
 in the `rates_fractional` test alone, which roughly doubles its cost.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from sigmadamp import acceptance
 from sigmadamp.acceptance import (
     CONFIG_FRACTIONAL,
+    CONFIG_FRICTIONAL,
     ORACLE_RTOL,
     SLOPE_TOL,
     SUITES,
     AcceptanceLab,
+    golden_comparison,
     kernel_tables,
+    ode_residual_max,
+    residual_grid,
     series_table_gap,
     table_degree_sums,
 )
-from sigmadamp.experiments import SpectralDataSpec, error_curve, gaussian, tail_window
-from sigmadamp.fitting import fit_loglog
-from sigmadamp.kernels import root_jets
-from sigmadamp.model import ModelParams, RateCase, error_exponent
+from sigmadamp.experiments import (
+    FIT_T_MIN,
+    SpectralDataSpec,
+    error_curve,
+    gaussian,
+    tail_window,
+)
+from sigmadamp.fitting import fit_loglog, geometric_grid
+from sigmadamp.kernels import exact_multipliers, root_jets
+from sigmadamp.model import ModelParams, RateCase, case_for, eps_star, error_exponent
+from sigmadamp.profiles import golden_modal, profile_pair
+
+CONFIGS = pytest.mark.parametrize(
+    "p", [CONFIG_FRACTIONAL, CONFIG_FRICTIONAL], ids=["fractional", "frictional"]
+)
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +219,70 @@ def test_acceptance_ode_residual(lab, capsys):
 
 def test_acceptance_order_improvement(lab, capsys):
     _run(lab, capsys, "order_improvement")
+
+
+# -- batched paths against the per-time loops they replaced ----------------------
+
+
+def _ode_residual_per_time(p, r, t_values):
+    """One `exact_multipliers` call per (t, step), the worst kept by strict >."""
+    a_sym = r ** (2.0 * p.sigma1) + r ** (2.0 * p.sigma2)
+    s_sym = r ** (2.0 * p.sigma)
+    worst = -1.0
+    where: dict = {}
+    for t in t_values:
+        h = 1e-4 * max(1.0, float(t))
+        shots = {
+            step: exact_multipliers(p, float(t) + step * h, r) for step in (-2, -1, 0, 1, 2)
+        }
+        for name in ("K0", "K1"):
+            f = {step: np.asarray(getattr(em, name)) for step, em in shots.items()}
+            d1 = (-f[2] + 8.0 * f[1] - 8.0 * f[-1] + f[-2]) / (12.0 * h)
+            d2 = (-f[2] + 16.0 * f[1] - 30.0 * f[0] + 16.0 * f[-1] - f[-2]) / (12.0 * h * h)
+            terms = (d2, a_sym * d1, s_sym * f[0])
+            num = np.abs(terms[0] + terms[1] + terms[2])
+            den = np.maximum.reduce([np.abs(term) for term in terms])
+            res = num / np.maximum(den, 1e-300)
+            pos = int(np.argmax(res))
+            if float(res[pos]) > worst:
+                worst = float(res[pos])
+                where = {"multiplier": name, "t": float(t), "r": float(r[pos])}
+    return worst, where
+
+
+@CONFIGS
+def test_ode_residual_max_matches_the_per_time_loop(p):
+    r, t = residual_grid(p)
+    assert ode_residual_max(p, r, t) == _ode_residual_per_time(p, r, t)
+
+
+def _golden_gaps_per_time(p, k):
+    """One `profile_pair` call per time, each component's worst gap kept."""
+    r_grid = np.geomspace(1e-3 * eps_star(p), eps_star(p), 20)
+    golden = golden_modal(k, p)
+    gaps = [0.0, 0.0]
+    for t in (1.0, 10.0, 100.0):
+        for i, prof in enumerate(profile_pair(k, p, case_for(p), t, r_grid)):
+            ref = golden[i].evaluate(t, r_grid)
+            gaps[i] = max(gaps[i], float(np.max(np.abs(prof - ref) / (1.0 + np.abs(ref)))))
+    return gaps
+
+
+@CONFIGS
+@pytest.mark.parametrize("k", (1, 2))
+def test_golden_comparison_matches_the_per_time_loop(p, k):
+    assert [gap for _, gap in golden_comparison(p, k)] == _golden_gaps_per_time(p, k)
+
+
+def test_lab_samples_exactly_the_fit_window(lab):
+    # every lab curve holds the [1e2, 1e4] samples of the [10, 1e4] grid the
+    # lab once used, bit for bit, and the window every verdict reads is the
+    # whole curve
+    wide = geometric_grid(10.0, 1e4, 25)
+    tail = wide[wide >= FIT_T_MIN]
+    shifted = replace(CONFIG_FRACTIONAL, s=0.5)
+    for p in (CONFIG_FRACTIONAL, shifted, CONFIG_FRICTIONAL):
+        for k in (0, 1, 2):
+            curve = lab.curve(p, k)
+            assert curve.times.tobytes() == tail.tobytes()
+            assert tail_window(curve) == slice(0, tail.size)

@@ -13,6 +13,7 @@ from sigmadamp.jet2 import (
     enumerate_partitions,
     exp_series,
     faa_di_bruno_coeff,
+    faa_di_bruno_table,
     linear_series,
     mul,
     reciprocal,
@@ -209,6 +210,41 @@ def test_chain_rule_agrees_with_series_exp_on_the_diagonal(seed):
     ]
     diagonal = np.array(table_degree_sums(table))
     assert np.allclose(table_degree_sums(composed), exp_series(diagonal), rtol=1e-10, atol=1e-12)
+
+
+def _coeff_by_partitions(outer_derivs, inner_table, j, m):
+    """One chain-rule entry by its own partition sum, scaling the inner table per block."""
+    if j == 0 and m == 0:
+        return outer_derivs[0]
+    total = 0.0
+    for ell in range(1, j + m + 1):
+        part_sum = 0.0
+        for part in enumerate_partitions(j, m, ell):
+            prod = 1.0
+            for a, (b1, b2) in zip(part.mults, part.orders):
+                scaled = inner_table[b1][b2] / (math.factorial(b1) * math.factorial(b2))
+                prod = prod * scaled**a / math.factorial(a)
+            part_sum = part_sum + prod
+        total = total + outer_derivs[ell] * part_sum
+    return math.factorial(j) * math.factorial(m) * total
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_chain_rule_table_matches_each_entry_bit_for_bit(order):
+    # the table scales the inner table once and reuses one partition plan per
+    # bi-order; every entry must be the float the per-entry sum gives, also
+    # when the inner table runs past the requested order
+    rng = np.random.default_rng(1000 + order)
+    for _ in range(4):
+        inner = random_table(rng, order=5)
+        outer = list(rng.uniform(-2.0, 2.0, order + 1))
+        composed = faa_di_bruno_table(outer, inner, order)
+        assert [len(row) for row in composed] == [order + 1 - j for j in range(order + 1)]
+        for j in range(order + 1):
+            for m in range(order + 1 - j):
+                want = _coeff_by_partitions(outer, inner, j, m)
+                assert composed[j][m] == want, (j, m)
+                assert faa_di_bruno_coeff(outer, inner, j, m) == want, (j, m)
 
 
 # -- error paths ------------------------------------------------------------

@@ -10,7 +10,8 @@ turns the fractional vel_slow sum at t = 1e3, r = 0.338 into a 31% gap and
 at 100 digits zeroes the 1e-199 pos_fast value at t = 1e3, r = 0.208.
 
 The mode decay rates are checked against the roots of the mode equation,
-found by `mp.polyroots` at 50 digits.
+found by `mp.polyroots` at 50 digits, and the multipliers K0, K1 the ODE
+residual suite scores against a 50-digit rebuild from the two roots.
 """
 
 import numpy as np
@@ -18,8 +19,8 @@ import pytest
 
 mp = pytest.importorskip("mpmath").mp
 
-from sigmadamp.acceptance import CONFIG_FRACTIONAL, CONFIG_FRICTIONAL
-from sigmadamp.kernels import kernel_jets
+from sigmadamp.acceptance import CONFIG_FRACTIONAL, CONFIG_FRICTIONAL, residual_grid
+from sigmadamp.kernels import exact_multipliers, kernel_jets
 from sigmadamp.model import ModelParams, mode_decay_rate, oscillation_band
 
 PIECES = ("pos_fast", "pos_slow", "vel_slow", "vel_fast")
@@ -129,3 +130,61 @@ def test_mode_decay_rate_matches_50_digit_roots(p):
             assert gap <= rtol, (float(r), gap)
     # real roots below the band, complex inside it and real again above it
     assert regimes == ({"below", "above"} if band is None else {"below", "complex", "above"})
+
+
+# -- solution multipliers against 50-digit roots ------------------------------
+
+# measured worst gaps: fractional 1.4e-14 on the residual grid (t = 20,
+# r = 1.53) and 2.7e-14 at the z = 1/2 seam; frictional 1.9e-14 everywhere
+# except K0 at t = 20, r = 1.265, inside the band, where K0 = 6.9e-13 sits
+# next to a zero of its oscillation and the gap is 5.2e-13
+FRACTIONAL_K_RTOL = 5e-14
+FRICTIONAL_K_RTOL = 1e-12
+
+
+def multipliers_50_digits(p, t, r):
+    """K0 = (l+ e^{l- t} - l- e^{l+ t})/(l+ - l-), K1 = (e^{l+ t} - e^{l- t})/(l+ - l-), and D2.
+
+    l+- = (-A +- sqrt(D2))/2 with a complex sqrt, so the same formula holds
+    inside the oscillation band; rebuilt from r at 50 digits, sharing no code
+    with the lab.
+    """
+    with mp.workdps(50):
+        r, t = mp.mpf(r), mp.mpf(t)
+        a = r ** (2 * mp.mpf(p.sigma1)) + r ** (2 * mp.mpf(p.sigma2))
+        d2 = a * a - 4 * r ** (2 * mp.mpf(p.sigma))
+        root = mp.sqrt(mp.mpc(d2))
+        plus, minus = (-a + root) / 2, (-a - root) / 2
+        e_plus, e_minus = mp.exp(plus * t), mp.exp(minus * t)
+        k0 = (plus * e_minus - minus * e_plus) / (plus - minus)
+        k1 = (e_plus - e_minus) / (plus - minus)
+        return mp.re(k0), mp.re(k1), d2
+
+
+@pytest.mark.parametrize(
+    "p, rtol",
+    [(CONFIG_FRACTIONAL, FRACTIONAL_K_RTOL), (CONFIG_FRICTIONAL, FRICTIONAL_K_RTOL)],
+    ids=["fractional", "frictional"],
+)
+def test_exact_multipliers_match_50_digit_roots(p, rtol):
+    radii, times = residual_grid(p)
+    nodes = [(float(t), float(r)) for t in times for r in radii]
+    # the far form takes over from the near one at z = sqrt(D2) t / 2 = 1/2:
+    # a node just below and just above it at every radius with real roots
+    seam = 0
+    for r in radii:
+        _, _, d2 = multipliers_50_digits(p, 1.0, r)
+        if d2 > 0:
+            with mp.workdps(50):
+                t_seam = 1 / mp.sqrt(d2)
+            nodes += [(float(t_seam * (1 + d)), float(r)) for d in (-1e-12, 1e-12)]
+            seam += 1
+    t_nodes, r_nodes = (np.array(column) for column in zip(*nodes))
+    em = exact_multipliers(p, t_nodes, r_nodes)
+    for t, r, k0, k1 in zip(t_nodes, r_nodes, em.K0, em.K1):
+        want0, want1, _ = multipliers_50_digits(p, t, r)
+        for name, got, want in (("K0", k0, want0), ("K1", k1, want1)):
+            gap = float(abs(got - want) / abs(want))
+            assert gap <= rtol, (name, float(t), float(r), gap)
+    # radii with real roots: all 10 fractional ones, 6 frictional ones
+    assert seam >= 6
