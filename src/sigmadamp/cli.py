@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -502,23 +503,32 @@ def _pad_heap_top() -> None:
         mallopt(M_TOP_PAD, HEAP_TOP_PAD)
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as `warning: <class>: <message>`, without the path and line it came from."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     _pad_heap_top()
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _parse(argv)
-        return args.func(args)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SuiteFailure as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return EXIT_SUITE
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    # the source location of a warning depends on where the package lives,
+    # and stderr must not
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = _parse(argv)
+            return args.func(args)
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
+        except ConfigError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except SuiteFailure as exc:
+            print(f"failure: {exc}", file=sys.stderr)
+            return EXIT_SUITE
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            print(f"computation error: {exc}", file=sys.stderr)
+            return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import DegenerateFit, FitResult, fit_exponential, fit_loglog
-from .kernels import EXP_FLUSH, exact_multipliers, kernel_roots, multiplier_symbols
+from .kernels import EXP_FLUSH, exact_multipliers, multiplier_symbols, summed_kernel_roots
 from .model import (
     ModelParams,
     RateCase,
@@ -168,7 +168,7 @@ def error_curve(
     def f(r):
         # everything that depends on the radius alone, once per distinct radius
         symbols = multiplier_symbols(p, r)
-        roots = kernel_roots(p, r, k - 1) if k else None
+        roots = summed_kernel_roots(p, r, k - 1) if k else None
         u0, u1, weight = data.u0_hat(r), data.u1_hat(r), r**p.s
 
         def stage(at, j):

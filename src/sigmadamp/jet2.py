@@ -11,10 +11,15 @@ propagates series in eps only.
 
 A series of order K is a float array of shape (K + 1, *r.shape): row d holds
 the degree-d coefficient at every radial node.  `mul` is the truncated
-Cauchy product, and `reciprocal`, `sqrt_series` and `exp_series` follow the
-standard recurrences (Griewank and Walther, Evaluating Derivatives, 2nd ed.,
-SIAM 2008, ch. 13); each costs O(K^2) whole-array operations, so a higher
-order adds rows, not Python loops per node.
+Cauchy product, and `reciprocal` and `sqrt_series` follow the standard
+recurrences (Griewank and Walther, Evaluating Derivatives, 2nd ed., SIAM
+2008, ch. 13); each costs O(K^2) whole-array operations, so a higher order
+adds rows, not Python loops per node.
+
+The exponential is never a recurrence in time.  For a series x with zero
+constant term, x^h starts at degree h, so exp(t x) = sum_{h <= K} t^h x^h/h!
+holds for every t: `exp_terms` builds the terms x^h/h! (times a series y)
+once, and a caller with many times evaluates the sum as a polynomial in t.
 
 `enumerate_partitions` and `faa_di_bruno_table` evaluate the bivariate
 higher-order chain rule by direct summation over multi-index partitions: the
@@ -89,14 +94,30 @@ def sqrt_series(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def exp_series(x: np.ndarray) -> np.ndarray:
-    """exp(x): y[0] = e^{x[0]}, y[d] = (1/d) sum_{i=1..d} i x[i] y[d-i]."""
-    out = np.empty(x.shape)
-    out[0] = np.exp(x[0])
-    weighted = [i * x[i] for i in range(1, len(x))]
-    for d in range(1, len(x)):
-        out[d] = _dot(weighted[:d], out[d - 1 :: -1]) / d
-    return out
+def exp_terms(x: np.ndarray, y: np.ndarray):
+    """Yield the terms x^h/h! * y of exp(t x) * y = sum_h t^h x^h/h! * y, h = 0..K.
+
+    x must have zero constant term, so term h vanishes below degree h and
+    the sum stops at h = K for every scalar t.  The coefficients x[d] and
+    y[d] broadcast, y[d] with at least as many axes as x[d]; term 0 is y
+    itself.  Each term is x times the one before it, over h, with the
+    coefficients known to be zero skipped, so a caller that consumes the
+    terms in turn holds two at a time.
+    """
+    if np.any(x[0] != 0.0):
+        raise ValueError("exp_terms needs a zero constant term")
+    order = len(x) - 1
+    shape = (order + 1,) + np.broadcast_shapes(x.shape[1:], y.shape[1:])
+    term = y
+    yield term
+    for h in range(1, order + 1):
+        prev, term = term, np.zeros(shape)
+        # degree d gets x[i] prev[d - i] for i = 1, 2, ... in turn; prev
+        # vanishes below degree h - 1
+        for i in range(1, order - h + 2):
+            term[h - 1 + i :] += x[i] * prev[h - 1 : order + 1 - i]
+        term /= h
+        yield term
 
 
 # ---------------------------------------------------------------------------

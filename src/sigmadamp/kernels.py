@@ -42,13 +42,24 @@ All radial arguments broadcast: an array r yields series of shape
 radii, so one call can evaluate every node at its own time; each node's
 values are the floats a call at its time alone gives.
 
-Time enters only through e^{lambda t}, so each layer splits into a radial
-stage and a time stage.  `kernel_roots` (built on `root_jets`) and
-`multiplier_symbols` are the radial stages of `kernel_jets` and
-`exact_multipliers`: a caller with many times per radius builds them once on
-its distinct radii, gathers them to its nodes with their `take`, and hands
-them to the time stage, which then skips them.  Every operation is
-elementwise, so a node's values are the floats the one-stage call gives.
+Time enters only through e^{lambda t}, and in closed form: with N the root
+series less its constant term lambda_0, N^h vanishes below degree h, so up
+to order K
+
+    e^{lambda t} = e^{lambda_0 t} sum_{h <= K} t^h N^h/h!
+
+and each piece is its envelope e^{lambda_0 t} times a polynomial in t whose
+coefficient series depend on the radius alone (vel_b = G^{-1} N_b^h/h!,
+pos_fast = vel_fast lambda_slow, pos_slow = vel_slow lambda_fast, per power
+h).  Each layer therefore splits into a radial stage and a time stage.
+`kernel_roots` and `multiplier_symbols` are the radial stages of
+`kernel_jets` and `exact_multipliers`; `summed_kernel_roots` is the stage of
+a caller that reads only the sum of the degree rows, as a profile does, and
+holds that one row per power.  A caller with many times per radius builds a
+stage once on its distinct radii, gathers it to its nodes with its `take`,
+and hands it to the time stage: two flushed envelopes and one Horner pass in
+t, with no series products.  Every operation is elementwise, so a node's
+values are the floats the one-stage call gives.
 """
 
 from __future__ import annotations
@@ -57,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jet2 import exp_series, linear_series, mul, reciprocal, sqrt_series
+from .jet2 import exp_terms, linear_series, mul, reciprocal, sqrt_series
 from .model import ModelParams, mode_symbols
 
 # Decay exponents beyond this underflow double precision; the whole
@@ -75,24 +86,67 @@ class RootJets:
     lam_slow: np.ndarray
     lam_fast: np.ndarray
 
+    def _branch_parts(self):
+        """lambda_0 and N (the roots less it) of both branches, and the series exp(N t) multiplies.
+
+        Branch b is 0 (slow) or 1 (fast), on the axis after the degrees.
+        factors[:, 0, b] is G^{-1} and factors[:, 1, b] is G^{-1} times the
+        other branch's root, so piece (kind, b) is
+        e^{lambda_0 t} sum_h t^h (N_b^h/h!) * factors[:, kind, b].
+        """
+        lam = np.empty((len(self.g_inv), 2) + self.g_inv.shape[1:])
+        lam[:, 0], lam[:, 1] = self.lam_slow, self.lam_fast
+        g_inv = np.broadcast_to(self.g_inv[:, None], lam.shape)
+        g_lam = mul(g_inv, lam[:, ::-1])
+        factors = np.empty((len(lam), 2) + lam.shape[1:])
+        factors[:, 0], factors[:, 1] = g_inv, g_lam
+        lam0 = lam[0].copy()
+        lam[0] = 0.0
+        return lam0, lam, factors
+
     def kernel_roots(self) -> "KernelRoots":
-        """The series `kernel_jets` reads: G^{-1}, and both roots stacked on axis 1."""
-        return KernelRoots(self.g_inv, np.stack([self.lam_slow, self.lam_fast], axis=1))
+        """The radial stage of `kernel_jets`: every degree row of every power of t."""
+        lam0, nil, factors = self._branch_parts()
+        return KernelRoots(lam0, np.stack(list(exp_terms(nil, factors))))
+
+    def summed_kernel_roots(self) -> "KernelRoots":
+        """The radial stage of `kernel_jets` that holds one row per power: the sum of the degree rows."""
+        lam0, nil, factors = self._branch_parts()
+        order = len(nil) - 1
+        # partial sums factors[0] + ... + factors[j], in place
+        for j in range(1, order + 1):
+            factors[j] += factors[j - 1]
+        coeffs = np.empty((order + 1, 1) + factors.shape[1:])
+        # the unit series, with as many coefficient axes as nil
+        unit = np.zeros((order + 1,) + (1,) * (nil.ndim - 1))
+        unit[0] = 1.0
+        for h, term in enumerate(exp_terms(nil, unit)):
+            # the degree sum of term * factors is sum_i term[i] (factors[0] + ...
+            # + factors[order - i]); term vanishes below degree h
+            acc = coeffs[h, 0]
+            np.multiply(term[h], factors[order - h], out=acc)
+            for i in range(h + 1, order + 1):
+                acc += term[i] * factors[order - i]
+        return KernelRoots(lam0, coeffs)
 
 
 @dataclass(frozen=True)
 class KernelRoots:
-    """The t-independent series `kernel_jets` reads: G^{-1} and both roots side by side.
+    """The t-independent part of `kernel_jets`: envelopes and polynomial coefficients in t.
 
-    lam holds (lambda_slow, lambda_fast) on its axis 1, so its radial axis is 2.
+    lam0 holds the constant terms (lambda_slow, lambda_fast) of the roots on
+    its axis 0.  coeffs[h, d, kind, b] is the degree-d series coefficient of
+    the t^h term of the velocity (kind 0) or position (kind 1) piece with
+    envelope e^{lam0[b] t}; a summed stage has the single degree row d = 0.
+    The radii are the last axis of both.
     """
 
-    g_inv: np.ndarray
-    lam: np.ndarray
+    lam0: np.ndarray
+    coeffs: np.ndarray
 
     def take(self, at) -> "KernelRoots":
-        """The series at the radii of indices `at`."""
-        return KernelRoots(np.take(self.g_inv, at, axis=1), np.take(self.lam, at, axis=2))
+        """The stage at the radii of indices `at`."""
+        return KernelRoots(np.take(self.lam0, at, axis=-1), np.take(self.coeffs, at, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -158,8 +212,13 @@ def root_jets(p: ModelParams, r, order: int) -> RootJets:
 
 
 def kernel_roots(p: ModelParams, r, order: int) -> KernelRoots:
-    """The radial stage of `kernel_jets`: `root_jets` with both roots stacked on axis 1."""
+    """The radial stage of `kernel_jets`, every degree row: `root_jets(...).kernel_roots()`."""
     return root_jets(p, r, order).kernel_roots()
+
+
+def summed_kernel_roots(p: ModelParams, r, order: int) -> KernelRoots:
+    """The radial stage of `kernel_jets` summed over degrees: `root_jets(...).summed_kernel_roots()`."""
+    return root_jets(p, r, order).summed_kernel_roots()
 
 
 def _times(t) -> np.ndarray:
@@ -179,42 +238,36 @@ def _flushed_exp(arg: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_of_root(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Series of e^{lambda t} for a root series with nonpositive constant term.
-
-    Split as e^{lam[0] t} * exp(nilpotent part * t); the envelope is
-    flushed to exact zero past the underflow threshold, killing the whole
-    series without producing inf * 0 intermediates.
-    """
-    envelope = _flushed_exp(-lam[0] * t)
-    nil = lam * t
-    nil[0] = 0.0
-    return envelope * exp_series(nil)
-
-
 def kernel_jets(p: ModelParams, t, r, order: int, roots: KernelRoots | None = None) -> KernelJets:
     """Series in eps = a = b of the four multiplier pieces at times t.
 
     t is a time or an array of times that broadcasts with r.  roots, when
-    given, is `kernel_roots(p, r, order)` at the broadcast nodes (as a
-    gather of it on the distinct radii gives), and is not built again.
+    given, is a radial stage of order `order` at the broadcast nodes (as a
+    gather of it on the distinct radii gives), and is not built again;
+    otherwise `kernel_roots(p, r, order)` is.  Each piece has one row per
+    degree row of the stage: order + 1 rows from `kernel_roots`, their sum
+    alone from `summed_kernel_roots`.
 
     Constant terms recover the slow-mode limits: pos_fast has
     -r^{2(sigma-2*sigma1)} e^{-r^{2*sigma1} t}, pos_slow has
     -e^{-r^{2(sigma-sigma1)} t}, and the velocity pieces carry the common
-    prefactor r^{-2*sigma1}.
+    prefactor r^{-2*sigma1}.  An envelope past the underflow threshold is
+    exact zero.
     """
     t = _times(t)
     if roots is None:
         r = np.asarray(r, dtype=float)
         roots = kernel_roots(p, np.broadcast_to(r, np.broadcast_shapes(r.shape, t.shape)), order)
-    lam = roots.lam
-    exps = _exp_of_root(lam, t)
-    vel = mul(np.broadcast_to(roots.g_inv[:, None], exps.shape), exps)
-    # pos_fast = G^{-1} e^{lambda_fast t} lambda_slow, pos_slow the other way round
-    pos = mul(vel[:, ::-1], lam)
+    coeffs = roots.coeffs
+    poly = coeffs[-1]
+    for below in coeffs[-2::-1]:
+        poly = poly * t + below
+    pieces = _flushed_exp(-roots.lam0 * t) * poly
     return KernelJets(
-        pos_fast=pos[:, 0], pos_slow=pos[:, 1], vel_slow=vel[:, 0], vel_fast=vel[:, 1]
+        pos_fast=pieces[:, 1, 1],
+        pos_slow=pieces[:, 1, 0],
+        vel_slow=pieces[:, 0, 0],
+        vel_fast=pieces[:, 0, 1],
     )
 
 

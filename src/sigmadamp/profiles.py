@@ -4,8 +4,11 @@ The k-th order profile pair approximates (K0, K1) for small frequencies by
 the total-degree-(k-1) Taylor polynomial of the tagged multipliers in the
 bookkeeping parameters (a, b), evaluated back at a = b = 1.  That value is
 the sum of the first k coefficients of the one-variable series on the
-diagonal a = b = eps.  `profile_pair` builds them in one `kernels.kernel_jets`
-pass and combines them by the damping case that sigma1 fixes:
+diagonal a = b = eps.  `profile_pair` reads only those sums, so its radial
+stage is `kernels.summed_kernel_roots`: per power of t, one row that already
+holds the sum of the degree rows.  Its time stage is then one
+`kernels.kernel_jets` pass, O(k) work per node, and it combines the pieces
+by the damping case that sigma1 fixes:
 
   * fractional weak damping (sigma1 > 0): both exponential branches matter,
     so it sums the series of the pos_fast/pos_slow and vel_slow/vel_fast
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelRoots, kernel_jets
+from .kernels import KernelRoots, kernel_jets, summed_kernel_roots
 from .model import ModelError, ModelParams, RateCase, case_for
 
 TRANSCRIBED = "transcribed"
@@ -73,10 +76,11 @@ def profile_pair(k: int, p: ModelParams, case: RateCase, t, r, roots: KernelRoot
     """Order-k profile pair (P0, P1) from one `kernel_jets` pass.
 
     P0 multiplies the initial position, P1 the initial velocity; k = 0
-    returns the zero pair.  t and r broadcast together, as in `kernel_jets`,
-    which also takes the radial stage `roots` (of order k - 1) when given.
-    The case must be `case_for(p)`; a case that disagrees with sigma1 raises
-    ModelError.
+    returns the zero pair.  t and r broadcast together, as in `kernel_jets`.
+    roots, when given, is the profile stage `summed_kernel_roots(p, r, k - 1)`
+    at the broadcast nodes (as a gather of it on the distinct radii gives),
+    and is not built again.  The case must be `case_for(p)`; a case that
+    disagrees with sigma1 raises ModelError.
     """
     if case is not case_for(p):
         raise ModelError(f"rate case {case.value} does not match sigma1 = {p.sigma1}")
@@ -85,6 +89,10 @@ def profile_pair(k: int, p: ModelParams, case: RateCase, t, r, roots: KernelRoot
     if k == 0:
         zero = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r)))
         return zero, zero
+    if roots is None:
+        r = np.asarray(r, dtype=float)
+        nodes = np.broadcast_to(r, np.broadcast_shapes(r.shape, np.shape(t)))
+        roots = summed_kernel_roots(p, nodes, k - 1)
     series = kernel_jets(p, t, r, k - 1, roots)
     if case is RateCase.ZERO_SIGMA1:
         return -series.pos_slow.sum(axis=0), series.vel_slow.sum(axis=0)

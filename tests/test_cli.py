@@ -153,6 +153,21 @@ def test_curve_skips_fit_when_window_too_small(capsys):
     assert "fit skipped" in out
 
 
+@pytest.mark.filterwarnings("always::sigmadamp.experiments.CancellationWarning")
+def test_curve_warnings_name_no_source_file(capsys):
+    # a warning's path and line depend on where the package lives; stderr
+    # must be the same bytes from every checkout
+    code = main(["curve", *FRICTIONAL, "--k", "1", "--t-min", "1000", "--per-decade", "2"])
+    err = capsys.readouterr().err
+    assert code == 0
+    lines = err.splitlines()
+    assert lines and all(
+        line.startswith("warning: CancellationWarning: error integrand lost precision")
+        for line in lines
+    )
+    assert ".py" not in err
+
+
 # ------------------------------------------------------------------ verify
 
 

@@ -1,5 +1,9 @@
 """Truncated one-variable series arithmetic, checked against hand series and
-itself, and the bivariate chain-rule oracle against the series."""
+itself, and the bivariate chain-rule oracle against the series.
+
+The lab never expands exp as a series in time; `exp_terms` gives the terms
+of exp(t x) for every t at once.  The exp recurrence below is their
+reference."""
 
 import math
 
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 from sigmadamp.acceptance import table_degree_sums
 from sigmadamp.jet2 import (
     enumerate_partitions,
-    exp_series,
+    exp_terms,
     faa_di_bruno_coeff,
     faa_di_bruno_table,
     linear_series,
@@ -53,6 +57,29 @@ def binomial_power(x, alpha):
     return out
 
 
+def exp_series(x):
+    """exp(x) by its recurrence: y[0] = e^{x[0]}, y[d] = (1/d) sum_{i=1..d} i x[i] y[d-i]."""
+    out = np.empty(x.shape)
+    out[0] = np.exp(x[0])
+    weighted = [i * x[i] for i in range(1, len(x))]
+    for d in range(1, len(x)):
+        acc = weighted[0] * out[d - 1]
+        for i in range(1, d):
+            acc = acc + weighted[i] * out[d - 1 - i]
+        out[d] = acc / d
+    return out
+
+
+def exp_by_terms(x, t=1.0):
+    """exp(t x) as the lab forms it: e^{t x[0]} sum_h t^h N^h/h!, N = x less its constant term."""
+    nil = x.copy()
+    nil[0] = 0.0
+    total = np.zeros(x.shape)
+    for h, term in enumerate(exp_terms(nil, linear_series(1.0, 0.0, len(x) - 1))):
+        total = total + t**h * term
+    return np.exp(t * x[0]) * total
+
+
 def ln_series(x):
     """Logarithm by its recurrence: x y' = x', so d x0 y[d] = d x[d] - sum i y[i] x[d-i]."""
     out = np.empty(x.shape)
@@ -84,14 +111,47 @@ def test_exp_of_linear_jet_matches_hand_expansion():
     # e^{c + u a + v b} on a = b = eps: the degree-d coefficient is the shell
     # sum of e^c u^j v^m / (j! m!) over j + m = d, i.e. e^c (u + v)^d / d!
     c, u, v = 0.3, -0.7, 1.1
-    e = exp_series(linear_series(c, u + v, 4))
-    for d in range(5):
-        shell = sum(
-            math.exp(c) * u**j * v ** (d - j) / (math.factorial(j) * math.factorial(d - j))
-            for j in range(d + 1)
-        )
-        assert e[d] == pytest.approx(shell, rel=1e-13)
-        assert e[d] == pytest.approx(math.exp(c) * (u + v) ** d / math.factorial(d), rel=1e-13)
+    for e in (exp_series(linear_series(c, u + v, 4)), exp_by_terms(linear_series(c, u + v, 4))):
+        for d in range(5):
+            shell = sum(
+                math.exp(c) * u**j * v ** (d - j) / (math.factorial(j) * math.factorial(d - j))
+                for j in range(d + 1)
+            )
+            assert e[d] == pytest.approx(shell, rel=1e-13)
+            assert e[d] == pytest.approx(math.exp(c) * (u + v) ** d / math.factorial(d), rel=1e-13)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_exp_terms_give_the_exp_recurrence_at_every_time(seed):
+    # exp(t x) = e^{t x0} sum_h t^h N^h/h! for every t, with the terms built
+    # once: the closed time form the kernels evaluate per node
+    rng = np.random.default_rng(seed)
+    x = random_series(rng, order=6)
+    for t in (0.0, 0.3, 1.0, 7.5):
+        want = exp_series(t * x)
+        assert np.allclose(exp_by_terms(x, t), want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
+def test_exp_terms_vanish_below_their_power():
+    # term h is x^h/h! times y, built from term h - 1 without the products
+    # known to be zero; on the unit series, term 1 is x itself
+    rng = np.random.default_rng(5)
+    nil = random_series(rng, order=5)
+    nil[0] = 0.0
+    unit = linear_series(1.0, 0.0, 5)
+    y = random_series(rng, order=5)
+    assert np.array_equal(list(exp_terms(nil, unit))[1], nil)
+    terms = list(exp_terms(nil, y))
+    assert len(terms) == 6 and terms[0] is y
+    power = unit
+    for h, term in enumerate(terms):
+        assert not term[:h].any()
+        want = mul(power, y) / math.factorial(h)
+        assert np.allclose(term, want, rtol=1e-13, atol=1e-15)
+        power = mul(power, nil)
+    with pytest.raises(ValueError, match="exp_terms needs a zero constant term"):
+        list(exp_terms(linear_series(0.5, 1.0, 3), unit))
 
 
 def test_series_broadcast_over_radial_nodes():
@@ -99,12 +159,15 @@ def test_series_broadcast_over_radial_nodes():
     rng = np.random.default_rng(3)
     x = np.stack([random_series(rng) for _ in range(6)], axis=1)
     y = np.stack([random_series(rng) for _ in range(6)], axis=1)
-    xy, rx, sx, ex = mul(x, y), reciprocal(x), sqrt_series(x), exp_series(x)
+    nil = x.copy()
+    nil[0] = 0.0
+    xy, rx, sx = mul(x, y), reciprocal(x), sqrt_series(x)
+    ex = np.stack(list(exp_terms(nil, y)))
     for i in range(6):
         assert np.array_equal(xy[:, i], mul(x[:, i], y[:, i]))
         assert np.array_equal(rx[:, i], reciprocal(x[:, i]))
         assert np.array_equal(sx[:, i], sqrt_series(x[:, i]))
-        assert np.array_equal(ex[:, i], exp_series(x[:, i]))
+        assert np.array_equal(ex[:, :, i], np.stack(list(exp_terms(nil[:, i], y[:, i]))))
 
 
 # -- algebraic round trips --------------------------------------------------
@@ -146,6 +209,7 @@ def test_exp_ln_round_trip(seed):
     rng = np.random.default_rng(seed)
     x = random_series(rng)
     assert np.allclose(exp_series(ln_series(x)), x, rtol=1e-10, atol=1e-12)
+    assert np.allclose(exp_by_terms(ln_series(x)), x, rtol=1e-10, atol=1e-12)
 
 
 @given(st.integers(0, 10_000))
@@ -155,6 +219,8 @@ def test_exp_turns_sums_into_products(seed):
     x, y = random_series(rng), random_series(rng)
     product = mul(exp_series(x), exp_series(y))
     assert np.allclose(exp_series(x + y), product, rtol=1e-10, atol=1e-12)
+    product = mul(exp_by_terms(x), exp_by_terms(y))
+    assert np.allclose(exp_by_terms(x + y), product, rtol=1e-10, atol=1e-12)
 
 
 # -- combinatorial oracle ---------------------------------------------------
@@ -210,6 +276,7 @@ def test_chain_rule_agrees_with_series_exp_on_the_diagonal(seed):
     ]
     diagonal = np.array(table_degree_sums(table))
     assert np.allclose(table_degree_sums(composed), exp_series(diagonal), rtol=1e-10, atol=1e-12)
+    assert np.allclose(table_degree_sums(composed), exp_by_terms(diagonal), rtol=1e-10, atol=1e-12)
 
 
 def _coeff_by_partitions(outer_derivs, inner_table, j, m):

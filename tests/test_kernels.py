@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from sigmadamp import kernels
+from sigmadamp import jet2, kernels
 from sigmadamp.acceptance import kernel_tables, table_degree_sums
 from sigmadamp.jet2 import mul
 from sigmadamp.kernels import (
@@ -22,6 +22,7 @@ from sigmadamp.kernels import (
     kernel_roots,
     multiplier_symbols,
     root_jets,
+    summed_kernel_roots,
 )
 from sigmadamp.model import ModelParams, RateCase, eps_star, oscillation_band
 from sigmadamp.profiles import profile_pair
@@ -240,16 +241,27 @@ def test_kernel_jets_builds_the_root_jets_once(monkeypatch):
     assert calls == [0, 1, 2, 4]
 
 
-@pytest.mark.parametrize(
+GATHER_PARAMS = pytest.mark.parametrize(
     "p", [ModelParams(3, 1.0, 0.25, 0.9), ModelParams(1, 1.0, 0.0, 0.8)], ids=["fractional", "frictional"]
 )
-def test_radial_stages_gathered_to_nodes_equal_one_stage_calls(p):
-    # the radial stages are built once on distinct radii and gathered to
-    # nodes that repeat each radius at several times; every regime occurs
+
+
+def gathered_nodes():
+    """97 distinct radii, and 600 nodes that repeat them at four times."""
     rng = np.random.default_rng(7)
     radii = np.geomspace(1e-3, 20.0, 97)
     at = rng.integers(0, len(radii), 600)
     t = rng.choice([0.0, 0.3, 5.0, 200.0], len(at))
+    return radii, at, t
+
+
+@GATHER_PARAMS
+def test_radial_stages_gathered_to_nodes_equal_one_stage_calls(p):
+    # the radial stages are built once on distinct radii and gathered to
+    # nodes that repeat each radius at several times; every regime occurs.
+    # A profile's stage is the summed one, which profile_pair builds itself
+    # when it is handed none
+    radii, at, t = gathered_nodes()
     r = radii[at]
     symbols = multiplier_symbols(p, radii).take(at)
     z = np.sqrt(np.maximum(symbols.disc, 0.0)) * 0.5 * t
@@ -263,9 +275,94 @@ def test_radial_stages_gathered_to_nodes_equal_one_stage_calls(p):
             assert np.array_equal(getattr(split, name), getattr(one, name))
     case = RateCase.ZERO_SIGMA1 if p.sigma1 == 0.0 else RateCase.POSITIVE_SIGMA1
     for k in (0, 1, 2, 3):
-        roots = kernel_roots(p, radii, k - 1).take(at) if k else None
+        roots = summed_kernel_roots(p, radii, k - 1).take(at) if k else None
         for got, want in zip(profile_pair(k, p, case, t, r, roots), profile_pair(k, p, case, t, r)):
             assert np.array_equal(got, want)
+
+
+def exp_recurrence(x):
+    """exp of a series: y[0] = e^{x[0]}, y[d] = (1/d) sum_{i=1..d} i x[i] y[d-i]."""
+    out = np.empty(x.shape)
+    out[0] = np.exp(x[0])
+    for d in range(1, len(x)):
+        acc = x[1] * out[d - 1]
+        for i in range(2, d + 1):
+            acc = acc + i * x[i] * out[d - i]
+        out[d] = acc / d
+    return out
+
+
+def recurrence_pieces(p, t, r, order):
+    """The four pieces as series products at each time: e^{lambda t} by its recurrence,
+    then G^{-1} and the other root multiplied in."""
+    roots = root_jets(p, r, order)
+    lam = np.stack([roots.lam_slow, roots.lam_fast], axis=1)
+    nil = lam * np.asarray(t, dtype=float)
+    nil[0] = 0.0
+    exps = kernels._flushed_exp(np.asarray(-lam[0] * t)) * exp_recurrence(nil)
+    vel = mul(np.broadcast_to(roots.g_inv[:, None], exps.shape), exps)
+    pos = mul(vel[:, ::-1], lam)
+    return {"pos_fast": pos[:, 0], "pos_slow": pos[:, 1], "vel_slow": vel[:, 0], "vel_fast": vel[:, 1]}
+
+
+def test_closed_time_form_matches_the_exp_recurrence():
+    # kernel_jets sums e^{lambda_0 t} t^h N^h/h! with radius-only coefficients;
+    # the recurrence builds e^{lambda t} at each time.  Coefficients that
+    # cancel across shells keep only the absolute rounding of the larger
+    # ones, so each gap is measured against the piece's largest coefficient
+    # at its node: worst measured 2.9e-16 on SAMPLE_POINTS (orders 0..6) and
+    # 1.3e-14 on the gathered nodes (orders 0..3)
+    cases = [(p, np.float64(t), np.float64(r), range(7)) for p, t, r in SAMPLE_POINTS]
+    radii, at, t = gathered_nodes()
+    for p in (ModelParams(3, 1.0, 0.25, 0.9), ModelParams(1, 1.0, 0.0, 0.8)):
+        cases.append((p, t, radii[at], range(4)))
+    for p, t, r, orders in cases:
+        for order in orders:
+            got, want = kernel_jets(p, t, r, order), recurrence_pieces(p, t, r, order)
+            for name in PIECE_NAMES:
+                a, b = getattr(got, name), want[name]
+                assert a.shape == b.shape
+                scale = np.max(np.abs(b), axis=0)
+                assert np.all(np.abs(a - b) <= 5e-14 * scale), (name, p, order)
+
+
+@GATHER_PARAMS
+def test_time_stage_makes_no_series_products(monkeypatch, p):
+    # every series product is radial: handed a stage, kernel_jets and
+    # profile_pair only evaluate envelopes and polynomials in t
+    radii, at, t = gathered_nodes()
+    stages = [kernel_roots(p, radii, 2).take(at), summed_kernel_roots(p, radii, 2).take(at)]
+    calls = []
+
+    def counted(x, y):
+        calls.append(x.shape)
+        return mul(x, y)
+
+    monkeypatch.setattr(kernels, "mul", counted)
+    monkeypatch.setattr(jet2, "mul", counted)
+    for roots in stages:
+        kernel_jets(p, t, radii[at], 2, roots)
+    case = RateCase.ZERO_SIGMA1 if p.sigma1 == 0.0 else RateCase.POSITIVE_SIGMA1
+    profile_pair(3, p, case, t, radii[at], stages[1])
+    assert calls == []
+    kernel_jets(p, t, radii[at], 2)
+    assert calls  # the counter does see the products of a radial stage
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_profile_stage_holds_one_degree_row_per_power(order):
+    # kernel_roots keeps order + 1 degree rows per power of t; the summed
+    # stage keeps their sum alone, and kernel_jets returns that one row
+    p = ModelParams(3, 1.0, 0.25, 0.75)
+    radii = np.geomspace(1e-3, 20.0, 11)
+    full, summed = kernel_roots(p, radii, order), summed_kernel_roots(p, radii, order)
+    assert full.coeffs.shape == (order + 1, order + 1, 2, 2, radii.size)
+    assert summed.coeffs.shape == (order + 1, 1, 2, 2, radii.size)
+    assert np.array_equal(summed.lam0, full.lam0)
+    rows = full.coeffs.sum(axis=1, keepdims=True)
+    assert np.allclose(summed.coeffs, rows, rtol=1e-13, atol=1e-300)
+    pieces = kernel_jets(p, 3.0, radii, order, summed)
+    assert all(getattr(pieces, name).shape == (1, radii.size) for name in PIECE_NAMES)
 
 
 def test_kernel_jets_rejects_negative_time():

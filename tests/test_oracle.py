@@ -1,4 +1,4 @@
-"""The lab's kernel series and mode decay rates against high-precision rebuilds.
+"""The lab's kernel series, profiles and mode decay rates against high-precision rebuilds.
 
 The kernel series are checked against a 100-digit rebuild that shares no
 code with them.  The rebuild writes the tagged kernels of
@@ -8,6 +8,11 @@ partition-sum code.  `mp.taylor` must run with chop=False: by default it
 rounds every coefficient below about 10^-dps to zero, which at 50 digits
 turns the fractional vel_slow sum at t = 1e3, r = 0.338 into a 31% gap and
 at 100 digits zeroes the 1e-199 pos_fast value at t = 1e3, r = 0.208.
+
+The order-k profile pairs, k = 1..6, are checked against a 50-digit
+rebuild of the root series (`mp.taylor` of G^{-1} and both roots) whose
+exp-series pieces are multiplied out at each time and summed to degree
+k - 1.
 
 The mode decay rates are checked against the roots of the mode equation,
 found by `mp.polyroots` at 50 digits, and the multipliers K0, K1 the ODE
@@ -21,7 +26,8 @@ mp = pytest.importorskip("mpmath").mp
 
 from sigmadamp.acceptance import CONFIG_FRACTIONAL, CONFIG_FRICTIONAL, residual_grid
 from sigmadamp.kernels import exact_multipliers, kernel_jets
-from sigmadamp.model import ModelParams, mode_decay_rate, oscillation_band
+from sigmadamp.model import ModelParams, case_for, mode_decay_rate, oscillation_band
+from sigmadamp.profiles import profile_pair
 
 PIECES = ("pos_fast", "pos_slow", "vel_slow", "vel_fast")
 MAX_ORDER = 2
@@ -188,3 +194,109 @@ def test_exact_multipliers_match_50_digit_roots(p, rtol):
             assert gap <= rtol, (name, float(t), float(r), gap)
     # radii with real roots: all 10 fractional ones, 6 frictional ones
     assert seam >= 6
+
+
+# -- profile pairs against 50-digit root series --------------------------------
+
+# off the kink sigma2 = sigma - sigma1, so x and w differ
+OFF_KINK = ModelParams(n=2, sigma=1.3, sigma1=0.3, sigma2=1.1)
+PROFILE_RADII = np.geomspace(1e-8, 30.0, 12)
+PROFILE_TIMES = (0.5, 10.0, 1e3, 1e4, 1e6)
+MAX_PROFILE_K = 6
+# gap / scale, where scale is the larger of the two summed pieces a
+# component subtracts (the summed piece itself at sigma1 = 0): at r -> 0 and
+# small t the velocity component is a near-total cancellation of two pieces,
+# and its value keeps only their rounding.  Measured worst on this grid over
+# k = 1..6: fractional 9.1e-14 (k = 6, t = 10, r = 4.1), frictional 4.5e-14
+# (k = 6, t = 0.5, r = 4.1), off the kink 1.5e-13 (k = 5, t = 0.5,
+# r = 4.1); k <= 3 stays under 6e-14, the rounding of the exponent
+# lambda_0 t.  120, 120 and 108 of the 360 values per configuration lie past
+# the flush and are checked as exact zeros
+PROFILE_RTOL = {"fractional": 2e-13, "frictional": 1e-13, "off_kink": 3e-13}
+
+
+def root_series_50_digits(p, r, order):
+    """Series in eps = a = b of G^{-1} and both roots, by `mp.taylor` at 50 digits."""
+    r = mp.mpf(r)
+    nu = r ** (2 * mp.mpf(p.sigma1))
+    x = r ** (2 * (mp.mpf(p.sigma2) - mp.mpf(p.sigma1)))
+    w = r ** (2 * (mp.mpf(p.sigma) - 2 * mp.mpf(p.sigma1)))
+    mu = nu * w
+
+    def g1(eps):
+        return 1 / (1 + eps * x)
+
+    def g2(eps):
+        return mp.sqrt(1 - 4 * eps * w * g1(eps) ** 2)
+
+    funcs = {
+        "g_inv": lambda eps: 1 / (nu * (1 + eps * x) * g2(eps)),
+        "slow": lambda eps: -2 * mu * g1(eps) / (1 + g2(eps)),
+        "fast": lambda eps: -nu * (1 + eps * x) * (1 + g2(eps)) / 2,
+    }
+    return {name: mp.taylor(f, 0, order, chop=False) for name, f in funcs.items()}
+
+
+def series_mul(a, b):
+    return [mp.fsum(a[i] * b[d - i] for i in range(d + 1)) for d in range(len(a))]
+
+
+def series_exp(a):
+    """exp of a series by its recurrence y[d] = (1/d) sum_{i=1..d} i a[i] y[d-i]."""
+    out = [mp.exp(a[0])]
+    for d in range(1, len(a)):
+        out.append(mp.fsum(i * a[i] * out[d - i] for i in range(1, d + 1)) / d)
+    return out
+
+
+def profiles_50_digits(p, t, series):
+    """Per k: (P0, P1) and the scale of each, from the exp-series pieces summed to degree k - 1."""
+    t = mp.mpf(t)
+    vel = {b: series_mul(series["g_inv"], series_exp([c * t for c in series[b]])) for b in ("slow", "fast")}
+    pieces = {
+        "pos_fast": series_mul(vel["fast"], series["slow"]),
+        "pos_slow": series_mul(vel["slow"], series["fast"]),
+        "vel_slow": vel["slow"],
+        "vel_fast": vel["fast"],
+    }
+    out = {}
+    for k in range(1, len(vel["slow"]) + 1):
+        s = {name: mp.fsum(c[:k]) for name, c in pieces.items()}
+        if p.sigma1 == 0.0:
+            out[k] = ((-s["pos_slow"], abs(s["pos_slow"])), (s["vel_slow"], abs(s["vel_slow"])))
+        else:
+            out[k] = (
+                (s["pos_fast"] - s["pos_slow"], max(abs(s["pos_fast"]), abs(s["pos_slow"]))),
+                (s["vel_slow"] - s["vel_fast"], max(abs(s["vel_slow"]), abs(s["vel_fast"]))),
+            )
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, label",
+    [(CONFIG_FRACTIONAL, "fractional"), (CONFIG_FRICTIONAL, "frictional"), (OFF_KINK, "off_kink")],
+    ids=["fractional", "frictional", "off_kink"],
+)
+def test_profile_pair_matches_50_digit_root_series(p, label):
+    # the lab sums e^{lambda_0 t} t^h N^h/h! with radius-only coefficients;
+    # the reference rebuilds the root series at 50 digits and multiplies out
+    # the exp series of lambda t at each time, sharing no code with the lab
+    case = case_for(p)
+    with mp.workdps(50):
+        series = [root_series_50_digits(p, float(r), MAX_PROFILE_K - 1) for r in PROFILE_RADII]
+        worst = 0.0
+        for t in PROFILE_TIMES:
+            refs = [profiles_50_digits(p, t, s) for s in series]
+            for k in range(1, MAX_PROFILE_K + 1):
+                pair = profile_pair(k, p, case, t, PROFILE_RADII)
+                for r, ref, got0, got1 in zip(PROFILE_RADII, refs, *pair):
+                    for got, (want, scale) in zip((got0, got1), ref[k]):
+                        where = (k, t, float(r))
+                        if scale < mp.mpf("1e-300"):
+                            # past the flush: the lab's envelopes are exact zero
+                            assert got == 0.0, where
+                            continue
+                        gap = float(abs(got - want) / scale)
+                        assert gap <= PROFILE_RTOL[label], (where, gap)
+                        worst = max(worst, gap)
+    assert worst > 0.0
