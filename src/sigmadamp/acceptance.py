@@ -4,10 +4,11 @@ Each suite exercises one advertised property of the implementation on two
 reference configurations (one per damping case) and reports a CheckResult.
 The suites deliberately re-derive their reference values through independent
 routes: raw bivariate derivative tables assembled with explicit Leibniz
-products and partition sums, whose degree sums the lab's one-variable series
-must reproduce; central finite differences on a plain closed-form evaluator;
-five-point stencils for the defining ODE; and closed-form modal sums for the
-low-order profiles.
+products and this module's own Faa di Bruno partition sums, whose degree sums
+the lab's one-variable series must reproduce; central finite differences on a
+plain closed-form evaluator; five-point stencils for the defining ODE; and
+closed-form modal sums for the low-order profiles.  Nothing here imports the
+series engine (`jet2`), so the jet oracle never checks it against itself.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .experiments import (
     order_improvement_from_curves,
 )
 from .fitting import geometric_grid
-from .jet2 import faa_di_bruno_table
 from .kernels import exact_multipliers, kernel_jets, root_jets
 from .model import ModelParams, RateCase, case_for, eps_star, oscillation_band
 from .profiles import ModalSum, golden_modal, profile_pair
@@ -132,6 +133,96 @@ def _tbl_mul(t1, t2, order: int):
                         * t2[j - j1][m - m1]
                     )
             out[j][m] = acc
+    return out
+
+
+@lru_cache(maxsize=None)
+def enumerate_partitions(j: int, m: int, ell: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """All partitions of the bi-order (j, m) into ell blocks of bi-orders.
+
+    A partition is a tuple of blocks (a, b1, b2): a positive multiplicity a
+    of the bi-order (b1, b2) != (0, 0), with sum a = ell, sum a b1 = j and
+    sum a b2 = m.  Within a partition the bi-orders are distinct and strictly
+    increasing in lexicographic order, and the output order is deterministic.
+    """
+    if j < 0 or m < 0 or ell < 1 or ell > j + m:
+        raise ValueError(f"need j, m >= 0 and 1 <= ell <= j + m, got ({j}, {m}, {ell})")
+    pairs = [(b1, b2) for b1 in range(j + 1) for b2 in range(m + 1) if (b1, b2) != (0, 0)]
+    found: list[tuple[tuple[int, int, int], ...]] = []
+
+    def rec(start, need_l, need_j, need_m, acc):
+        if need_l == 0:
+            if need_j == 0 and need_m == 0:
+                found.append(tuple(acc))
+            return
+        for i in range(start, len(pairs)):
+            b1, b2 = pairs[i]
+            a_max = need_l
+            if b1 > 0:
+                a_max = min(a_max, need_j // b1)
+            if b2 > 0:
+                a_max = min(a_max, need_m // b2)
+            for a in range(1, a_max + 1):
+                rec(i + 1, need_l - a, need_j - a * b1, need_m - a * b2, acc + [(a, b1, b2)])
+
+    rec(0, ell, j, m, [])
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def _partition_plan(j: int, m: int) -> tuple:
+    """Per ell = 1 .. j + m, the partitions of (j, m) into ell blocks as (a, b1, b2, a!) tuples."""
+    return tuple(
+        tuple(
+            tuple((a, b1, b2, math.factorial(a)) for a, b1, b2 in part)
+            for part in enumerate_partitions(j, m, ell)
+        )
+        for ell in range(1, j + m + 1)
+    )
+
+
+def faa_di_bruno_table(outer_derivs, inner_table, order: int) -> list[list]:
+    """Raw derivatives d^{j+m} (f o g) / da^j db^m at (0, 0) for j + m <= order.
+
+    Returned as a triangular table, entry [j][m], each by partition sum: the
+    inner table is scaled once, and each bi-order walks its cached partition
+    plan.  outer_derivs[l] must be f^(l) evaluated at g(0, 0) for
+    l = 0 .. order.  inner_table is triangular: inner_table[b1][b2] =
+    d^{b1+b2} g / da^b1 db^b2 at (0, 0) for b1 + b2 <= its order.
+    """
+    if len(outer_derivs) < order + 1:
+        raise ValueError(
+            f"need outer derivatives up to order {order}, got {len(outer_derivs) - 1}"
+        )
+    if len(inner_table) - 1 < order:
+        raise ValueError(
+            f"inner table order {len(inner_table) - 1} below requested bi-order {order}"
+        )
+    scaled = [
+        [
+            inner_table[b1][b2] / (math.factorial(b1) * math.factorial(b2))
+            for b2 in range(order - b1 + 1)
+        ]
+        for b1 in range(order + 1)
+    ]
+    out = []
+    for j in range(order + 1):
+        row = []
+        for m in range(order - j + 1):
+            if j == 0 and m == 0:
+                row.append(outer_derivs[0])
+                continue
+            total = 0.0
+            for ell, parts in enumerate(_partition_plan(j, m), start=1):
+                part_sum = 0.0
+                for part in parts:
+                    prod = 1.0
+                    for a, b1, b2, a_fact in part:
+                        prod = prod * scaled[b1][b2] ** a / a_fact
+                    part_sum = part_sum + prod
+                total = total + outer_derivs[ell] * part_sum
+            row.append(math.factorial(j) * math.factorial(m) * total)
+        out.append(row)
     return out
 
 

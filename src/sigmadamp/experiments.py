@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import DegenerateFit, FitResult, fit_exponential, fit_loglog
-from .kernels import EXP_FLUSH, exact_multipliers, multiplier_symbols, summed_kernel_roots
+from .kernels import EXP_FLUSH, exact_multipliers, multiplier_symbols, root_jets
 from .model import (
     ModelParams,
     RateCase,
@@ -141,11 +141,13 @@ def error_r_max(p: ModelParams, times) -> np.ndarray:
     if p.sigma1 == 0.0:
         return np.full(times.shape, top)
     # a Python loop, so each reach is libm's pow: NumPy's float power differs
-    # from it in the last ulp, which moved E(120.2) of a moment-free curve
+    # from it in the last ulp, which moved E(120.2) of a moment-free curve.
+    # At tiny times the power overflows to inf, which the clamp takes to top
     radii = []
-    for t in times:
-        reach = (EXP_FLUSH / t) ** (0.5 / p.sigma1) if t > 0.0 else math.inf
-        radii.append(max(10.0, min(reach, top)))
+    with np.errstate(over="ignore"):
+        for t in times:
+            reach = (EXP_FLUSH / t) ** (0.5 / p.sigma1) if t > 0.0 else math.inf
+            radii.append(max(10.0, min(reach, top)))
     return np.array(radii)
 
 
@@ -168,7 +170,7 @@ def error_curve(
     def f(r):
         # everything that depends on the radius alone, once per distinct radius
         symbols = multiplier_symbols(p, r)
-        roots = summed_kernel_roots(p, r, k - 1) if k else None
+        roots = root_jets(p, r, k - 1).summed_kernel_roots() if k else None
         u0, u1, weight = data.u0_hat(r), data.u1_hat(r), r**p.s
 
         def stage(at, j):

@@ -52,13 +52,13 @@ and each piece is its envelope e^{lambda_0 t} times a polynomial in t whose
 coefficient series depend on the radius alone (vel_b = G^{-1} N_b^h/h!,
 pos_fast = vel_fast lambda_slow, pos_slow = vel_slow lambda_fast, per power
 h).  Each layer therefore splits into a radial stage and a time stage.
-`kernel_roots` and `multiplier_symbols` are the radial stages of
-`kernel_jets` and `exact_multipliers`; `summed_kernel_roots` is the stage of
-a caller that reads only the sum of the degree rows, as a profile does, and
-holds that one row per power.  A caller with many times per radius builds a
-stage once on its distinct radii, gathers it to its nodes with its `take`,
-and hands it to the time stage: two flushed envelopes and one Horner pass in
-t, with no series products.  Every operation is elementwise, so a node's
+`RootJets.kernel_roots` and `multiplier_symbols` are the radial stages of
+`kernel_jets` and `exact_multipliers`; `RootJets.summed_kernel_roots` is the
+stage of a caller that reads only the sum of the degree rows, as a profile
+does, and holds that one row per power.  A caller with many times per radius
+builds a stage once on its distinct radii, gathers it to its nodes with its
+`take`, and hands it to the time stage: two flushed envelopes and one Horner
+pass in t, with no series products.  Every operation is elementwise, so a node's
 values are the floats the one-stage call gives.
 """
 
@@ -211,16 +211,6 @@ def root_jets(p: ModelParams, r, order: int) -> RootJets:
     )
 
 
-def kernel_roots(p: ModelParams, r, order: int) -> KernelRoots:
-    """The radial stage of `kernel_jets`, every degree row: `root_jets(...).kernel_roots()`."""
-    return root_jets(p, r, order).kernel_roots()
-
-
-def summed_kernel_roots(p: ModelParams, r, order: int) -> KernelRoots:
-    """The radial stage of `kernel_jets` summed over degrees: `root_jets(...).summed_kernel_roots()`."""
-    return root_jets(p, r, order).summed_kernel_roots()
-
-
 def _times(t) -> np.ndarray:
     """t as a float array, refused if any entry is negative."""
     t = np.asarray(t, dtype=float)
@@ -244,9 +234,9 @@ def kernel_jets(p: ModelParams, t, r, order: int, roots: KernelRoots | None = No
     t is a time or an array of times that broadcasts with r.  roots, when
     given, is a radial stage of order `order` at the broadcast nodes (as a
     gather of it on the distinct radii gives), and is not built again;
-    otherwise `kernel_roots(p, r, order)` is.  Each piece has one row per
-    degree row of the stage: order + 1 rows from `kernel_roots`, their sum
-    alone from `summed_kernel_roots`.
+    otherwise `root_jets(p, r, order).kernel_roots()` is.  Each piece has one
+    row per degree row of the stage: order + 1 rows from `kernel_roots`, their
+    sum alone from `summed_kernel_roots`.
 
     Constant terms recover the slow-mode limits: pos_fast has
     -r^{2(sigma-2*sigma1)} e^{-r^{2*sigma1} t}, pos_slow has
@@ -257,7 +247,8 @@ def kernel_jets(p: ModelParams, t, r, order: int, roots: KernelRoots | None = No
     t = _times(t)
     if roots is None:
         r = np.asarray(r, dtype=float)
-        roots = kernel_roots(p, np.broadcast_to(r, np.broadcast_shapes(r.shape, t.shape)), order)
+        nodes = np.broadcast_to(r, np.broadcast_shapes(r.shape, t.shape))
+        roots = root_jets(p, nodes, order).kernel_roots()
     coeffs = roots.coeffs
     poly = coeffs[-1]
     for below in coeffs[-2::-1]:

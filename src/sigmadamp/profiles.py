@@ -5,7 +5,7 @@ the total-degree-(k-1) Taylor polynomial of the tagged multipliers in the
 bookkeeping parameters (a, b), evaluated back at a = b = 1.  That value is
 the sum of the first k coefficients of the one-variable series on the
 diagonal a = b = eps.  `profile_pair` reads only those sums, so its radial
-stage is `kernels.summed_kernel_roots`: per power of t, one row that already
+stage is `RootJets.summed_kernel_roots`: per power of t, one row that already
 holds the sum of the degree rows.  Its time stage is then one
 `kernels.kernel_jets` pass, O(k) work per node, and it combines the pieces
 by the damping case that sigma1 fixes:
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelRoots, kernel_jets, summed_kernel_roots
+from .kernels import KernelRoots, kernel_jets, root_jets
 from .model import ModelError, ModelParams, RateCase, case_for
 
 TRANSCRIBED = "transcribed"
@@ -77,10 +77,11 @@ def profile_pair(k: int, p: ModelParams, case: RateCase, t, r, roots: KernelRoot
 
     P0 multiplies the initial position, P1 the initial velocity; k = 0
     returns the zero pair.  t and r broadcast together, as in `kernel_jets`.
-    roots, when given, is the profile stage `summed_kernel_roots(p, r, k - 1)`
-    at the broadcast nodes (as a gather of it on the distinct radii gives),
-    and is not built again.  The case must be `case_for(p)`; a case that
-    disagrees with sigma1 raises ModelError.
+    roots, when given, is the profile stage
+    `root_jets(p, r, k - 1).summed_kernel_roots()` at the broadcast nodes (as
+    a gather of it on the distinct radii gives), and is not built again.  The
+    case must be `case_for(p)`; a case that disagrees with sigma1 raises
+    ModelError.
     """
     if case is not case_for(p):
         raise ModelError(f"rate case {case.value} does not match sigma1 = {p.sigma1}")
@@ -92,7 +93,7 @@ def profile_pair(k: int, p: ModelParams, case: RateCase, t, r, roots: KernelRoot
     if roots is None:
         r = np.asarray(r, dtype=float)
         nodes = np.broadcast_to(r, np.broadcast_shapes(r.shape, np.shape(t)))
-        roots = summed_kernel_roots(p, nodes, k - 1)
+        roots = root_jets(p, nodes, k - 1).summed_kernel_roots()
     series = kernel_jets(p, t, r, k - 1, roots)
     if case is RateCase.ZERO_SIGMA1:
         return -series.pos_slow.sum(axis=0), series.vel_slow.sum(axis=0)

@@ -13,12 +13,14 @@ criterion are reused by the later ones. The two split curves are computed
 in the `rates_fractional` test alone, which roughly doubles its cost.
 """
 
+import ast
+import inspect
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sigmadamp import acceptance
+from sigmadamp import acceptance, jet2, kernels
 from sigmadamp.acceptance import (
     CONFIG_FRACTIONAL,
     CONFIG_FRICTIONAL,
@@ -203,6 +205,56 @@ def test_jet_oracle_does_not_depend_on_the_builtin_sum(monkeypatch):
     plain = AcceptanceLab(1e-6).check_jet_oracle().details
     monkeypatch.setattr(acceptance, "sum", _compensated_sum, raising=False)
     assert AcceptanceLab(1e-6).check_jet_oracle().details == plain
+
+
+def test_oracle_imports_nothing_from_the_series_engine():
+    # the jet oracle checks jet2's series; built from jet2 it would check them
+    # against themselves
+    for node in ast.walk(ast.parse(inspect.getsource(acceptance))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert "jet2" not in {name.split(".")[-1] for name in names}, ast.unparse(node)
+
+
+def _names_used(code) -> set[str]:
+    """Every name the code and the code nested in it (functions, comprehensions) loads."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= _names_used(const)
+    return names
+
+
+def test_oracle_tables_reach_no_engine_code():
+    # every global the table builders reach, through acceptance's own helpers
+    # and caches, is defined outside jet2 and kernels.  inspect.getclosurevars
+    # would miss the names inside comprehensions and nested functions, so the
+    # code objects are walked here
+    engine = {jet2.__name__, kernels.__name__}
+    todo = [
+        acceptance.kernel_tables,
+        acceptance.kernel_direct,
+        acceptance.faa_di_bruno_table,
+        acceptance.table_degree_sums,
+    ]
+    seen = set()
+    while todo:
+        func = inspect.unwrap(todo.pop())
+        if func in seen:
+            continue
+        seen.add(func)
+        for name in _names_used(func.__code__) & set(func.__globals__):
+            obj = func.__globals__[name]
+            owner = obj.__name__ if inspect.ismodule(obj) else getattr(obj, "__module__", None)
+            assert owner not in engine, (func.__name__, name)
+            if owner == acceptance.__name__ and inspect.isfunction(inspect.unwrap(obj)):
+                todo.append(obj)
+    assert acceptance.enumerate_partitions.__wrapped__ in seen
 
 
 def test_acceptance_cutoff_scaling(lab, capsys):

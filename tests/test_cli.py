@@ -168,6 +168,27 @@ def test_curve_warnings_name_no_source_file(capsys):
     assert ".py" not in err
 
 
+def test_curve_at_tiny_times_warns_nothing(capsys):
+    # at t ~ 1e-60 each flush reach (EXP_FLUSH / t)^(1 / (2 sigma1)) overflows
+    # to inf, which the radius clamps to model.error_radius as it should
+    code = main(["curve", "--t-min", "1e-60", "--t-max", "1e-58", "--k", "0", "--sigma1", "0.1"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the weighted integrand r^179 f^2 falls toward the subnormal range, "
+    "and the quadrature stops at its roundoff guard",
+)
+def test_validated_high_dimension_gives_a_curve_or_exit_2(capsys):
+    # dimensions 180-308 pass validate; a curve must then give numbers or
+    # refuse the input, not stall on a panel gap of 6.9e-282 and exit 3
+    code = main(["curve", "--dim", "180", "--k", "0"])
+    capsys.readouterr()
+    assert code in (0, 2)
+
+
 # ------------------------------------------------------------------ verify
 
 

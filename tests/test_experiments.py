@@ -348,7 +348,7 @@ def test_frictional_curve_runs_the_radial_stage_once_per_block(monkeypatch, fric
     t_grid = geometric_grid(10.0, 1e4, 10)
     whole = error_curve(frictional_params, 2, gaussian_data(), t_grid=t_grid)
     members, distinct, segments, radial = [], [], [], []
-    panels, real = quadrature._panels, experiments.summed_kernel_roots
+    panels, real = quadrature._panels, experiments.root_jets
 
     def recording_panels(g, lo, hi, *rest):
         members.append(len(lo))
@@ -364,7 +364,7 @@ def test_frictional_curve_runs_the_radial_stage_once_per_block(monkeypatch, fric
 
     monkeypatch.setattr(quadrature, "PANELS_PER_CALL", 16)
     monkeypatch.setattr(quadrature, "_panels", recording_panels)
-    monkeypatch.setattr(experiments, "summed_kernel_roots", counted)
+    monkeypatch.setattr(experiments, "root_jets", counted)
     blocked = error_curve(frictional_params, 2, gaussian_data(), t_grid=t_grid)
     assert np.array_equal(blocked.values, whole.values)
     assert distinct[0] == 44 and members[0] == 31 * 44

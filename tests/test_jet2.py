@@ -1,5 +1,5 @@
 """Truncated one-variable series arithmetic, checked against hand series and
-itself, and the bivariate chain-rule oracle against the series.
+itself, and the bivariate chain-rule oracle of `acceptance` against the series.
 
 The lab never expands exp as a series in time; `exp_terms` gives the terms
 of exp(t x) for every t at once.  The exp recurrence below is their
@@ -12,17 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmadamp.acceptance import table_degree_sums
-from sigmadamp.jet2 import (
-    enumerate_partitions,
-    exp_terms,
-    faa_di_bruno_coeff,
-    faa_di_bruno_table,
-    linear_series,
-    mul,
-    reciprocal,
-    sqrt_series,
-)
+from sigmadamp.acceptance import enumerate_partitions, faa_di_bruno_table, table_degree_sums
+from sigmadamp.jet2 import exp_terms, linear_series, mul, reciprocal, sqrt_series
 
 
 def random_series(rng, order=4, lo=0.5, hi=2.0):
@@ -227,30 +218,26 @@ def test_exp_turns_sums_into_products(seed):
 
 
 def test_partition_enumeration_small_cases():
-    only = enumerate_partitions(1, 1, 1)
-    assert len(only) == 1
-    assert only[0].mults == (1,)
-    assert only[0].orders == ((1, 1),)
-
-    two = enumerate_partitions(1, 1, 2)
-    assert len(two) == 1
-    assert two[0].mults == (1, 1)
-    assert two[0].orders == ((0, 1), (1, 0))
+    # a partition is a tuple of (multiplicity, b1, b2) blocks
+    assert enumerate_partitions(1, 1, 1) == (((1, 1, 1),),)
+    assert enumerate_partitions(1, 1, 2) == (((1, 0, 1), (1, 1, 0)),)
 
     # (2, 0) splits as one second derivative or two first derivatives
-    pairs = {p.orders for p in enumerate_partitions(2, 0, 1)} | {
-        p.orders for p in enumerate_partitions(2, 0, 2)
+    orders = {
+        tuple((b1, b2) for _, b1, b2 in part)
+        for ell in (1, 2)
+        for part in enumerate_partitions(2, 0, ell)
     }
-    assert ((2, 0),) in pairs
-    assert ((1, 0),) in pairs
+    assert ((2, 0),) in orders
+    assert ((1, 0),) in orders
 
 
 def test_partition_block_counts_sum_to_ell():
     for j, m, ell in [(2, 1, 2), (3, 0, 3), (1, 2, 2), (2, 2, 3)]:
         for part in enumerate_partitions(j, m, ell):
-            assert sum(part.mults) == ell
-            assert sum(a * b1 for a, (b1, _) in zip(part.mults, part.orders)) == j
-            assert sum(a * b2 for a, (_, b2) in zip(part.mults, part.orders)) == m
+            assert sum(a for a, _, _ in part) == ell
+            assert sum(a * b1 for a, b1, _ in part) == j
+            assert sum(a * b2 for a, _, b2 in part) == m
 
 
 def test_chain_rule_on_reciprocal_of_scaled_variable():
@@ -258,7 +245,7 @@ def test_chain_rule_on_reciprocal_of_scaled_variable():
     c = 0.37
     inner = [[0.0, 0.0, 0.0], [c, 0.0], [0.0]]  # raw derivatives of c*a
     outer = [1.0, -1.0, 2.0]  # derivatives of 1/(1+q) at q=0
-    got = faa_di_bruno_coeff(outer, inner, 2, 0)
+    got = faa_di_bruno_table(outer, inner, 2)[2][0]
     assert got == pytest.approx(2.0 * c * c, rel=1e-14)
 
 
@@ -271,9 +258,7 @@ def test_chain_rule_agrees_with_series_exp_on_the_diagonal(seed):
     rng = np.random.default_rng(seed)
     table = random_table(rng, order=4)
     outer = [math.exp(table[0][0])] * 5
-    composed = [
-        [faa_di_bruno_coeff(outer, table, j, m) for m in range(5 - j)] for j in range(5)
-    ]
+    composed = faa_di_bruno_table(outer, table, 4)
     diagonal = np.array(table_degree_sums(table))
     assert np.allclose(table_degree_sums(composed), exp_series(diagonal), rtol=1e-10, atol=1e-12)
     assert np.allclose(table_degree_sums(composed), exp_by_terms(diagonal), rtol=1e-10, atol=1e-12)
@@ -288,7 +273,7 @@ def _coeff_by_partitions(outer_derivs, inner_table, j, m):
         part_sum = 0.0
         for part in enumerate_partitions(j, m, ell):
             prod = 1.0
-            for a, (b1, b2) in zip(part.mults, part.orders):
+            for a, b1, b2 in part:
                 scaled = inner_table[b1][b2] / (math.factorial(b1) * math.factorial(b2))
                 prod = prod * scaled**a / math.factorial(a)
             part_sum = part_sum + prod
@@ -311,7 +296,6 @@ def test_chain_rule_table_matches_each_entry_bit_for_bit(order):
             for m in range(order + 1 - j):
                 want = _coeff_by_partitions(outer, inner, j, m)
                 assert composed[j][m] == want, (j, m)
-                assert faa_di_bruno_coeff(outer, inner, j, m) == want, (j, m)
 
 
 # -- error paths ------------------------------------------------------------
@@ -327,8 +311,8 @@ def test_error_paths():
     with pytest.raises(ValueError, match="sqrt needs a positive constant term"):
         sqrt_series(linear_series(-1.0, 0.0, 4))
     with pytest.raises(ValueError, match="need outer derivatives up to order 3"):
-        faa_di_bruno_coeff([1.0, 1.0], [[0.0] * (4 - j) for j in range(4)], 2, 1)
+        faa_di_bruno_table([1.0, 1.0], [[0.0] * (4 - j) for j in range(4)], 3)
     with pytest.raises(ValueError, match="inner table order 2 below requested bi-order 3"):
-        faa_di_bruno_coeff([1.0] * 4, [[0.0] * (3 - j) for j in range(3)], 2, 1)
+        faa_di_bruno_table([1.0] * 4, [[0.0] * (3 - j) for j in range(3)], 3)
     with pytest.raises(ValueError, match="need j, m >= 0 and 1 <= ell <= j"):
         enumerate_partitions(1, 1, 3)

@@ -19,10 +19,8 @@ from sigmadamp.kernels import (
     EXP_FLUSH,
     exact_multipliers,
     kernel_jets,
-    kernel_roots,
     multiplier_symbols,
     root_jets,
-    summed_kernel_roots,
 )
 from sigmadamp.model import ModelParams, RateCase, eps_star, oscillation_band
 from sigmadamp.profiles import profile_pair
@@ -269,13 +267,13 @@ def test_radial_stages_gathered_to_nodes_equal_one_stage_calls(p):
     split, one = exact_multipliers(p, t, r, symbols), exact_multipliers(p, t, r)
     assert np.array_equal(split.K0, one.K0) and np.array_equal(split.K1, one.K1)
     for order in (0, 1, 2):
-        roots = kernel_roots(p, radii, order).take(at)
+        roots = root_jets(p, radii, order).kernel_roots().take(at)
         split, one = kernel_jets(p, t, r, order, roots), kernel_jets(p, t, r, order)
         for name in PIECE_NAMES:
             assert np.array_equal(getattr(split, name), getattr(one, name))
     case = RateCase.ZERO_SIGMA1 if p.sigma1 == 0.0 else RateCase.POSITIVE_SIGMA1
     for k in (0, 1, 2, 3):
-        roots = summed_kernel_roots(p, radii, k - 1).take(at) if k else None
+        roots = root_jets(p, radii, k - 1).summed_kernel_roots().take(at) if k else None
         for got, want in zip(profile_pair(k, p, case, t, r, roots), profile_pair(k, p, case, t, r)):
             assert np.array_equal(got, want)
 
@@ -331,7 +329,8 @@ def test_time_stage_makes_no_series_products(monkeypatch, p):
     # every series product is radial: handed a stage, kernel_jets and
     # profile_pair only evaluate envelopes and polynomials in t
     radii, at, t = gathered_nodes()
-    stages = [kernel_roots(p, radii, 2).take(at), summed_kernel_roots(p, radii, 2).take(at)]
+    jets = root_jets(p, radii, 2)
+    stages = [jets.kernel_roots().take(at), jets.summed_kernel_roots().take(at)]
     calls = []
 
     def counted(x, y):
@@ -355,7 +354,8 @@ def test_profile_stage_holds_one_degree_row_per_power(order):
     # stage keeps their sum alone, and kernel_jets returns that one row
     p = ModelParams(3, 1.0, 0.25, 0.75)
     radii = np.geomspace(1e-3, 20.0, 11)
-    full, summed = kernel_roots(p, radii, order), summed_kernel_roots(p, radii, order)
+    jets = root_jets(p, radii, order)
+    full, summed = jets.kernel_roots(), jets.summed_kernel_roots()
     assert full.coeffs.shape == (order + 1, order + 1, 2, 2, radii.size)
     assert summed.coeffs.shape == (order + 1, 1, 2, 2, radii.size)
     assert np.array_equal(summed.lam0, full.lam0)
