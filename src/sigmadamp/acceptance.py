@@ -24,7 +24,7 @@ from .experiments import (
     FIT_T_MIN,
     error_curve,
     fit_slope,
-    gaussian_data,
+    spectral_data,
     lower_bound_band,
     high_freq_decay_check,
     order_improvement_from_curves,
@@ -491,7 +491,7 @@ class AcceptanceLab:
         key = (p, k)
         if key not in self._curves:
             start = time.perf_counter()
-            curve = error_curve(p, k, gaussian_data(), t_grid=self._t_grid, quad_tol=self.quad_tol)
+            curve = error_curve(p, k, spectral_data("gaussian"), t_grid=self._t_grid, quad_tol=self.quad_tol)
             self._curves[key] = (curve, time.perf_counter() - start)
         return self._curves[key]
 
@@ -706,7 +706,7 @@ class AcceptanceLab:
         rows = []
         ok = True
         for p in (CONFIG_FRACTIONAL, CONFIG_FRICTIONAL):
-            report = high_freq_decay_check(p, gaussian_data())
+            report = high_freq_decay_check(p, spectral_data("gaussian"))
             rows.append(
                 {
                     "sigma1": p.sigma1,

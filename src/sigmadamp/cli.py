@@ -27,11 +27,12 @@ import numpy as np
 
 from .acceptance import GOLDEN_RTOL, SUITES, AcceptanceLab, golden_comparison
 from .experiments import (
-    DATA_PRESETS,
+    DATA_KINDS,
     MAX_PROFILE_ORDER,
     ErrorCurve,
     error_curve,
     fit_slope,
+    spectral_data,
     tail_window,
 )
 from .fitting import DegenerateFit, FitResult, geometric_grid
@@ -221,9 +222,9 @@ def _parse_suites(text: str) -> tuple[str, ...]:
     return names
 
 
-def _preset(text: str) -> str:
-    if text not in DATA_PRESETS:
-        raise argparse.ArgumentTypeError(f"must be one of {', '.join(DATA_PRESETS)}, got {text!r}")
+def _data_kind(text: str) -> str:
+    if text not in DATA_KINDS:
+        raise argparse.ArgumentTypeError(f"must be one of {', '.join(DATA_KINDS)}, got {text!r}")
     return text
 
 
@@ -235,7 +236,7 @@ FLAGS = {
     "sigma2": (_real, 0.75, "strong damping exponent sigma2"),
     "s": (_real, 0.0, "radial weight power in the error norm"),
     "k": (_parse_orders, (1,), "profile orders, comma separated (e.g. 0,1,2)"),
-    "data": (_preset, "gaussian", f"spectral data preset: {', '.join(DATA_PRESETS)}"),
+    "data": (_data_kind, "gaussian", f"spectral data kind: {', '.join(DATA_KINDS)}"),
     "t_min": (_positive, 10.0, "first sample time"),
     "t_max": (_positive, 1e4, "last sample time"),
     "per_decade": (_per_decade, 25, "time samples per decade"),
@@ -321,9 +322,9 @@ def cmd_validate(cfg: argparse.Namespace) -> int:
     )
     print(f"case: {case.value}")
     print("valid: yes")
-    print(f"delta = {delta(p):.17g}")
-    print(f"rate step per order = {rate_step(p):.17g}")
-    print(f"eps_star = {eps_star(p):.17g}")
+    print(f"delta = {report['delta']:.17g}")
+    print(f"rate step per order = {report['rate_step']:.17g}")
+    print(f"eps_star = {report['eps_star']:.17g}")
     if band is None:
         print("oscillation band: none")
     else:
@@ -382,17 +383,16 @@ def cmd_curve(cfg: argparse.Namespace) -> int:
     if not cfg.t_min < cfg.t_max:
         raise ConfigError(f"need t_min < t_max, got {cfg.t_min}, {cfg.t_max}")
     p = _params(cfg)
-    data = DATA_PRESETS[cfg.data]()
+    data = spectral_data(cfg.data)
     t_grid = geometric_grid(cfg.t_min, cfg.t_max, cfg.per_decade)
     for k in cfg.k:
         curve = error_curve(p, k, data, t_grid=t_grid, quad_tol=cfg.quad_tol)
         try:
             # the fit window is [FIT_T_MIN, --t-max]
             fit = fit_slope(curve, tail_window(curve, cfg.t_max))
-        except DegenerateFit:
+        except DegenerateFit as exc:
             fit = None
-        if fit is None:
-            print(f"k={k}: {curve.times.size} points; fit skipped (window too small)")
+            print(f"k={k}: {curve.times.size} points; fit skipped ({exc})")
         else:
             print(
                 f"k={k}: fitted slope {fit.slope:.6f}, target {fit.target:.6f}, "

@@ -5,9 +5,10 @@ The central object is the weighted L2 error curve
   E(t) = || r^s * (K0 u0 + K1 u1 - P0 u0 - P1 u1) ||_{L2(R^n)},
 
 where (K0, K1) are the exact mode multipliers, (P0, P1) the order-k profile
-pair, and (u0, u1) radial spectral data.  The checks in this module fit the
-large-time decay of E and related norms and compare the fitted exponents to
-the predicted rates.  This module only computes: `cli` renders every report.
+pair, and (u0, u1) radial spectral data c r^{2m} e^{-alpha r^2} (see
+`RadialProfileSpec`).  The checks in this module fit the large-time decay
+of E and related norms and compare the fitted exponents to the predicted
+rates.  This module only computes: `cli` renders every report.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import DegenerateFit, FitResult, fit_exponential, fit_loglog
-from .kernels import EXP_FLUSH, exact_multipliers, multiplier_symbols, root_jets
+from .kernels import EXP_FLUSH, exact_multipliers, root_jets
 from .model import (
     ModelParams,
     RateCase,
@@ -27,6 +28,7 @@ from .model import (
     check_reach,
     error_exponent,
     error_radius,
+    mode_symbols,
     rate_step,
     slow_rate_radius,
     validate,
@@ -45,39 +47,33 @@ class CancellationWarning(UserWarning):
     """The error integrand lost precision to cancellation at some nodes."""
 
 
+# data kind names, indexed by the order m to which the data vanish at r = 0
+DATA_KINDS = ("gaussian", "moment_free")
+
+
 @dataclass(frozen=True)
 class RadialProfileSpec:
-    """Radial data profile: gaussian c e^{-alpha r^2} or moment-free c r^2 e^{-alpha r^2}."""
+    """Radial data profile c r^{2m} e^{-alpha r^2}, of kind DATA_KINDS[m]."""
 
-    kind: str
+    m: int
     c: float = 1.0
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "moment_free"):
-            raise ValueError(f"unknown data kind {self.kind!r}")
+        if self.m not in range(len(DATA_KINDS)):
+            raise ValueError(f"data order m must be in [0, {len(DATA_KINDS) - 1}], got {self.m!r}")
         if self.alpha <= 0.0:
             raise ValueError(f"data width alpha must be positive, got {self.alpha}")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         bell = self.c * np.exp(-self.alpha * r * r)
-        return bell * r * r if self.kind == "moment_free" else bell
-
-    @property
-    def value_at_zero(self) -> float:
-        return self.c if self.kind == "gaussian" else 0.0
+        for _ in range(self.m):
+            bell = bell * r * r
+        return bell
 
     def label(self) -> str:
-        return f"{self.kind}(c={self.c:g},alpha={self.alpha:g})"
-
-
-def gaussian(c: float = 1.0, alpha: float = 1.0) -> RadialProfileSpec:
-    return RadialProfileSpec("gaussian", c, alpha)
-
-
-def moment_free(c: float = 1.0, alpha: float = 1.0) -> RadialProfileSpec:
-    return RadialProfileSpec("moment_free", c, alpha)
+        return f"{DATA_KINDS[self.m]}(c={self.c:g},alpha={self.alpha:g})"
 
 
 @dataclass(frozen=True)
@@ -87,25 +83,21 @@ class SpectralDataSpec:
     u0_hat: RadialProfileSpec
     u1_hat: RadialProfileSpec
 
-    @property
-    def p1(self) -> float:
-        """Velocity-data value at frequency zero; drives the leading profile term."""
-        return self.u1_hat.value_at_zero
-
     def label(self) -> str:
         return f"{self.u0_hat.label()}|{self.u1_hat.label()}"
 
 
-def gaussian_data(c: float = 1.0, alpha: float = 1.0) -> SpectralDataSpec:
-    return SpectralDataSpec(gaussian(c, alpha), gaussian(c, alpha))
+def spectral_data(kind: str) -> SpectralDataSpec:
+    """The data pair whose position and velocity profiles are both of this kind."""
+    if kind not in DATA_KINDS:
+        raise ValueError(f"unknown data kind {kind!r}; choose from {', '.join(DATA_KINDS)}")
+    profile = RadialProfileSpec(DATA_KINDS.index(kind))
+    return SpectralDataSpec(profile, profile)
 
 
-def moment_free_data(c: float = 1.0, alpha: float = 1.0) -> SpectralDataSpec:
-    return SpectralDataSpec(moment_free(c, alpha), moment_free(c, alpha))
-
-
-# data presets by the name the command line and the report labels use
-DATA_PRESETS = {"gaussian": gaussian_data, "moment_free": moment_free_data}
+def gaussian_data() -> SpectralDataSpec:
+    # kept for perfbench/selftest.py, which imports it
+    return spectral_data("gaussian")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +161,7 @@ def error_curve(
 
     def f(r):
         # everything that depends on the radius alone, once per distinct radius
-        symbols = multiplier_symbols(p, r)
+        symbols = mode_symbols(p, r)
         roots = root_jets(p, r, k - 1).summed_kernel_roots() if k else None
         u0, u1, weight = data.u0_hat(r), data.u1_hat(r), r**p.s
 
@@ -178,7 +170,7 @@ def error_curve(
             nonlocal cancel_hits
             t = t_grid[j]
             r_at = np.take(r, at)
-            em = exact_multipliers(p, t, r_at, symbols.take(at))
+            em = exact_multipliers(p, t, r_at, [np.take(x, at) for x in symbols])
             u0_at, u1_at = np.take(u0, at), np.take(u1, at)
             exact = em.K0 * u0_at + em.K1 * u1_at
             if not k:
@@ -235,7 +227,7 @@ def lower_bound_band(curve: ErrorCurve) -> tuple[float, float]:
     witnesses that the predicted rate is sharp, not just an upper bound.
     Meaningful only when the velocity data has nonzero frequency-zero value.
     """
-    if curve.data.p1 == 0.0:
+    if curve.data.u1_hat(0.0) == 0.0:
         raise ValueError(
             "sharpness band needs u1_hat(0) != 0; this data pair has none"
         )
@@ -274,11 +266,11 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     check_reach(p.n, r_max)
 
     def f(r):
-        symbols = multiplier_symbols(p, r)
+        symbols = mode_symbols(p, r)
         weight, u0, u1, chi = r**p.s, data.u0_hat(r), data.u1_hat(r), cut.chi_high(r)
 
         def stage(at, j):
-            em = exact_multipliers(p, t_grid[j], np.take(r, at), symbols.take(at))
+            em = exact_multipliers(p, t_grid[j], np.take(r, at), [np.take(x, at) for x in symbols])
             values = em.K0 * np.take(u0, at) + em.K1 * np.take(u1, at)
             return np.take(weight, at) * np.abs(values) * np.take(chi, at)
 

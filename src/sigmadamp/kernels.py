@@ -52,13 +52,14 @@ and each piece is its envelope e^{lambda_0 t} times a polynomial in t whose
 coefficient series depend on the radius alone (vel_b = G^{-1} N_b^h/h!,
 pos_fast = vel_fast lambda_slow, pos_slow = vel_slow lambda_fast, per power
 h).  Each layer therefore splits into a radial stage and a time stage.
-`RootJets.kernel_roots` and `multiplier_symbols` are the radial stages of
+`RootJets.kernel_roots` and `model.mode_symbols` are the radial stages of
 `kernel_jets` and `exact_multipliers`; `RootJets.summed_kernel_roots` is the
 stage of a caller that reads only the sum of the degree rows, as a profile
 does, and holds that one row per power.  A caller with many times per radius
-builds a stage once on its distinct radii, gathers it to its nodes with its
-`take`, and hands it to the time stage: two flushed envelopes and one Horner
-pass in t, with no series products.  Every operation is elementwise, so a node's
+builds a stage once on its distinct radii, gathers it to its nodes (with
+`KernelRoots.take`, or `np.take` of each symbol), and hands it to the time
+stage: two flushed envelopes and one Horner pass in t, with no series
+products.  Every operation is elementwise, so a node's
 values are the floats the one-stage call gives.
 """
 
@@ -157,19 +158,6 @@ class KernelJets:
     pos_slow: np.ndarray
     vel_slow: np.ndarray
     vel_fast: np.ndarray
-
-
-@dataclass(frozen=True)
-class MultiplierSymbols:
-    """The t-independent symbols of `exact_multipliers` at fixed r (flat arrays)."""
-
-    a_sym: np.ndarray
-    s_sym: np.ndarray
-    disc: np.ndarray
-
-    def take(self, at) -> "MultiplierSymbols":
-        """The symbols at the radii of indices `at`."""
-        return MultiplierSymbols(*(np.take(x, at) for x in vars(self).values()))
 
 
 @dataclass(frozen=True)
@@ -287,14 +275,7 @@ def _sinhc(z: np.ndarray) -> np.ndarray:
     return _removable(z, lambda v: np.sinh(v) / v, lambda v: 1.0 + v * v / 6.0)
 
 
-def multiplier_symbols(p: ModelParams, r) -> MultiplierSymbols:
-    """`model.mode_symbols` (A, r^{2*sigma}, D2) at the radii r, flattened."""
-    return MultiplierSymbols(*mode_symbols(p, np.ravel(r)))
-
-
-def exact_multipliers(
-    p: ModelParams, t, r, symbols: MultiplierSymbols | None = None
-) -> ExactMultipliers:
+def exact_multipliers(p: ModelParams, t, r, symbols=None) -> ExactMultipliers:
     """Solution multipliers K0, K1 at a = b = 1, real in every root regime.
 
     With A = r^{2*sigma1} + r^{2*sigma2} and discriminant D2 = A^2 -
@@ -314,15 +295,15 @@ def exact_multipliers(
 
     K0(0, r) = 1 and K1(0, r) = 0 hold exactly.  t and r broadcast together
     (each node at its own time when both are arrays), and K0, K1 take their
-    broadcast shape.  symbols, when given, is `multiplier_symbols` of the
-    broadcast nodes (as a gather of it on the distinct radii gives), and is
-    not built again.
+    broadcast shape.  symbols, when given, is the (A, S, D2) tuple of
+    `model.mode_symbols` at the broadcast nodes, flattened (as a gather of it
+    on the distinct radii gives), and is not built again.
     """
     r_arr, t_arr = np.broadcast_arrays(np.asarray(r, dtype=float), _times(t))
     t_flat = t_arr.ravel()
     if symbols is None:
-        symbols = multiplier_symbols(p, r_arr)
-    a_sym, s_sym, disc = symbols.a_sym, symbols.s_sym, symbols.disc
+        symbols = mode_symbols(p, r_arr.ravel())
+    a_sym, s_sym, disc = symbols
     half_t = 0.5 * t_flat
     k0 = np.empty_like(disc)
     k1 = np.empty_like(disc)

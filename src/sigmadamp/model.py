@@ -64,11 +64,12 @@ def validate(p: ModelParams, case: RateCase) -> None:
     Raises ModelError naming the first hypothesis that fails: dim a positive
     int (not a bool, nor an integral float), an ordering among (sigma,
     sigma1, sigma2, s), dim > 4*sigma1 for the fractional-damping rates, a
-    case that disagrees with sigma1, or a dimension too large for the error
-    norms.  Those weight f(r)^2 by r^{n-1} out to error_radius(p), which is
-    10 when sigma1 = 0 and 10 / eps_star >= 20 otherwise, and `check_reach`
-    needs n * ln(radius) < ln(DBL_MAX) = 709.78: n <= 308 without weak
-    damping, n <= 236 at most with it.  `experiments.high_freq_decay_check`
+    case that disagrees with sigma1, or a dimension or sigma2 too large for
+    the error norms.  Those weight f(r)^2 by r^{n-1} out to error_radius(p),
+    which is 10 when sigma1 = 0 and 10 / eps_star >= 20 otherwise, and
+    `check_reach` needs n * ln(radius) < ln(DBL_MAX) = 709.78: n <= 308
+    without weak damping, n <= 236 at most with it; `check_symbols` needs
+    A^2 ~ r^{4*sigma2} finite there.  `experiments.high_freq_decay_check`
     checks its own radius, which depends on the data.  Returns None when
     every hypothesis holds.
     """
@@ -98,9 +99,12 @@ def validate(p: ModelParams, case: RateCase) -> None:
             )
     # error_radius(p) < 20 * 2^{1/a} with a = sigma - 2*sigma1, because a lower
     # band edge r = e^{-x} solves e^{a x} + e^{-b x} = 2 (b = 2*sigma2 - sigma),
-    # so e^{a x} < 2; only a dimension too large for that bound scans the band
-    if p.n * (math.log(20.0) + math.log(2.0) / (p.sigma - 2.0 * p.sigma1)) >= _LN_FLOAT_MAX:
-        check_reach(p.n, error_radius(p))
+    # so e^{a x} < 2; only a tuple too large for that bound scans the band
+    ln_top = math.log(20.0) + math.log(2.0) / (p.sigma - 2.0 * p.sigma1)
+    if max(p.n * ln_top, _ln_symbol_top(p, ln_top)) >= _LN_FLOAT_MAX:
+        radius = error_radius(p)
+        check_reach(p.n, radius)
+        check_symbols(p, radius)
 
 
 # a norm over radius R in dimension n weights by r^{n-1}: its panels reach R^n
@@ -119,6 +123,27 @@ def check_reach(n: int, radius: float) -> None:
         raise ModelError(
             f"dim {n} overflows the radial weight r^(n-1) out to radius {radius:.6g}; "
             f"need n * ln(radius) < {_LN_FLOAT_MAX:.2f}"
+        )
+
+
+def _ln_symbol_top(p: ModelParams, ln_r: float) -> float:
+    """ln max(A^2, 4 S) at the radius r = e^{ln_r} >= 1 (see `mode_symbols`)."""
+    # ln A = 2 sigma2 ln r + ln(1 + r^{2(sigma1 - sigma2)}), and that ratio is at most 1
+    ln_a = 2.0 * p.sigma2 * ln_r + math.log1p(math.exp(2.0 * (p.sigma1 - p.sigma2) * ln_r))
+    return max(2.0 * ln_a, math.log(4.0) + 2.0 * p.sigma * ln_r)
+
+
+def check_symbols(p: ModelParams, radius: float) -> None:
+    """Raise ModelError unless the mode symbols are finite doubles out to radius.
+
+    D2 = A^2 - 4 S overflows past this bound, where A^2 ~ r^{4*sigma2}
+    (or 4 S when the oscillation band reaches the radius), and every
+    multiplier comes out NaN there.
+    """
+    if _ln_symbol_top(p, math.log(radius)) >= _LN_FLOAT_MAX:
+        raise ModelError(
+            f"sigma2={p.sigma2} overflows the mode symbol A^2 ~ r^(4*sigma2) out to radius "
+            f"{radius:.6g}; need 4*sigma2*ln(radius) < {_LN_FLOAT_MAX:.2f}"
         )
 
 
@@ -253,11 +278,11 @@ def eps_star(p: ModelParams) -> float:
 
     Every frequency below eps_star has real characteristic roots, so the
     slow-mode expansion machinery applies on the support of the low cutoff.
+    The onset is below 1 only if sigma1 + sigma2 > sigma; otherwise no band
+    walk runs (the one up to r_high can overflow the symbols on its way).
     """
-    band = oscillation_band(p)
-    if band is None:
-        return 0.5
-    return 0.5 * band[0]
+    band = oscillation_band(p) if p.sigma1 + p.sigma2 > p.sigma else None
+    return 0.5 if band is None else 0.5 * band[0]
 
 
 def error_radius(p: ModelParams) -> float:

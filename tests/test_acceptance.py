@@ -37,9 +37,9 @@ from sigmadamp.acceptance import (
 )
 from sigmadamp.experiments import (
     FIT_T_MIN,
+    RadialProfileSpec,
     SpectralDataSpec,
     error_curve,
-    gaussian,
     tail_window,
 )
 from sigmadamp.fitting import fit_loglog, geometric_grid
@@ -106,11 +106,11 @@ def test_acceptance_rates_fractional(lab, capsys):
     combined = lab.curve(p, 2)
     times = combined.times[tail_window(combined)]
     velocity = error_curve(
-        p, 2, SpectralDataSpec(gaussian(c=0.0), gaussian()),
+        p, 2, SpectralDataSpec(RadialProfileSpec(0, c=0.0), RadialProfileSpec(0)),
         t_grid=times, quad_tol=lab.quad_tol,
     )
     position = error_curve(
-        p, 2, SpectralDataSpec(gaussian(), gaussian(c=0.0)),
+        p, 2, SpectralDataSpec(RadialProfileSpec(0), RadialProfileSpec(0, c=0.0)),
         t_grid=times, quad_tol=lab.quad_tol,
     )
     # the velocity family carries the r^{-2 sigma1} prefactor; the position one does not

@@ -153,6 +153,47 @@ def test_curve_skips_fit_when_window_too_small(capsys):
     assert "fit skipped" in out
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["--t-max", "90"], "no curve samples inside [100, 90]"),
+        (["--t-max", "110"], "power-law fit needs at least 5 points, got 2"),
+        # E(t) underflows to 0 from t ~ 6.3e3 on, inside the 51-sample window
+        (["--s", "100"], "power-law fit needs strictly positive values; min was 0.000e+00"),
+    ],
+    ids=["window-empty", "window-too-small", "values-underflow"],
+)
+def test_curve_names_why_a_fit_was_skipped(argv, reason, capsys):
+    code = main(["curve", "--k", "0", *argv])
+    assert code == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.endswith(f" points; fit skipped ({reason})")
+
+
+@pytest.mark.parametrize(
+    "model, bound",
+    [
+        (["--sigma", "100", "--sigma1", "0", "--sigma2"], ("77.06", "78")),
+        (["--dim", "3", "--sigma", "100", "--sigma1", "0.5", "--sigma2"], ("59.23", "60")),
+    ],
+    ids=["zero-sigma1-radius-10", "positive-sigma1-radius-20"],
+)
+def test_mode_symbols_that_overflow_exit_2(model, bound, capsys):
+    # past 4 sigma2 ln(error_radius) = ln(DBL_MAX) the symbol A^2 overflows:
+    # refused up front, where the curve used to exit 3 on a NaN panel
+    below, above = bound
+    assert main(["curve", "--k", "0", *model, below]) == 0
+    assert "fitted slope" in capsys.readouterr().out
+    assert main(["validate", *model, above]) == 2
+    out, err = capsys.readouterr()
+    assert "valid: no (sigma2=" in out and "overflows the mode symbol" in out
+    assert err == ""
+    assert main(["curve", "--k", "0", *model, above]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: invalid model parameters: sigma2=")
+    assert "Warning" not in err
+
+
 @pytest.mark.filterwarnings("always::sigmadamp.experiments.CancellationWarning")
 def test_curve_warnings_name_no_source_file(capsys):
     # a warning's path and line depend on where the package lives; stderr

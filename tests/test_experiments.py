@@ -8,19 +8,18 @@ import pytest
 
 from sigmadamp import experiments, model, quadrature
 from sigmadamp.experiments import (
+    DATA_KINDS,
     CancellationWarning,
     ErrorCurve,
     RadialProfileSpec,
     error_curve,
     error_r_max,
     fit_slope,
-    gaussian,
     gaussian_data,
     high_freq_decay_check,
     lower_bound_band,
-    moment_free,
-    moment_free_data,
     order_improvement_from_curves,
+    spectral_data,
     tail_window,
 )
 from sigmadamp.cli import curve_csv, curve_json_dict, fit_json_dict
@@ -49,7 +48,7 @@ def short_frictional_curve():
         return error_curve(
             p,
             1,
-            gaussian_data(),
+            spectral_data("gaussian"),
             t_grid=geometric_grid(10.0, 1e3, 10),
         )
 
@@ -120,28 +119,38 @@ def test_geometric_grid_validation(args):
 
 
 def test_profile_spec_labels_and_zero_values():
-    assert gaussian(2.0, 0.5).label() == "gaussian(c=2,alpha=0.5)"
-    assert moment_free().label() == "moment_free(c=1,alpha=1)"
-    assert gaussian_data(3.0).label() == "gaussian(c=3,alpha=1)|gaussian(c=3,alpha=1)"
-    assert gaussian(2.5).value_at_zero == 2.5
-    assert moment_free(2.5).value_at_zero == 0.0
-    assert gaussian_data(2.5).p1 == 2.5
-    assert moment_free_data().p1 == 0.0
+    # the order m of vanishing at 0 names the kind; labels are the report bytes
+    assert DATA_KINDS == ("gaussian", "moment_free")
+    assert RadialProfileSpec(0, 2.0, 0.5).label() == "gaussian(c=2,alpha=0.5)"
+    assert RadialProfileSpec(1).label() == "moment_free(c=1,alpha=1)"
+    assert spectral_data("gaussian").label() == "gaussian(c=1,alpha=1)|gaussian(c=1,alpha=1)"
+    assert spectral_data("moment_free").label() == "moment_free(c=1,alpha=1)|moment_free(c=1,alpha=1)"
+    assert gaussian_data() == spectral_data("gaussian")
+    assert RadialProfileSpec(0, 2.5)(0.0) == 2.5
+    assert RadialProfileSpec(1, 2.5)(0.0) == 0.0
+    for kind in DATA_KINDS:
+        data = spectral_data(kind)
+        assert data.u0_hat == data.u1_hat == RadialProfileSpec(DATA_KINDS.index(kind))
 
 
 def test_profile_spec_evaluation():
     r = np.array([0.0, 1.0, 2.0])
-    np.testing.assert_allclose(gaussian(2.0, 0.5)(r), 2.0 * np.exp(-0.5 * r * r), rtol=1e-15)
     np.testing.assert_allclose(
-        moment_free(1.5, 2.0)(r), 1.5 * r * r * np.exp(-2.0 * r * r), rtol=1e-15
+        RadialProfileSpec(0, 2.0, 0.5)(r), 2.0 * np.exp(-0.5 * r * r), rtol=1e-15
     )
+    # the moment-free profile is the gaussian bell times r * r, in that order
+    bell = 1.5 * np.exp(-2.0 * r * r)
+    assert np.array_equal(RadialProfileSpec(1, 1.5, 2.0)(r), bell * r * r)
 
 
 def test_profile_spec_validation():
-    with pytest.raises(ValueError):
-        RadialProfileSpec("triangle")
-    with pytest.raises(ValueError):
-        RadialProfileSpec("gaussian", alpha=0.0)
+    with pytest.raises(ValueError, match="unknown data kind 'triangle'"):
+        spectral_data("triangle")
+    for m in (-1, 2):
+        with pytest.raises(ValueError, match="data order m"):
+            RadialProfileSpec(m)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        RadialProfileSpec(0, alpha=0.0)
 
 
 # ------------------------------------------------------------ error curve
@@ -155,7 +164,7 @@ def test_initial_error_is_velocity_data_norm(frictional_params):
         curve = error_curve(
             frictional_params,
             1,
-            gaussian_data(),
+            spectral_data("gaussian"),
             t_grid=np.array([0.0]),
             quad_tol=1e-9,
         )
@@ -184,20 +193,20 @@ def test_error_curve_finds_eps_star_once_per_curve(monkeypatch, fractional_param
 
     monkeypatch.setattr(model, "eps_star", counting_eps_star)
     times = geometric_grid(10.0, 1e3, 5)
-    curve = error_curve(fractional_params, 0, gaussian_data(), t_grid=times)
+    curve = error_curve(fractional_params, 0, spectral_data("gaussian"), t_grid=times)
     assert len(curve.values) == len(times) == 11
     assert calls == [fractional_params]
     calls.clear()
     # without sigma1 the radius is the floor, and no scan runs at all
-    error_curve(frictional_params, 0, gaussian_data(), t_grid=times)
+    error_curve(frictional_params, 0, spectral_data("gaussian"), t_grid=times)
     assert calls == []
 
 
 def test_error_curve_rejects_bad_order(fractional_params):
     with pytest.raises(ValueError):
-        error_curve(fractional_params, 4, gaussian_data(), t_grid=[100.0])
+        error_curve(fractional_params, 4, spectral_data("gaussian"), t_grid=[100.0])
     with pytest.raises(ValueError):
-        error_curve(fractional_params, -1, gaussian_data(), t_grid=[100.0])
+        error_curve(fractional_params, -1, spectral_data("gaussian"), t_grid=[100.0])
 
 
 def test_cancellation_warning_emitted(fractional_params):
@@ -207,7 +216,7 @@ def test_cancellation_warning_emitted(fractional_params):
         curve = error_curve(
             fractional_params,
             2,
-            gaussian_data(),
+            spectral_data("gaussian"),
             t_grid=geometric_grid(10.0, 1e3, 5),
         )
     assert curve.cancellation_hits > 0
@@ -219,7 +228,7 @@ def test_no_cancellation_at_order_zero(fractional_params):
         curve = error_curve(
             fractional_params,
             0,
-            gaussian_data(),
+            spectral_data("gaussian"),
             t_grid=geometric_grid(10.0, 100.0, 5),
         )
     assert curve.cancellation_hits == 0
@@ -247,7 +256,7 @@ def test_moment_free_data_decays_strictly_faster(frictional_params):
     curve = error_curve(
         frictional_params,
         1,
-        moment_free_data(),
+        spectral_data("moment_free"),
         t_grid=geometric_grid(10.0, 1e3, 10),
     )
     fit = fit_slope(curve, tail_window(curve, 1e3))
@@ -264,7 +273,7 @@ def test_lower_bound_band_needs_velocity_mass(frictional_params):
     curve = error_curve(
         frictional_params,
         1,
-        moment_free_data(),
+        spectral_data("moment_free"),
         t_grid=geometric_grid(10.0, 1e3, 10),
     )
     with pytest.raises(ValueError, match=r"sharpness band needs u1_hat\(0\) != 0"):
@@ -309,14 +318,14 @@ def test_error_curves_match_recorded_values(frictional_params, fractional_params
     friction = error_curve(
         frictional_params,
         1,
-        gaussian_data(),
+        spectral_data("gaussian"),
         t_grid=[10.0, 100.0, 1e3, 1e4],
     )
     assert friction.values.tolist() == RECORDED_FRICTIONAL_K1
     fractional = error_curve(
         fractional_params,
         2,
-        gaussian_data(),
+        spectral_data("gaussian"),
         t_grid=[100.0, 1e3, 1e4],
     )
     assert fractional.values.tolist() == RECORDED_FRACTIONAL_K2
@@ -333,9 +342,9 @@ def test_error_curve_keeps_the_mass_below_the_quadrature_floor(monkeypatch):
     # to every digit, and against them the lab's E(1e4) is 3.2e-5 relative
     # low, 19 times the budget quad_tol * (1 + E) at the default tol
     p = ModelParams(n=1, sigma=1.278, sigma1=0.1814, sigma2=0.6855)
-    lab = error_curve(p, 0, gaussian_data(), t_grid=[1e4])
+    lab = error_curve(p, 0, spectral_data("gaussian"), t_grid=[1e4])
     monkeypatch.setattr(quadrature, "R_FLOOR", 1e-40)
-    ref = error_curve(p, 0, gaussian_data(), t_grid=[1e4])
+    ref = error_curve(p, 0, spectral_data("gaussian"), t_grid=[1e4])
     assert abs(lab.values[0] - ref.values[0]) <= 1e-6 * (1.0 + ref.values[0])
 
 
@@ -346,7 +355,7 @@ def test_frictional_curve_runs_the_radial_stage_once_per_block(monkeypatch, fric
     # PANELS_PER_CALL distinct panels, not once per time member.  Blocks of
     # 16 panels split both levels, and the curve does not depend on them.
     t_grid = geometric_grid(10.0, 1e4, 10)
-    whole = error_curve(frictional_params, 2, gaussian_data(), t_grid=t_grid)
+    whole = error_curve(frictional_params, 2, spectral_data("gaussian"), t_grid=t_grid)
     members, distinct, segments, radial = [], [], [], []
     panels, real = quadrature._panels, experiments.root_jets
 
@@ -365,7 +374,7 @@ def test_frictional_curve_runs_the_radial_stage_once_per_block(monkeypatch, fric
     monkeypatch.setattr(quadrature, "PANELS_PER_CALL", 16)
     monkeypatch.setattr(quadrature, "_panels", recording_panels)
     monkeypatch.setattr(experiments, "root_jets", counted)
-    blocked = error_curve(frictional_params, 2, gaussian_data(), t_grid=t_grid)
+    blocked = error_curve(frictional_params, 2, spectral_data("gaussian"), t_grid=t_grid)
     assert np.array_equal(blocked.values, whole.values)
     assert distinct[0] == 44 and members[0] == 31 * 44
     # level 1 holds the halves of the segments that some member left open;
@@ -380,7 +389,7 @@ def test_frictional_curve_runs_the_radial_stage_once_per_block(monkeypatch, fric
 
 
 def test_high_frequency_norm_decays_exponentially(frictional_params):
-    report = high_freq_decay_check(frictional_params, gaussian_data())
+    report = high_freq_decay_check(frictional_params, spectral_data("gaussian"))
     assert report.cutoff_radius == pytest.approx(
         2.0 * slow_rate_radius(frictional_params, 0.6), rel=1e-12
     )
@@ -398,7 +407,7 @@ def test_high_frequency_late_norm_meets_a_fine_reference(frictional_params):
     # a 15-node Gauss-Legendre sum over 20,000 log-spaced panels from the
     # cutoff onset to the data's flush radius; the check's H(50) is 1.9% high,
     # and its fitted rate 0.8791149 against 0.8791499 from the reference
-    p, data = frictional_params, gaussian_data()
+    p, data = frictional_params, spectral_data("gaussian")
     report = high_freq_decay_check(p, data)
     cut = quadrature.CutoffSpec(report.cutoff_radius)
     r_max = max(10.0, 1.5 * cut.eps, np.sqrt(EXP_FLUSH))
@@ -416,14 +425,14 @@ def test_high_frequency_check_refuses_a_dimension_its_radius_overflows():
     # the data tail sets its radius here: sqrt(700 / alpha) = 26.5, so n <= 216
     p = ModelParams(217, 1.0, 0.0, 0.8)
     with pytest.raises(ModelError, match="out to radius 26.4575"):
-        high_freq_decay_check(p, gaussian_data())
+        high_freq_decay_check(p, spectral_data("gaussian"))
 
 
 # ----------------------------------------------------- order improvement
 
 
 def _synthetic_pair(p, k, times, low_vals, high_vals):
-    data = gaussian_data()
+    data = spectral_data("gaussian")
     low = ErrorCurve(p, k, data, times, low_vals)
     high = ErrorCurve(p, k + 1, data, times, high_vals)
     return low, high
@@ -450,13 +459,13 @@ def test_order_improvement_input_validation(frictional_params, fractional_params
     t = geometric_grid(10.0, 1e4, 10)
     v = t**-1.0
     low, high = _synthetic_pair(frictional_params, 0, t, v, v)
-    skip = ErrorCurve(frictional_params, 2, gaussian_data(), t, v)
+    skip = ErrorCurve(frictional_params, 2, spectral_data("gaussian"), t, v)
     with pytest.raises(ValueError):
         order_improvement_from_curves(low, skip)  # non-consecutive orders
-    other_params = ErrorCurve(fractional_params, 1, gaussian_data(), t, v)
+    other_params = ErrorCurve(fractional_params, 1, spectral_data("gaussian"), t, v)
     with pytest.raises(ValueError):
         order_improvement_from_curves(low, other_params)
-    other_grid = ErrorCurve(frictional_params, 1, gaussian_data(), t[:-1], v[:-1])
+    other_grid = ErrorCurve(frictional_params, 1, spectral_data("gaussian"), t[:-1], v[:-1])
     with pytest.raises(ValueError):
         order_improvement_from_curves(low, other_grid)
 
@@ -498,7 +507,7 @@ def test_curve_rendering_is_reproducible(frictional_params):
         curve = error_curve(
             frictional_params,
             1,
-            gaussian_data(),
+            spectral_data("gaussian"),
             t_grid=geometric_grid(10.0, 100.0, 5),
         )
         return curve_csv(curve, fit_slope(curve, slice(None)))
@@ -508,7 +517,7 @@ def test_curve_rendering_is_reproducible(frictional_params):
 
 def test_curve_case_is_read_off_sigma1(short_frictional_curve, fractional_params):
     t = geometric_grid(10.0, 1e3, 2)
-    fractional = ErrorCurve(fractional_params, 1, gaussian_data(), t, t**-1.0)
+    fractional = ErrorCurve(fractional_params, 1, spectral_data("gaussian"), t, t**-1.0)
     for curve, case in ((short_frictional_curve, RateCase.ZERO_SIGMA1), (fractional, RateCase.POSITIVE_SIGMA1)):
         assert curve.case is case is case_for(curve.params)
         assert f"# case = {case.value}\n" in curve_csv(curve)

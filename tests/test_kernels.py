@@ -19,10 +19,9 @@ from sigmadamp.kernels import (
     EXP_FLUSH,
     exact_multipliers,
     kernel_jets,
-    multiplier_symbols,
     root_jets,
 )
-from sigmadamp.model import ModelParams, RateCase, eps_star, oscillation_band
+from sigmadamp.model import ModelParams, RateCase, eps_star, mode_symbols, oscillation_band
 from sigmadamp.profiles import profile_pair
 
 SAMPLE_POINTS = [
@@ -261,9 +260,10 @@ def test_radial_stages_gathered_to_nodes_equal_one_stage_calls(p):
     # when it is handed none
     radii, at, t = gathered_nodes()
     r = radii[at]
-    symbols = multiplier_symbols(p, radii).take(at)
-    z = np.sqrt(np.maximum(symbols.disc, 0.0)) * 0.5 * t
-    assert (symbols.disc < 0.0).any() and (z[symbols.disc >= 0.0] <= 0.5).any() and (z > 0.5).any()
+    symbols = [np.take(x, at) for x in mode_symbols(p, radii)]
+    disc = symbols[2]
+    z = np.sqrt(np.maximum(disc, 0.0)) * 0.5 * t
+    assert (disc < 0.0).any() and (z[disc >= 0.0] <= 0.5).any() and (z > 0.5).any()
     split, one = exact_multipliers(p, t, r, symbols), exact_multipliers(p, t, r)
     assert np.array_equal(split.K0, one.K0) and np.array_equal(split.K1, one.K1)
     for order in (0, 1, 2):

@@ -1,6 +1,7 @@
 """Parameter validation, decay exponents, and discriminant-band geometry."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,45 @@ def test_dimension_bound_follows_the_error_radius():
         validate(p, case_for(p))
         with pytest.raises(ModelError, match="overflows the radial weight"):
             check_reach(p.n + 1, radius)
+
+
+@pytest.mark.parametrize(
+    "sigma1, radius, below, above",
+    [(0.0, 10.0, 77.06, 77.07), (0.5, 20.0, 59.23, 59.24)],
+    ids=["zero-sigma1", "positive-sigma1"],
+)
+def test_symbol_bound_follows_the_error_radius(sigma1, radius, below, above):
+    # A^2 ~ r^(4 sigma2) must stay a finite double out to error_radius:
+    # 4 sigma2 ln(radius) < ln(DBL_MAX) = 709.78
+    ok, bad = ModelParams(3, 100.0, sigma1, below), ModelParams(3, 100.0, sigma1, above)
+    assert error_radius(ok) == error_radius(bad) == radius
+    validate(ok, case_for(ok))
+    assert all(np.isfinite(mode_symbols(ok, radius)))
+    with warnings.catch_warnings():
+        # refused before any symbol overflows
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match=r"overflows the mode symbol A\^2 ~ r\^\(4\*sigma2\)"):
+            validate(bad, case_for(bad))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(mode_symbols(bad, radius)[2])
+
+
+def test_eps_star_reads_the_band_only_below_1():
+    for p in (
+        ModelParams(3, 1.0, 0.25, 0.75),
+        ModelParams(1, 1.0, 0.0, 0.8),
+        ModelParams(3, 1.0, 0.3, 0.8),
+        ModelParams(3, 2.0, 0.1, 1.2),
+        ModelParams(3, 1.0, 0.1, 0.6),
+    ):
+        band = oscillation_band(p)
+        assert eps_star(p) == (0.5 if band is None else 0.5 * band[0])
+    # a band [1, r_high] with r_high past 60 decades: the walk to its outer
+    # edge gives up, and eps_star does not need that edge
+    far = ModelParams(3, 2.0, 0.004, 1.002)
+    with pytest.raises(RuntimeError, match="persists over 60 decades"):
+        oscillation_band(far)
+    assert eps_star(far) == 0.5 and error_radius(far) == 20.0
 
 
 def test_delta_examples():
