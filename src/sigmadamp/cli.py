@@ -85,16 +85,15 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite number in report: {value!r}")
-        text = format(value, ".17g")
-        # an integral float keeps a fraction, so a JSON reader gets a float back
-        return text if "." in text or "e" in text else text + ".0"
+        return _floats17([float(obj)])[0]
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        items = [dumps17(v, indent + 1) for v in obj]
+        if type(obj) is list and all(type(v) is float for v in obj):
+            # a list of Python floats, as `.tolist()` gives: rendered in one pass
+            items = _floats17(obj)
+        else:
+            items = [dumps17(v, indent + 1) for v in obj]
         if not items:
             return "[]"
         return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
@@ -107,6 +106,16 @@ def dumps17(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     raise ValueError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _floats17(values: list[float]) -> list[str]:
+    """Each float with 17 significant digits; a non-finite one raises ValueError."""
+    if not all(map(math.isfinite, values)):
+        bad = next(value for value in values if not math.isfinite(value))
+        raise ValueError(f"non-finite number in report: {bad!r}")
+    texts = [format(value, ".17g") for value in values]
+    # an integral float keeps a fraction, so a JSON reader gets a float back
+    return [text if "." in text or "e" in text else text + ".0" for text in texts]
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -144,7 +153,7 @@ def curve_csv(curve: ErrorCurve, fit: FitResult | None = None) -> str:
         meta.append(("fitted_slope", f"{fit.slope:.17g}"))
     lines = [f"# {key} = {value}" for key, value in meta]
     lines.append("t,E")
-    lines += [f"{t:.17g},{v:.17g}" for t, v in zip(curve.times, curve.values)]
+    lines += [f"{t:.17g},{v:.17g}" for t, v in zip(curve.times.tolist(), curve.values.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -161,8 +170,8 @@ def curve_json_dict(curve: ErrorCurve, fit: FitResult | None = None) -> dict:
         data=curve.data.label(),
         target_rate=curve.target(),
         cancellation_hits=curve.cancellation_hits,
-        times=[float(t) for t in curve.times],
-        values=[float(v) for v in curve.values],
+        times=curve.times.tolist(),
+        values=curve.values.tolist(),
     )
     if fit is not None:
         out["fit"] = fit_json_dict(fit)

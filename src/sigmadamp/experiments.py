@@ -20,15 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import DegenerateFit, FitResult, fit_exponential, fit_loglog
-from .kernels import EXP_FLUSH, exact_multipliers, root_jets
+from .kernels import EXP_FLUSH, exact_multipliers, mode_roots, root_jets
 from .model import (
     ModelParams,
     RateCase,
     case_for,
     check_reach,
+    check_symbols,
     error_exponent,
     error_radius,
-    mode_symbols,
     rate_step,
     slow_rate_radius,
     validate,
@@ -161,7 +161,7 @@ def error_curve(
 
     def f(r):
         # everything that depends on the radius alone, once per distinct radius
-        symbols = mode_symbols(p, r)
+        modes = mode_roots(p, r)
         roots = root_jets(p, r, k - 1).summed_kernel_roots() if k else None
         u0, u1, weight = data.u0_hat(r), data.u1_hat(r), r**p.s
 
@@ -169,13 +169,13 @@ def error_curve(
             # every node at the time of the sample it belongs to
             nonlocal cancel_hits
             t = t_grid[j]
-            r_at = np.take(r, at)
-            em = exact_multipliers(p, t, r_at, [np.take(x, at) for x in symbols])
-            u0_at, u1_at = np.take(u0, at), np.take(u1, at)
+            r_at = r.take(at)
+            em = exact_multipliers(p, t, r_at, modes, at)
+            u0_at, u1_at = u0.take(at), u1.take(at)
             exact = em.K0 * u0_at + em.K1 * u1_at
             if not k:
                 # the zero profile pair subtracts +0.0 and cannot cancel
-                return np.take(weight, at) * np.abs(exact)
+                return weight.take(at) * np.abs(exact)
             pr0, pr1 = profile_pair(k, p, case, t, r_at, roots.take(at))
             approx = pr0 * u0_at + pr1 * u1_at
             diff = exact - approx
@@ -183,7 +183,7 @@ def error_curve(
             cancel_hits += int(
                 np.count_nonzero((np.abs(diff) < CANCELLATION_RTOL * scale) & (scale > 0.0))
             )
-            return np.take(weight, at) * np.abs(diff)
+            return weight.take(at) * np.abs(diff)
 
         return stage
 
@@ -255,7 +255,8 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     the slow decay rate reaches 0.6, making e^{-0.6 t} the worst surviving
     mode.  H is sampled at 25 times evenly spaced on [1, 50], each norm to
     1e-8 * (1 + H).  Raises ModelError when the dimension overflows the
-    radial weight out to the truncation radius (`model.check_reach`).
+    radial weight (`model.check_reach`) or the mode symbols overflow
+    (`model.check_symbols`) out to the truncation radius.
     """
     cutoff_radius = 2.0 * slow_rate_radius(p, 0.6)
     t_grid = np.linspace(1.0, 50.0, 25)
@@ -264,15 +265,16 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     alpha_min = min(data.u0_hat.alpha, data.u1_hat.alpha)
     r_max = max(10.0, 1.5 * cutoff_radius, np.sqrt(EXP_FLUSH / alpha_min))
     check_reach(p.n, r_max)
+    check_symbols(p, r_max)
 
     def f(r):
-        symbols = mode_symbols(p, r)
+        modes = mode_roots(p, r)
         weight, u0, u1, chi = r**p.s, data.u0_hat(r), data.u1_hat(r), cut.chi_high(r)
 
         def stage(at, j):
-            em = exact_multipliers(p, t_grid[j], np.take(r, at), [np.take(x, at) for x in symbols])
-            values = em.K0 * np.take(u0, at) + em.K1 * np.take(u1, at)
-            return np.take(weight, at) * np.abs(values) * np.take(chi, at)
+            em = exact_multipliers(p, t_grid[j], r.take(at), modes, at)
+            values = em.K0 * u0.take(at) + em.K1 * u1.take(at)
+            return weight.take(at) * np.abs(values) * chi.take(at)
 
         return stage
 

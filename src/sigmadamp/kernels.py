@@ -52,15 +52,17 @@ and each piece is its envelope e^{lambda_0 t} times a polynomial in t whose
 coefficient series depend on the radius alone (vel_b = G^{-1} N_b^h/h!,
 pos_fast = vel_fast lambda_slow, pos_slow = vel_slow lambda_fast, per power
 h).  Each layer therefore splits into a radial stage and a time stage.
-`RootJets.kernel_roots` and `model.mode_symbols` are the radial stages of
+`RootJets.kernel_roots` and `mode_roots` are the radial stages of
 `kernel_jets` and `exact_multipliers`; `RootJets.summed_kernel_roots` is the
 stage of a caller that reads only the sum of the degree rows, as a profile
 does, and holds that one row per power.  A caller with many times per radius
-builds a stage once on its distinct radii, gathers it to its nodes (with
-`KernelRoots.take`, or `np.take` of each symbol), and hands it to the time
-stage: two flushed envelopes and one Horner pass in t, with no series
-products.  Every operation is elementwise, so a node's
-values are the floats the one-stage call gives.
+builds a stage once on its distinct radii.  `kernel_jets` gets it gathered
+to its nodes (`KernelRoots.take`) and runs two flushed envelopes and one
+Horner pass in t, with no series products.  `exact_multipliers` gets the
+stage itself with each node's index into it, and each root regime gathers
+only what it reads; its time stage is z = sqrt|D2| t/2, the envelopes and
+the closed forms.  Every operation is elementwise, so a node's values are
+the floats the one-stage call gives.
 """
 
 from __future__ import annotations
@@ -161,6 +163,22 @@ class KernelJets:
 
 
 @dataclass(frozen=True)
+class ModeRoots:
+    """The t-independent part of `exact_multipliers`, one entry per radius.
+
+    a_sym is the damping symbol A, root is sqrt|D2| and osc flags D2 < 0
+    (complex roots).  lam_slow = -2S/(A + sqrt D2) and lam_fast =
+    -(A + sqrt D2)/2 are the real roots where D2 > 0, and NaN elsewhere.
+    """
+
+    a_sym: np.ndarray
+    root: np.ndarray
+    lam_slow: np.ndarray
+    lam_fast: np.ndarray
+    osc: np.ndarray
+
+
+@dataclass(frozen=True)
 class ExactMultipliers:
     """Values of the solution multipliers K0, K1 at a = b = 1."""
 
@@ -207,12 +225,14 @@ def _times(t) -> np.ndarray:
     return t
 
 
-def _flushed_exp(arg: np.ndarray) -> np.ndarray:
-    """e^{-arg} for an array arg >= 0, exactly zero past the underflow threshold."""
-    # clamped first: np.exp is many times slower on results that underflow,
-    # and every entry past the threshold is zeroed anyway
-    out = np.exp(-np.minimum(arg, EXP_FLUSH))
-    out[arg > EXP_FLUSH] = 0.0
+def _flushed_exp(x: np.ndarray) -> np.ndarray:
+    """e^x for an array x <= 0, exactly zero below -EXP_FLUSH."""
+    # clamped first: np.exp is many times slower on results that underflow;
+    # the entries past the threshold are then zeroed by a product with the
+    # mask, which leaves a NaN exponent NaN
+    out = np.maximum(x, -EXP_FLUSH)
+    np.exp(out, out=out)
+    out *= x >= -EXP_FLUSH
     return out
 
 
@@ -241,7 +261,7 @@ def kernel_jets(p: ModelParams, t, r, order: int, roots: KernelRoots | None = No
     poly = coeffs[-1]
     for below in coeffs[-2::-1]:
         poly = poly * t + below
-    pieces = _flushed_exp(-roots.lam0 * t) * poly
+    pieces = _flushed_exp(roots.lam0 * t) * poly
     return KernelJets(
         pos_fast=pieces[:, 1, 1],
         pos_slow=pieces[:, 1, 0],
@@ -275,7 +295,26 @@ def _sinhc(z: np.ndarray) -> np.ndarray:
     return _removable(z, lambda v: np.sinh(v) / v, lambda v: 1.0 + v * v / 6.0)
 
 
-def exact_multipliers(p: ModelParams, t, r, symbols=None) -> ExactMultipliers:
+def mode_roots(p: ModelParams, r) -> ModeRoots:
+    """The radial stage of `exact_multipliers` at the radii r, from `model.mode_symbols`.
+
+    The roots are divided out only where D2 > 0: where the symbols underflow
+    (A = S = D2 = 0) the quotient would be 0/0.
+    """
+    a_sym, s_sym, disc = mode_symbols(p, r)
+    root = np.sqrt(np.abs(disc))
+    a_plus_root = a_sym + root
+    real = disc > 0.0
+    lam_slow = np.full_like(disc, np.nan)
+    np.divide(-2.0 * s_sym, a_plus_root, out=lam_slow, where=real)
+    lam_fast = np.full_like(disc, np.nan)
+    np.multiply(-0.5, a_plus_root, out=lam_fast, where=real)
+    return ModeRoots(a_sym, root, lam_slow, lam_fast, disc < 0.0)
+
+
+def exact_multipliers(
+    p: ModelParams, t, r, roots: ModeRoots | None = None, at=None
+) -> ExactMultipliers:
     """Solution multipliers K0, K1 at a = b = 1, real in every root regime.
 
     With A = r^{2*sigma1} + r^{2*sigma2} and discriminant D2 = A^2 -
@@ -295,40 +334,51 @@ def exact_multipliers(p: ModelParams, t, r, symbols=None) -> ExactMultipliers:
 
     K0(0, r) = 1 and K1(0, r) = 0 hold exactly.  t and r broadcast together
     (each node at its own time when both are arrays), and K0, K1 take their
-    broadcast shape.  symbols, when given, is the (A, S, D2) tuple of
-    `model.mode_symbols` at the broadcast nodes, flattened (as a gather of it
-    on the distinct radii gives), and is not built again.
+    broadcast shape.  roots, when given, is the radial stage `mode_roots`
+    and is not built again: on the distinct radii of the nodes, with at the
+    flat array of each node's index into it (as a family integrand's time
+    stage gets), or at the flattened nodes themselves when at is None.
     """
-    r_arr, t_arr = np.broadcast_arrays(np.asarray(r, dtype=float), _times(t))
-    t_flat = t_arr.ravel()
-    if symbols is None:
-        symbols = mode_symbols(p, r_arr.ravel())
-    a_sym, s_sym, disc = symbols
+    r, t = np.asarray(r, dtype=float), _times(t)
+    if r.shape != t.shape:
+        r, t = np.broadcast_arrays(r, t)
+    t_flat = t.ravel()
+    if roots is None:
+        roots = mode_roots(p, r.ravel())
+
+    def stage_index(nodes):
+        # where the nodes' radii sit in the stage.  Gathers here use the
+        # ndarray methods: np.take's Python wrapper costs about a microsecond
+        return nodes if at is None else at.take(nodes)
+
     half_t = 0.5 * t_flat
-    k0 = np.empty_like(disc)
-    k1 = np.empty_like(disc)
+    k0 = np.empty_like(half_t)
+    k1 = np.empty_like(half_t)
 
     # the node indices of each regime; its values are scattered back by them
-    is_osc = disc < 0.0
-    osc = np.flatnonzero(is_osc)
-    real = np.flatnonzero(~is_osc)
-    root = np.sqrt(disc[real])
+    is_osc = roots.osc if at is None else roots.osc.take(at)
+    osc = is_osc.nonzero()[0]
+    real = (~is_osc).nonzero()[0]
+    real_at = stage_index(real)
+    root = roots.root.take(real_at)
     z = root * half_t[real]
     is_near = z <= 0.5
-    near, far = real[is_near], real[~is_near]
+    is_far = ~is_near
+    near, far = real[is_near], real[is_far]
 
     if osc.size:
+        osc_at = stage_index(osc)
         half_t_osc = half_t[osc]
-        env_arg = a_sym[osc] * half_t_osc
-        env = _flushed_exp(env_arg)
-        y = np.sqrt(-disc[osc]) * half_t_osc
+        env_arg = roots.a_sym.take(osc_at) * half_t_osc
+        env = _flushed_exp(-env_arg)
+        y = roots.root.take(osc_at) * half_t_osc
         sinc_y = _sinc(y)
         k0[osc] = env * (np.cos(y) + env_arg * sinc_y)
         k1[osc] = env * t_flat[osc] * sinc_y
 
     if near.size:
-        env_arg = a_sym[near] * half_t[near]
-        env = _flushed_exp(env_arg)
+        env_arg = roots.a_sym.take(real_at[is_near]) * half_t[near]
+        env = _flushed_exp(-env_arg)
         z_near = z[is_near]
         shc = _sinhc(z_near)
         k0[near] = env * (np.cosh(z_near) + env_arg * shc)
@@ -337,15 +387,14 @@ def exact_multipliers(p: ModelParams, t, r, symbols=None) -> ExactMultipliers:
     # Far branch: division by sqrt(D2) is safe (z > 1/2 forces root*t > 1),
     # and both exponentials decay, so nothing overflows.
     if far.size:
-        is_far = ~is_near
+        far_at = real_at[is_far]
         root_far = root[is_far]
-        a_plus_root = a_sym[far] + root_far
-        lam_slow = -2.0 * s_sym[far] / a_plus_root
-        lam_fast = -0.5 * a_plus_root
+        lam_slow = roots.lam_slow.take(far_at)
+        lam_fast = roots.lam_fast.take(far_at)
         t_far = t_flat[far]
-        e_slow = _flushed_exp(-lam_slow * t_far)
-        e_fast = _flushed_exp(-lam_fast * t_far)
+        e_slow = _flushed_exp(lam_slow * t_far)
+        e_fast = _flushed_exp(lam_fast * t_far)
         k0[far] = (lam_slow * e_fast - lam_fast * e_slow) / root_far
         k1[far] = e_slow * (-np.expm1(-2.0 * z[is_far])) / root_far
 
-    return ExactMultipliers(K0=k0.reshape(r_arr.shape), K1=k1.reshape(r_arr.shape))
+    return ExactMultipliers(K0=k0.reshape(r.shape), K1=k1.reshape(r.shape))

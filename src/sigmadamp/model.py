@@ -317,6 +317,9 @@ def slow_rate_radius(p: ModelParams, target: float) -> float:
     if target <= 0.0:
         raise ValueError(f"target rate must be positive, got {target}")
     grid = _scan_grid()
+    # the scan stops short of the radii whose symbols overflow (see check_symbols)
+    ln_grid = np.log(grid).tolist()
+    grid = grid[[ln_r <= 0.0 or _ln_symbol_top(p, ln_r) < _LN_FLOAT_MAX for ln_r in ln_grid]]
     rates = mode_decay_rate(p, grid)
     above = np.flatnonzero(rates >= target)
     if above.size == 0:

@@ -45,7 +45,7 @@ distinct radii, and does there all the work that depends on the radius
 alone; it returns the time stage stage(at, j), which is called once per
 chunk of at most PANELS_PER_CALL member panels of the block and gets, per
 node, the index `at` of the node's radius in the block and the node's member
-j.  Gathers such as np.take(x, at) carry the radial work to the nodes.
+j.  Gathers such as x.take(at) carry the radial work to the nodes.
 
 Each member panel is reduced on its own 15 nodes by NumPy's row sum, which
 reduces every row alike whatever the number of rows and does not go through
@@ -180,7 +180,7 @@ def _panels(radial, lo, hi, owner, ident, count) -> np.ndarray:
             at = (mine[:, None] * nodes + np.arange(nodes)).ravel()
             values = stage(at, np.repeat(owner[chunk], nodes)).reshape(-1, nodes)
             # a row sum reduces every row alike, whatever the number of rows
-            out[chunk] = np.take(half, mine) * (values * GAUSS_WEIGHTS).sum(axis=1)
+            out[chunk] = half.take(mine) * (values * GAUSS_WEIGHTS).sum(axis=1)
     return out
 
 
@@ -279,17 +279,19 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
             stage = func(r)
         else:
             values = np.asarray(func(r), dtype=float)
-            stage = lambda at, j: np.take(values, at)  # noqa: E731
+            stage = lambda at, j: values.take(at)  # noqa: E731
         weight = r ** (n - 1)
 
         def g(at, j):
             values = np.asarray(stage(at, j), dtype=float)
-            return values * values * np.take(weight, at)
+            return values * values * weight.take(at)
 
         return g
 
     sphere = surface_area(n)
-    segments = [_segments(float(x)) for x in radii]
+    # a family's members share few radii: each ladder is built once
+    ladders = {x: _segments(x) for x in set(radii.tolist())}
+    segments = [ladders[x] for x in radii.tolist()]
     counts = np.array([len(seg_lo) for seg_lo, _ in segments])
     # member j owns the panels first[j]:first[j + 1] of the coarse level
     first = np.concatenate(([0], np.cumsum(counts)))
@@ -304,7 +306,9 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     for mantissa, count in zip(mantissas, counts.tolist()):
         rungs[mantissa] = max(rungs.get(mantissa, 0), count)
     offset = dict(zip(rungs, np.cumsum([0, *rungs.values()]).tolist()))
-    ident = np.concatenate([offset[m] + np.arange(c) for m, c in zip(mantissas, counts)])
+    # segment i of the coarse level, of member j, is panel offset[m_j] + i - first[j]
+    start = np.array([offset[m] for m in mantissas]) - first[:-1]
+    ident = np.repeat(start, counts) + np.arange(first[-1])
     count = sum(rungs.values())
 
     def budget(total):
@@ -449,7 +453,7 @@ def scaling_check(alpha: float, beta: float, c: float, n: int) -> FitResult:
         power, rate, chi = r**alpha, -c * r**beta, cut.chi_low(r)
 
         def stage(at, j):
-            return np.take(power, at) * np.exp(np.take(rate, at) * t_grid[j]) * np.take(chi, at)
+            return power.take(at) * np.exp(rate.take(at) * t_grid[j]) * chi.take(at)
 
         return stage
 

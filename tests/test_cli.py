@@ -6,10 +6,13 @@ import math
 import platform
 import types
 
+import numpy as np
 import pytest
 
 from sigmadamp import cli
-from sigmadamp.cli import dumps17, main
+from sigmadamp.cli import curve_csv, dumps17, main
+from sigmadamp.experiments import ErrorCurve, spectral_data
+from sigmadamp.model import ModelParams
 
 FRACTIONAL = ["--dim", "3", "--sigma", "1", "--sigma1", "0.25", "--sigma2", "0.75"]
 FRICTIONAL = ["--dim", "1", "--sigma", "1", "--sigma1", "0", "--sigma2", "0.8"]
@@ -471,6 +474,42 @@ def test_dumps17_formats():
     assert dumps17(0.0) == "0.0"
     assert dumps17(1e16) == "10000000000000000.0"
     assert dumps17(1) == "1"
+
+
+EDGE_FLOATS = [0.0, -0.0, 1.0, 1e16, 5e-324, 0.1]
+
+
+def _per_item(values):
+    # the rendering of a list item by item, as any list not all Python floats gets
+    return "[\n" + ",\n".join("  " + dumps17(v, 1) for v in values) + "\n]"
+
+
+def test_dumps17_renders_a_float_list_like_its_items(monkeypatch):
+    assert dumps17(EDGE_FLOATS) == _per_item(EDGE_FLOATS)
+    assert json.loads(dumps17(EDGE_FLOATS)) == EDGE_FLOATS
+    assert dumps17([-0.0, 5e-324]) == "[\n  -0.0,\n  4.9406564584124654e-324\n]"
+    for bad in ([1.0, math.inf], [math.nan, 0.1]):
+        with pytest.raises(ValueError, match="non-finite number in report"):
+            dumps17(bad)
+    # a list holding anything but Python floats renders item by item
+    calls = []
+    render = cli.dumps17
+    spy = lambda obj, indent=0: calls.append(obj) or render(obj, indent)  # noqa: E731
+    monkeypatch.setattr(cli, "dumps17", spy)
+    assert cli.dumps17(EDGE_FLOATS) == _per_item(EDGE_FLOATS) and len(calls) == 1
+    for mixed in ([1.0, 2], [True, 0.5], [0.5, np.float64(0.25)]):
+        calls.clear()
+        assert cli.dumps17(mixed) == _per_item(mixed) and len(calls) == 3
+    assert render([1.0, 2, True, np.float64(0.25)]) == "[\n  1.0,\n  2,\n  true,\n  0.25\n]"
+
+
+def test_curve_csv_renders_floats_like_numpy_scalars():
+    p = ModelParams(3, 1.0, 0.25, 0.75)
+    values = np.array(EDGE_FLOATS)
+    curve = ErrorCurve(p, 0, spectral_data("gaussian"), values[::-1].copy(), values)
+    rows = curve_csv(curve).splitlines()[-len(values):]
+    assert rows == [f"{t:.17g},{v:.17g}" for t, v in zip(curve.times, curve.values)]
+    assert rows[1] == "4.9406564584124654e-324,-0"
 
 
 def test_dumps17_rejects_non_finite():

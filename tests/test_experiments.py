@@ -428,6 +428,18 @@ def test_high_frequency_check_refuses_a_dimension_its_radius_overflows():
         high_freq_decay_check(p, spectral_data("gaussian"))
 
 
+def test_high_frequency_check_refuses_symbols_its_radius_overflows():
+    # validate accepts the tuple (its error radius is 10), but A^2 ~ r^280
+    # overflows out to the data's flush radius 26.5; neither the cutoff scan
+    # nor the check warns on the way
+    p = ModelParams(3, 100.0, 0.0, 70.0)
+    model.validate(p, case_for(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match="sigma2=70.0 overflows .* out to radius 26.4575"):
+            high_freq_decay_check(p, spectral_data("gaussian"))
+
+
 # ----------------------------------------------------- order improvement
 
 

@@ -8,6 +8,7 @@ equal their degree sums."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sigmadamp.kernels import (
     EXP_FLUSH,
     exact_multipliers,
     kernel_jets,
+    mode_roots,
     root_jets,
 )
 from sigmadamp.model import ModelParams, RateCase, eps_star, mode_symbols, oscillation_band
@@ -260,11 +262,10 @@ def test_radial_stages_gathered_to_nodes_equal_one_stage_calls(p):
     # when it is handed none
     radii, at, t = gathered_nodes()
     r = radii[at]
-    symbols = [np.take(x, at) for x in mode_symbols(p, radii)]
-    disc = symbols[2]
+    disc = np.take(mode_symbols(p, radii)[2], at)
     z = np.sqrt(np.maximum(disc, 0.0)) * 0.5 * t
     assert (disc < 0.0).any() and (z[disc >= 0.0] <= 0.5).any() and (z > 0.5).any()
-    split, one = exact_multipliers(p, t, r, symbols), exact_multipliers(p, t, r)
+    split, one = exact_multipliers(p, t, r, mode_roots(p, radii), at), exact_multipliers(p, t, r)
     assert np.array_equal(split.K0, one.K0) and np.array_equal(split.K1, one.K1)
     for order in (0, 1, 2):
         roots = root_jets(p, radii, order).kernel_roots().take(at)
@@ -276,6 +277,79 @@ def test_radial_stages_gathered_to_nodes_equal_one_stage_calls(p):
         roots = root_jets(p, radii, k - 1).summed_kernel_roots().take(at) if k else None
         for got, want in zip(profile_pair(k, p, case, t, r, roots), profile_pair(k, p, case, t, r)):
             assert np.array_equal(got, want)
+
+
+def _ulp_times(arg, t0, ulps=6):
+    """The times within `ulps` ulps of t0, and arg at each of them."""
+    t = [t0]
+    for direction in (-np.inf, np.inf):
+        step = t0
+        for _ in range(ulps):
+            step = np.nextafter(step, direction)
+            t.append(step)
+    t = np.array(sorted(t))
+    return t, np.array([arg(x) for x in t])
+
+
+def test_staged_multipliers_equal_one_stage_calls_at_every_seam():
+    # nodes in all three regimes, on both sides of z = 1/2, with envelope
+    # arguments next to EXP_FLUSH, and at t = 0; the stage holds each radius
+    # once and every node reads it through its index
+    p = ModelParams(1, 1.0, 0.0, 0.8)
+    band = oscillation_band(p)
+    r_osc, r_far = math.sqrt(band[0] * band[1]), 3.0
+    stage = mode_roots(p, np.array([r_osc, 1.0, r_far]))
+    assert stage.osc.tolist() == [True, False, False]
+    a_osc, root_far = stage.a_sym[0], stage.root[2]
+    lam_slow, lam_fast = stage.lam_slow[2], stage.lam_fast[2]
+    # the times of the nodes at each radius of the stage
+    times = {}
+    t, env = _ulp_times(lambda x: a_osc * (0.5 * x), 2.0 * EXP_FLUSH / a_osc)
+    assert env.min() < EXP_FLUSH < env.max()
+    times[0] = [0.0, 0.3, *t]
+    # at r = 1, A = 2 and D2 = 0: the envelope argument A t/2 is t itself
+    times[1] = [0.0, *(np.nextafter(EXP_FLUSH, to) for to in (-np.inf, np.inf)), EXP_FLUSH]
+    t, z = _ulp_times(lambda x: root_far * (0.5 * x), 1.0 / root_far)
+    assert z.min() < 0.5 < z.max() and 0.5 in z
+    t_slow, e_slow = _ulp_times(lambda x: -lam_slow * x, EXP_FLUSH / -lam_slow)
+    t_fast, e_fast = _ulp_times(lambda x: -lam_fast * x, EXP_FLUSH / -lam_fast)
+    for arg in (e_slow, e_fast):
+        assert arg.min() < EXP_FLUSH < arg.max()
+    times[2] = [0.0, *t, *t_slow, *t_fast]
+    at = np.concatenate([np.full(len(ts), i) for i, ts in times.items()])
+    t = np.concatenate([np.array(ts) for ts in times.values()])
+    r = np.array([r_osc, 1.0, r_far])[at]
+    split, one = exact_multipliers(p, t, r, stage, at), exact_multipliers(p, t, r)
+    assert split.K0.tobytes() == one.K0.tobytes() and split.K1.tobytes() == one.K1.tobytes()
+    # the stage at the nodes themselves, at = None, is the same call
+    same = exact_multipliers(p, t, r, mode_roots(p, r))
+    assert same.K0.tobytes() == one.K0.tobytes() and same.K1.tobytes() == one.K1.tobytes()
+    start = t == 0.0
+    assert start.sum() == 3 and (split.K0[start] == 1.0).all() and (split.K1[start] == 0.0).all()
+    assert (split.K0 > 0.0).any() and (split.K0 == 0.0).any()
+
+
+def test_mode_roots_skip_radii_whose_symbols_underflow():
+    # at r = 1e-12 every symbol underflows to 0: the roots would divide 0/0
+    p = ModelParams(3, 60, 20, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stage = mode_roots(p, np.array([1e-12, 1.0]))
+        t = np.array([0.0, 1.0, 1e4])
+        em = exact_multipliers(p, t, np.full(3, 1e-12), stage, np.zeros(3, dtype=int))
+    assert stage.a_sym[0] == 0.0 and np.isnan(stage.lam_slow[:1]).all()
+    assert em.K0.tolist() == [1.0, 1.0, 1.0] and em.K1.tolist() == t.tolist()
+
+
+def test_nan_symbols_give_nan_multipliers():
+    # a NaN radius, and a radius where A^2 - 4S is inf - inf
+    p = ModelParams(3, 100.0, 0.0, 70.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stage = mode_roots(p, np.array([np.nan, 1e3]))
+    assert np.isnan(stage.root).all() and not stage.osc.any()
+    at = np.array([0, 0, 1, 1])
+    em = exact_multipliers(p, np.array([0.0, 2.0, 0.0, 2.0]), np.full(4, np.nan), stage, at)
+    assert np.isnan(em.K0).all() and np.isnan(em.K1).all()
 
 
 def exp_recurrence(x):
@@ -297,7 +371,7 @@ def recurrence_pieces(p, t, r, order):
     lam = np.stack([roots.lam_slow, roots.lam_fast], axis=1)
     nil = lam * np.asarray(t, dtype=float)
     nil[0] = 0.0
-    exps = kernels._flushed_exp(np.asarray(-lam[0] * t)) * exp_recurrence(nil)
+    exps = kernels._flushed_exp(np.asarray(lam[0] * t)) * exp_recurrence(nil)
     vel = mul(np.broadcast_to(roots.g_inv[:, None], exps.shape), exps)
     pos = mul(vel[:, ::-1], lam)
     return {"pos_fast": pos[:, 0], "pos_slow": pos[:, 1], "vel_slow": vel[:, 0], "vel_fast": vel[:, 1]}
@@ -380,14 +454,14 @@ def test_exponential_flush_zeroes_the_fast_family():
 
 
 def test_flushed_exp_is_exp_then_flush_bit_for_bit():
-    # the argument is clamped to EXP_FLUSH before np.exp, which is slow on
+    # the exponent is clamped to -EXP_FLUSH before np.exp, which is slow on
     # underflowing results; the entries past it are zeroed either way
     arg = np.array(
         [0.0, 1.5, 700.0, np.nextafter(700.0, np.inf), 708.4, 745.2, 1e4, np.inf, np.nan]
     )
     want = np.exp(-arg)
     want[arg > EXP_FLUSH] = 0.0
-    got = kernels._flushed_exp(arg)
+    got = kernels._flushed_exp(-arg)
     assert got.tobytes() == want.tobytes()
     assert got[2] > 0.0 and np.isnan(got[-1]) and not got[3:-1].any()
 
