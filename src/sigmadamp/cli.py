@@ -36,6 +36,7 @@ from .experiments import (
     tail_window,
 )
 from .fitting import DegenerateFit, FitResult, geometric_grid
+from .kernels import check_order
 from .model import (
     ModelParams,
     ModelError,
@@ -291,10 +292,12 @@ def _model(cfg: argparse.Namespace) -> ModelParams:
     return ModelParams(cfg.dim, cfg.sigma, cfg.sigma1, cfg.sigma2, cfg.s)
 
 
-def _params(cfg: argparse.Namespace) -> ModelParams:
+def _params(cfg: argparse.Namespace, orders=()) -> ModelParams:
     p = _model(cfg)
     try:
         validate(p, case_for(p))
+        for k in orders:
+            check_order(p, k)
     except ModelError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from None
     return p
@@ -391,7 +394,7 @@ def cmd_goldens(cfg: argparse.Namespace) -> int:
 def cmd_curve(cfg: argparse.Namespace) -> int:
     if not cfg.t_min < cfg.t_max:
         raise ConfigError(f"need t_min < t_max, got {cfg.t_min}, {cfg.t_max}")
-    p = _params(cfg)
+    p = _params(cfg, cfg.k)
     data = spectral_data(cfg.data)
     t_grid = geometric_grid(cfg.t_min, cfg.t_max, cfg.per_decade)
     for k in cfg.k:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import DegenerateFit, FitResult, fit_exponential, fit_loglog
-from .kernels import EXP_FLUSH, exact_multipliers, mode_roots, root_jets
+from .kernels import EXP_FLUSH, check_order, exact_multipliers, mode_roots, root_jets
 from .model import (
     ModelParams,
     RateCase,
@@ -125,7 +125,7 @@ def error_r_max(p: ModelParams, times) -> np.ndarray:
     High frequencies are damped at rate at least r^{2 sigma1}, so beyond
     (EXP_FLUSH / t)^{1/(2 sigma1)} every surviving factor is flushed to zero;
     the radius is clamped to [10, model.error_radius(p)] (10 / eps_star), with
-    the oscillation band scanned for eps_star once for all the times.  Without
+    the oscillation band searched for eps_star once for all the times.  Without
     weak damping (sigma1 = 0) the radius is 10.
     """
     times = np.asarray(times, dtype=float)
@@ -150,11 +150,12 @@ def error_curve(
     t_grid,
     quad_tol: float = 1e-6,
 ) -> ErrorCurve:
-    """Sample E(t) at the times of t_grid, each norm to quad_tol * (1 + E)."""
+    """Sample E(t) on t_grid, each norm to quad_tol * (1 + E), once validate() and check_order pass."""
     case = case_for(p)
     validate(p, case)
     if not (0 <= k <= MAX_PROFILE_ORDER):
         raise ValueError(f"profile order must be in [0, {MAX_PROFILE_ORDER}], got {k}")
+    check_order(p, k)
     t_grid = np.asarray(t_grid, dtype=float)
 
     cancel_hits = 0
@@ -253,7 +254,8 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     Frequencies above the cutoff are uniformly damped, so H decays
     exponentially; the cutoff places the chi_high onset at the radius where
     the slow decay rate reaches 0.6, making e^{-0.6 t} the worst surviving
-    mode.  H is sampled at 25 times evenly spaced on [1, 50], each norm to
+    mode; that radius is at most 1, so the cutoff stays inside r_max >= 10.
+    H is sampled at 25 times evenly spaced on [1, 50], each norm to
     1e-8 * (1 + H).  Raises ModelError when the dimension overflows the
     radial weight (`model.check_reach`) or the mode symbols overflow
     (`model.check_symbols`) out to the truncation radius.
@@ -263,7 +265,7 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     cut = CutoffSpec(cutoff_radius)
     # data tails die like e^{-alpha r^2}: past sqrt(EXP_FLUSH/alpha) they underflow
     alpha_min = min(data.u0_hat.alpha, data.u1_hat.alpha)
-    r_max = max(10.0, 1.5 * cutoff_radius, np.sqrt(EXP_FLUSH / alpha_min))
+    r_max = max(10.0, np.sqrt(EXP_FLUSH / alpha_min))
     check_reach(p.n, r_max)
     check_symbols(p, r_max)
 

@@ -35,7 +35,8 @@ tables themselves are built independently in `acceptance.kernel_tables`.
 `root_jets` builds the series of Gamma1, Gamma2, G^{-1} and both roots once
 per radial grid, `kernel_jets` those of the four pieces at given (t, r);
 `exact_multipliers` evaluates K0, K1 themselves at a = b = 1, stably through
-the oscillation band where the roots turn complex.
+the oscillation band where the roots turn complex.  `check_order` refuses a
+profile order whose series overflow out to the error norms' radius.
 
 All radial arguments broadcast: an array r yields series of shape
 (order + 1, *r.shape) and array multipliers.  Times broadcast with the
@@ -67,12 +68,13 @@ the floats the one-stage call gives.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .jet2 import exp_terms, linear_series, mul, reciprocal, sqrt_series
-from .model import ModelParams, mode_symbols
+from .model import ModelError, ModelParams, error_radius, mode_symbols
 
 # Decay exponents beyond this underflow double precision; the whole
 # exponential factor is flushed to exact zero instead.
@@ -217,11 +219,32 @@ def root_jets(p: ModelParams, r, order: int) -> RootJets:
     )
 
 
+@functools.cache
+def check_order(p: ModelParams, k: int) -> None:
+    """Raise ModelError unless the order-k series are finite out to `model.error_radius`.
+
+    Degree d of `root_jets` grows like r^{2(sigma-sigma1)} max(x, w)^d, so at
+    large sigma the series overflow before A^2 does; order k >= 1 reads the
+    stage `root_jets(p, R, k - 1).summed_kernel_roots()`, built here at R.
+    A pass is kept for the process: `curve` checks every order up front, and
+    `experiments.error_curve` checks its own again.
+    """
+    if k == 0:
+        return
+    radius = error_radius(p)
+    with np.errstate(all="ignore"):
+        stage = root_jets(p, np.array([radius]), k - 1).summed_kernel_roots()
+    if not (np.isfinite(stage.lam0).all() and np.isfinite(stage.coeffs).all()):
+        raise ModelError(f"order k={k} overflows the kernel series out to radius {radius:.6g}")
+
+
 def _times(t) -> np.ndarray:
-    """t as a float array, refused if any entry is negative."""
+    """t as a float array, refused unless every entry is finite and nonnegative."""
     t = np.asarray(t, dtype=float)
-    if (t < 0.0).any():
-        raise ValueError(f"time must be nonnegative, got {t[t < 0.0].min()}")
+    # one mask: NaN fails both comparisons
+    ok = (0.0 <= t) & (t < np.inf)
+    if not ok.all():
+        raise ValueError(f"time must be finite and nonnegative, got {t[~ok].flat[0]}")
     return t
 
 

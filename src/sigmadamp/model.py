@@ -9,8 +9,8 @@ with one weak dissipative exponent sigma1 below sigma/2 and one strong
 exponent sigma2 above it.  This module validates the standing parameter
 assumptions, computes the theoretical decay exponents of the k-th order
 expansion error, builds the mode symbols (`mode_symbols`, for the whole lab),
-and locates the band of frequencies whose characteristic roots are complex
-(oscillating modes).
+and locates, on closed-form brackets, the band of frequencies whose
+characteristic roots are complex (oscillating modes).
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def validate(p: ModelParams, case: RateCase) -> None:
             )
     # error_radius(p) < 20 * 2^{1/a} with a = sigma - 2*sigma1, because a lower
     # band edge r = e^{-x} solves e^{a x} + e^{-b x} = 2 (b = 2*sigma2 - sigma),
-    # so e^{a x} < 2; only a tuple too large for that bound scans the band
+    # so e^{a x} < 2; only a tuple too large for that bound searches the band
     ln_top = math.log(20.0) + math.log(2.0) / (p.sigma - 2.0 * p.sigma1)
     if max(p.n * ln_top, _ln_symbol_top(p, ln_top)) >= _LN_FLOAT_MAX:
         radius = error_radius(p)
@@ -200,77 +200,62 @@ def mode_symbols(p: ModelParams, r):
     return a_sym, s_sym, a_sym * a_sym - 4.0 * s_sym
 
 
-# Scan geometry for slow_rate_radius; 400 log-spaced samples over twelve
-# decades keep every bracket under 7% relative width.
-_SCAN_LO = 1e-6
-_SCAN_HI = 1e6
-_SCAN_POINTS = 400
+def _bisect_edge(f, inside: float, outside: float) -> float:
+    """Where f leaves the sign it has at inside, going toward outside.
 
-
-def _scan_grid() -> np.ndarray:
-    return np.logspace(np.log10(_SCAN_LO), np.log10(_SCAN_HI), _SCAN_POINTS)
-
-
-def _bisect_edge(f, lo: float, hi: float) -> float:
-    """Root of f between lo and hi given f(lo), f(hi) of opposite strict sign.
-
-    Plain bisection until the midpoint equals an endpoint, so the bracket
-    ends as two adjacent floats; sign convention follows f(lo).
+    Plain bisection until the midpoint equals an end, so the bracket ends as
+    two adjacent floats; where f keeps its sign all the way, that is outside
+    (or the float next to it).  A zero of f at inside is inside.
     """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise RuntimeError(f"no sign change on [{lo}, {hi}]")
+    f_in = f(inside)
+    if f_in == 0.0:
+        return inside
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
             return mid
-        fmid = f(mid)
-        if fmid == 0.0:
+        f_mid = f(mid)
+        if f_mid == 0.0:
             return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo = mid
+        if (f_mid > 0.0) == (f_in > 0.0):
+            inside = mid
         else:
-            hi = mid
+            outside = mid
 
 
 def oscillation_band(p: ModelParams) -> tuple[float, float] | None:
     """Endpoints (r_low, r_high) of the complex-root frequency band, or None.
 
-    The band is the set where the discriminant D2 of mode_symbols(p, r) is
-    negative, that is where phi(u) = e^{(2*sigma1 - sigma) u} +
-    e^{(2*sigma2 - sigma) u} < 2 with u = log r.  phi is convex with
-    phi(0) = 2, so one edge is exactly r = 1: the band is [r_low, 1] when
-    sigma1 + sigma2 > sigma, [1, r_high] when sigma1 + sigma2 < sigma, and
-    empty when they are equal.  The other edge is bracketed by walking out
-    by decades from the deepest point of the band,
-    r_deep = ((sigma - 2*sigma1) / (2*sigma2 - sigma))^{1/(2*(sigma2 - sigma1))},
-    away from 1, and then bisected.  Needs sigma1 < sigma/2 < sigma2, as
-    validate() checks.
+    With a = sigma - 2*sigma1 > 0 and b = 2*sigma2 - sigma > 0, the
+    discriminant D2 of mode_symbols(p, r) has the sign of g(r) = r^{-a} +
+    r^b - 2, which is convex in log r with g(1) = 0 and its minimum at
+    r_deep = (a/b)^{1/(a+b)}.  So the band is [r_low, 1] when sigma1 + sigma2
+    > sigma (r_deep < 1), [1, r_high] when sigma1 + sigma2 < sigma, and empty
+    when they are equal.  The other edge lies between r_deep and the radius
+    where the growing term alone is 4: r_low in [4^{-1/a}, r_deep], r_high in
+    [r_deep, 4^{1/b}], where neither term exceeds 4.  g is bisected there in
+    Python floats; a bracket end past e^{+-708} is cut there, and an edge
+    beyond the cut is reported at it.
     """
+    a = p.sigma - 2.0 * p.sigma1
+    b = 2.0 * p.sigma2 - p.sigma
 
-    def d(r: float) -> float:
-        return mode_symbols(p, r)[2]
+    def g(r: float) -> float:
+        # r^{-a} - 2 is exact (Sterbenz) wherever r^{-a} is in [1, 4], as below 1
+        return (r**-a - 2.0) + r**b
 
-    excess = p.sigma1 + p.sigma2 - p.sigma
-    ratio = (p.sigma - 2.0 * p.sigma1) / (2.0 * p.sigma2 - p.sigma)
-    inner = ratio ** (0.5 / (p.sigma2 - p.sigma1))
-    if excess == 0.0 or not d(inner) < 0.0:
+    def power(x: float, y: float) -> float:
+        # x^y, cut to [e^-708, e^708]
+        ln = y * math.log(x)
+        return x**y if abs(ln) < 708.0 else math.exp(math.copysign(708.0, ln))
+
+    deep = power(a / b, 1.0 / (a + b))
+    # a and b can differ in rounding when they are equal
+    if p.sigma1 + p.sigma2 == p.sigma or not g(deep) < 0.0:
         return None  # empty, or too narrow to show in double precision
-    step = 0.1 if excess > 0.0 else 10.0
-    for _ in range(60):
-        outer = inner * step
-        if d(outer) >= 0.0:
-            break
-        inner = outer
-    else:
-        raise RuntimeError("negative discriminant persists over 60 decades")
-    edge = _bisect_edge(d, min(inner, outer), max(inner, outer))
-    return (edge, 1.0) if excess > 0.0 else (1.0, edge)
+    if deep < 1.0:
+        return _bisect_edge(g, deep, power(0.25, 1.0 / a)), 1.0
+    return 1.0, _bisect_edge(g, deep, power(4.0, 1.0 / b))
 
 
 def eps_star(p: ModelParams) -> float:
@@ -278,10 +263,9 @@ def eps_star(p: ModelParams) -> float:
 
     Every frequency below eps_star has real characteristic roots, so the
     slow-mode expansion machinery applies on the support of the low cutoff.
-    The onset is below 1 only if sigma1 + sigma2 > sigma; otherwise no band
-    walk runs (the one up to r_high can overflow the symbols on its way).
+    The onset is r_low < 1 or exactly 1, so eps_star <= 1/2 either way.
     """
-    band = oscillation_band(p) if p.sigma1 + p.sigma2 > p.sigma else None
+    band = oscillation_band(p)
     return 0.5 if band is None else 0.5 * band[0]
 
 
@@ -307,28 +291,14 @@ def mode_decay_rate(p: ModelParams, r):
 
 
 def slow_rate_radius(p: ModelParams, target: float) -> float:
-    """Smallest radius at which the slowest mode decay rate reaches target.
+    """Smallest radius at which the slowest mode decay rate reaches target in (0, 1].
 
-    Frequencies at or above the returned radius all decay at least like
-    e^{-target * t} (up to the first crossing; the rate is increasing on the
-    configurations of interest).  Raises RuntimeError when the scan never
-    reaches target.
+    The rate rises strictly on (0, 1] to exactly 1 at r = 1 (A = 2, S = 1,
+    D2 = 0), so every frequency in [radius, 1] decays at least like
+    e^{-target * t}.  It never exceeds 2S/A <= 2 r^{2(sigma - sigma1)}, so the
+    crossing is bisected on [(target/2)^{1/(2(sigma - sigma1))}, 1].
     """
-    if target <= 0.0:
-        raise ValueError(f"target rate must be positive, got {target}")
-    grid = _scan_grid()
-    # the scan stops short of the radii whose symbols overflow (see check_symbols)
-    ln_grid = np.log(grid).tolist()
-    grid = grid[[ln_r <= 0.0 or _ln_symbol_top(p, ln_r) < _LN_FLOAT_MAX for ln_r in ln_grid]]
-    rates = mode_decay_rate(p, grid)
-    above = np.flatnonzero(rates >= target)
-    if above.size == 0:
-        raise RuntimeError(f"mode decay rate never reaches {target} on the scan window")
-    i = int(above[0])
-    if i == 0:
-        return float(grid[0])
-
-    def g(r: float) -> float:
-        return mode_decay_rate(p, r) - target
-
-    return _bisect_edge(g, float(grid[i - 1]), float(grid[i]))
+    if not 0.0 < target <= 1.0:
+        raise ValueError(f"target rate must be in (0, 1], got {target}")
+    below = (0.5 * target) ** (0.5 / (p.sigma - p.sigma1))
+    return _bisect_edge(lambda r: mode_decay_rate(p, r) - target, 1.0, below)

@@ -197,6 +197,44 @@ def test_mode_symbols_that_overflow_exit_2(model, bound, capsys):
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        ["--sigma", "2", "--sigma1", "0.004", "--sigma2", "1.002"],
+        ["--sigma", "100", "--sigma1", "0.2", "--sigma2", "50.1"],
+    ],
+    ids=["band-edge-past-60-decades", "band-walk-overflow"],
+)
+def test_validate_reports_far_band_edges(model, capsys):
+    # the outer band edge, near 1.8e75 and 32, lies in a closed-form bracket:
+    # no search gives up (exit 3) or overflows (a RuntimeWarning on stderr)
+    assert main(["validate", *model]) == 0
+    out, err = capsys.readouterr()
+    assert "valid: yes" in out and "oscillation band: [1, " in out
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ["--sigma", "100", "--sigma1", "0", "--sigma2", "77"],
+        ["--sigma", "100", "--sigma1", "0.5", "--sigma2", "59"],
+    ],
+    ids=["zero-sigma1-radius-10", "positive-sigma1-radius-20"],
+)
+@ignore_cancellation
+def test_orders_whose_series_overflow_exit_2(model, capsys):
+    # the order-2 kernel series overflow at the error radius, orders 0 and 1
+    # do not; every order is checked before the first curve runs
+    assert main(["curve", "--k", "0,1,2", *model]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: invalid model parameters: order k=2 overflows")
+    assert "Warning" not in err
+    assert main(["curve", "--k", "0,1", *model]) == 0
+    assert capsys.readouterr().out.count("fitted slope") == 2
+
+
 @pytest.mark.filterwarnings("always::sigmadamp.experiments.CancellationWarning")
 def test_curve_warnings_name_no_source_file(capsys):
     # a warning's path and line depend on where the package lives; stderr

@@ -202,6 +202,18 @@ def test_error_curve_finds_eps_star_once_per_curve(monkeypatch, fractional_param
     assert calls == []
 
 
+def test_error_curve_refuses_an_overflowing_order_before_any_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("l2_radial ran")
+
+    monkeypatch.setattr(experiments, "l2_radial", no_quadrature)
+    p = ModelParams(3, 100.0, 0.0, 77.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match="order k=2 overflows the kernel series out to radius 10$"):
+            error_curve(p, 2, spectral_data("gaussian"), t_grid=[100.0])
+
+
 def test_error_curve_rejects_bad_order(fractional_params):
     with pytest.raises(ValueError):
         error_curve(fractional_params, 4, spectral_data("gaussian"), t_grid=[100.0])

@@ -18,12 +18,13 @@ from sigmadamp.acceptance import kernel_tables, table_degree_sums
 from sigmadamp.jet2 import mul
 from sigmadamp.kernels import (
     EXP_FLUSH,
+    check_order,
     exact_multipliers,
     kernel_jets,
     mode_roots,
     root_jets,
 )
-from sigmadamp.model import ModelParams, RateCase, eps_star, mode_symbols, oscillation_band
+from sigmadamp.model import ModelError, ModelParams, RateCase, eps_star, mode_symbols, oscillation_band
 from sigmadamp.profiles import profile_pair
 
 SAMPLE_POINTS = [
@@ -640,6 +641,47 @@ def test_profiles_at_per_node_times_equal_the_scalar_time_calls(params, k, reque
         at_t = slice(i * r.size, (i + 1) * r.size)
         for got, want in zip(pair, profile_pair(k, p, case, t, r)):
             assert np.array_equal(got[at_t], want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nan_and_infinite_times_are_refused(fractional_params, bad):
+    # NaN compares false with 0, and e^{-A t/2} t is NaN at t = inf: both are
+    # refused by name, not returned as NaN multipliers
+    t = np.array([1.0, bad, 10.0])
+    r = np.full(3, 0.5)
+    match = f"finite and nonnegative, got {bad}"
+    with pytest.raises(ValueError, match=match):
+        exact_multipliers(fractional_params, bad, 0.5)
+    with pytest.raises(ValueError, match=match):
+        exact_multipliers(fractional_params, t, r)
+    with pytest.raises(ValueError, match=match):
+        kernel_jets(fractional_params, t, r, 2)
+    with pytest.raises(ValueError, match=match):
+        profile_pair(2, fractional_params, RateCase.POSITIVE_SIGMA1, bad, r)
+
+
+@pytest.mark.parametrize(
+    "p, refused",
+    [
+        (ModelParams(3, 1.0, 0.25, 0.75), []),
+        (ModelParams(1, 1.0, 0.0, 0.8), []),
+        # the degree-d coefficients grow like r^{2(sigma - sigma1)} max(x, w)^d
+        (ModelParams(3, 100.0, 0.0, 77.0), [2, 3]),
+        (ModelParams(3, 100.0, 0.5, 59.0), [2, 3]),
+    ],
+    ids=["fractional", "frictional", "zero-sigma1-sigma-100", "positive-sigma1-sigma-100"],
+)
+def test_orders_whose_series_overflow_at_the_error_radius_are_refused(p, refused):
+    got = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(4):
+            try:
+                check_order(p, k)
+            except ModelError as exc:
+                assert f"order k={k} overflows the kernel series" in str(exc)
+                got.append(k)
+    assert got == refused
 
 
 def test_one_negative_time_in_an_array_is_refused(fractional_params):

@@ -130,12 +130,42 @@ def test_eps_star_reads_the_band_only_below_1():
     ):
         band = oscillation_band(p)
         assert eps_star(p) == (0.5 if band is None else 0.5 * band[0])
-    # a band [1, r_high] with r_high past 60 decades: the walk to its outer
-    # edge gives up, and eps_star does not need that edge
+    # a band [1, r_high] with r_high ~ 2^{1/b} = 2^250 (b = 2 sigma2 - sigma):
+    # found on its closed-form bracket, and its onset 1 gives eps_star 1/2
     far = ModelParams(3, 2.0, 0.004, 1.002)
-    with pytest.raises(RuntimeError, match="persists over 60 decades"):
-        oscillation_band(far)
+    lo, hi = oscillation_band(far)
+    assert lo == 1.0 and hi == pytest.approx(1.809e75, rel=1e-3)
     assert eps_star(far) == 0.5 and error_radius(far) == 20.0
+
+
+@pytest.mark.parametrize(
+    "p, band",
+    [
+        # r_high ~ 2^{1/b} = 32, b = 2 sigma2 - sigma: the old decade walk
+        # overflowed the symbols on its way there
+        (ModelParams(3, 100.0, 0.2, 50.1), (1.0, 32.0)),
+        # a band [1, r_high] with r_high ~ 2^{1/b} past e^708: reported at the cut
+        (ModelParams(3, 1.0, 0.4995, 0.5001), (1.0, math.exp(708.0))),
+    ],
+    ids=["steep-restoring-symbol", "band-past-the-doubles"],
+)
+def test_far_band_edges_are_found_without_overflow(p, band):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        validate(p, case_for(p))
+        got = oscillation_band(p)
+    assert got == pytest.approx(band, rel=1e-12)
+    assert eps_star(p) == 0.5
+
+
+def test_band_below_the_doubles_is_refused_as_a_model_error():
+    # r_low ~ 2^{-1/a} with a = sigma - 2 sigma1 = 1e-5 lies far below the
+    # smallest double: the bracket stops at e^-708, and the error radius
+    # 20 e^708 overflows the radial weight
+    p = ModelParams(3, 1.0, 0.499995, 0.50001)
+    assert oscillation_band(p) == pytest.approx((math.exp(-708.0), 1.0), rel=1e-15, abs=0.0)
+    with pytest.raises(ModelError, match="overflows the radial weight"):
+        validate(p, case_for(p))
 
 
 def test_delta_examples():
@@ -287,8 +317,16 @@ def test_slow_rate_radius_is_the_first_crossing(fractional_params, frictional_pa
         assert r == pytest.approx(frozen, rel=1e-10)
         assert mode_decay_rate(p, r) == pytest.approx(0.6, rel=1e-9)
         assert mode_decay_rate(p, 0.9 * r) < 0.6
+        # the rate is exactly 1 at r = 1, so the top target is reached there
+        assert slow_rate_radius(p, 1.0) == 1.0
 
 
 def test_slow_rate_radius_rejects_nonpositive_target(fractional_params):
     with pytest.raises(ValueError):
         slow_rate_radius(fractional_params, 0.0)
+
+
+@pytest.mark.parametrize("target", [-0.5, 1.0 + 1e-15, 2.0, math.nan, math.inf])
+def test_slow_rate_radius_takes_targets_in_0_1(fractional_params, target):
+    with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
+        slow_rate_radius(fractional_params, target)

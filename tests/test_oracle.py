@@ -17,16 +17,32 @@ k - 1.
 The mode decay rates are checked against the roots of the mode equation,
 found by `mp.polyroots` at 50 digits, and the multipliers K0, K1 the ODE
 residual suite scores against a 50-digit rebuild from the two roots.
+
+On validated tuples drawn by hypothesis, the band edges are checked against
+the sign of the discriminant at 60 digits, and the slow-rate radius against
+the lab's own decay rate on a log grid below it.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 mp = pytest.importorskip("mpmath").mp
 
 from sigmadamp.acceptance import CONFIG_FRACTIONAL, CONFIG_FRICTIONAL, residual_grid
 from sigmadamp.kernels import exact_multipliers, kernel_jets
-from sigmadamp.model import ModelParams, case_for, mode_decay_rate, oscillation_band
+from sigmadamp.model import (
+    ModelError,
+    ModelParams,
+    case_for,
+    mode_decay_rate,
+    oscillation_band,
+    slow_rate_radius,
+    validate,
+)
 from sigmadamp.profiles import profile_pair
 
 PIECES = ("pos_fast", "pos_slow", "vel_slow", "vel_fast")
@@ -300,3 +316,63 @@ def test_profile_pair_matches_50_digit_root_series(p, label):
                         assert gap <= PROFILE_RTOL[label], (where, gap)
                         worst = max(worst, gap)
     assert worst > 0.0
+
+
+def _g(p, r):
+    """r^{-a} + r^b - 2 in 60 digits: the sign of the discriminant at r."""
+    with mp.workdps(60):
+        a = mp.mpf(p.sigma) - 2 * mp.mpf(p.sigma1)
+        b = 2 * mp.mpf(p.sigma2) - mp.mpf(p.sigma)
+        return r ** -a + r**b - 2
+
+
+def _validated(n, sigma, frac1, frac2, zero_sigma1):
+    """A tuple that validate() accepts, or a hypothesis rejection."""
+    sigma1 = 0.0 if zero_sigma1 else frac1 * 0.5 * sigma
+    p = ModelParams(n, sigma, sigma1, 0.5 * sigma + frac2 * 0.5 * sigma)
+    try:
+        validate(p, case_for(p))
+    except ModelError:
+        assume(False)
+    return p
+
+
+@given(
+    n=st.integers(1, 12),
+    sigma=st.floats(1.0, 4.0),
+    frac1=st.floats(0.0, 1.0, exclude_max=True),
+    frac2=st.floats(0.0, 1.0, exclude_min=True),
+    zero_sigma1=st.booleans(),
+    target=st.floats(0.01, 1.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_band_edges_and_rate_radius_on_validated_tuples(n, sigma, frac1, frac2, zero_sigma1, target):
+    p = _validated(n, sigma, frac1, frac2, zero_sigma1)
+    band = oscillation_band(p)
+    if band is not None:
+        lo, hi = band
+        assert lo < hi and 1.0 in band
+        edge, inward = (lo, 1.0) if hi == 1.0 else (hi, -1.0)
+    # a band within 1e-5 of r = 1 is at the noise of g ~ (log r)^2 there
+    if band is not None and abs(math.log(edge)) > 1e-5:
+        # D2 < 0 inside, at the geometric midpoint (in 60 digits: r^{4 sigma2}
+        # overflows a double there when the band reaches e^708)
+        with mp.workdps(60):
+            mid = mp.sqrt(mp.mpf(lo) * hi)
+            a_sym = mid ** (2 * mp.mpf(p.sigma1)) + mid ** (2 * mp.mpf(p.sigma2))
+            assert a_sym**2 - 4 * mid ** (2 * mp.mpf(p.sigma)) < 0
+        if edge == pytest.approx(math.exp(-708.0 * inward), rel=1e-15, abs=0.0):
+            # the band reaches the cut of the bracket
+            assert _g(p, edge) < 0
+        else:
+            # g changes sign at the edge: negative just inside, positive outside
+            assert _g(p, edge * (1.0 + inward * 1e-9)) < 0 < _g(p, edge * (1.0 - inward * 1e-9))
+        # and at the edge r = 1, where the band lies on the other side
+        assert _g(p, 1.0 - inward * 1e-9) < 0 < _g(p, 1.0 + inward * 1e-9)
+    # the slowest decay rate stays below target under the radius and reaches it there
+    r = slow_rate_radius(p, target)
+    assert 0.0 < r <= 1.0
+    # to the noise of the rate: D2 = A^2 - 4S cancels down to ~(1 - r)^2 near r = 1
+    assert mode_decay_rate(p, r) == pytest.approx(target, rel=1e-7)
+    below = np.geomspace(1e-3 * r, r * (1.0 - 1e-6), 400)
+    assert np.all(mode_decay_rate(p, below) < target)
