@@ -430,9 +430,8 @@ def ode_residual_max(p: ModelParams, r_values, t_values) -> tuple[float, dict]:
     s_sym = r ** (2.0 * p.sigma)
     h = 1e-4 * np.maximum(1.0, t)
     shots = t + np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None] * h
-    em = exact_multipliers(p, shots, np.broadcast_to(r, shots.shape[:2] + r.shape))
-    # axes (t, multiplier, step, r)
-    f = np.stack([em.K0, em.K1], axis=1)
+    # K0 and K1 on the first axis, then (t, step, r); moved to (t, multiplier, step, r)
+    f = np.moveaxis(exact_multipliers(p, shots, np.broadcast_to(r, shots.shape[:2] + r.shape)), 0, 1)
     fm2, fm1, f0, f1, f2 = (f[:, :, i] for i in range(5))
     d1 = (-f2 + 8.0 * f1 - 8.0 * fm1 + fm2) / (12.0 * h)
     d2 = (-f2 + 16.0 * f1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)

@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import DegenerateFit, FitResult, fit_exponential, fit_loglog
-from .kernels import EXP_FLUSH, check_order, exact_multipliers, mode_roots, root_jets
+from .kernels import EXP_FLUSH, check_order, checked_times, exact_multipliers, mode_roots, root_jets
 from .model import (
     ModelParams,
     RateCase,
     case_for,
     check_reach,
     check_symbols,
+    check_weight,
     error_exponent,
     error_radius,
     rate_step,
@@ -156,35 +157,39 @@ def error_curve(
     if not (0 <= k <= MAX_PROFILE_ORDER):
         raise ValueError(f"profile order must be in [0, {MAX_PROFILE_ORDER}], got {k}")
     check_order(p, k)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = checked_times(t_grid)
 
     cancel_hits = 0
 
     def f(r):
-        # everything that depends on the radius alone, once per distinct radius
-        modes = mode_roots(p, r)
-        roots = root_jets(p, r, k - 1).summed_kernel_roots() if k else None
-        u0, u1, weight = data.u0_hat(r), data.u1_hat(r), r**p.s
+        # everything that depends on the radius alone, once per distinct radius:
+        # the weighted data, folded into the exact solution's stage
+        weight = r**p.s
+        u0, u1 = weight * data.u0_hat(r), weight * data.u1_hat(r)
+        modes = mode_roots(p, r, u0, u1)
+        if k:
+            roots = root_jets(p, r, k - 1).summed_kernel_roots()
+            if case is RateCase.ZERO_SIGMA1:
+                # the frictional profile reads the slow pieces alone
+                roots = roots.slow_branch()
 
         def stage(at, j):
             # every node at the time of the sample it belongs to
             nonlocal cancel_hits
             t = t_grid[j]
             r_at = r.take(at)
-            em = exact_multipliers(p, t, r_at, modes, at)
-            u0_at, u1_at = u0.take(at), u1.take(at)
-            exact = em.K0 * u0_at + em.K1 * u1_at
+            exact = exact_multipliers(p, t, r_at, modes, at)
             if not k:
                 # the zero profile pair subtracts +0.0 and cannot cancel
-                return weight.take(at) * np.abs(exact)
+                return np.abs(exact)
             pr0, pr1 = profile_pair(k, p, case, t, r_at, roots.take(at))
-            approx = pr0 * u0_at + pr1 * u1_at
+            approx = pr0 * u0.take(at) + pr1 * u1.take(at)
             diff = exact - approx
             scale = np.maximum(np.abs(exact), np.abs(approx))
             cancel_hits += int(
                 np.count_nonzero((np.abs(diff) < CANCELLATION_RTOL * scale) & (scale > 0.0))
             )
-            return weight.take(at) * np.abs(diff)
+            return np.abs(diff)
 
         return stage
 
@@ -257,8 +262,9 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     mode; that radius is at most 1, so the cutoff stays inside r_max >= 10.
     H is sampled at 25 times evenly spaced on [1, 50], each norm to
     1e-8 * (1 + H).  Raises ModelError when the dimension overflows the
-    radial weight (`model.check_reach`) or the mode symbols overflow
-    (`model.check_symbols`) out to the truncation radius.
+    radial weight (`model.check_reach`), r^s overflows (`model.check_weight`)
+    or the mode symbols overflow (`model.check_symbols`) out to the
+    truncation radius.
     """
     cutoff_radius = 2.0 * slow_rate_radius(p, 0.6)
     t_grid = np.linspace(1.0, 50.0, 25)
@@ -267,16 +273,15 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     alpha_min = min(data.u0_hat.alpha, data.u1_hat.alpha)
     r_max = max(10.0, np.sqrt(EXP_FLUSH / alpha_min))
     check_reach(p.n, r_max)
+    check_weight(p.s, r_max)
     check_symbols(p, r_max)
 
     def f(r):
-        modes = mode_roots(p, r)
-        weight, u0, u1, chi = r**p.s, data.u0_hat(r), data.u1_hat(r), cut.chi_high(r)
+        weight = r**p.s * cut.chi_high(r)
+        modes = mode_roots(p, r, weight * data.u0_hat(r), weight * data.u1_hat(r))
 
         def stage(at, j):
-            em = exact_multipliers(p, t_grid[j], r.take(at), modes, at)
-            values = em.K0 * u0.take(at) + em.K1 * u1.take(at)
-            return weight.take(at) * np.abs(values) * chi.take(at)
+            return np.abs(exact_multipliers(p, t_grid[j], r.take(at), modes, at))
 
         return stage
 

@@ -34,8 +34,8 @@ tables themselves are built independently in `acceptance.kernel_tables`.
 
 `root_jets` builds the series of Gamma1, Gamma2, G^{-1} and both roots once
 per radial grid, `kernel_jets` those of the four pieces at given (t, r);
-`exact_multipliers` evaluates K0, K1 themselves at a = b = 1, stably through
-the oscillation band where the roots turn complex.  `check_order` refuses a
+`exact_multipliers` evaluates the solution K0 u0 + K1 u1 itself at a = b =
+1, stably through the oscillation band where the roots turn complex.  `check_order` refuses a
 profile order whose series overflow out to the error norms' radius.
 
 All radial arguments broadcast: an array r yields series of shape
@@ -58,12 +58,17 @@ h).  Each layer therefore splits into a radial stage and a time stage.
 stage of a caller that reads only the sum of the degree rows, as a profile
 does, and holds that one row per power.  A caller with many times per radius
 builds a stage once on its distinct radii.  `kernel_jets` gets it gathered
-to its nodes (`KernelRoots.take`) and runs two flushed envelopes and one
-Horner pass in t, with no series products.  `exact_multipliers` gets the
-stage itself with each node's index into it, and each root regime gathers
-only what it reads; its time stage is z = sqrt|D2| t/2, the envelopes and
-the closed forms.  Every operation is elementwise, so a node's values are
-the floats the one-stage call gives.
+to its nodes (`KernelRoots.take`, after `KernelRoots.slow_branch` when only
+the slow pieces are read) and runs two flushed envelopes and one Horner
+pass in t, with no series products.
+
+`mode_roots` folds the caller's data pair (u0, u1) into its stage, so the
+time stage of `exact_multipliers` returns K0 u0 + K1 u1 itself and never
+forms K0 or K1; the unit pairs `UNIT_PAIRS` give the multipliers.  It gets
+the stage itself with each node's index into it, and each root regime
+gathers only what it reads: the far form is e^{lambda_slow t} (b + q
+e^{-sqrt(D2) t}), two exponentials per node.  Every operation is
+elementwise, so a node's values are the floats the one-stage call gives.
 """
 
 from __future__ import annotations
@@ -153,39 +158,49 @@ class KernelRoots:
         """The stage at the radii of indices `at`."""
         return KernelRoots(np.take(self.lam0, at, axis=-1), np.take(self.coeffs, at, axis=-1))
 
+    def slow_branch(self) -> "KernelRoots":
+        """The stage of the slow branch alone; `kernel_jets` leaves the fast pieces None on it."""
+        return KernelRoots(self.lam0[:1], self.coeffs[:, :, :, :1])
+
 
 @dataclass(frozen=True)
 class KernelJets:
-    """Series in eps = a = b of the four rank-one multiplier pieces at fixed (t, r)."""
+    """Series in eps = a = b of the four rank-one multiplier pieces at fixed (t, r).
 
-    pos_fast: np.ndarray
+    The fast pieces are None when the stage held the slow branch alone.
+    """
+
+    pos_fast: np.ndarray | None
     pos_slow: np.ndarray
     vel_slow: np.ndarray
-    vel_fast: np.ndarray
+    vel_fast: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class ModeRoots:
-    """The t-independent part of `exact_multipliers`, one entry per radius.
+    """The t-independent part of `exact_multipliers`: the roots with the data folded in.
 
-    a_sym is the damping symbol A, root is sqrt|D2| and osc flags D2 < 0
-    (complex roots).  lam_slow = -2S/(A + sqrt D2) and lam_fast =
-    -(A + sqrt D2)/2 are the real roots where D2 > 0, and NaN elsewhere.
+    Radii are the last axis; the data fields may carry leading axes, one entry
+    per data pair.  half_a is A/2, root is sqrt|D2| and osc flags D2 < 0
+    (complex roots).  The near and oscillating forms read the position data
+    u0 and v = (A/2) u0 + u1.  The far form reads lam_slow = -2S/(A + sqrt D2),
+    b = (u1 - lam_fast u0)/sqrt D2 and q = (lam_slow u0 - u1)/sqrt D2, with
+    lam_fast = -(A + sqrt D2)/2; these three are NaN where D2 <= 0.
     """
 
-    a_sym: np.ndarray
+    half_a: np.ndarray
     root: np.ndarray
-    lam_slow: np.ndarray
-    lam_fast: np.ndarray
     osc: np.ndarray
+    lam_slow: np.ndarray
+    u0: np.ndarray
+    v: np.ndarray
+    b: np.ndarray
+    q: np.ndarray
 
 
-@dataclass(frozen=True)
-class ExactMultipliers:
-    """Values of the solution multipliers K0, K1 at a = b = 1."""
-
-    K0: object
-    K1: object
+# the unit data pairs (1, 0) and (0, 1) as (u0, u1) columns: a stage on them
+# gives K0 and K1 on a leading axis of two
+UNIT_PAIRS = (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
 
 def root_jets(p: ModelParams, r, order: int) -> RootJets:
@@ -238,7 +253,7 @@ def check_order(p: ModelParams, k: int) -> None:
         raise ModelError(f"order k={k} overflows the kernel series out to radius {radius:.6g}")
 
 
-def _times(t) -> np.ndarray:
+def checked_times(t) -> np.ndarray:
     """t as a float array, refused unless every entry is finite and nonnegative."""
     t = np.asarray(t, dtype=float)
     # one mask: NaN fails both comparisons
@@ -267,7 +282,8 @@ def kernel_jets(p: ModelParams, t, r, order: int, roots: KernelRoots | None = No
     gather of it on the distinct radii gives), and is not built again;
     otherwise `root_jets(p, r, order).kernel_roots()` is.  Each piece has one
     row per degree row of the stage: order + 1 rows from `kernel_roots`, their
-    sum alone from `summed_kernel_roots`.
+    sum alone from `summed_kernel_roots`.  A stage cut to the slow branch
+    (`KernelRoots.slow_branch`) evaluates only the slow pieces.
 
     Constant terms recover the slow-mode limits: pos_fast has
     -r^{2(sigma-2*sigma1)} e^{-r^{2*sigma1} t}, pos_slow has
@@ -275,7 +291,7 @@ def kernel_jets(p: ModelParams, t, r, order: int, roots: KernelRoots | None = No
     prefactor r^{-2*sigma1}.  An envelope past the underflow threshold is
     exact zero.
     """
-    t = _times(t)
+    t = checked_times(t)
     if roots is None:
         r = np.asarray(r, dtype=float)
         nodes = np.broadcast_to(r, np.broadcast_shapes(r.shape, t.shape))
@@ -285,11 +301,12 @@ def kernel_jets(p: ModelParams, t, r, order: int, roots: KernelRoots | None = No
     for below in coeffs[-2::-1]:
         poly = poly * t + below
     pieces = _flushed_exp(roots.lam0 * t) * poly
+    fast = len(roots.lam0) > 1
     return KernelJets(
-        pos_fast=pieces[:, 1, 1],
+        pos_fast=pieces[:, 1, 1] if fast else None,
         pos_slow=pieces[:, 1, 0],
         vel_slow=pieces[:, 0, 0],
-        vel_fast=pieces[:, 0, 1],
+        vel_fast=pieces[:, 0, 1] if fast else None,
     )
 
 
@@ -318,10 +335,13 @@ def _sinhc(z: np.ndarray) -> np.ndarray:
     return _removable(z, lambda v: np.sinh(v) / v, lambda v: 1.0 + v * v / 6.0)
 
 
-def mode_roots(p: ModelParams, r) -> ModeRoots:
-    """The radial stage of `exact_multipliers` at the radii r, from `model.mode_symbols`.
+def mode_roots(p: ModelParams, r, u0, u1) -> ModeRoots:
+    """The radial stage of `exact_multipliers` at the radii r for the data (u0, u1).
 
-    The roots are divided out only where D2 > 0: where the symbols underflow
+    u0 and u1 hold the data at each radius, with any radius-only weight
+    already applied, and broadcast with r on its last axis; leading axes
+    hold several data pairs (`UNIT_PAIRS` gives K0 and K1).  The far form's
+    fields are divided out only where D2 > 0: where the symbols underflow
     (A = S = D2 = 0) the quotient would be 0/0.
     """
     a_sym, s_sym, disc = mode_symbols(p, r)
@@ -332,92 +352,83 @@ def mode_roots(p: ModelParams, r) -> ModeRoots:
     np.divide(-2.0 * s_sym, a_plus_root, out=lam_slow, where=real)
     lam_fast = np.full_like(disc, np.nan)
     np.multiply(-0.5, a_plus_root, out=lam_fast, where=real)
-    return ModeRoots(a_sym, root, lam_slow, lam_fast, disc < 0.0)
+    u0, u1, _ = np.broadcast_arrays(np.asarray(u0, dtype=float), np.asarray(u1, dtype=float), disc)
+    b = np.full(u0.shape, np.nan)
+    np.divide(u1 - lam_fast * u0, root, out=b, where=real)
+    q = np.full(u0.shape, np.nan)
+    np.divide(lam_slow * u0 - u1, root, out=q, where=real)
+    half_a = 0.5 * a_sym
+    return ModeRoots(half_a, root, disc < 0.0, lam_slow, u0, half_a * u0 + u1, b, q)
 
 
-def exact_multipliers(
-    p: ModelParams, t, r, roots: ModeRoots | None = None, at=None
-) -> ExactMultipliers:
-    """Solution multipliers K0, K1 at a = b = 1, real in every root regime.
+def exact_multipliers(p: ModelParams, t, r, roots: ModeRoots | None = None, at=None) -> np.ndarray:
+    """The mode solution K0 u0 + K1 u1 at a = b = 1, real in every root regime.
 
     With A = r^{2*sigma1} + r^{2*sigma2} and discriminant D2 = A^2 -
     4 r^{2*sigma}, the closed forms are K0 = e^{-At/2} (cosh z +
     (At/2) sinhc z) and K1 = e^{-At/2} t sinhc z at z = sqrt(D2) t/2, which
     continue through D2 < 0 via cosh(iy) = cos y and sinhc(iy) = sinc y.
-    Evaluation is split three ways to stay inside double precision, and each
-    form is evaluated only on the nodes of its own regime:
+    Evaluation is split three ways to stay inside double precision:
 
-      * D2 < 0: the trigonometric form verbatim (all factors bounded);
-      * D2 >= 0, z <= 1/2: the hyperbolic form verbatim (no overflow);
-      * z > 1/2: regrouped into pure decaying exponentials
-        K0 = (lambda_slow e^{lambda_fast t} - lambda_fast e^{lambda_slow t})/sqrt(D2),
-        K1 = e^{lambda_slow t} (1 - e^{-2z})/sqrt(D2),
-        with lambda_slow = -2 r^{2*sigma}/(A + sqrt(D2)) evaluated
-        cancellation-free.
+      * D2 < 0: e^{-At/2} (cos y u0 + t v sinc y), all factors bounded;
+      * D2 >= 0, z <= 1/2: e^{-At/2} (cosh z u0 + t v sinhc z), no overflow;
+      * z > 1/2: regrouped into pure decaying exponentials,
+        e^{lambda_slow t} (b + q e^{-sqrt(D2) t}), where the second term is
+        e^{lambda_fast t} q, and lambda_slow = -2 r^{2*sigma}/(A + sqrt(D2))
+        is evaluated cancellation-free.
 
-    K0(0, r) = 1 and K1(0, r) = 0 hold exactly.  t and r broadcast together
-    (each node at its own time when both are arrays), and K0, K1 take their
-    broadcast shape.  roots, when given, is the radial stage `mode_roots`
-    and is not built again: on the distinct radii of the nodes, with at the
-    flat array of each node's index into it (as a family integrand's time
-    stage gets), or at the flattened nodes themselves when at is None.
+    v, b and q are the radius-only data of `ModeRoots`.  At t = 0 the value
+    is u0 exactly.  An exponential whose argument is below -EXP_FLUSH is
+    exact zero: where e^{-sqrt(D2) t} alone flushes, the far form keeps
+    e^{lambda_slow t} b.  Short of both edges, their product, which stands
+    for e^{lambda_fast t}, may underflow gradually instead of flushing.
+
+    roots is the radial stage `mode_roots` with the caller's data: on the
+    distinct radii of the nodes, with at the flat array of each node's index
+    into it (as a family integrand's time stage gets), or at the flattened
+    nodes themselves when at is None; the caller has then checked the times
+    (`checked_times`, once per grid).  t and r broadcast together (each node
+    at its own time when both are arrays), and the value has the stage's
+    leading data axes followed by their broadcast shape.  Without roots the
+    stage is built here on the unit pairs, so the value stacks K0 and K1 on
+    its first axis, and the times are checked here.
     """
-    r, t = np.asarray(r, dtype=float), _times(t)
+    r = np.asarray(r, dtype=float)
+    t = checked_times(t) if roots is None else np.asarray(t, dtype=float)
     if r.shape != t.shape:
         r, t = np.broadcast_arrays(r, t)
-    t_flat = t.ravel()
     if roots is None:
-        roots = mode_roots(p, r.ravel())
+        roots = mode_roots(p, r.ravel(), *UNIT_PAIRS)
+    t = t.ravel()
+    if at is None:
+        at = np.arange(t.size)
 
-    def stage_index(nodes):
-        # where the nodes' radii sit in the stage.  Gathers here use the
-        # ndarray methods: np.take's Python wrapper costs about a microsecond
-        return nodes if at is None else at.take(nodes)
+    # Gathers here use the ndarray methods: np.take's Python wrapper costs
+    # about a microsecond.  The far form runs on every node, which costs less
+    # than selecting its nodes: its value is NaN where D2 <= 0 and finite
+    # where z <= 1/2, and both bounded forms overwrite theirs.  Both its
+    # exponentials decay, so nothing overflows; sqrt(D2) t = 2z > 1 on its own
+    # nodes, so b and q were divided by a root that is not small there
+    z = roots.root.take(at) * (0.5 * t)
+    e_slow = _flushed_exp(roots.lam_slow.take(at) * t)
+    e_gap = _flushed_exp(-2.0 * z)
+    out = e_slow * (roots.b.take(at, axis=-1) + roots.q.take(at, axis=-1) * e_gap)
 
-    half_t = 0.5 * t_flat
-    k0 = np.empty_like(half_t)
-    k1 = np.empty_like(half_t)
+    def bounded(nodes, even, odd):
+        # e^{-At/2} (even u0 + t v odd), (even, odd) = (cos, sinc) or (cosh, sinhc)
+        nodes_at, t_nodes = at.take(nodes), t.take(nodes)
+        env = _flushed_exp(-roots.half_a.take(nodes_at) * t_nodes)
+        u0, v = roots.u0.take(nodes_at, axis=-1), roots.v.take(nodes_at, axis=-1)
+        out[..., nodes] = env * (even * u0 + t_nodes * v * odd)
 
-    # the node indices of each regime; its values are scattered back by them
-    is_osc = roots.osc if at is None else roots.osc.take(at)
+    is_osc = roots.osc.take(at)
     osc = is_osc.nonzero()[0]
-    real = (~is_osc).nonzero()[0]
-    real_at = stage_index(real)
-    root = roots.root.take(real_at)
-    z = root * half_t[real]
-    is_near = z <= 0.5
-    is_far = ~is_near
-    near, far = real[is_near], real[is_far]
-
     if osc.size:
-        osc_at = stage_index(osc)
-        half_t_osc = half_t[osc]
-        env_arg = roots.a_sym.take(osc_at) * half_t_osc
-        env = _flushed_exp(-env_arg)
-        y = roots.root.take(osc_at) * half_t_osc
-        sinc_y = _sinc(y)
-        k0[osc] = env * (np.cos(y) + env_arg * sinc_y)
-        k1[osc] = env * t_flat[osc] * sinc_y
-
+        y = z.take(osc)
+        bounded(osc, np.cos(y), _sinc(y))
+    near = ((z <= 0.5) & ~is_osc).nonzero()[0]
     if near.size:
-        env_arg = roots.a_sym.take(real_at[is_near]) * half_t[near]
-        env = _flushed_exp(-env_arg)
-        z_near = z[is_near]
-        shc = _sinhc(z_near)
-        k0[near] = env * (np.cosh(z_near) + env_arg * shc)
-        k1[near] = env * t_flat[near] * shc
+        z_near = z.take(near)
+        bounded(near, np.cosh(z_near), _sinhc(z_near))
 
-    # Far branch: division by sqrt(D2) is safe (z > 1/2 forces root*t > 1),
-    # and both exponentials decay, so nothing overflows.
-    if far.size:
-        far_at = real_at[is_far]
-        root_far = root[is_far]
-        lam_slow = roots.lam_slow.take(far_at)
-        lam_fast = roots.lam_fast.take(far_at)
-        t_far = t_flat[far]
-        e_slow = _flushed_exp(lam_slow * t_far)
-        e_fast = _flushed_exp(lam_fast * t_far)
-        k0[far] = (lam_slow * e_fast - lam_fast * e_slow) / root_far
-        k1[far] = e_slow * (-np.expm1(-2.0 * z[is_far])) / root_far
-
-    return ExactMultipliers(K0=k0.reshape(r.shape), K1=k1.reshape(r.shape))
+    return out.reshape(out.shape[:-1] + r.shape)

@@ -68,8 +68,9 @@ def validate(p: ModelParams, case: RateCase) -> None:
     the error norms.  Those weight f(r)^2 by r^{n-1} out to error_radius(p),
     which is 10 when sigma1 = 0 and 10 / eps_star >= 20 otherwise, and
     `check_reach` needs n * ln(radius) < ln(DBL_MAX) = 709.78: n <= 308
-    without weak damping, n <= 236 at most with it; `check_symbols` needs
-    A^2 ~ r^{4*sigma2} finite there.  `experiments.high_freq_decay_check`
+    without weak damping, n <= 236 at most with it; `check_weight` needs the
+    same of s (s < 308.3 at radius 10, s < 236.9 at radius 20), and
+    `check_symbols` needs A^2 ~ r^{4*sigma2} finite there.  `experiments.high_freq_decay_check`
     checks its own radius, which depends on the data.  Returns None when
     every hypothesis holds.
     """
@@ -101,9 +102,10 @@ def validate(p: ModelParams, case: RateCase) -> None:
     # band edge r = e^{-x} solves e^{a x} + e^{-b x} = 2 (b = 2*sigma2 - sigma),
     # so e^{a x} < 2; only a tuple too large for that bound searches the band
     ln_top = math.log(20.0) + math.log(2.0) / (p.sigma - 2.0 * p.sigma1)
-    if max(p.n * ln_top, _ln_symbol_top(p, ln_top)) >= _LN_FLOAT_MAX:
+    if max(max(p.n, p.s) * ln_top, _ln_symbol_top(p, ln_top)) >= _LN_FLOAT_MAX:
         radius = error_radius(p)
         check_reach(p.n, radius)
+        check_weight(p.s, radius)
         check_symbols(p, radius)
 
 
@@ -123,6 +125,19 @@ def check_reach(n: int, radius: float) -> None:
         raise ModelError(
             f"dim {n} overflows the radial weight r^(n-1) out to radius {radius:.6g}; "
             f"need n * ln(radius) < {_LN_FLOAT_MAX:.2f}"
+        )
+
+
+def check_weight(s: float, radius: float) -> None:
+    """Raise ModelError unless radius^s is a finite double.
+
+    Every error norm weights its integrand by r^s out to radius; past this
+    bound the weight overflows, and the norm comes out inf or NaN.
+    """
+    if s * math.log(radius) >= _LN_FLOAT_MAX:
+        raise ModelError(
+            f"weight s={s} overflows r^s out to radius {radius:.6g}; "
+            f"need s * ln(radius) < {_LN_FLOAT_MAX:.2f}"
         )
 
 

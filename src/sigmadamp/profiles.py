@@ -79,9 +79,10 @@ def profile_pair(k: int, p: ModelParams, case: RateCase, t, r, roots: KernelRoot
     returns the zero pair.  t and r broadcast together, as in `kernel_jets`.
     roots, when given, is the profile stage
     `root_jets(p, r, k - 1).summed_kernel_roots()` at the broadcast nodes (as
-    a gather of it on the distinct radii gives), and is not built again.  The
-    case must be `case_for(p)`; a case that disagrees with sigma1 raises
-    ModelError.
+    a gather of it on the distinct radii gives), and is not built again; at
+    sigma1 = 0, which reads no fast piece, it may be cut to its slow branch
+    (`KernelRoots.slow_branch`).  The case must be `case_for(p)`; a case that
+    disagrees with sigma1 raises ModelError.
     """
     if case is not case_for(p):
         raise ModelError(f"rate case {case.value} does not match sigma1 = {p.sigma1}")

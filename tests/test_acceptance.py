@@ -287,8 +287,8 @@ def _ode_residual_per_time(p, r, t_values):
         shots = {
             step: exact_multipliers(p, float(t) + step * h, r) for step in (-2, -1, 0, 1, 2)
         }
-        for name in ("K0", "K1"):
-            f = {step: np.asarray(getattr(em, name)) for step, em in shots.items()}
+        for i, name in enumerate(("K0", "K1")):
+            f = {step: em[i] for step, em in shots.items()}
             d1 = (-f[2] + 8.0 * f[1] - 8.0 * f[-1] + f[-2]) / (12.0 * h)
             d2 = (-f[2] + 16.0 * f[1] - 30.0 * f[0] + 16.0 * f[-1] - f[-2]) / (12.0 * h * h)
             terms = (d2, a_sym * d1, s_sym * f[0])

@@ -198,6 +198,22 @@ def test_mode_symbols_that_overflow_exit_2(model, bound, capsys):
 
 
 @pytest.mark.parametrize(
+    "model, runs, refused",
+    [([], "200", "250"), (["--sigma1", "0"], "200", "320")],
+    ids=["fractional-radius-20", "zero-sigma1-radius-10"],
+)
+def test_weights_that_overflow_exit_2(model, runs, refused, capsys):
+    # past s ln(error_radius) = ln(DBL_MAX) the weight r^s overflows: refused
+    # up front, where the curve used to exit 3 on an inf or NaN panel
+    assert main(["curve", "--k", "0", *model, "--s", runs]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["curve", "--k", "0", *model, "--s", refused]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: invalid model parameters: weight s={refused}.0 overflows r^s")
+    assert "need s * ln(radius) < 709.78" in err and "Warning" not in err
+
+
+@pytest.mark.parametrize(
     "model",
     [
         ["--sigma", "2", "--sigma1", "0.004", "--sigma2", "1.002"],

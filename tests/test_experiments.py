@@ -312,16 +312,27 @@ def test_lower_bound_band_needs_velocity_mass(frictional_params):
 # sigma1 = 0 makes G^{-1} exactly 1.  tests/test_oracle.py checks the
 # series against an independent 100-digit rebuild, and profile_pair for
 # k = 1..6 against 50-digit root series.
+# Both were re-recorded on the change after 941bfbd, where the weighted data
+# pair is folded into the exact solution's radial stage and its far form
+# multiplies e^{lambda_slow t} by e^{-sqrt(D2) t} instead of taking
+# e^{lambda_fast t} and an expm1.  Frictional k=1, old -> new:
+# 0.067517417065620033 -> 0.06751741706562005 (+2.1e-16), E(100) unchanged,
+# 0.0005847743203287243 -> 0.000584774320328723 (-2.2e-15),
+# 5.3528944569278703e-05 -> 5.3528944569280065e-05 (+2.5e-14).  Fractional
+# k=2: 0.00024069024457154387 -> 0.0002406902445715454 (+6.3e-15),
+# 2.0210749433722145e-06 -> 2.021074943372399e-06 (+9.1e-14),
+# 1.8795885267043831e-08 -> 1.8795885267062528e-08 (+9.9e-13); the
+# cancellation count stayed 774.
 RECORDED_FRICTIONAL_K1 = [
-    0.067517417065620033,
-    0.0063453376300798021,
-    0.0005847743203287243,
-    5.3528944569278703e-05,
+    0.06751741706562005,
+    0.006345337630079802,
+    0.000584774320328723,
+    5.3528944569280065e-05,
 ]
 RECORDED_FRACTIONAL_K2 = [
-    0.00024069024457154387,
-    2.0210749433722145e-06,
-    1.8795885267043831e-08,
+    0.0002406902445715454,
+    2.021074943372399e-06,
+    1.8795885267062528e-08,
 ]
 
 
@@ -426,8 +437,8 @@ def test_high_frequency_late_norm_meets_a_fine_reference(frictional_params):
     edges = np.geomspace(0.5 * cut.eps, r_max, 20_001)
     half = 0.5 * np.diff(edges)
     r = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * quadrature.GAUSS_NODES
-    em = exact_multipliers(p, 50.0, r)
-    f = r**p.s * np.abs(em.K0 * data.u0_hat(r) + em.K1 * data.u1_hat(r)) * cut.chi_high(r)
+    k0, k1 = exact_multipliers(p, 50.0, r)
+    f = r**p.s * np.abs(k0 * data.u0_hat(r) + k1 * data.u1_hat(r)) * cut.chi_high(r)
     squares = half * ((f * f * r ** (p.n - 1)) * quadrature.GAUSS_WEIGHTS).sum(axis=1)
     reference = np.sqrt(quadrature.surface_area(p.n) * squares.sum())
     assert abs(report.h_last - reference) <= 1e-6 * reference

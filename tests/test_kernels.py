@@ -19,6 +19,7 @@ from sigmadamp.jet2 import mul
 from sigmadamp.kernels import (
     EXP_FLUSH,
     check_order,
+    UNIT_PAIRS,
     exact_multipliers,
     kernel_jets,
     mode_roots,
@@ -266,8 +267,8 @@ def test_radial_stages_gathered_to_nodes_equal_one_stage_calls(p):
     disc = np.take(mode_symbols(p, radii)[2], at)
     z = np.sqrt(np.maximum(disc, 0.0)) * 0.5 * t
     assert (disc < 0.0).any() and (z[disc >= 0.0] <= 0.5).any() and (z > 0.5).any()
-    split, one = exact_multipliers(p, t, r, mode_roots(p, radii), at), exact_multipliers(p, t, r)
-    assert np.array_equal(split.K0, one.K0) and np.array_equal(split.K1, one.K1)
+    split = exact_multipliers(p, t, r, mode_roots(p, radii, *UNIT_PAIRS), at)
+    assert np.array_equal(split, exact_multipliers(p, t, r))
     for order in (0, 1, 2):
         roots = root_jets(p, radii, order).kernel_roots().take(at)
         split, one = kernel_jets(p, t, r, order, roots), kernel_jets(p, t, r, order)
@@ -293,16 +294,17 @@ def _ulp_times(arg, t0, ulps=6):
 
 
 def test_staged_multipliers_equal_one_stage_calls_at_every_seam():
-    # nodes in all three regimes, on both sides of z = 1/2, with envelope
-    # arguments next to EXP_FLUSH, and at t = 0; the stage holds each radius
-    # once and every node reads it through its index
+    # nodes in all three regimes, on both sides of z = 1/2, with envelope and
+    # gap arguments (A t/2, -lambda_slow t, sqrt(D2) t) next to EXP_FLUSH, and
+    # at t = 0; the stage holds each radius once and every node reads it
+    # through its index
     p = ModelParams(1, 1.0, 0.0, 0.8)
     band = oscillation_band(p)
     r_osc, r_far = math.sqrt(band[0] * band[1]), 3.0
-    stage = mode_roots(p, np.array([r_osc, 1.0, r_far]))
+    stage = mode_roots(p, np.array([r_osc, 1.0, r_far]), *UNIT_PAIRS)
     assert stage.osc.tolist() == [True, False, False]
-    a_osc, root_far = stage.a_sym[0], stage.root[2]
-    lam_slow, lam_fast = stage.lam_slow[2], stage.lam_fast[2]
+    a_osc, root_far = 2.0 * stage.half_a[0], stage.root[2]
+    lam_slow = stage.lam_slow[2]
     # the times of the nodes at each radius of the stage
     times = {}
     t, env = _ulp_times(lambda x: a_osc * (0.5 * x), 2.0 * EXP_FLUSH / a_osc)
@@ -313,21 +315,49 @@ def test_staged_multipliers_equal_one_stage_calls_at_every_seam():
     t, z = _ulp_times(lambda x: root_far * (0.5 * x), 1.0 / root_far)
     assert z.min() < 0.5 < z.max() and 0.5 in z
     t_slow, e_slow = _ulp_times(lambda x: -lam_slow * x, EXP_FLUSH / -lam_slow)
-    t_fast, e_fast = _ulp_times(lambda x: -lam_fast * x, EXP_FLUSH / -lam_fast)
-    for arg in (e_slow, e_fast):
+    t_gap, e_gap = _ulp_times(lambda x: root_far * x, EXP_FLUSH / root_far)
+    for arg in (e_slow, e_gap):
         assert arg.min() < EXP_FLUSH < arg.max()
-    times[2] = [0.0, *t, *t_slow, *t_fast]
+    times[2] = [0.0, *t, *t_slow, *t_gap]
     at = np.concatenate([np.full(len(ts), i) for i, ts in times.items()])
     t = np.concatenate([np.array(ts) for ts in times.values()])
     r = np.array([r_osc, 1.0, r_far])[at]
     split, one = exact_multipliers(p, t, r, stage, at), exact_multipliers(p, t, r)
-    assert split.K0.tobytes() == one.K0.tobytes() and split.K1.tobytes() == one.K1.tobytes()
+    assert split.tobytes() == one.tobytes()
     # the stage at the nodes themselves, at = None, is the same call
-    same = exact_multipliers(p, t, r, mode_roots(p, r))
-    assert same.K0.tobytes() == one.K0.tobytes() and same.K1.tobytes() == one.K1.tobytes()
+    same = exact_multipliers(p, t, r, mode_roots(p, r, *UNIT_PAIRS))
+    assert same.tobytes() == one.tobytes()
+    k0, k1 = split
     start = t == 0.0
-    assert start.sum() == 3 and (split.K0[start] == 1.0).all() and (split.K1[start] == 0.0).all()
-    assert (split.K0 > 0.0).any() and (split.K0 == 0.0).any()
+    assert start.sum() == 3 and (k0[start] == 1.0).all() and (k1[start] == 0.0).all()
+    assert (k0 > 0.0).any() and (k0 == 0.0).any()
+
+
+@GATHER_PARAMS
+def test_data_weighted_stage_equals_the_unit_pairs_combined(p):
+    # K0 u0 + K1 u1 from a stage holding the data against the same sum of the
+    # unit pairs' K0 and K1: all three regimes, both sides of z = 1/2 at every
+    # radius with real roots, and D2 = 0 at r = 1 (A = 2, S = 1).  Measured
+    # worst gap: 5 ulps of |K0 u0| + |K1 u1| (fractional, near form at
+    # z = 1/2); 3 ulps frictional
+    rng = np.random.default_rng(3)
+    radii, at, t = gathered_nodes()
+    radii = np.concatenate([radii, np.linspace(*oscillation_band(p), 9), [1.0]])
+    disc = mode_symbols(p, radii)[2]
+    real = np.flatnonzero(disc > 0.0)
+    seam = 1.0 / np.sqrt(disc[real])
+    at = np.concatenate([at, real, real, real, np.full(4, radii.size - 1)])
+    t = np.concatenate([t, seam, np.nextafter(seam, 0.0), np.nextafter(seam, np.inf), [0.0, 0.3, 5.0, 200.0]])
+    u0 = rng.uniform(-2.0, 2.0, radii.size) * radii**3
+    u1 = rng.uniform(-2.0, 2.0, radii.size)
+    got = exact_multipliers(p, t, radii[at], mode_roots(p, radii, u0, u1), at)
+    k0, k1 = exact_multipliers(p, t, radii[at])
+    scale = np.abs(k0 * u0[at]) + np.abs(k1 * u1[at])
+    assert (scale > 0.0).all()
+    assert (np.abs(got - (k0 * u0[at] + k1 * u1[at])) <= 8.0 * np.spacing(scale)).all()
+    z = np.sqrt(np.abs(disc[at])) * 0.5 * t
+    assert (disc == 0.0).any() and (disc < 0.0).any()
+    assert ((disc[at] >= 0.0) & (z <= 0.5)).any() and (z[disc[at] > 0.0] > 0.5).any()
 
 
 def test_mode_roots_skip_radii_whose_symbols_underflow():
@@ -335,22 +365,22 @@ def test_mode_roots_skip_radii_whose_symbols_underflow():
     p = ModelParams(3, 60, 20, 50)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stage = mode_roots(p, np.array([1e-12, 1.0]))
+        stage = mode_roots(p, np.array([1e-12, 1.0]), *UNIT_PAIRS)
         t = np.array([0.0, 1.0, 1e4])
-        em = exact_multipliers(p, t, np.full(3, 1e-12), stage, np.zeros(3, dtype=int))
-    assert stage.a_sym[0] == 0.0 and np.isnan(stage.lam_slow[:1]).all()
-    assert em.K0.tolist() == [1.0, 1.0, 1.0] and em.K1.tolist() == t.tolist()
+        k0, k1 = exact_multipliers(p, t, np.full(3, 1e-12), stage, np.zeros(3, dtype=int))
+    assert stage.half_a[0] == 0.0 and np.isnan(stage.lam_slow[:1]).all()
+    assert k0.tolist() == [1.0, 1.0, 1.0] and k1.tolist() == t.tolist()
 
 
 def test_nan_symbols_give_nan_multipliers():
     # a NaN radius, and a radius where A^2 - 4S is inf - inf
     p = ModelParams(3, 100.0, 0.0, 70.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        stage = mode_roots(p, np.array([np.nan, 1e3]))
+        stage = mode_roots(p, np.array([np.nan, 1e3]), *UNIT_PAIRS)
     assert np.isnan(stage.root).all() and not stage.osc.any()
     at = np.array([0, 0, 1, 1])
     em = exact_multipliers(p, np.array([0.0, 2.0, 0.0, 2.0]), np.full(4, np.nan), stage, at)
-    assert np.isnan(em.K0).all() and np.isnan(em.K1).all()
+    assert np.isnan(em).all()
 
 
 def exp_recurrence(x):
@@ -473,29 +503,29 @@ def test_flushed_exp_is_exp_then_flush_bit_for_bit():
 def test_multipliers_start_from_initial_conditions():
     for p in (ModelParams(3, 1.0, 0.25, 0.75), ModelParams(1, 1.0, 0.0, 0.8)):
         for r in (0.2, 1.0, 3.0):
-            em = exact_multipliers(p, 0.0, r)
-            assert em.K0 == 1.0
-            assert em.K1 == 0.0
+            k0, k1 = exact_multipliers(p, 0.0, r)
+            assert k0 == 1.0
+            assert k1 == 0.0
 
 
 def test_degenerate_double_root_closed_form():
     # sigma=1, sigma1=0, sigma2=1 at r=1: both roots equal -1
     p = ModelParams(3, 1.0, 0.0, 1.0)
     for t in (0.5, 2.0, 10.0):
-        em = exact_multipliers(p, t, 1.0)
-        assert em.K1 == pytest.approx(t * math.exp(-t), rel=1e-14)
-        assert em.K0 == pytest.approx((1.0 + t) * math.exp(-t), rel=1e-14)
+        k0, k1 = exact_multipliers(p, t, 1.0)
+        assert k1 == pytest.approx(t * math.exp(-t), rel=1e-14)
+        assert k0 == pytest.approx((1.0 + t) * math.exp(-t), rel=1e-14)
 
 
 def test_perfect_square_discriminant_closed_form():
     # same family at r=0.5: roots are exactly -1/4 and -1
     p = ModelParams(3, 1.0, 0.0, 1.0)
     for t in (0.3, 1.0, 6.0, 40.0):
-        em = exact_multipliers(p, t, 0.5)
+        got0, got1 = exact_multipliers(p, t, 0.5)
         k1 = (math.exp(-0.25 * t) - math.exp(-t)) / 0.75
         k0 = (math.exp(-0.25 * t) - 0.25 * math.exp(-t)) / 0.75
-        assert em.K1 == pytest.approx(k1, rel=1e-13)
-        assert em.K0 == pytest.approx(k0, rel=1e-13)
+        assert got1 == pytest.approx(k1, rel=1e-13)
+        assert got0 == pytest.approx(k0, rel=1e-13)
 
 
 def test_oscillatory_regime_against_complex_oracle(frictional_params):
@@ -510,12 +540,12 @@ def test_oscillatory_regime_against_complex_oracle(frictional_params):
         lam1 = (-a_sym + root) / 2.0
         lam2 = (-a_sym - root) / 2.0
         for t in (0.7, 3.0, 11.0):
-            em = exact_multipliers(p, t, float(r))
+            got0, got1 = exact_multipliers(p, t, float(r))
             k1 = (cmath.exp(lam1 * t) - cmath.exp(lam2 * t)) / (lam1 - lam2)
             k0 = (lam1 * cmath.exp(lam2 * t) - lam2 * cmath.exp(lam1 * t)) / (lam1 - lam2)
             assert abs(k1.imag) < 1e-12 * abs(k1)
-            assert em.K1 == pytest.approx(k1.real, rel=1e-11)
-            assert em.K0 == pytest.approx(k0.real, rel=1e-11)
+            assert got1 == pytest.approx(k1.real, rel=1e-11)
+            assert got0 == pytest.approx(k0.real, rel=1e-11)
 
 
 def test_multipliers_are_continuous_across_band_edges(frictional_params):
@@ -524,8 +554,7 @@ def test_multipliers_are_continuous_across_band_edges(frictional_params):
         for t in (0.5, 5.0, 20.0):
             inner = exact_multipliers(frictional_params, t, edge * (1.0 + 1e-9))
             outer = exact_multipliers(frictional_params, t, edge * (1.0 - 1e-9))
-            assert abs(inner.K0 - outer.K0) < 1e-7
-            assert abs(inner.K1 - outer.K1) < 1e-7
+            assert (abs(inner - outer) < 1e-7).all()
 
 
 def _bisect_radius(f, lo, hi):
@@ -547,11 +576,11 @@ def test_multipliers_on_an_array_equal_the_scalar_calls_bit_for_bit(frictional_p
         seams = [*band, 0.5 * (band[0] + band[1])]
         if t > 0.0:
             # z = sqrt(D2) t / 2 = 1/2 just outside the band, and the flush of the
-            # envelope e^{-At/2} and of the fast exponential e^{lambda_fast t}
+            # envelope e^{-At/2} and of the gap exponential e^{-sqrt(D2) t}
             seams.append(_bisect_radius(lambda r: disc(r) - (1.0 / t) ** 2, band[1], 50.0))
             seams.append(_bisect_radius(lambda r: a_sym(r) * t / 2.0 - EXP_FLUSH, 1e-3, 1e3))
-            fast = lambda r: 0.5 * (a_sym(r) + math.sqrt(max(disc(r), 0.0))) * t  # noqa: E731
-            seams.append(_bisect_radius(lambda r: fast(r) - EXP_FLUSH, band[1], 1e3))
+            gap = lambda r: math.sqrt(max(disc(r), 0.0)) * t  # noqa: E731
+            seams.append(_bisect_radius(lambda r: gap(r) - EXP_FLUSH, band[1], 1e3))
         r = np.sort(
             np.concatenate(
                 [np.geomspace(1e-3, 40.0, 400)]
@@ -560,23 +589,22 @@ def test_multipliers_on_an_array_equal_the_scalar_calls_bit_for_bit(frictional_p
         )
         em = exact_multipliers(p, t, r)
         scalar = [exact_multipliers(p, t, float(x)) for x in r]
-        assert em.K0.tobytes() == np.array([e.K0 for e in scalar]).tobytes()
-        assert em.K1.tobytes() == np.array([e.K1 for e in scalar]).tobytes()
+        assert em.tobytes() == np.stack(scalar, axis=1).tobytes()
         # the array does straddle every seam
         d = np.array([disc(x) for x in r])
         z = np.sqrt(np.maximum(d, 0.0)) * t / 2.0
         assert np.any(d < 0.0) and np.any((d >= 0.0) & (z <= 0.5))
         if t > 0.0:
             assert np.any(z > 0.5)
-            for arg in (a_sym(r) * t / 2.0, np.array([fast(x) for x in r])):
+            for arg in (a_sym(r) * t / 2.0, np.array([gap(x) for x in r])):
                 assert np.any(arg > EXP_FLUSH) and np.any(arg <= EXP_FLUSH)
 
 
 def test_multipliers_flush_to_zero_at_extreme_damping():
     p = ModelParams(3, 1.0, 0.25, 0.75)
-    em = exact_multipliers(p, 1e6, 2.0)
-    assert em.K0 == 0.0
-    assert em.K1 == 0.0
+    k0, k1 = exact_multipliers(p, 1e6, 2.0)
+    assert k0 == 0.0
+    assert k1 == 0.0
 
 
 def test_multipliers_solve_the_mode_equation():
@@ -590,8 +618,8 @@ def test_multipliers_solve_the_mode_equation():
         for r in r_values:
             for t in (0.5, 3.0, 12.0):
                 h = 1e-4 * max(1.0, t)
-                for pick in (lambda e: e.K0, lambda e: e.K1):
-                    f = [pick(exact_multipliers(p, t + i * h, r)) for i in (-2, -1, 0, 1, 2)]
+                for pick in (0, 1):
+                    f = [exact_multipliers(p, t + i * h, r)[pick] for i in (-2, -1, 0, 1, 2)]
                     d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
                     d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
                     terms = (d2, a_sym(r) * d1, s_sym(r) * f[2])
@@ -623,11 +651,10 @@ def test_multipliers_at_per_node_times_equal_the_scalar_time_calls(params, reque
     em = exact_multipliers(p, t_all, r_all)
     for i, t in enumerate(TIME_GRID):
         at_t = slice(i * r.size, (i + 1) * r.size)
-        one = exact_multipliers(p, t, r)
-        assert np.array_equal(em.K0[at_t], one.K0) and np.array_equal(em.K1[at_t], one.K1)
+        assert np.array_equal(em[:, at_t], exact_multipliers(p, t, r))
     # a scalar radius against an array of times broadcasts to the times
-    em = exact_multipliers(p, np.array(TIME_GRID), 0.3)
-    assert em.K0.tolist() == [exact_multipliers(p, t, 0.3).K0 for t in TIME_GRID]
+    k0, _ = exact_multipliers(p, np.array(TIME_GRID), 0.3)
+    assert k0.tolist() == [exact_multipliers(p, t, 0.3)[0] for t in TIME_GRID]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

@@ -101,6 +101,27 @@ def test_dimension_bound_follows_the_error_radius():
 
 @pytest.mark.parametrize(
     "sigma1, radius, below, above",
+    [(0.0, 10.0, 308.25, 308.26), (0.25, 20.0, 236.93, 236.94)],
+    ids=["zero-sigma1", "positive-sigma1"],
+)
+def test_weight_bound_follows_the_error_radius(sigma1, radius, below, above):
+    # r^s must stay a finite double out to error_radius:
+    # s ln(radius) < ln(DBL_MAX) = 709.78
+    ok = ModelParams(3, 1.0, sigma1, 0.75, below)
+    bad = ModelParams(3, 1.0, sigma1, 0.75, above)
+    assert error_radius(ok) == error_radius(bad) == radius
+    validate(ok, case_for(ok))
+    assert np.isfinite(radius**below)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match=rf"weight s={above} overflows r\^s out to radius {radius:g}"):
+            validate(bad, case_for(bad))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.float64(radius) ** above)
+
+
+@pytest.mark.parametrize(
+    "sigma1, radius, below, above",
     [(0.0, 10.0, 77.06, 77.07), (0.5, 20.0, 59.23, 59.24)],
     ids=["zero-sigma1", "positive-sigma1"],
 )

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 mp = pytest.importorskip("mpmath").mp
 
 from sigmadamp.acceptance import CONFIG_FRACTIONAL, CONFIG_FRICTIONAL, residual_grid
-from sigmadamp.kernels import exact_multipliers, kernel_jets
+from sigmadamp.kernels import EXP_FLUSH, UNIT_PAIRS, exact_multipliers, kernel_jets, mode_roots
 from sigmadamp.model import (
     ModelError,
     ModelParams,
@@ -202,14 +202,92 @@ def test_exact_multipliers_match_50_digit_roots(p, rtol):
             nodes += [(float(t_seam * (1 + d)), float(r)) for d in (-1e-12, 1e-12)]
             seam += 1
     t_nodes, r_nodes = (np.array(column) for column in zip(*nodes))
-    em = exact_multipliers(p, t_nodes, r_nodes)
-    for t, r, k0, k1 in zip(t_nodes, r_nodes, em.K0, em.K1):
+    k0s, k1s = exact_multipliers(p, t_nodes, r_nodes)
+    for t, r, k0, k1 in zip(t_nodes, r_nodes, k0s, k1s):
         want0, want1, _ = multipliers_50_digits(p, t, r)
         for name, got, want in (("K0", k0, want0), ("K1", k1, want1)):
             gap = float(abs(got - want) / abs(want))
             assert gap <= rtol, (name, float(t), float(r), gap)
     # radii with real roots: all 10 fractional ones, 6 frictional ones
     assert seam >= 6
+
+
+DEGENERATE = ModelParams(n=3, sigma=1.0, sigma1=0.0, sigma2=1.0)
+
+
+def _band_middle(p):
+    lo, hi = oscillation_band(p)
+    return math.sqrt(lo * hi)
+
+
+def _times_around(rate, ulps=4):
+    """The time t0 at which rate * t0 = EXP_FLUSH, and `ulps` floats on each side of it."""
+    t0 = EXP_FLUSH / rate
+    t = [t0]
+    for direction in (-np.inf, np.inf):
+        step = t0
+        for _ in range(ulps):
+            step = np.nextafter(step, direction)
+            t.append(step)
+    return np.array(sorted(t))
+
+
+# Each exponential the lab flushes, with its argument at EXP_FLUSH within 4
+# ulps of t on each side: the envelope A t/2 of the near form (at D2 = 0,
+# where K0 = (1 + t) e^{-t}, K1 = t e^{-t}) and of the oscillating form, and
+# -lambda_slow t and sqrt(D2) t of the far form, whose e^{lambda_fast t} is
+# the product e^{lambda_slow t} e^{-sqrt(D2) t}.  Measured worst relative
+# gaps: near 1.4e-16; oscillating 1.7e-12, where the phase y = 179 carries
+# an error of some 2e-14; far 1.7e-13, the rounding of the exponent
+# lambda_slow t ~ -700.  Past an envelope or e^{lambda_slow t} edge the lab
+# returns exact zeros, and the 50-digit value lies below 1e-299 there
+@pytest.mark.parametrize(
+    "p, radius, edge, rtol",
+    [
+        (DEGENERATE, 1.0, "envelope", 1e-15),
+        (CONFIG_FRICTIONAL, _band_middle(CONFIG_FRICTIONAL), "envelope", 4e-12),
+        (CONFIG_FRICTIONAL, 3.0, "slow", 4e-13),
+        (CONFIG_FRACTIONAL, 0.7, "slow", 4e-13),
+        (CONFIG_FRICTIONAL, 3.0, "gap", 4e-13),
+        (CONFIG_FRACTIONAL, 0.1, "gap", 4e-13),
+    ],
+    ids=["near-at-d2-zero", "oscillating", "far-slow-frictional", "far-slow-fractional",
+         "far-gap-frictional", "far-gap-fractional"],
+)
+def test_exact_multipliers_match_50_digits_at_the_flush_edges(p, radius, edge, rtol):
+    stage = mode_roots(p, np.array([radius]), *UNIT_PAIRS)
+    rate = {
+        "envelope": stage.half_a[0],
+        "slow": -stage.lam_slow[0],
+        "gap": stage.root[0],
+    }[edge]
+    times = _times_around(rate)
+    args = rate * times
+    assert args.min() < EXP_FLUSH < args.max()
+    # the regime the edge belongs to
+    z = stage.root[0] * 0.5 * times
+    if edge == "envelope":
+        assert stage.osc[0] or (z <= 0.5).all()
+    else:
+        assert not stage.osc[0] and (z > 0.5).all()
+    got = exact_multipliers(p, times, np.full(times.size, radius))
+    flushed = 0
+    for i, t in enumerate(times):
+        if p is DEGENERATE:
+            with mp.workdps(50):
+                e = mp.exp(-mp.mpf(t))
+                want = ((1 + mp.mpf(t)) * e, mp.mpf(t) * e)
+        else:
+            want = multipliers_50_digits(p, t, radius)[:2]
+        for name, value, exact in zip(("K0", "K1"), got[:, i], want):
+            if value == 0.0 and edge != "gap":
+                flushed += 1
+                assert abs(exact) < 1e-299, (name, float(t), float(exact))
+                continue
+            gap = float(abs(value - exact) / abs(exact))
+            assert gap <= rtol, (name, float(t), gap)
+    # both multipliers flush on the far side of an envelope or slow edge
+    assert flushed == (0 if edge == "gap" else 2 * int((args > EXP_FLUSH).sum()))
 
 
 # -- profile pairs against 50-digit root series --------------------------------
