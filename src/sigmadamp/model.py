@@ -69,10 +69,10 @@ def validate(p: ModelParams, case: RateCase) -> None:
     which is 10 when sigma1 = 0 and 10 / eps_star >= 20 otherwise, and
     `check_reach` needs n * ln(radius) < ln(DBL_MAX) = 709.78: n <= 308
     without weak damping, n <= 236 at most with it; `check_weight` needs the
-    same of s (s < 308.3 at radius 10, s < 236.9 at radius 20), and
-    `check_symbols` needs A^2 ~ r^{4*sigma2} finite there.  `experiments.high_freq_decay_check`
-    checks its own radius, which depends on the data.  Returns None when
-    every hypothesis holds.
+    same of s (s < 308.25 at radius 10, s < 236.93 at radius 20), and
+    `check_symbols` needs A^2 ~ r^{4*sigma2} finite there.
+    `experiments.high_freq_decay_check` checks its own radius, which depends
+    on the data.  Returns None when every hypothesis holds.
     """
     if isinstance(p.n, bool) or not isinstance(p.n, int) or p.n < 1:
         raise ModelError(f"n must be a positive integer, got {p.n!r}")
