@@ -25,9 +25,7 @@ from .model import (
     ModelParams,
     RateCase,
     case_for,
-    check_reach,
-    check_symbols,
-    check_weight,
+    check_radius,
     error_exponent,
     error_radius,
     rate_step,
@@ -181,7 +179,7 @@ def error_curve(
             exact = exact_multipliers(p, t, r_at, modes, at)
             if not k:
                 # the zero profile pair subtracts +0.0 and cannot cancel
-                return np.abs(exact)
+                return exact
             pr0, pr1 = profile_pair(k, p, case, t, r_at, roots.take(at))
             approx = pr0 * u0.take(at) + pr1 * u1.take(at)
             diff = exact - approx
@@ -189,7 +187,7 @@ def error_curve(
             cancel_hits += int(
                 np.count_nonzero((np.abs(diff) < CANCELLATION_RTOL * scale) & (scale > 0.0))
             )
-            return np.abs(diff)
+            return diff
 
         return stage
 
@@ -261,10 +259,9 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     the slow decay rate reaches 0.6, making e^{-0.6 t} the worst surviving
     mode; that radius is at most 1, so the cutoff stays inside r_max >= 10.
     H is sampled at 25 times evenly spaced on [1, 50], each norm to
-    1e-8 * (1 + H).  Raises ModelError when the dimension overflows the
-    radial weight (`model.check_reach`), r^s overflows (`model.check_weight`)
-    or the mode symbols overflow (`model.check_symbols`) out to the
-    truncation radius.
+    1e-8 * (1 + H).  Raises ModelError when `model.check_radius` refuses
+    the truncation radius: the radial weight, r^s or the mode symbols
+    overflow out to it.
     """
     cutoff_radius = 2.0 * slow_rate_radius(p, 0.6)
     t_grid = np.linspace(1.0, 50.0, 25)
@@ -272,16 +269,14 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     # data tails die like e^{-alpha r^2}: past sqrt(EXP_FLUSH/alpha) they underflow
     alpha_min = min(data.u0_hat.alpha, data.u1_hat.alpha)
     r_max = max(10.0, np.sqrt(EXP_FLUSH / alpha_min))
-    check_reach(p.n, r_max)
-    check_weight(p.s, r_max)
-    check_symbols(p, r_max)
+    check_radius(p, r_max)
 
     def f(r):
         weight = r**p.s * cut.chi_high(r)
         modes = mode_roots(p, r, weight * data.u0_hat(r), weight * data.u1_hat(r))
 
         def stage(at, j):
-            return np.abs(exact_multipliers(p, t_grid[j], r.take(at), modes, at))
+            return exact_multipliers(p, t_grid[j], r.take(at), modes, at)
 
         return stage
 

@@ -67,12 +67,12 @@ def validate(p: ModelParams, case: RateCase) -> None:
     case that disagrees with sigma1, or a dimension or sigma2 too large for
     the error norms.  Those weight f(r)^2 by r^{n-1} out to error_radius(p),
     which is 10 when sigma1 = 0 and 10 / eps_star >= 20 otherwise, and
-    `check_reach` needs n * ln(radius) < ln(DBL_MAX) = 709.78: n <= 308
-    without weak damping, n <= 236 at most with it; `check_weight` needs the
-    same of s (s < 308.25 at radius 10, s < 236.93 at radius 20), and
-    `check_symbols` needs A^2 ~ r^{4*sigma2} finite there.
-    `experiments.high_freq_decay_check` checks its own radius, which depends
-    on the data.  Returns None when every hypothesis holds.
+    `check_radius` needs n * ln(radius) < ln(DBL_MAX) = 709.78 (n <= 308
+    without weak damping, n <= 236 at most with it), the same of s
+    (s < 308.25 at radius 10, s < 236.93 at radius 20), and A^2 ~
+    r^{4*sigma2} finite there.  `experiments.high_freq_decay_check` checks
+    its own radius, which depends on the data.  Returns None when every
+    hypothesis holds.
     """
     if isinstance(p.n, bool) or not isinstance(p.n, int) or p.n < 1:
         raise ModelError(f"n must be a positive integer, got {p.n!r}")
@@ -103,42 +103,11 @@ def validate(p: ModelParams, case: RateCase) -> None:
     # so e^{a x} < 2; only a tuple too large for that bound searches the band
     ln_top = math.log(20.0) + math.log(2.0) / (p.sigma - 2.0 * p.sigma1)
     if max(max(p.n, p.s) * ln_top, _ln_symbol_top(p, ln_top)) >= _LN_FLOAT_MAX:
-        radius = error_radius(p)
-        check_reach(p.n, radius)
-        check_weight(p.s, radius)
-        check_symbols(p, radius)
+        check_radius(p, error_radius(p))
 
 
 # a norm over radius R in dimension n weights by r^{n-1}: its panels reach R^n
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def check_reach(n: int, radius: float) -> None:
-    """Raise ModelError unless radius^n is a finite double.
-
-    A radial norm in dimension n weights its integrand by r^{n-1} out to
-    radius; past this bound the weight overflows (and Gamma(n/2) in the
-    sphere measure overflows from n = 344 on), so the norm comes out inf or
-    NaN instead of a number.
-    """
-    if n * math.log(radius) >= _LN_FLOAT_MAX:
-        raise ModelError(
-            f"dim {n} overflows the radial weight r^(n-1) out to radius {radius:.6g}; "
-            f"need n * ln(radius) < {_LN_FLOAT_MAX:.2f}"
-        )
-
-
-def check_weight(s: float, radius: float) -> None:
-    """Raise ModelError unless radius^s is a finite double.
-
-    Every error norm weights its integrand by r^s out to radius; past this
-    bound the weight overflows, and the norm comes out inf or NaN.
-    """
-    if s * math.log(radius) >= _LN_FLOAT_MAX:
-        raise ModelError(
-            f"weight s={s} overflows r^s out to radius {radius:.6g}; "
-            f"need s * ln(radius) < {_LN_FLOAT_MAX:.2f}"
-        )
 
 
 def _ln_symbol_top(p: ModelParams, ln_r: float) -> float:
@@ -148,14 +117,29 @@ def _ln_symbol_top(p: ModelParams, ln_r: float) -> float:
     return max(2.0 * ln_a, math.log(4.0) + 2.0 * p.sigma * ln_r)
 
 
-def check_symbols(p: ModelParams, radius: float) -> None:
-    """Raise ModelError unless the mode symbols are finite doubles out to radius.
+def check_radius(p: ModelParams, radius: float) -> None:
+    """Raise ModelError unless an error norm of p can be weighted out to radius.
 
-    D2 = A^2 - 4 S overflows past this bound, where A^2 ~ r^{4*sigma2}
-    (or 4 S when the oscillation band reaches the radius), and every
-    multiplier comes out NaN there.
+    Such a norm weights its integrand by r^{n-1} and by r^s, and builds the
+    mode symbols, out to radius.  Refused, in this order: radius^n past
+    DBL_MAX (the radial weight overflows, and Gamma(n/2) in the sphere
+    measure overflows from n = 344 on), radius^s past DBL_MAX, and
+    D2 = A^2 - 4 S past DBL_MAX, where A^2 ~ r^{4*sigma2} (or 4 S when the
+    oscillation band reaches the radius).  Past any of these the norm comes
+    out inf or NaN instead of a number.
     """
-    if _ln_symbol_top(p, math.log(radius)) >= _LN_FLOAT_MAX:
+    ln_r = math.log(radius)
+    if p.n * ln_r >= _LN_FLOAT_MAX:
+        raise ModelError(
+            f"dim {p.n} overflows the radial weight r^(n-1) out to radius {radius:.6g}; "
+            f"need n * ln(radius) < {_LN_FLOAT_MAX:.2f}"
+        )
+    if p.s * ln_r >= _LN_FLOAT_MAX:
+        raise ModelError(
+            f"weight s={p.s} overflows r^s out to radius {radius:.6g}; "
+            f"need s * ln(radius) < {_LN_FLOAT_MAX:.2f}"
+        )
+    if _ln_symbol_top(p, ln_r) >= _LN_FLOAT_MAX:
         raise ModelError(
             f"sigma2={p.sigma2} overflows the mode symbol A^2 ~ r^(4*sigma2) out to radius "
             f"{radius:.6g}; need 4*sigma2*ln(radius) < {_LN_FLOAT_MAX:.2f}"

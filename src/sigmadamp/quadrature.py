@@ -212,7 +212,8 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     radial stage f(r) gets the distinct radii of a block of panels and
     returns the time stage stage(at, j), a function that gets node arrays
     `at` and `j` and must return, at each node, member j's function at the
-    radius r[at].  Work that depends on the radius alone belongs in the
+    radius r[at]; its sign does not matter, since only its square is
+    integrated.  Work that depends on the radius alone belongs in the
     radial stage, which runs once per radius of a level however many members
     share it.  Every member is refined as if it were alone, so its norm is
     the float a one-member call returns.

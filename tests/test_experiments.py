@@ -444,10 +444,19 @@ def test_high_frequency_late_norm_meets_a_fine_reference(frictional_params):
     assert abs(report.h_last - reference) <= 1e-6 * reference
 
 
-def test_high_frequency_check_refuses_a_dimension_its_radius_overflows():
-    # the data tail sets its radius here: sqrt(700 / alpha) = 26.5, so n <= 216
-    p = ModelParams(217, 1.0, 0.0, 0.8)
-    with pytest.raises(ModelError, match="out to radius 26.4575"):
+@pytest.mark.parametrize(
+    "p, match",
+    [
+        # the data tail sets its radius here: sqrt(700 / alpha) = 26.5, so n <= 216
+        (ModelParams(217, 1.0, 0.0, 0.8), "dim 217 overflows the radial weight .* out to radius 26.4575"),
+        # validate accepts s = 218 (its error radius is 10), but r^218 overflows out to 26.5
+        (ModelParams(3, 1.0, 0.0, 0.8, s=218.0), r"weight s=218.0 overflows r\^s out to radius 26.4575"),
+    ],
+    ids=["dim", "weight"],
+)
+def test_high_frequency_check_refuses_a_dimension_its_radius_overflows(p, match):
+    model.validate(p, case_for(p))
+    with pytest.raises(ModelError, match=match):
         high_freq_decay_check(p, spectral_data("gaussian"))
 
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from sigmadamp.model import (
     RateCase,
     _bisect_edge,
     case_for,
-    check_reach,
+    check_radius,
     delta,
     eps_star,
     error_exponent,
@@ -96,7 +97,23 @@ def test_dimension_bound_follows_the_error_radius():
         assert error_radius(p) == radius
         validate(p, case_for(p))
         with pytest.raises(ModelError, match="overflows the radial weight"):
-            check_reach(p.n + 1, radius)
+            check_radius(replace(p, n=p.n + 1), radius)
+
+
+@pytest.mark.parametrize(
+    "p, match",
+    [
+        (ModelParams(400, 100.0, 0.0, 78.0, s=400.0), "dim 400 overflows the radial weight"),
+        (ModelParams(3, 100.0, 0.0, 78.0, s=400.0), "weight s=400.0 overflows r"),
+        (ModelParams(3, 100.0, 0.0, 78.0), "sigma2=78.0 overflows the mode symbol"),
+    ],
+    ids=["dim-first", "then-weight", "then-symbols"],
+)
+def test_radius_check_names_the_first_overflow(p, match):
+    # at radius 10 each of n, s and 4 sigma2 times ln 10 is past ln(DBL_MAX);
+    # the radial weight is named before r^s, and r^s before the mode symbols
+    with pytest.raises(ModelError, match=match):
+        check_radius(p, 10.0)
 
 
 @pytest.mark.parametrize(
