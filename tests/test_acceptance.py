@@ -15,6 +15,7 @@ in the `rates_fractional` test alone, which roughly doubles its cost.
 
 import ast
 import inspect
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from sigmadamp.acceptance import (
     residual_grid,
     series_table_gap,
     table_degree_sums,
+    table_row,
 )
 from sigmadamp.experiments import (
     FIT_T_MIN,
@@ -180,14 +182,14 @@ def test_jet_oracle_scores_the_kink(p, t, r):
     # degree sums hold roundoff only, so a gap relative to them reads about 1,
     # while the gap against the absolute shells stays at roundoff
     assert p.sigma2 == p.sigma - p.sigma1
-    tables = kernel_tables(p, t, r)
+    tables = kernel_tables([(p, t, r)])
     series = root_jets(p, r, 4).lam_slow
     plain = max(
         abs(c - s) / max(abs(c), abs(s), 1e-300)
-        for c, s in zip(series.tolist(), table_degree_sums(tables["lam_slow"]))
+        for c, s in zip(series.tolist(), table_degree_sums(tables["lam_slow"])[:, 0].tolist())
     )
     assert plain > 0.1
-    assert series_table_gap(p, t, r, tables) <= 1e-14 < ORACLE_RTOL
+    assert series_table_gap([(p, t, r)], tables) <= 1e-14 < ORACLE_RTOL
 
 
 def _compensated_sum(items, start=0):
@@ -338,3 +340,194 @@ def test_lab_samples_exactly_the_fit_window(lab):
             curve = lab.curve(p, k)
             assert curve.times.tobytes() == tail.tobytes()
             assert tail_window(curve) == slice(0, tail.size)
+
+
+# -- the jet oracle's batched tables against the per-draw loops they replaced ----
+
+
+def _tbl_zero_per_draw(order):
+    return [[0.0] * (order - j + 1) for j in range(order + 1)]
+
+
+def _tbl_linear_per_draw(c0, ca, cb, order):
+    table = _tbl_zero_per_draw(order)
+    table[0][0] = c0
+    if order >= 1:
+        table[1][0] = ca
+        table[0][1] = cb
+    return table
+
+
+def _tbl_scale_per_draw(table, factor):
+    return [[factor * v for v in row] for row in table]
+
+
+def _tbl_add_per_draw(t1, t2):
+    return [[v1 + v2 for v1, v2 in zip(r1, r2)] for r1, r2 in zip(t1, t2)]
+
+
+def _tbl_mul_per_draw(t1, t2, order):
+    out = _tbl_zero_per_draw(order)
+    for j in range(order + 1):
+        for m in range(order - j + 1):
+            acc = 0.0
+            for j1 in range(j + 1):
+                for m1 in range(m + 1):
+                    acc += (
+                        math.comb(j, j1)
+                        * math.comb(m, m1)
+                        * t1[j1][m1]
+                        * t2[j - j1][m - m1]
+                    )
+            out[j][m] = acc
+    return out
+
+
+def _faa_di_bruno_per_draw(outer_derivs, inner_table, order):
+    scaled = [
+        [
+            inner_table[b1][b2] / (math.factorial(b1) * math.factorial(b2))
+            for b2 in range(order - b1 + 1)
+        ]
+        for b1 in range(order + 1)
+    ]
+    out = []
+    for j in range(order + 1):
+        row = []
+        for m in range(order - j + 1):
+            if j == 0 and m == 0:
+                row.append(outer_derivs[0])
+                continue
+            total = 0.0
+            for ell in range(1, j + m + 1):
+                part_sum = 0.0
+                for part in acceptance.enumerate_partitions(j, m, ell):
+                    prod = 1.0
+                    for a, b1, b2 in part:
+                        prod = prod * scaled[b1][b2] ** a / math.factorial(a)
+                    part_sum = part_sum + prod
+                total = total + outer_derivs[ell] * part_sum
+            row.append(math.factorial(j) * math.factorial(m) * total)
+        out.append(row)
+    return out
+
+
+def _degree_sums_per_draw(table):
+    sums = []
+    for d in range(len(table)):
+        acc = 0.0
+        for j in range(d + 1):
+            acc += table[j][d - j] / (math.factorial(j) * math.factorial(d - j))
+        sums.append(acc)
+    return sums
+
+
+def _derivs_recip_per_draw(center, order):
+    return [(-1.0) ** ell * math.factorial(ell) / center ** (ell + 1) for ell in range(order + 1)]
+
+
+def _derivs_sqrt_per_draw(center, order):
+    out = [math.sqrt(center)]
+    coeff = 1.0
+    for ell in range(1, order + 1):
+        coeff *= 0.5 - (ell - 1)
+        out.append(coeff * center ** (0.5 - ell))
+    return out
+
+
+def _derivs_exp_scaled_per_draw(rate0, t, order):
+    base = math.exp(rate0 * t)
+    return [t**ell * base for ell in range(order + 1)]
+
+
+def _kernel_tables_per_draw(p, t, r, order):
+    """The oracle's tables as triangles table[j][m], one draw at a time, in nested loops."""
+    nu = r ** (2.0 * p.sigma1)
+    x = r ** (2.0 * (p.sigma2 - p.sigma1))
+    w = r ** (2.0 * (p.sigma - 2.0 * p.sigma1))
+    mu = nu * w
+    one = _tbl_linear_per_draw(1.0, 0.0, 0.0, order)
+    mul, fdb, recip = _tbl_mul_per_draw, _faa_di_bruno_per_draw, _derivs_recip_per_draw
+
+    g1 = fdb(recip(1.0, order), _tbl_linear_per_draw(0.0, x, 0.0, order), order)
+    g1_sq = mul(g1, g1, order)
+    b_g1_sq = mul(_tbl_linear_per_draw(0.0, 0.0, 1.0, order), g1_sq, order)
+    inside = _tbl_add_per_draw(one, _tbl_scale_per_draw(b_g1_sq, -4.0 * w))
+    g2 = fdb(_derivs_sqrt_per_draw(inside[0][0], order), inside, order)
+    g_inv = _tbl_scale_per_draw(mul(g1, fdb(recip(g2[0][0], order), g2, order), order), 1.0 / nu)
+    one_plus_g2 = _tbl_add_per_draw(one, g2)
+    lam_slow = _tbl_scale_per_draw(
+        mul(g1, fdb(recip(one_plus_g2[0][0], order), one_plus_g2, order), order), -2.0 * mu
+    )
+    lam_fast = _tbl_scale_per_draw(
+        mul(_tbl_linear_per_draw(1.0, x, 0.0, order), one_plus_g2, order), -0.5 * nu
+    )
+    exp_slow = fdb(_derivs_exp_scaled_per_draw(lam_slow[0][0], t, order), lam_slow, order)
+    exp_fast = fdb(_derivs_exp_scaled_per_draw(lam_fast[0][0], t, order), lam_fast, order)
+    return {
+        "pos_fast": mul(mul(g_inv, lam_slow, order), exp_fast, order),
+        "pos_slow": mul(mul(g_inv, lam_fast, order), exp_slow, order),
+        "vel_slow": mul(g_inv, exp_slow, order),
+        "vel_fast": mul(g_inv, exp_fast, order),
+        "gamma1": g1,
+        "gamma2": g2,
+        "g_inv": g_inv,
+        "lam_slow": lam_slow,
+        "lam_fast": lam_fast,
+    }
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_batched_tables_are_the_per_draw_floats(order):
+    # every entry of every table, and every degree sum of the tables and of
+    # their absolute values, is the float the one-draw nested loops give
+    # (compared by repr, so -0.0 and 0.0 differ); order 0 has no partitions
+    rng = np.random.default_rng(3100 + order)
+    draws = []
+    for _ in range(25):
+        sigma = float(rng.uniform(1.0, 1.6))
+        sigma1 = float(rng.uniform(0.0, 0.45) * sigma)
+        sigma2 = float(rng.uniform(0.5, 1.0) * sigma)
+        t, r = float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.05, 2.0))
+        draws.append((ModelParams(5, sigma, sigma1, sigma2), t, r))
+    tables = kernel_tables(draws, order)
+    sums = {name: table_degree_sums(table).T.tolist() for name, table in tables.items()}
+    scales = {name: table_degree_sums(np.abs(table)).T.tolist() for name, table in tables.items()}
+    for i, (p, t, r) in enumerate(draws):
+        for name, want in _kernel_tables_per_draw(p, t, r, order).items():
+            table = tables[name]
+            assert table.shape == ((order + 1) * (order + 2) // 2, len(draws))
+            column = table[:, i].tolist()
+            got = [
+                [column[table_row(j, m)] for m in range(order - j + 1)] for j in range(order + 1)
+            ]
+            assert repr(got) == repr(want), (name, i)
+            assert repr(sums[name][i]) == repr(_degree_sums_per_draw(want)), (name, i)
+            absolute = [[abs(v) for v in row] for row in want]
+            assert repr(scales[name][i]) == repr(_degree_sums_per_draw(absolute)), (name, i)
+
+
+def test_jet_oracle_details_are_the_per_draw_floats():
+    # recorded from the per-draw oracle, one kernel_tables call per draw
+    details = AcceptanceLab(1e-6).check_jet_oracle().details
+    assert details == {
+        "draws": 20,
+        "table_gap": 4.231362735451723e-15,
+        "table_rtol": ORACLE_RTOL,
+        "fd_gap": 4.491110877735732e-06,
+        "fd_rtol": 1e-5,
+    }
+
+
+def test_jet_oracle_builds_its_tables_once(monkeypatch):
+    # all 20 draws share one table build
+    calls = []
+    real = acceptance.kernel_tables
+
+    def counted(draws, order=4):
+        calls.append((len(draws), order))
+        return real(draws, order)
+
+    monkeypatch.setattr(acceptance, "kernel_tables", counted)
+    AcceptanceLab(1e-6).check_jet_oracle()
+    assert calls == [(20, 4)]

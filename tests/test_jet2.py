@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmadamp.acceptance import enumerate_partitions, faa_di_bruno_table, table_degree_sums
+from sigmadamp.acceptance import (
+    enumerate_partitions,
+    faa_di_bruno_table,
+    table_degree_sums,
+    table_row,
+)
 from sigmadamp.jet2 import exp_terms, linear_series, mul, reciprocal, sqrt_series
 
 
@@ -27,6 +32,16 @@ def random_table(rng, order=4):
     """Triangular table of raw bivariate derivatives with a regular constant term."""
     table = [list(rng.uniform(-1.0, 1.0, order + 1 - j)) for j in range(order + 1)]
     table[0][0] = rng.uniform(0.5, 2.0)
+    return table
+
+
+def as_table(*triangles):
+    """Triangles table[j][m] of one order as one oracle table, a column each."""
+    order = len(triangles[0]) - 1
+    table = np.zeros(((order + 1) * (order + 2) // 2, len(triangles)))
+    for j in range(order + 1):
+        for m in range(order + 1 - j):
+            table[table_row(j, m)] = [tri[j][m] for tri in triangles]
     return table
 
 
@@ -243,9 +258,9 @@ def test_partition_block_counts_sum_to_ell():
 def test_chain_rule_on_reciprocal_of_scaled_variable():
     # d^2/da^2 of 1/(1 + c a) at 0 is 2 c^2
     c = 0.37
-    inner = [[0.0, 0.0, 0.0], [c, 0.0], [0.0]]  # raw derivatives of c*a
-    outer = [1.0, -1.0, 2.0]  # derivatives of 1/(1+q) at q=0
-    got = faa_di_bruno_table(outer, inner, 2)[2][0]
+    inner = as_table([[0.0, 0.0, 0.0], [c, 0.0], [0.0]])  # raw derivatives of c*a
+    outer = np.array([[1.0], [-1.0], [2.0]])  # derivatives of 1/(1+q) at q=0
+    got = faa_di_bruno_table(outer, inner, 2)[table_row(2, 0), 0]
     assert got == pytest.approx(2.0 * c * c, rel=1e-14)
 
 
@@ -256,12 +271,12 @@ def test_chain_rule_agrees_with_series_exp_on_the_diagonal(seed):
     # of exp(g), summed over each shell j + m = d, must land on the series
     # exp of g's diagonal restriction
     rng = np.random.default_rng(seed)
-    table = random_table(rng, order=4)
-    outer = [math.exp(table[0][0])] * 5
-    composed = faa_di_bruno_table(outer, table, 4)
-    diagonal = np.array(table_degree_sums(table))
-    assert np.allclose(table_degree_sums(composed), exp_series(diagonal), rtol=1e-10, atol=1e-12)
-    assert np.allclose(table_degree_sums(composed), exp_by_terms(diagonal), rtol=1e-10, atol=1e-12)
+    table = as_table(random_table(rng, order=4))
+    outer = np.full((5, 1), math.exp(table[0, 0]))
+    composed = table_degree_sums(faa_di_bruno_table(outer, table, 4))[:, 0]
+    diagonal = table_degree_sums(table)[:, 0]
+    assert np.allclose(composed, exp_series(diagonal), rtol=1e-10, atol=1e-12)
+    assert np.allclose(composed, exp_by_terms(diagonal), rtol=1e-10, atol=1e-12)
 
 
 def _coeff_by_partitions(outer_derivs, inner_table, j, m):
@@ -283,19 +298,22 @@ def _coeff_by_partitions(outer_derivs, inner_table, j, m):
 
 @pytest.mark.parametrize("order", range(6))
 def test_chain_rule_table_matches_each_entry_bit_for_bit(order):
-    # the table scales the inner table once and reuses one partition plan per
-    # bi-order; every entry must be the float the per-entry sum gives, also
-    # when the inner table runs past the requested order
+    # the table scales the inner table once and walks one partition plan for
+    # all entries and draws; every entry of every draw must be the float the
+    # per-entry sum gives, also when the inner table runs past the requested
+    # order
     rng = np.random.default_rng(1000 + order)
+    inners, outers = [], []
     for _ in range(4):
-        inner = random_table(rng, order=5)
-        outer = list(rng.uniform(-2.0, 2.0, order + 1))
-        composed = faa_di_bruno_table(outer, inner, order)
-        assert [len(row) for row in composed] == [order + 1 - j for j in range(order + 1)]
+        inners.append(random_table(rng, order=5))
+        outers.append(list(rng.uniform(-2.0, 2.0, order + 1)))
+    composed = faa_di_bruno_table(np.array(outers).T, as_table(*inners), order)
+    assert composed.shape == ((order + 1) * (order + 2) // 2, 4)
+    for i, (outer, inner) in enumerate(zip(outers, inners)):
         for j in range(order + 1):
             for m in range(order + 1 - j):
                 want = _coeff_by_partitions(outer, inner, j, m)
-                assert composed[j][m] == want, (j, m)
+                assert composed[table_row(j, m), i] == want, (i, j, m)
 
 
 # -- error paths ------------------------------------------------------------
@@ -311,8 +329,8 @@ def test_error_paths():
     with pytest.raises(ValueError, match="sqrt needs a positive constant term"):
         sqrt_series(linear_series(-1.0, 0.0, 4))
     with pytest.raises(ValueError, match="need outer derivatives up to order 3"):
-        faa_di_bruno_table([1.0, 1.0], [[0.0] * (4 - j) for j in range(4)], 3)
+        faa_di_bruno_table(np.ones((2, 1)), np.zeros((10, 1)), 3)
     with pytest.raises(ValueError, match="inner table order 2 below requested bi-order 3"):
-        faa_di_bruno_table([1.0] * 4, [[0.0] * (3 - j) for j in range(3)], 3)
+        faa_di_bruno_table(np.ones((4, 1)), np.zeros((6, 1)), 3)
     with pytest.raises(ValueError, match="need j, m >= 0 and 1 <= ell <= j"):
         enumerate_partitions(1, 1, 3)

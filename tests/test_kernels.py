@@ -4,7 +4,8 @@ ODE itself.
 
 Coefficients of separate a and b powers are read from the bivariate tables of
 `acceptance.kernel_tables`; the lab's one-variable series in eps = a = b must
-equal their degree sums."""
+equal their degree sums.  The hand-derived checks read one draw's tables as
+triangles table[j][m]."""
 
 import cmath
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from sigmadamp import jet2, kernels
-from sigmadamp.acceptance import kernel_tables, table_degree_sums
+from sigmadamp.acceptance import kernel_tables, table_degree_sums, table_row
 from sigmadamp.jet2 import mul
 from sigmadamp.kernels import (
     EXP_FLUSH,
@@ -38,6 +39,17 @@ ROOT_NAMES = ("gamma1", "gamma2", "g_inv", "lam_slow", "lam_fast")
 PIECE_NAMES = ("pos_fast", "pos_slow", "vel_slow", "vel_fast")
 
 
+def one_draw_tables(p, t, r, order):
+    """kernel_tables at the one draw (p, t, r), each table a triangle table[j][m] of floats."""
+    triangles = {}
+    for name, table in kernel_tables([(p, t, r)], order).items():
+        column = table[:, 0].tolist()
+        triangles[name] = [
+            [column[table_row(j, m)] for m in range(order - j + 1)] for j in range(order + 1)
+        ]
+    return triangles
+
+
 def powers(p, r):
     nu = r ** (2.0 * p.sigma1)
     mu = r ** (2.0 * (p.sigma - p.sigma1))
@@ -53,7 +65,7 @@ def powers(p, r):
 def test_gamma_and_root_jets_match_hand_series(p, t, r):
     # first derivatives in a and b separately, from the bivariate tables
     nu, mu, x, w = powers(p, r)
-    tables = kernel_tables(p, t, r, order=2)
+    tables = one_draw_tables(p, t, r, 2)
     g1 = tables["gamma1"]
     assert g1[0][0] == pytest.approx(1.0)
     assert g1[1][0] == pytest.approx(-x, rel=1e-13)
@@ -90,7 +102,7 @@ def test_gamma1_pure_a_row_is_alternating_geometric():
     p = ModelParams(3, 1.0, 0.25, 0.75)
     r = 0.8
     x = r ** (2.0 * (p.sigma2 - p.sigma1))
-    g1 = kernel_tables(p, 1.0, r, order=4)["gamma1"]
+    g1 = one_draw_tables(p, 1.0, r, 4)["gamma1"]
     for j in range(5):
         assert g1[j][0] == pytest.approx(math.factorial(j) * (-x) ** j, rel=1e-12)
         # Gamma1 does not depend on b
@@ -132,15 +144,15 @@ def test_series_coefficients_are_the_table_degree_sums(order):
     # (at r = 1.3 the first config has x = w, and lambda_slow's shells sum to
     # zero), so the gap is measured against the sum of the absolute terms
     # (worst measured 9.9e-15).
-    for p, t, r in SAMPLE_POINTS:
-        tables = kernel_tables(p, t, r, order=order)
+    tables = kernel_tables(SAMPLE_POINTS, order)
+    for i, (p, t, r) in enumerate(SAMPLE_POINTS):
         roots = root_jets(p, r, order)
         pieces = kernel_jets(p, t, r, order)
         for name in ROOT_NAMES + PIECE_NAMES:
             series = getattr(roots if name in ROOT_NAMES else pieces, name)
             assert series.shape == (order + 1,)
-            want = np.array(table_degree_sums(tables[name]))
-            scale = np.array(table_degree_sums([[abs(v) for v in row] for row in tables[name]]))
+            want = table_degree_sums(tables[name])[:, i]
+            scale = table_degree_sums(np.abs(tables[name]))[:, i]
             assert np.all(np.abs(series - want) <= 1e-12 * scale), (name, p, t, r)
 
 
@@ -150,7 +162,7 @@ def test_series_coefficients_are_the_table_degree_sums(order):
 @pytest.mark.parametrize("p, t, r", SAMPLE_POINTS)
 def test_kernel_first_order_coefficients_match_hand_derivation(p, t, r):
     nu, mu, x, w = powers(p, r)
-    tables = kernel_tables(p, t, r, order=1)
+    tables = one_draw_tables(p, t, r, 1)
     series = kernel_jets(p, t, r, 1)
     es, ef = math.exp(-mu * t), math.exp(-nu * t)
 
@@ -188,7 +200,7 @@ def test_velocity_kernel_pure_a_coefficient_is_linear_in_slow_phase():
     phase = mu * ts
     reduced = []
     for t in ts:
-        table = kernel_tables(p, float(t), r, order=1)["vel_slow"]
+        table = one_draw_tables(p, float(t), r, 1)["vel_slow"]
         envelope = math.exp(-mu * t) * x / nu
         reduced.append(table[1][0] / envelope)
     c1, c0 = np.polyfit(phase, reduced, 1)
@@ -212,7 +224,7 @@ def test_derivative_growth_stays_inside_decay_envelope():
         es = eps_star(p)
         for t in (1.0, 10.0, 100.0):
             for r in np.geomspace(1e-4, es, 10):
-                table = kernel_tables(p, t, float(r), order=3)["pos_fast"]
+                table = one_draw_tables(p, t, float(r), 3)["pos_fast"]
                 nu = r ** (2.0 * p.sigma1)
                 for (j, m), cap in ceilings.items():
                     raw = abs(table[j][m])

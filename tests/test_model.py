@@ -243,6 +243,36 @@ def test_exponent_steps_are_exact(fractional_params, frictional_params):
             assert drop == pytest.approx(step, rel=1e-14)
 
 
+# gap / sigma1 between the sigma1 -> 0+ exponents (and rate steps) and the
+# sigma1 = 0 ones: measured at most 3.25 (k = 3 at sigma2 = sigma) on the
+# tuples below, so the rate table is continuous across the two damping cases
+ONSET_SLOPE = 4.0
+
+
+@pytest.mark.parametrize(
+    "n, s, sigma, sigma2",
+    [(3, 0.0, 1.0, 0.8), (1, 0.0, 1.0, 0.75), (2, 0.5, 1.3, 1.1), (3, 0.0, 1.0, 1.0), (5, 1.0, 1.5, 0.9)],
+)
+def test_exponents_at_vanishing_sigma1_meet_the_frictional_ones(n, s, sigma, sigma2):
+    # at sigma1 = 1e-12 the gaps measured 1.1e-13 .. 3.2e-12 over k = 0..3,
+    # and 1.0e-12 at most for rate_step; each grows linearly in sigma1, so
+    # 100 times sigma1 gives 100 times the gap (to 1%: the 1e-12 gaps carry
+    # the roundoff of exponents of order 1)
+    zero = ModelParams(n, sigma, 0.0, sigma2, s=s)
+    assert case_for(zero) is ZERO
+
+    def gaps(sigma1):
+        p = ModelParams(n, sigma, sigma1, sigma2, s=s)
+        assert case_for(p) is POS
+        exps = [abs(error_exponent(p, k) - error_exponent(zero, k)) for k in range(4)]
+        return exps + [abs(rate_step(p) - rate_step(zero))]
+
+    small, larger = gaps(1e-12), gaps(1e-10)
+    assert max(small) <= ONSET_SLOPE * 1e-12
+    for near, far in zip(small, larger):
+        assert far == pytest.approx(100.0 * near, rel=0.01)
+
+
 @given(st.integers(0, 100_000))
 @settings(max_examples=60, deadline=None)
 def test_rate_comparison_inequality(seed):
