@@ -115,7 +115,7 @@ class ErrorCurve:
         return case_for(self.params)
 
     def target(self) -> float:
-        return error_exponent(self.params, self.k)
+        return error_exponent(self.params, self.k, 2 * self.data.u1_hat.m)
 
 
 def error_r_max(p: ModelParams, times) -> np.ndarray:
@@ -191,8 +191,8 @@ def error_curve(
 
         return stage
 
-    # the profile families carry at worst the r^{-2 sigma1} velocity prefactor
-    expo = p.s - (2.0 * p.sigma1 if k >= 1 else 0.0)
+    # the velocity datum's r^{2m}, times at worst the profiles' r^{-2 sigma1} prefactor
+    expo = p.s + 2 * data.u1_hat.m - (2.0 * p.sigma1 if k >= 1 else 0.0)
     values = l2_radial(
         RadialIntegrand(f, singularity_exponent=expo),
         p.n,
@@ -229,12 +229,11 @@ def lower_bound_band(curve: ErrorCurve) -> tuple[float, float]:
 
     A positive lower end pinned within a bounded ratio of the upper end
     witnesses that the predicted rate is sharp, not just an upper bound.
-    Meaningful only when the velocity data has nonzero frequency-zero value.
+    The target reads the velocity datum's order, so only zero velocity data
+    (c = 0) have no band.
     """
-    if curve.data.u1_hat(0.0) == 0.0:
-        raise ValueError(
-            "sharpness band needs u1_hat(0) != 0; this data pair has none"
-        )
+    if curve.data.u1_hat.c == 0.0:
+        raise ValueError("sharpness band needs velocity data, got u1_hat.c = 0")
     window = tail_window(curve)
     scaled = curve.values[window] * (1.0 + curve.times[window]) ** (-curve.target())
     return float(scaled.min()), float(scaled.max())

@@ -7,10 +7,10 @@ Fourier mode at radial frequency r obeys
 
 with one weak dissipative exponent sigma1 below sigma/2 and one strong
 exponent sigma2 above it.  This module validates the standing parameter
-assumptions, computes the theoretical decay exponents of the k-th order
-expansion error, builds the mode symbols (`mode_symbols`, for the whole lab),
-and locates, on closed-form brackets, the band of frequencies whose
-characteristic roots are complex (oscillating modes).
+assumptions, computes the decay exponents of the k-th order expansion error
+(one formula in nu = n + 2s + 2j for both damping cases), builds the mode
+symbols (`mode_symbols`, for the whole lab), and locates, on closed-form
+brackets, the band of frequencies whose characteristic roots are complex.
 """
 
 from __future__ import annotations
@@ -156,34 +156,30 @@ def delta(p: ModelParams) -> float:
 
 
 def rate_step(p: ModelParams) -> float:
-    """Decay-exponent improvement per expansion order (a positive number)."""
-    if case_for(p) is RateCase.POSITIVE_SIGMA1:
-        return delta(p) / (p.sigma - p.sigma1)
-    return p.sigma2 / p.sigma
+    """Decay-exponent gain per order, delta/(sigma - sigma1): sigma2/sigma at sigma1 = 0."""
+    return delta(p) / (p.sigma - p.sigma1)
 
 
-def error_exponent(p: ModelParams, k: int) -> float:
+def error_exponent(p: ModelParams, k: int, data_order: int = 0) -> float:
     """Theoretical power-law exponent of the k-th order expansion error.
 
-    The weighted L2 norm of the error behaves like (1+t) to this power.
-    This is the velocity-driven exponent: it is sharp only when
-    u1_hat(0) != 0, as `experiments.lower_bound_band` requires. For
-    sigma1 > 0 the position-driven part of the error decays faster by
-    sigma1/(sigma - sigma1), because only the velocity kernels carry the
-    r^{-2*sigma1} prefactor (see `kernels.kernel_jets`). That offset is
-    read off the kernel prefactor and measured on split error curves; the
-    paper text held in this repository (the abstract) does not state it.
+    The weighted L2 norm of the error behaves like (1+t) to the power
+    -nu/(4x) + sigma1/x - k * rate_step(p), x = sigma - sigma1, in both
+    damping cases.  Its square weights r^{2s} r^{2j} r^{n-1} for velocity
+    data vanishing like r^j at r = 0 (j = data_order), so n, s and j enter
+    as one radial exponent nu = n + 2s + 2j.  The exponent is driven by the
+    velocity datum and sharp whenever that datum is not zero, as
+    `experiments.lower_bound_band` requires.  For sigma1 > 0 the position-
+    driven part decays faster by sigma1/x: only the velocity kernels carry
+    the r^{-2*sigma1} prefactor (see `kernels.kernel_jets`), an offset
+    measured on split error curves that the abstract held here does not state.
     """
-    case = case_for(p)
-    validate(p, case)
+    validate(p, case_for(p))
     if k < 0:
         raise ValueError(f"expansion order k must be >= 0, got {k}")
-    if case is RateCase.POSITIVE_SIGMA1:
-        x = p.sigma - p.sigma1
-        base = -p.n / (4.0 * x) - p.s / (2.0 * x) + p.sigma1 / x
-    else:
-        base = -p.n / (4.0 * p.sigma) - p.s / (2.0 * p.sigma)
-    return base - k * rate_step(p)
+    nu = p.n + 2.0 * p.s + 2.0 * data_order
+    x = p.sigma - p.sigma1
+    return -nu / (4.0 * x) + p.sigma1 / x - k * rate_step(p)
 
 
 def mode_symbols(p: ModelParams, r):

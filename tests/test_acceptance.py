@@ -519,6 +519,36 @@ def test_jet_oracle_details_are_the_per_draw_floats():
     }
 
 
+def test_jet_oracle_fails_on_a_nan_series(monkeypatch):
+    # a NaN coefficient must reach the verdict: a builtin max(worst, gap)
+    # keeps worst when gap is NaN
+    real = acceptance.kernel_jets
+
+    def nan_velocity(*args, **kwargs):
+        jets = real(*args, **kwargs)
+        return replace(jets, vel_slow=np.full_like(jets.vel_slow, np.nan))
+
+    monkeypatch.setattr(acceptance, "kernel_jets", nan_velocity)
+    res = AcceptanceLab(1e-6).check_jet_oracle()
+    assert not res.passed
+    assert math.isnan(res.details["table_gap"])
+
+
+def test_closed_forms_fail_on_a_nan_velocity_profile(monkeypatch):
+    # the velocity gap is the second argument of the per-row reduction
+    real = acceptance.profile_pair
+
+    def nan_velocity(*args, **kwargs):
+        pos, vel = real(*args, **kwargs)
+        return pos, np.full_like(vel, np.nan)
+
+    monkeypatch.setattr(acceptance, "profile_pair", nan_velocity)
+    res = AcceptanceLab(1e-6).check_closed_forms()
+    assert not res.passed
+    assert all(math.isnan(row["max_scaled_gap"]) for row in res.details["comparisons"])
+    assert "nan" in res.message
+
+
 def test_jet_oracle_builds_its_tables_once(monkeypatch):
     # all 20 draws share one table build
     calls = []

@@ -235,6 +235,25 @@ def test_weight_shifts_every_exponent_uniformly(fractional_params):
         assert gap == pytest.approx(-1.0 / 3.0)
 
 
+@pytest.mark.parametrize(
+    "p",
+    [ModelParams(3, 1.0, 0.25, 0.75), ModelParams(1, 1.0, 0.0, 0.8), ModelParams(2, 1.3, 0.3, 1.1, s=0.5)],
+    ids=["fractional", "frictional", "weighted"],
+)
+def test_dimension_weight_and_data_order_are_one_radial_exponent(p):
+    # nu = n + 2s + 2j: the datum's r^2 shifts n by 4, the weight r^1 by 2,
+    # in the same floats in both damping cases
+    for k in range(4):
+        assert error_exponent(p, k, 2) == error_exponent(replace(p, n=p.n + 4), k)
+        assert error_exponent(replace(p, s=p.s + 1.0), k) == error_exponent(replace(p, n=p.n + 2), k)
+
+
+def test_moment_free_targets():
+    fractional, frictional = ModelParams(3, 1.0, 0.25, 0.75), ModelParams(3, 1.0, 0.0, 0.75)
+    assert [error_exponent(fractional, k, 2) for k in range(3)] == pytest.approx([-2.0, -8.0 / 3.0, -10.0 / 3.0])
+    assert [error_exponent(frictional, k, 2) for k in range(3)] == pytest.approx([-1.75, -2.5, -3.25])
+
+
 def test_exponent_steps_are_exact(fractional_params, frictional_params):
     for p in (fractional_params, frictional_params):
         step = rate_step(p)
