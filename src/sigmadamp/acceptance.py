@@ -684,7 +684,7 @@ class AcceptanceLab:
                     }
                 )
                 ok = ok and lo > 0.0 and ratio <= BAND_RATIO_MAX
-        worst = max(row["ratio"] for row in rows)
+        worst = reduce(_worse, [row["ratio"] for row in rows])
         return CheckResult(
             "lower_band",
             ok,
@@ -786,7 +786,7 @@ class AcceptanceLab:
                 }
             )
             ok = ok and abs(fit.target - expected) < 1e-12 and fit.gap <= SCALING_TOL
-        worst = max(row["gap"] for row in rows)
+        worst = reduce(_worse, [row["gap"] for row in rows])
         return CheckResult(
             "cutoff_scaling",
             ok,
@@ -810,7 +810,7 @@ class AcceptanceLab:
                 }
             )
             ok = ok and report.rate > 0.0 and report.ratio < HIGH_FREQ_RATIO_MAX
-        worst = max(row["ratio"] for row in rows)
+        worst = reduce(_worse, [row["ratio"] for row in rows])
         return CheckResult(
             "high_frequency",
             ok,
@@ -836,7 +836,7 @@ class AcceptanceLab:
                 }
             )
             ok = ok and worst < RESIDUAL_TOL
-        worst = max(row["max_residual"] for row in rows)
+        worst = reduce(_worse, [row["max_residual"] for row in rows])
         return CheckResult(
             "ode_residual",
             ok,
@@ -866,7 +866,7 @@ class AcceptanceLab:
                     }
                 )
                 ok = ok and fit.gap <= SLOPE_TOL
-        worst = max(row["gap"] for row in rows)
+        worst = reduce(_worse, [row["gap"] for row in rows])
         return CheckResult(
             "order_improvement",
             ok,

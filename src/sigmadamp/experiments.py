@@ -115,7 +115,10 @@ class ErrorCurve:
         return case_for(self.params)
 
     def target(self) -> float:
-        return error_exponent(self.params, self.k, 2 * self.data.u1_hat.m)
+        # the slower of the velocity- and the position-driven exponent (see error_exponent)
+        p, k = self.params, self.k
+        position = error_exponent(p, k, 2 * self.data.u0_hat.m) - p.sigma1 / (p.sigma - p.sigma1)
+        return max(error_exponent(p, k, 2 * self.data.u1_hat.m), position)
 
 
 def error_r_max(p: ModelParams, times) -> np.ndarray:
@@ -229,8 +232,8 @@ def lower_bound_band(curve: ErrorCurve) -> tuple[float, float]:
 
     A positive lower end pinned within a bounded ratio of the upper end
     witnesses that the predicted rate is sharp, not just an upper bound.
-    The target reads the velocity datum's order, so only zero velocity data
-    (c = 0) have no band.
+    For data of one order the target is the velocity-driven exponent, so
+    zero velocity data (c = 0) have no band.
     """
     if curve.data.u1_hat.c == 0.0:
         raise ValueError("sharpness band needs velocity data, got u1_hat.c = 0")

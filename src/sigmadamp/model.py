@@ -167,12 +167,12 @@ def error_exponent(p: ModelParams, k: int, data_order: int = 0) -> float:
     -nu/(4x) + sigma1/x - k * rate_step(p), x = sigma - sigma1, in both
     damping cases.  Its square weights r^{2s} r^{2j} r^{n-1} for velocity
     data vanishing like r^j at r = 0 (j = data_order), so n, s and j enter
-    as one radial exponent nu = n + 2s + 2j.  The exponent is driven by the
-    velocity datum and sharp whenever that datum is not zero, as
-    `experiments.lower_bound_band` requires.  For sigma1 > 0 the position-
-    driven part decays faster by sigma1/x: only the velocity kernels carry
-    the r^{-2*sigma1} prefactor (see `kernels.kernel_jets`), an offset
-    measured on split error curves that the abstract held here does not state.
+    as one radial exponent nu = n + 2s + 2j.  This is the velocity-driven
+    part; a position datum vanishing like r^j drives a part faster by
+    sigma1/x, since only the velocity kernels carry the r^{-2*sigma1}
+    prefactor (see `kernels.kernel_jets`), an offset measured on split error
+    curves that the abstract held here does not state.  The error decays at
+    the slower part's rate (`experiments.ErrorCurve.target`).
     """
     validate(p, case_for(p))
     if k < 0:

@@ -12,14 +12,14 @@ refinement agrees with the parent panel inside its share of the error
 budget.  Integrands must accept numpy arrays of radii and act elementwise.
 
 Refinement is level-batched, after Shampine's vectorised quadgk (J. Comput.
-Appl. Math. 211, 2008), and carried from one norm to a family of norms: a
-caller with many norms of one kind (an error curve over its time grid)
-hands over one radius per member and one family integrand, and a single
-refinement loop computes them all.  The coarse pass covers every segment of
-every member, and each bisection level covers both halves of every panel
-still open.  Each member keeps its own error budget and noise floor; the
-accept test, the stall test and the fold of the bisection tree run as array
-operations on a whole level.
+Appl. Math. 211, 2008), and every call computes a family of norms: the
+caller (an error curve over its time grid, say) hands over one radius per
+member and one family integrand, and a single refinement loop computes them
+all; a single norm is a family of one.  The coarse pass covers every
+segment of every member, and each bisection level covers both halves of
+every panel still open.  Each member keeps its own error budget and noise
+floor; the accept test, the stall test and the fold of the bisection tree
+run as array operations on a whole level.
 
 A segment whose coarse value is at most REL_FLOOR / count of its member's
 finite, nonzero coarse total settles: it enters the tree as a leaf with its
@@ -38,7 +38,7 @@ walk one ladder, so a level holds each distinct panel many times over.
 Panels are numbered so that equal panels share their number: a segment by
 the mantissa of its r_max and its place from the bottom of the ladder, and
 the halves of a panel numbered i by 2i and 2i + 1, renumbered in order on
-each level; no level is sorted.  A family integrand is called in two
+each level; no level is sorted.  The family integrand is called in two
 stages.  The radial stage f(r) runs once per block
 of at most PANELS_PER_CALL distinct panels of a level, on the block's
 distinct radii, and does there all the work that depends on the radius
@@ -98,10 +98,10 @@ class NonConvergence(RuntimeError):
 class RadialIntegrand:
     """A radial function together with its declared power behavior at 0.
 
-    singularity_exponent e asserts f(r) = O(r^e) as r -> 0; integrability of
-    the squared integrand then requires 2e + n > 0.  For a family of norms
-    (see `l2_radial`) func is the radial stage f(r), which returns the time
-    stage stage(at, j), and the exponent bounds every member.
+    func is the radial stage f(r) of a family of norms (see `l2_radial`),
+    which returns the time stage stage(at, j).  singularity_exponent e
+    asserts that every member is O(r^e) as r -> 0; integrability of the
+    squared integrand then requires 2e + n > 0.
     """
 
     func: object
@@ -204,19 +204,18 @@ def _segments(r_max: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def l2_radial(f, n: int, r_max, tol: float = 1e-8):
-    """Radial L2 norm of f over the ball of radius r_max in R^n.
+    """Radial L2 norms of a family: member j's over the ball of radius r_max[j] in R^n.
 
-    A float r_max gives one norm, and f is called as f(r).  A 1-d array
-    r_max gives a family of norms, one per member j over the ball of radius
-    r_max[j], returned as an array; f is then called in two stages.  The
-    radial stage f(r) gets the distinct radii of a block of panels and
-    returns the time stage stage(at, j), a function that gets node arrays
-    `at` and `j` and must return, at each node, member j's function at the
-    radius r[at]; its sign does not matter, since only its square is
-    integrated.  Work that depends on the radius alone belongs in the
-    radial stage, which runs once per radius of a level however many members
-    share it.  Every member is refined as if it were alone, so its norm is
-    the float a one-member call returns.
+    r_max is a 1-d array of member radii, and the norms come back as an
+    array of the same length; a single norm is a family of one.  f is
+    called in two stages.  The radial stage f(r) gets the distinct radii of
+    a block of panels and returns the time stage stage(at, j), a function
+    that gets node arrays `at` and `j` and must return, at each node,
+    member j's function at the radius r[at]; its sign does not matter,
+    since only its square is integrated.  Work that depends on the radius
+    alone belongs in the radial stage, which runs once per radius of a
+    level however many members share it.  Every member is refined as if it
+    were alone, so its norm is the float a family of one returns.
 
     The absolute norm error is targeted at tol * (1 + norm); the budget is
     converted to an integral tolerance using a coarse first pass, split
@@ -255,10 +254,9 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     the first failing one of the level, members in order.
     """
     integrand = f if isinstance(f, RadialIntegrand) else RadialIntegrand(f)
-    family = np.ndim(r_max) == 1
-    radii = np.atleast_1d(np.asarray(r_max, dtype=float))
+    radii = np.asarray(r_max, dtype=float)
     if radii.ndim != 1:
-        raise ValueError(f"r_max must be a float or a 1-d array, got shape {radii.shape}")
+        raise ValueError(f"r_max must be a 1-d array of member radii, got shape {radii.shape}")
     inside = (radii > R_FLOOR) & (radii < math.inf)
     if not inside.all():
         raise ValueError(f"r_max must be finite and exceed {R_FLOOR:g}, got {radii[~inside][0]}")
@@ -275,12 +273,8 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     func = integrand.func
 
     def radial(r):
-        # the stages of g = f^2 r^{n-1}; a single norm is a family of one
-        if family:
-            stage = func(r)
-        else:
-            values = np.asarray(func(r), dtype=float)
-            stage = lambda at, j: values.take(at)  # noqa: E731
+        # the stages of g = f^2 r^{n-1}
+        stage = func(r)
         weight = r ** (n - 1)
 
         def g(at, j):
@@ -387,8 +381,7 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
         value[split] = below[0::2] + below[1::2]
         below = value
     leaves[unsettled] = below
-    norms = np.sqrt(sphere * np.maximum(_member_totals(leaves, first), 0.0))
-    return norms if family else float(norms[0])
+    return np.sqrt(sphere * np.maximum(_member_totals(leaves, first), 0.0))
 
 
 def _member_totals(values: np.ndarray, first: np.ndarray) -> np.ndarray:

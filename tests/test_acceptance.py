@@ -549,6 +549,37 @@ def test_closed_forms_fail_on_a_nan_velocity_profile(monkeypatch):
     assert "nan" in res.message
 
 
+# per suite: the function that computes a row's quantity, and that quantity
+# made NaN in what the function returns
+NAN_ROWS = {
+    "lower_band": ("lower_bound_band", lambda band: (band[0], math.nan)),
+    "cutoff_scaling": ("scaling_check", lambda fit: replace(fit, gap=math.nan)),
+    "high_frequency": ("high_freq_decay_check", lambda report: replace(report, ratio=math.nan)),
+    "ode_residual": ("ode_residual_max", lambda found: (math.nan, found[1])),
+    "order_improvement": ("order_improvement_from_curves", lambda fit: replace(fit, gap=math.nan)),
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_ROWS))
+def test_a_nan_row_fails_its_suite_and_shows_in_its_message(lab, monkeypatch, name):
+    # the NaN sits in the second row: a builtin max keeps the first row's
+    # value over it, and the message would print a finite worst
+    attr, spoil = NAN_ROWS[name]
+    real = getattr(acceptance, attr)
+    calls = []
+
+    def second_row_nan(*args, **kwargs):
+        calls.append(args)
+        out = real(*args, **kwargs)
+        return spoil(out) if len(calls) == 2 else out
+
+    monkeypatch.setattr(acceptance, attr, second_row_nan)
+    (res,) = lab.run([name])
+    assert len(calls) >= 2
+    assert not res.passed
+    assert "nan" in res.message
+
+
 def test_jet_oracle_builds_its_tables_once(monkeypatch):
     # all 20 draws share one table build
     calls = []

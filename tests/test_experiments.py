@@ -342,6 +342,53 @@ def test_moment_free_curve_is_the_gaussian_curve_four_dimensions_up(p, k):
     assert moment_free.target() == gaussian.target()
 
 
+@pytest.mark.parametrize("kind", DATA_KINDS)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "p", [ModelParams(3, 1.0, 0.25, 0.75), ModelParams(1, 1.0, 0.0, 0.8)], ids=["fractional", "frictional"]
+)
+def test_data_of_one_order_keep_the_velocity_target(p, k, kind):
+    # the position-driven exponent is never the slower one here, so every
+    # report the CLI writes (it builds data of one kind) keeps its float
+    data = spectral_data(kind)
+    curve = ErrorCurve(p, k, data, np.array([1e2]), np.array([1.0]))
+    assert curve.target() == model.error_exponent(p, k, 2 * data.u1_hat.m)
+
+
+# Data pairs of two orders, sampled 10 times per decade on [10, 1e4] and
+# fitted on [1e2, 1e4].  Position data of order 0 under velocity data of
+# order 1 drive the error: the fractional slopes read -1.0097 / -1.6810 at
+# k = 0 / 1 and the frictional -0.2510 / -1.0298, where the velocity target
+# was -2.0 / -2.667 and -1.25 / -2.05.  Swapped, the velocity datum drives
+# it: -0.6727 / -1.3432 and -0.2501 / -1.0355.  The frictional n = 3 pair
+# at k = 2 misses by 0.06 / 0.05 like gaussian data there, and is left out.
+@ignore_cancellation
+@pytest.mark.parametrize(
+    "p, k, orders, target",
+    [
+        (ModelParams(3, 1.0, 0.25, 0.75), 0, (0, 1), -1.0),
+        (ModelParams(3, 1.0, 0.25, 0.75), 1, (0, 1), -5.0 / 3.0),
+        (ModelParams(1, 1.0, 0.0, 0.8), 0, (0, 1), -0.25),
+        (ModelParams(1, 1.0, 0.0, 0.8), 1, (0, 1), -1.05),
+        (ModelParams(3, 1.0, 0.25, 0.75), 0, (1, 0), -2.0 / 3.0),
+        (ModelParams(3, 1.0, 0.25, 0.75), 1, (1, 0), -4.0 / 3.0),
+        (ModelParams(1, 1.0, 0.0, 0.8), 0, (1, 0), -0.25),
+        (ModelParams(1, 1.0, 0.0, 0.8), 1, (1, 0), -1.05),
+    ],
+    ids=[
+        f"{case}-k{k}-{order}"
+        for order in ("position_lower", "velocity_lower")
+        for case, k in (("fractional", 0), ("fractional", 1), ("frictional", 0), ("frictional", 1))
+    ],
+)
+def test_mixed_data_orders_fit_the_slower_exponent(p, k, orders, target):
+    m0, m1 = orders
+    data = SpectralDataSpec(RadialProfileSpec(m0), RadialProfileSpec(m1))
+    curve = error_curve(p, k, data, t_grid=geometric_grid(10.0, 1e4, 10))
+    assert curve.target() == pytest.approx(target, rel=1e-14)
+    assert fit_slope(curve).gap <= SLOPE_TOL
+
+
 # The frictional k=1 values were first recorded at commit e452c66, where the
 # quadrature refined one panel per integrand call; refining a whole level per
 # call left every norm bit-for-bit unchanged.  The fractional k=2 values and

@@ -29,6 +29,26 @@ GAUSS2_N3 = 0.83429071647955156  # pi^{3/4} / (2 sqrt 2)
 SQRT_2PI = 2.5066282746310002
 
 
+def same_function(f):
+    """The family integrand whose every member is the radial function f."""
+
+    def radial(r):
+        values = f(r)
+        return lambda at, j: values[at]
+
+    return radial
+
+
+def single_norm(f, n, r_max, tol=1e-8):
+    """The norm of the radial function f over the ball of radius r_max: a family of one."""
+    if isinstance(f, RadialIntegrand):
+        f = RadialIntegrand(same_function(f.func), f.singularity_exponent)
+    else:
+        f = same_function(f)
+    (norm,) = l2_radial(f, n, np.array([r_max]), tol)
+    return float(norm)
+
+
 @pytest.mark.parametrize(
     "n,expected",
     [
@@ -49,28 +69,28 @@ def test_surface_area_rejects_bad_dimension(bad):
 
 
 def test_gaussian_norm_line():
-    got = l2_radial(lambda r: np.exp(-(r**2)), n=1, r_max=8.0, tol=1e-10)
+    got = single_norm(lambda r: np.exp(-(r**2)), n=1, r_max=8.0, tol=1e-10)
     assert got == pytest.approx(GAUSS_N1, rel=1e-9)
 
 
 def test_indicator_ball_norm():
-    got = l2_radial(lambda r: np.ones_like(r), n=3, r_max=1.0, tol=1e-10)
+    got = single_norm(lambda r: np.ones_like(r), n=3, r_max=1.0, tol=1e-10)
     assert got == pytest.approx(BALL_N3, rel=1e-9)
 
 
 def test_sharp_gaussian_norm_space():
-    got = l2_radial(lambda r: np.exp(-2.0 * r**2), n=3, r_max=8.0, tol=1e-10)
+    got = single_norm(lambda r: np.exp(-2.0 * r**2), n=3, r_max=8.0, tol=1e-10)
     assert got == pytest.approx(GAUSS2_N3, rel=1e-9)
 
 
 def test_zero_integrand():
-    assert l2_radial(lambda r: np.zeros_like(r), n=3, r_max=5.0) == 0.0
+    assert single_norm(lambda r: np.zeros_like(r), n=3, r_max=5.0) == 0.0
 
 
 def test_integrable_singularity_resolved():
     # f = r^{-1/2} in R^3: squared integrand r, exact norm r_max sqrt(2 pi)
     f = RadialIntegrand(lambda r: r**-0.5, singularity_exponent=-0.5)
-    got = l2_radial(f, n=3, r_max=1.0, tol=1e-10)
+    got = single_norm(f, n=3, r_max=1.0, tol=1e-10)
     assert got == pytest.approx(SQRT_2PI, rel=1e-8)
 
 
@@ -78,7 +98,7 @@ def test_integrable_singularity_resolved():
 def test_non_integrable_singularity_rejected(exponent, n):
     f = RadialIntegrand(lambda r: r**exponent, singularity_exponent=exponent)
     with pytest.raises(ValueError, match="makes the squared integrand non-integrable"):
-        l2_radial(f, n=n, r_max=1.0)
+        single_norm(f, n=n, r_max=1.0)
 
 
 def test_refinement_depth_cap():
@@ -86,7 +106,7 @@ def test_refinement_depth_cap():
     # must stop (at the first non-finite panel) instead of refining forever
     f = lambda r: np.where(r < 0.25, np.nan, np.exp(-r))  # noqa: E731
     with pytest.raises(NonConvergence):
-        l2_radial(f, n=1, r_max=1.0, tol=1e-10)
+        single_norm(f, n=1, r_max=1.0, tol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -108,7 +128,7 @@ def test_failure_names_the_first_offending_panel(monkeypatch, f, message):
     # panel-by-panel scan meets: the one at 0.3, not the one at 0.7
     monkeypatch.setattr(quadrature, "MAX_DEPTH", 5)
     with pytest.raises(NonConvergence, match=re.escape(message)):
-        l2_radial(f, n=1, r_max=1.0, tol=1e-10)
+        single_norm(f, n=1, r_max=1.0, tol=1e-10)
 
 
 class CountingIntegrand:
@@ -125,7 +145,7 @@ class CountingIntegrand:
 
 def test_one_integrand_call_per_refinement_level():
     f = CountingIntegrand(lambda r: np.exp(-(r**2)))
-    got = l2_radial(f, n=1, r_max=8.0, tol=1e-10)
+    got = single_norm(f, n=1, r_max=8.0, tol=1e-10)
     assert got == pytest.approx(GAUSS_N1, rel=1e-9)
     # the coarse pass over all ladder segments, then one level accepting them all
     assert len(f.calls) == 2
@@ -134,7 +154,7 @@ def test_one_integrand_call_per_refinement_level():
 
 def test_step_refines_one_path_one_call_per_level():
     f = CountingIntegrand(lambda r: np.where(r < 0.3, 1.0, 0.0))
-    got = l2_radial(f, n=1, r_max=1.0, tol=1e-10)
+    got = single_norm(f, n=1, r_max=1.0, tol=1e-10)
     assert got == pytest.approx(math.sqrt(0.6), rel=1e-9)
     sizes = [c.size for c in f.calls]
     # f vanishes on the top segment [0.5, 1], which settles: it is not halved
@@ -222,7 +242,7 @@ def depth_first_norm(f, n, r_max, tol):
 )
 def test_level_batching_matches_depth_first_bit_for_bit(f, n, r_max, tol):
     # same panels, same per-panel reductions, same summation tree: equal floats
-    assert l2_radial(f, n, r_max, tol) == depth_first_norm(f, n, r_max, tol)
+    assert single_norm(f, n, r_max, tol) == depth_first_norm(f, n, r_max, tol)
 
 
 # one radial function per member of a family: different radii and scales,
@@ -267,22 +287,12 @@ class CountingFamily:
         return stage
 
 
-def same_function(f):
-    """The family integrand whose every member is the radial function f."""
-
-    def radial(r):
-        values = f(r)
-        return lambda at, j: values[at]
-
-    return radial
-
-
 def test_family_equals_one_call_per_member_bit_for_bit():
     family = CountingFamily(FAMILY)
     r_max = np.array([radius for _, radius in FAMILY])
     got = l2_radial(family, n=3, r_max=r_max, tol=1e-12)
     assert isinstance(got, np.ndarray) and got.shape == (len(FAMILY),)
-    alone = [l2_radial(f, n=3, r_max=radius, tol=1e-12) for f, radius in FAMILY]
+    alone = [single_norm(f, n=3, r_max=radius, tol=1e-12) for f, radius in FAMILY]
     assert np.array_equal(got, alone)
     # levels wider than one call are evaluated in radial blocks and time
     # chunks of PANELS_PER_CALL panels
@@ -317,7 +327,7 @@ def test_shared_panels_are_evaluated_radially_once():
     alone, alone_nodes = [], []
     for a in scales:
         f = CountingIntegrand(lambda r, a=a: np.exp(-(r * r) * a))
-        alone.append(l2_radial(f, n=2, r_max=6.0, tol=1e-12))
+        alone.append(single_norm(f, n=2, r_max=6.0, tol=1e-12))
         alone_nodes.append(sum(c.size for c in f.calls))
     assert np.array_equal(got, alone)
     assert member_nodes.tolist() == alone_nodes
@@ -348,7 +358,7 @@ def test_radii_a_power_of_two_apart_share_their_ladder():
         return stage
 
     got = l2_radial(radial, n=2, r_max=radii, tol=1e-12)
-    alone = [l2_radial(lambda r: 1.0 / (1.0 + r * r), n=2, r_max=x, tol=1e-12) for x in radii]
+    alone = [single_norm(lambda r: 1.0 / (1.0 + r * r), n=2, r_max=x, tol=1e-12) for x in radii]
     assert np.array_equal(got, alone)
     radial_rows = np.concatenate(rows)
     assert len(np.unique(radial_rows, axis=0)) == len(radial_rows)
@@ -356,10 +366,12 @@ def test_radii_a_power_of_two_apart_share_their_ladder():
 
 
 def test_one_member_family_is_the_float_call():
+    # a single norm is a family of one, the float the depth-first recursion gives
     f = lambda r: np.exp(-(r**2)) * (1.0 + r) ** -0.5  # noqa: E731
     got = l2_radial(same_function(f), n=2, r_max=np.array([6.0]), tol=1e-10)
-    assert got.tolist() == [l2_radial(f, n=2, r_max=6.0, tol=1e-10)]
-    assert l2_radial(same_function(f), n=2, r_max=np.array([]), tol=1e-10).shape == (0,)
+    assert got.tolist() == [depth_first_norm(f, 2, 6.0, 1e-10)]
+    empty = l2_radial(same_function(f), n=2, r_max=np.array([]), tol=1e-10)
+    assert isinstance(empty, np.ndarray) and empty.dtype == float and empty.shape == (0,)
 
 
 # Members whose segments settle at both ends of the ladder: their squared
@@ -478,7 +490,7 @@ def test_a_zero_coarse_total_settles_nothing(monkeypatch):
     assert bump(0.625 + 0.125 * GAUSS_NODES).any()
     monkeypatch.setattr(quadrature, "MAX_DEPTH", 5)
     with pytest.raises(NonConvergence, match="still off budget at depth 5"):
-        l2_radial(bump, n=1, r_max=1.0, tol=1e-6)
+        single_norm(bump, n=1, r_max=1.0, tol=1e-6)
 
 
 def test_a_zero_coarse_total_takes_its_budget_from_the_first_level(monkeypatch):
@@ -494,7 +506,7 @@ def test_a_zero_coarse_total_takes_its_budget_from_the_first_level(monkeypatch):
         nodes.append(r.size)
         return bump(r)
 
-    got = l2_radial(counted, n=1, r_max=1.0, tol=1e-6)
+    got = single_norm(counted, n=1, r_max=1.0, tol=1e-6)
     assert sum(nodes) <= 2500
     # 200-node Gauss-Legendre over the bump's support, 2 = surface_area(1);
     # measured 3.1e-10 relative, the norm's budget is tol * (1 + norm)
@@ -506,7 +518,7 @@ def test_a_zero_coarse_total_takes_its_budget_from_the_first_level(monkeypatch):
 def test_settling_family_equals_one_call_per_member_bit_for_bit():
     family = SettleRecorder(SETTLING)
     got = l2_radial(family, n=3, r_max=family.r_max, tol=1e-10)
-    alone = [l2_radial(f, n=3, r_max=radius, tol=1e-10) for f, radius in SETTLING]
+    alone = [single_norm(f, n=3, r_max=radius, tol=1e-10) for f, radius in SETTLING]
     assert np.array_equal(got, alone)
     # some panel is settled by one member and halved for another on its ladder
     status: dict[tuple[float, float], set[bool]] = {}
@@ -537,7 +549,7 @@ def test_each_member_has_its_own_noise_floor():
     # at this tol on its own
     clean = lambda r: np.exp(-(r**2))  # noqa: E731
     noisy = lambda r: 1e6 * np.exp(-r) * (1.0 + 1e-10 * (np.modf(r * 1e13)[0] - 0.5))  # noqa: E731
-    assert l2_radial(clean, n=1, r_max=8.0, tol=1e-20) == pytest.approx(GAUSS_N1, rel=1e-11)
+    assert single_norm(clean, n=1, r_max=8.0, tol=1e-20) == pytest.approx(GAUSS_N1, rel=1e-11)
     family = CountingFamily(((clean, 8.0), (noisy, 1.0)))
     start = time.perf_counter()
     with pytest.raises(NonConvergence, match="below the roundoff"):
@@ -551,6 +563,13 @@ def test_each_member_has_its_own_noise_floor():
 def test_family_radii_are_validated(r_max):
     with pytest.raises(ValueError, match="r_max"):
         l2_radial(same_function(np.ones_like), n=1, r_max=np.array(r_max), tol=1e-8)
+
+
+@pytest.mark.parametrize("r_max", [1.0, np.array(1.0), np.array([[1.0, 2.0]])], ids=["float", "0-d", "2-d"])
+def test_r_max_must_be_a_1d_array(r_max):
+    # one calling convention: a single norm is asked for as a family of one
+    with pytest.raises(ValueError, match=re.escape("r_max must be a 1-d array of member radii")):
+        l2_radial(same_function(np.ones_like), n=1, r_max=r_max, tol=1e-8)
 
 
 def member_totals_loop(values, first):
@@ -580,7 +599,7 @@ def test_roundoff_limited_refinement_stops():
     f = CountingIntegrand(lambda r: np.exp(-r) * (1.0 + 1e-10 * (np.modf(r * 1e13)[0] - 0.5)))
     start = time.perf_counter()
     with pytest.raises(NonConvergence, match="below the roundoff"):
-        l2_radial(f, n=1, r_max=1.0, tol=1e-14)
+        single_norm(f, n=1, r_max=1.0, tol=1e-14)
     assert time.perf_counter() - start < 1.0
     assert sum(c.size for c in f.calls) < 100_000
 
@@ -591,7 +610,7 @@ def test_roundoff_limited_refinement_stops():
 )
 def test_l2_radial_argument_validation(r_max, tol):
     with pytest.raises(ValueError):
-        l2_radial(lambda r: np.ones_like(r), n=1, r_max=r_max, tol=tol)
+        single_norm(lambda r: np.ones_like(r), n=1, r_max=r_max, tol=tol)
 
 
 def test_segments_are_the_halving_ladder():
@@ -615,15 +634,15 @@ def test_segments_are_the_halving_ladder():
 
 def test_domination_monotonicity():
     tol = 1e-9
-    small = l2_radial(lambda r: np.exp(-2.0 * r**2), n=2, r_max=8.0, tol=tol)
-    large = l2_radial(lambda r: np.exp(-(r**2)), n=2, r_max=8.0, tol=tol)
+    small = single_norm(lambda r: np.exp(-2.0 * r**2), n=2, r_max=8.0, tol=tol)
+    large = single_norm(lambda r: np.exp(-(r**2)), n=2, r_max=8.0, tol=tol)
     assert small <= large * (1.0 + 2.0 * tol)
 
 
 def test_l2_radial_bitwise_deterministic():
     f = lambda r: np.exp(-(r**2)) * (1.0 + r) ** -0.5  # noqa: E731
-    a = l2_radial(f, n=3, r_max=10.0, tol=1e-9)
-    b = l2_radial(f, n=3, r_max=10.0, tol=1e-9)
+    a = single_norm(f, n=3, r_max=10.0, tol=1e-9)
+    b = single_norm(f, n=3, r_max=10.0, tol=1e-9)
     assert a == b
 
 
