@@ -358,8 +358,8 @@ def test_data_of_one_order_keep_the_velocity_target(p, k, kind):
 # Data pairs of two orders, sampled 10 times per decade on [10, 1e4] and
 # fitted on [1e2, 1e4].  Position data of order 0 under velocity data of
 # order 1 drive the error: the fractional slopes read -1.0097 / -1.6810 at
-# k = 0 / 1 and the frictional -0.2510 / -1.0298, where the velocity target
-# was -2.0 / -2.667 and -1.25 / -2.05.  Swapped, the velocity datum drives
+# k = 0 / 1 and the frictional -0.2510 / -1.0298, where the velocity-driven
+# exponent is -2.0 / -2.667 and -1.25 / -2.05.  Swapped, the velocity datum drives
 # it: -0.6727 / -1.3432 and -0.2501 / -1.0355.  The frictional n = 3 pair
 # at k = 2 misses by 0.06 / 0.05 like gaussian data there, and is left out.
 @ignore_cancellation
