@@ -28,7 +28,6 @@ import numpy as np
 from .acceptance import GOLDEN_RTOL, SUITES, AcceptanceLab, golden_comparison
 from .experiments import (
     DATA_KINDS,
-    MAX_PROFILE_ORDER,
     ErrorCurve,
     error_curve,
     fit_slope,
@@ -36,7 +35,6 @@ from .experiments import (
     tail_window,
 )
 from .fitting import DegenerateFit, FitResult, geometric_grid
-from .kernels import check_order
 from .model import (
     ModelParams,
     ModelError,
@@ -48,6 +46,7 @@ from .model import (
     rate_step,
     validate,
 )
+from .profiles import MAX_PROFILE_ORDER, check_order
 
 EXIT_OK = 0
 EXIT_SUITE = 1

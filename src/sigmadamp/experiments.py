@@ -8,7 +8,8 @@ where (K0, K1) are the exact mode multipliers, (P0, P1) the order-k profile
 pair, and (u0, u1) radial spectral data c r^{2m} e^{-alpha r^2} (see
 `RadialProfileSpec`).  The checks in this module fit the large-time decay
 of E and related norms and compare the fitted exponents to the predicted
-rates.  This module only computes: `cli` renders every report.
+rates; `profiles` builds the profile stage and checks the order.  This
+module only computes: `cli` renders every report.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import DegenerateFit, FitResult, fit_exponential, fit_loglog
-from .kernels import EXP_FLUSH, check_order, checked_times, exact_multipliers, mode_roots, root_jets
+from .kernels import EXP_FLUSH, checked_times, exact_multipliers, mode_roots
 from .model import (
     ModelParams,
-    RateCase,
     case_for,
     check_radius,
     error_exponent,
@@ -32,10 +32,9 @@ from .model import (
     slow_rate_radius,
     validate,
 )
-from .profiles import profile_pair
+from .profiles import check_order, profile_pair, profile_roots
 from .quadrature import CutoffSpec, RadialIntegrand, l2_radial
 
-MAX_PROFILE_ORDER = 3
 # left end of every decay-fit window (`tail_window`)
 FIT_T_MIN = 100.0
 # |exact - approx| below this relative level loses most significant digits
@@ -61,8 +60,8 @@ class RadialProfileSpec:
     def __post_init__(self):
         if self.m not in range(len(DATA_KINDS)):
             raise ValueError(f"data order m must be in [0, {len(DATA_KINDS) - 1}], got {self.m!r}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"data width alpha must be positive, got {self.alpha}")
+        if not (0.0 < self.alpha < math.inf and abs(self.c) < math.inf):
+            raise ValueError(f"data width alpha must be positive and c finite, got {self.alpha}, {self.c}")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -111,14 +110,17 @@ class ErrorCurve:
     cancellation_hits: int = 0
 
     @property
-    def case(self) -> RateCase:
+    def case(self):
         return case_for(self.params)
 
     def target(self) -> float:
-        # the slower of the velocity- and the position-driven exponent (see error_exponent)
-        p, k = self.params, self.k
-        position = error_exponent(p, k, 2 * self.data.u0_hat.m) - p.sigma1 / (p.sigma - p.sigma1)
-        return max(error_exponent(p, k, 2 * self.data.u1_hat.m), position)
+        # the slower of the velocity- and position-driven exponents over the nonzero data, else velocity
+        p, k, u0, u1 = self.params, self.k, self.data.u0_hat, self.data.u1_hat
+        velocity = error_exponent(p, k, 2 * u1.m)
+        if u0.c == 0.0:
+            return velocity
+        position = error_exponent(p, k, 2 * u0.m) - p.sigma1 / (p.sigma - p.sigma1)
+        return position if u1.c == 0.0 else max(velocity, position)
 
 
 def error_r_max(p: ModelParams, times) -> np.ndarray:
@@ -155,8 +157,6 @@ def error_curve(
     """Sample E(t) on t_grid, each norm to quad_tol * (1 + E), once validate() and check_order pass."""
     case = case_for(p)
     validate(p, case)
-    if not (0 <= k <= MAX_PROFILE_ORDER):
-        raise ValueError(f"profile order must be in [0, {MAX_PROFILE_ORDER}], got {k}")
     check_order(p, k)
     t_grid = checked_times(t_grid)
 
@@ -168,11 +168,7 @@ def error_curve(
         weight = r**p.s
         u0, u1 = weight * data.u0_hat(r), weight * data.u1_hat(r)
         modes = mode_roots(p, r, u0, u1)
-        if k:
-            roots = root_jets(p, r, k - 1).summed_kernel_roots()
-            if case is RateCase.ZERO_SIGMA1:
-                # the frictional profile reads the slow pieces alone
-                roots = roots.slow_branch()
+        roots = profile_roots(p, r, k) if k else None
 
         def stage(at, j):
             # every node at the time of the sample it belongs to
@@ -187,9 +183,7 @@ def error_curve(
             approx = pr0 * u0.take(at) + pr1 * u1.take(at)
             diff = exact - approx
             scale = np.maximum(np.abs(exact), np.abs(approx))
-            cancel_hits += int(
-                np.count_nonzero((np.abs(diff) < CANCELLATION_RTOL * scale) & (scale > 0.0))
-            )
+            cancel_hits += int(np.count_nonzero(np.abs(diff) < CANCELLATION_RTOL * scale))
             return diff
 
         return stage
@@ -308,6 +302,8 @@ def order_improvement_from_curves(lower: ErrorCurve, higher: ErrorCurve) -> FitR
         raise ValueError(f"need consecutive orders, got k={lower.k} and k={higher.k}")
     if lower.params != higher.params:
         raise ValueError("order-improvement curves must share parameters")
+    if lower.data != higher.data:
+        raise ValueError("order-improvement curves must share data")
     if lower.times.shape != higher.times.shape or not np.array_equal(lower.times, higher.times):
         raise ValueError("order-improvement curves must share the time grid")
     window = tail_window(lower)

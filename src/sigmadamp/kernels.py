@@ -35,8 +35,7 @@ tables themselves are built independently in `acceptance.kernel_tables`.
 `root_jets` builds the series of Gamma1, Gamma2, G^{-1} and both roots once
 per radial grid, `kernel_jets` those of the four pieces at given (t, r);
 `exact_multipliers` evaluates the solution K0 u0 + K1 u1 itself at a = b =
-1, stably through the oscillation band where the roots turn complex.  `check_order` refuses a
-profile order whose series overflow out to the error norms' radius.
+1, stably through the oscillation band where the roots turn complex.
 
 All radial arguments broadcast: an array r yields series of shape
 (order + 1, *r.shape) and array multipliers.  Times broadcast with the
@@ -58,9 +57,8 @@ h).  Each layer therefore splits into a radial stage and a time stage.
 stage of a caller that reads only the sum of the degree rows, as a profile
 does, and holds that one row per power.  A caller with many times per radius
 builds a stage once on its distinct radii.  `kernel_jets` gets it gathered
-to its nodes (`KernelRoots.take`, after `KernelRoots.slow_branch` when only
-the slow pieces are read) and runs two flushed envelopes and one Horner
-pass in t, with no series products.
+to its nodes (`KernelRoots.take`) and runs two flushed envelopes and one
+Horner pass in t, with no series products.
 
 `mode_roots` folds the caller's data pair (u0, u1) into its stage, so the
 time stage of `exact_multipliers` returns K0 u0 + K1 u1 itself and never
@@ -73,13 +71,12 @@ elementwise, so a node's values are the floats the one-stage call gives.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .jet2 import exp_terms, linear_series, mul, reciprocal, sqrt_series
-from .model import ModelError, ModelParams, error_radius, mode_symbols
+from .model import ModelParams, mode_symbols
 
 # Decay exponents beyond this underflow double precision; the whole
 # exponential factor is flushed to exact zero instead.
@@ -158,10 +155,6 @@ class KernelRoots:
         """The stage at the radii of indices `at`."""
         return KernelRoots(np.take(self.lam0, at, axis=-1), np.take(self.coeffs, at, axis=-1))
 
-    def slow_branch(self) -> "KernelRoots":
-        """The stage of the slow branch alone; `kernel_jets` leaves the fast pieces None on it."""
-        return KernelRoots(self.lam0[:1], self.coeffs[:, :, :, :1])
-
 
 @dataclass(frozen=True)
 class KernelJets:
@@ -234,25 +227,6 @@ def root_jets(p: ModelParams, r, order: int) -> RootJets:
     )
 
 
-@functools.cache
-def check_order(p: ModelParams, k: int) -> None:
-    """Raise ModelError unless the order-k series are finite out to `model.error_radius`.
-
-    Degree d of `root_jets` grows like r^{2(sigma-sigma1)} max(x, w)^d, so at
-    large sigma the series overflow before A^2 does; order k >= 1 reads the
-    stage `root_jets(p, R, k - 1).summed_kernel_roots()`, built here at R.
-    A pass is kept for the process: `curve` checks every order up front, and
-    `experiments.error_curve` checks its own again.
-    """
-    if k == 0:
-        return
-    radius = error_radius(p)
-    with np.errstate(all="ignore"):
-        stage = root_jets(p, np.array([radius]), k - 1).summed_kernel_roots()
-    if not (np.isfinite(stage.lam0).all() and np.isfinite(stage.coeffs).all()):
-        raise ModelError(f"order k={k} overflows the kernel series out to radius {radius:.6g}")
-
-
 def checked_times(t) -> np.ndarray:
     """t as a float array, refused unless every entry is finite and nonnegative."""
     t = np.asarray(t, dtype=float)
@@ -282,8 +256,8 @@ def kernel_jets(p: ModelParams, t, r, order: int, roots: KernelRoots | None = No
     gather of it on the distinct radii gives), and is not built again;
     otherwise `root_jets(p, r, order).kernel_roots()` is.  Each piece has one
     row per degree row of the stage: order + 1 rows from `kernel_roots`, their
-    sum alone from `summed_kernel_roots`.  A stage cut to the slow branch
-    (`KernelRoots.slow_branch`) evaluates only the slow pieces.
+    sum alone from `summed_kernel_roots`.  A stage that holds the slow branch
+    alone (lam0 of length 1) evaluates only the slow pieces.
 
     Constant terms recover the slow-mode limits: pos_fast has
     -r^{2(sigma-2*sigma1)} e^{-r^{2*sigma1} t}, pos_slow has

@@ -5,10 +5,11 @@ the total-degree-(k-1) Taylor polynomial of the tagged multipliers in the
 bookkeeping parameters (a, b), evaluated back at a = b = 1.  That value is
 the sum of the first k coefficients of the one-variable series on the
 diagonal a = b = eps.  `profile_pair` reads only those sums, so its radial
-stage is `RootJets.summed_kernel_roots`: per power of t, one row that already
-holds the sum of the degree rows.  Its time stage is then one
-`kernels.kernel_jets` pass, O(k) work per node, and it combines the pieces
-by the damping case that sigma1 fixes:
+stage, `profile_roots`, is `RootJets.summed_kernel_roots`: per power of t,
+one row that already holds the sum of the degree rows (`check_order` refuses
+the orders whose stage overflows).  Its time stage is then one
+`kernels.kernel_jets` pass, O(k) work per node, and it combines the pieces by
+the damping case that sigma1 fixes:
 
   * fractional weak damping (sigma1 > 0): both exponential branches matter,
     so it sums the series of the pos_fast/pos_slow and vel_slow/vel_fast
@@ -27,12 +28,15 @@ stored corrected and flagged, every other term is a verbatim transcription.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import KernelRoots, kernel_jets, root_jets
-from .model import ModelError, ModelParams, RateCase, case_for
+from .model import ModelError, ModelParams, RateCase, case_for, error_radius
+
+MAX_PROFILE_ORDER = 3
 
 TRANSCRIBED = "transcribed"
 CORRECTED = "corrected"
@@ -72,17 +76,45 @@ class ModalSum:
         return tuple(i for i, term in enumerate(self.terms) if term.provenance == CORRECTED)
 
 
+def profile_roots(p: ModelParams, r, k: int) -> KernelRoots:
+    """The radial stage of an order-k >= 1 profile at the radii r.
+
+    It is the summed stage of `root_jets(p, r, k - 1)`, cut to its slow branch at sigma1 = 0.
+    """
+    roots = root_jets(p, r, k - 1).summed_kernel_roots()
+    if case_for(p) is RateCase.ZERO_SIGMA1:
+        return KernelRoots(roots.lam0[:1], roots.coeffs[:, :, :, :1])
+    return roots
+
+
+@functools.cache
+def check_order(p: ModelParams, k: int) -> None:
+    """Raise ValueError for k outside [0, MAX_PROFILE_ORDER], ModelError where its stage overflows.
+
+    The stage is `profile_roots` at `model.error_radius`, whose degree d grows
+    like r^{2(sigma-sigma1)} max(x, w)^d.  A pass is kept for the process:
+    `curve` checks every order up front, `experiments.error_curve` its own.
+    """
+    if not 0 <= k <= MAX_PROFILE_ORDER:
+        raise ValueError(f"profile order must be in [0, {MAX_PROFILE_ORDER}], got {k}")
+    if k == 0:
+        return
+    radius = error_radius(p)
+    with np.errstate(all="ignore"):
+        stage = profile_roots(p, np.array([radius]), k)
+    if not (np.isfinite(stage.lam0).all() and np.isfinite(stage.coeffs).all()):
+        raise ModelError(f"order k={k} overflows the kernel series out to radius {radius:.6g}")
+
+
 def profile_pair(k: int, p: ModelParams, case: RateCase, t, r, roots: KernelRoots | None = None):
     """Order-k profile pair (P0, P1) from one `kernel_jets` pass.
 
     P0 multiplies the initial position, P1 the initial velocity; k = 0
     returns the zero pair.  t and r broadcast together, as in `kernel_jets`.
-    roots, when given, is the profile stage
-    `root_jets(p, r, k - 1).summed_kernel_roots()` at the broadcast nodes (as
-    a gather of it on the distinct radii gives), and is not built again; at
-    sigma1 = 0, which reads no fast piece, it may be cut to its slow branch
-    (`KernelRoots.slow_branch`).  The case must be `case_for(p)`; a case that
-    disagrees with sigma1 raises ModelError.
+    roots, when given, is the stage `profile_roots(p, r, k)` at the broadcast
+    nodes (as a gather of it on the distinct radii gives), and is not built
+    again.  The case must be `case_for(p)`; a case that disagrees with
+    sigma1 raises ModelError.
     """
     if case is not case_for(p):
         raise ModelError(f"rate case {case.value} does not match sigma1 = {p.sigma1}")
@@ -92,9 +124,7 @@ def profile_pair(k: int, p: ModelParams, case: RateCase, t, r, roots: KernelRoot
         zero = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r)))
         return zero, zero
     if roots is None:
-        r = np.asarray(r, dtype=float)
-        nodes = np.broadcast_to(r, np.broadcast_shapes(r.shape, np.shape(t)))
-        roots = root_jets(p, nodes, k - 1).summed_kernel_roots()
+        roots = profile_roots(p, np.broadcast_to(r, np.broadcast_shapes(np.shape(r), np.shape(t))), k)
     series = kernel_jets(p, t, r, k - 1, roots)
     if case is RateCase.ZERO_SIGMA1:
         return -series.pos_slow.sum(axis=0), series.vel_slow.sum(axis=0)

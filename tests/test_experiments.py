@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sigmadamp import experiments, model, quadrature
+from sigmadamp import experiments, model, profiles, quadrature
 from sigmadamp.experiments import (
     DATA_KINDS,
     CancellationWarning,
@@ -153,8 +153,13 @@ def test_profile_spec_validation():
     for m in (-1, 2):
         with pytest.raises(ValueError, match="data order m"):
             RadialProfileSpec(m)
-    with pytest.raises(ValueError, match="alpha must be positive"):
-        RadialProfileSpec(0, alpha=0.0)
+    # NaN passes no comparison, so it is refused like the infinities
+    for alpha in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"alpha must be positive and c finite, got {alpha}, 1.0$"):
+            RadialProfileSpec(0, alpha=alpha)
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"alpha must be positive and c finite, got 1.0, {c}$"):
+            RadialProfileSpec(1, c=c)
 
 
 # ------------------------------------------------------------ error curve
@@ -290,7 +295,7 @@ def test_lower_bound_band_positive(short_frictional_curve):
 
 
 def test_lower_bound_band_needs_velocity_mass(frictional_params):
-    # position data alone: the target is the velocity-driven exponent
+    # position data alone: no velocity datum to pin the band
     curve = error_curve(
         frictional_params,
         0,
@@ -389,6 +394,34 @@ def test_mixed_data_orders_fit_the_slower_exponent(p, k, orders, target):
     assert fit_slope(curve).gap <= SLOPE_TOL
 
 
+# A zero datum drives nothing: with the order-0 position datum at c = 0 under
+# order-1 velocity data, the fractional curve follows the velocity-driven
+# exponent.  Measured at 10 samples per decade: slopes -2.0129 / -2.6823 at
+# k = 0 / 1 (gaps 0.0129 / 0.0156) and band ratios 1.090 / 1.112; against
+# the position-driven exponent the gaps would be 1.013 / 1.016.
+@ignore_cancellation
+@pytest.mark.parametrize("k, target", [(0, -2.0), (1, -8.0 / 3.0)])
+def test_a_zero_datum_does_not_set_the_target(fractional_params, k, target):
+    data = SpectralDataSpec(RadialProfileSpec(0, c=0.0), RadialProfileSpec(1))
+    curve = error_curve(fractional_params, k, data, t_grid=geometric_grid(10.0, 1e4, 10))
+    assert curve.target() == pytest.approx(target, rel=1e-14)
+    assert fit_slope(curve).gap <= SLOPE_TOL
+    lo, hi = lower_bound_band(curve)
+    assert 0.0 < lo and hi / lo <= BAND_RATIO_MAX
+
+
+def test_targets_of_zero_data(fractional_params):
+    # a datum at c = 0 is left out of the slower-exponent choice; with both
+    # zero the target is the velocity-driven exponent
+    p, k = fractional_params, 1
+    velocity = model.error_exponent(p, k, 2)
+    position = model.error_exponent(p, k, 0) - p.sigma1 / (p.sigma - p.sigma1)
+    times, values = np.array([1e2]), np.array([1.0])
+    for c0, c1, want in ((0.0, 1.0, velocity), (1.0, 0.0, position), (0.0, 0.0, velocity)):
+        data = SpectralDataSpec(RadialProfileSpec(0, c=c0), RadialProfileSpec(1, c=c1))
+        assert ErrorCurve(p, k, data, times, values).target() == want
+
+
 # The frictional k=1 values were first recorded at commit e452c66, where the
 # quadrature refined one panel per integrand call; refining a whole level per
 # call left every norm bit-for-bit unchanged.  The fractional k=2 values and
@@ -477,7 +510,7 @@ def test_frictional_curve_runs_the_radial_stage_once_per_block(monkeypatch, fric
     t_grid = geometric_grid(10.0, 1e4, 10)
     whole = error_curve(frictional_params, 2, spectral_data("gaussian"), t_grid=t_grid)
     members, distinct, segments, radial = [], [], [], []
-    panels, real = quadrature._panels, experiments.root_jets
+    panels, real = quadrature._panels, profiles.root_jets
 
     def recording_panels(g, lo, hi, *rest):
         members.append(len(lo))
@@ -493,7 +526,7 @@ def test_frictional_curve_runs_the_radial_stage_once_per_block(monkeypatch, fric
 
     monkeypatch.setattr(quadrature, "PANELS_PER_CALL", 16)
     monkeypatch.setattr(quadrature, "_panels", recording_panels)
-    monkeypatch.setattr(experiments, "root_jets", counted)
+    monkeypatch.setattr(profiles, "root_jets", counted)
     blocked = error_curve(frictional_params, 2, spectral_data("gaussian"), t_grid=t_grid)
     assert np.array_equal(blocked.values, whole.values)
     assert distinct[0] == 44 and members[0] == 31 * 44
@@ -609,6 +642,11 @@ def test_order_improvement_input_validation(frictional_params, fractional_params
     other_grid = ErrorCurve(frictional_params, 1, spectral_data("gaussian"), t[:-1], v[:-1])
     with pytest.raises(ValueError):
         order_improvement_from_curves(low, other_grid)
+    # the ratio of a gaussian curve and a moment-free one mixes two data
+    # orders' rates, not one rate step
+    other_data = ErrorCurve(frictional_params, 1, spectral_data("moment_free"), t, v)
+    with pytest.raises(ValueError, match="order-improvement curves must share data"):
+        order_improvement_from_curves(low, other_data)
 
 
 # ------------------------------------------------------------- rendering

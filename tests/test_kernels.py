@@ -19,7 +19,6 @@ from sigmadamp.acceptance import kernel_tables, table_degree_sums, table_row
 from sigmadamp.jet2 import mul
 from sigmadamp.kernels import (
     EXP_FLUSH,
-    check_order,
     UNIT_PAIRS,
     exact_multipliers,
     kernel_jets,
@@ -27,7 +26,7 @@ from sigmadamp.kernels import (
     root_jets,
 )
 from sigmadamp.model import ModelError, ModelParams, RateCase, eps_star, mode_symbols, oscillation_band
-from sigmadamp.profiles import profile_pair
+from sigmadamp.profiles import check_order, profile_pair
 
 SAMPLE_POINTS = [
     (ModelParams(3, 1.0, 0.25, 0.75), 2.0, 0.7),

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from sigmadamp import profiles
-from sigmadamp.kernels import kernel_jets
-from sigmadamp.model import ModelError, ModelParams, RateCase, case_for, eps_star
-from sigmadamp.profiles import golden_modal, profile_pair
+from sigmadamp.kernels import kernel_jets, root_jets
+from sigmadamp.model import ModelError, ModelParams, RateCase, case_for, eps_star, error_radius, validate
+from sigmadamp.profiles import check_order, golden_modal, profile_pair
 
 POS = RateCase.POSITIVE_SIGMA1
 ZERO = RateCase.ZERO_SIGMA1
@@ -116,6 +116,91 @@ def test_one_kernel_pass_per_profile_pair(monkeypatch, fractional_params, fricti
         for k in (1, 2, 3):
             profile_pair(k, p, case, 2.0, np.array([0.1, 0.4]))
     assert calls == [0, 1, 2, 0, 1, 2]
+
+
+def test_frictional_fallback_stage_holds_the_slow_branch_alone(
+    monkeypatch, fractional_params, frictional_params
+):
+    # at sigma1 = 0 the profile reads no fast piece, so the stage profile_pair
+    # builds itself carries one branch; at sigma1 > 0 it carries both
+    branches = []
+    real = profiles.kernel_jets
+
+    def counted(p, t, r, order, roots=None):
+        branches.append(len(roots.lam0))
+        return real(p, t, r, order, roots)
+
+    monkeypatch.setattr(profiles, "kernel_jets", counted)
+    for k in (1, 2, 3):
+        profile_pair(k, frictional_params, ZERO, 2.0, np.array([0.1, 0.4]))
+    profile_pair(2, fractional_params, POS, 2.0, np.array([0.1, 0.4]))
+    assert branches == [1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_frictional_fallback_pair_is_the_pair_of_the_uncut_stage(frictional_params, k):
+    # every operation of the time stage is elementwise, so dropping the fast
+    # branch leaves the slow pieces the same floats
+    p = frictional_params
+    r = np.linspace(0.0, 10.0, 401)
+    uncut = root_jets(p, r, k - 1).summed_kernel_roots()
+    for t in (0.5, 10.0, 1e3):
+        got = profile_pair(k, p, ZERO, t, r)
+        want = profile_pair(k, p, ZERO, t, r, uncut)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _uncut_stage_overflows(p, k):
+    with np.errstate(all="ignore"):
+        stage = root_jets(p, np.array([error_radius(p)]), k - 1).summed_kernel_roots()
+    return not (np.isfinite(stage.lam0).all() and np.isfinite(stage.coeffs).all())
+
+
+def _refused(p, k):
+    try:
+        check_order(p, k)
+    except ModelError:
+        return True
+    return False
+
+
+def test_check_order_refuses_where_the_uncut_stage_overflows_on_a_frictional_grid():
+    # sigma up to 200 and sigma2 inside (sigma/2, sigma): validate refuses
+    # sigma2 >= 77 (A^2 overflows at radius 10), the order check refuses
+    # some k >= 1 of the rest
+    rng = np.random.default_rng(30)
+    checked = refused = 0
+    for sigma, ratio in zip(rng.uniform(1.0, 200.0, 300), rng.uniform(0.5, 1.0, 300)):
+        p = ModelParams(3, float(sigma), 0.0, float(ratio * sigma))
+        try:
+            validate(p, ZERO)
+        except ModelError:
+            continue
+        for k in range(1, 4):
+            got = _refused(p, k)
+            checked, refused = checked + 1, refused + got
+            assert got == _uncut_stage_overflows(p, k), (p, k)
+    assert (checked, refused) == (480, 144)
+
+
+def test_check_order_at_sigma2_equal_to_sigma_reads_the_slow_branch_alone():
+    # at sigma2 = sigma with 51.5 <= sigma <= 76.5 the fast branch's position
+    # factor G^{-1} lambda_slow overflows at order 3 while the slow branch,
+    # the one a frictional profile reads, stays finite: the uncut stage
+    # overflows at k = 3 there, the profile's own stage does not
+    for sigma in (51.5, 60.0, 76.5):
+        p = ModelParams(3, sigma, 0.0, sigma)
+        validate(p, ZERO)
+        assert [_refused(p, k) for k in range(4)] == [False] * 4
+        assert _uncut_stage_overflows(p, 3)
+    assert _refused(ModelParams(3, 51.0, 0.0, 51.0), 3) is False
+    assert _uncut_stage_overflows(ModelParams(3, 51.0, 0.0, 51.0), 3) is False
+
+
+def test_check_order_refuses_orders_outside_the_range(fractional_params):
+    for k in (-1, profiles.MAX_PROFILE_ORDER + 1):
+        with pytest.raises(ValueError, match=rf"profile order must be in \[0, 3\], got {k}$"):
+            check_order(fractional_params, k)
 
 
 def test_case_dispatch_and_mismatches(fractional_params, frictional_params):
