@@ -53,11 +53,14 @@ EXIT_SUITE = 1
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 
-# glibc's mallopt parameter number for M_TOP_PAD
-M_TOP_PAD = -2
+# glibc's mallopt parameter numbers for M_TOP_PAD and M_MMAP_THRESHOLD
+M_TOP_PAD, M_MMAP_THRESHOLD = -2, -3
 # glibc hands the heap top back to the kernel once 128 KiB lie free above it,
 # so every integrand call faulted its whole working set in again; 16 MiB of
-# pad keeps a 3,840-node call's arrays mapped from one call to the next
+# pad keeps a 3,840-node call's arrays mapped from one call to the next.  The
+# pad comes with a heap extension, and an array of 128 KiB or more that the
+# heap top cannot hold is mapped on its own instead, then faulted in afresh
+# on every allocation; below the raised threshold the heap extends
 HEAP_TOP_PAD = 16 << 20
 
 
@@ -507,11 +510,12 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 @functools.cache
 def _pad_heap_top() -> None:
-    """Keep HEAP_TOP_PAD bytes mapped above the heap top; a no-op without mallopt."""
+    """Keep HEAP_TOP_PAD bytes above the heap top, and arrays smaller than that on the heap; no-op without mallopt."""
     # the process's own symbols: libc's on Linux, none named mallopt on macOS or Windows
     mallopt = getattr(ctypes.pythonapi, "mallopt", None)
     if mallopt is not None:
         mallopt(M_TOP_PAD, HEAP_TOP_PAD)
+        mallopt(M_MMAP_THRESHOLD, HEAP_TOP_PAD)
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:

@@ -33,7 +33,7 @@ from .model import (
     validate,
 )
 from .profiles import check_order, profile_pair, profile_roots
-from .quadrature import CutoffSpec, RadialIntegrand, l2_radial
+from .quadrature import CutoffSpec, NonConvergence, RadialIntegrand, l2_radial
 
 # left end of every decay-fit window (`tail_window`)
 FIT_T_MIN = 100.0
@@ -126,25 +126,14 @@ class ErrorCurve:
 def error_r_max(p: ModelParams, times) -> np.ndarray:
     """Truncation radius for the error integrand at each of the times.
 
-    High frequencies are damped at rate at least r^{2 sigma1}, so beyond
-    (EXP_FLUSH / t)^{1/(2 sigma1)} every surviving factor is flushed to zero;
-    the radius is clamped to [10, model.error_radius(p)] (10 / eps_star), with
-    the oscillation band searched for eps_star once for all the times.  Without
-    weak damping (sigma1 = 0) the radius is 10.
+    Modes are damped at rate at least r^{2 sigma1}, so past the reach
+    (EXP_FLUSH / t)^{1/(2 sigma1)} every factor is flushed to exact zero.
+    The reach is 10 at t_flush = EXP_FLUSH * 10^{-2 sigma1}: from t_flush on
+    the radius is 10, before it `model.error_radius(p)` (10 / eps_star; 10 at
+    sigma1 = 0), whose stretch past the reach adds exact zeros to the norm.
     """
-    times = np.asarray(times, dtype=float)
-    top = error_radius(p)
-    if p.sigma1 == 0.0:
-        return np.full(times.shape, top)
-    # a Python loop, so each reach is libm's pow: NumPy's float power differs
-    # from it in the last ulp, which moved E(120.2) of a moment-free curve.
-    # At tiny times the power overflows to inf, which the clamp takes to top
-    radii = []
-    with np.errstate(over="ignore"):
-        for t in times:
-            reach = (EXP_FLUSH / t) ** (0.5 / p.sigma1) if t > 0.0 else math.inf
-            radii.append(max(10.0, min(reach, top)))
-    return np.array(radii)
+    t_flush = EXP_FLUSH * 10.0 ** (-2.0 * p.sigma1)
+    return np.where(np.asarray(times, dtype=float) < t_flush, error_radius(p), 10.0)
 
 
 def error_curve(
@@ -196,6 +185,10 @@ def error_curve(
         r_max=error_r_max(p, t_grid),
         tol=quad_tol,
     )
+    zero = np.flatnonzero(values == 0.0)
+    if zero.size and (data.u0_hat.c != 0.0 or data.u1_hat.c != 0.0):
+        # the squared integrand underflowed: 0.0 is not the norm of nonzero data
+        raise NonConvergence(f"error norm underflows to 0 at t = {t_grid[zero[0]]:.6g} for nonzero data")
     if cancel_hits:
         warnings.warn(
             f"error integrand lost precision at {cancel_hits} quadrature nodes "
@@ -226,11 +219,11 @@ def lower_bound_band(curve: ErrorCurve) -> tuple[float, float]:
 
     A positive lower end pinned within a bounded ratio of the upper end
     witnesses that the predicted rate is sharp, not just an upper bound.
-    For data of one order the target is the velocity-driven exponent, so
-    zero velocity data (c = 0) have no band.
+    The target is that of the nonzero datum that decays slowest
+    (`ErrorCurve.target`), so only zero data (both c = 0) have no band.
     """
-    if curve.data.u1_hat.c == 0.0:
-        raise ValueError("sharpness band needs velocity data, got u1_hat.c = 0")
+    if curve.data.u0_hat.c == 0.0 and curve.data.u1_hat.c == 0.0:
+        raise ValueError("sharpness band needs nonzero data, got u0_hat.c = u1_hat.c = 0")
     window = tail_window(curve)
     scaled = curve.values[window] * (1.0 + curve.times[window]) ** (-curve.target())
     return float(scaled.min()), float(scaled.max())

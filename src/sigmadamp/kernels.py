@@ -93,18 +93,17 @@ class RootJets:
     lam_slow: np.ndarray
     lam_fast: np.ndarray
 
-    def _branch_parts(self):
-        """lambda_0 and N (the roots less it) of both branches, and the series exp(N t) multiplies.
+    def _branch_parts(self, branches: int):
+        """lambda_0 and N (the roots less it) of the first branches, and the series exp(N t) multiplies.
 
-        Branch b is 0 (slow) or 1 (fast), on the axis after the degrees.
-        factors[:, 0, b] is G^{-1} and factors[:, 1, b] is G^{-1} times the
-        other branch's root, so piece (kind, b) is
-        e^{lambda_0 t} sum_h t^h (N_b^h/h!) * factors[:, kind, b].
+        Branch b is 0 (slow) or 1 (fast), on the axis after the degrees;
+        branches = 1 builds the slow branch alone.  factors[:, 0, b] is
+        G^{-1} and factors[:, 1, b] is G^{-1} times the other branch's root,
+        so piece (kind, b) is e^{lambda_0 t} sum_h t^h (N_b^h/h!) * factors[:, kind, b].
         """
-        lam = np.empty((len(self.g_inv), 2) + self.g_inv.shape[1:])
-        lam[:, 0], lam[:, 1] = self.lam_slow, self.lam_fast
+        lam = np.stack((self.lam_slow, self.lam_fast)[:branches], axis=1)
         g_inv = np.broadcast_to(self.g_inv[:, None], lam.shape)
-        g_lam = mul(g_inv, lam[:, ::-1])
+        g_lam = mul(g_inv, np.stack((self.lam_fast, self.lam_slow)[:branches], axis=1))
         factors = np.empty((len(lam), 2) + lam.shape[1:])
         factors[:, 0], factors[:, 1] = g_inv, g_lam
         lam0 = lam[0].copy()
@@ -113,12 +112,15 @@ class RootJets:
 
     def kernel_roots(self) -> "KernelRoots":
         """The radial stage of `kernel_jets`: every degree row of every power of t."""
-        lam0, nil, factors = self._branch_parts()
+        lam0, nil, factors = self._branch_parts(2)
         return KernelRoots(lam0, np.stack(list(exp_terms(nil, factors))))
 
-    def summed_kernel_roots(self) -> "KernelRoots":
-        """The radial stage of `kernel_jets` that holds one row per power: the sum of the degree rows."""
-        lam0, nil, factors = self._branch_parts()
+    def summed_kernel_roots(self, branches: int = 2) -> "KernelRoots":
+        """The radial stage of `kernel_jets` that holds one row per power: the sum of the degree rows.
+
+        branches = 1 builds the slow branch alone, all that a frictional profile reads.
+        """
+        lam0, nil, factors = self._branch_parts(branches)
         order = len(nil) - 1
         # partial sums factors[0] + ... + factors[j], in place
         for j in range(1, order + 1):

@@ -267,7 +267,7 @@ def eps_star(p: ModelParams) -> float:
 def error_radius(p: ModelParams) -> float:
     """Largest truncation radius of an error norm: 10 / eps_star, or 10 if sigma1 = 0.
 
-    experiments.error_r_max clamps the radius of every sample time below it.
+    experiments.error_r_max gives it to every sample time before the flush time, 10 after.
     """
     return 10.0 if p.sigma1 == 0.0 else 10.0 / eps_star(p)
 

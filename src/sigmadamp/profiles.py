@@ -16,7 +16,8 @@ the damping case that sigma1 fixes:
     pairs and takes their differences;
   * frictional damping (sigma1 = 0): the fast branch contributes only
     exponentially-in-time small terms, so it keeps a single family per
-    multiplier (pos_slow with flipped sign, vel_slow as is).
+    multiplier (pos_slow with flipped sign, vel_slow as is), and its stage
+    holds the slow branch alone.
 
 For k = 1 and k = 2 the same profiles exist in closed form as short sums of
 c * r^p * t^h * e^{-r^q t} terms.  `golden_modal` returns those reference
@@ -79,12 +80,10 @@ class ModalSum:
 def profile_roots(p: ModelParams, r, k: int) -> KernelRoots:
     """The radial stage of an order-k >= 1 profile at the radii r.
 
-    It is the summed stage of `root_jets(p, r, k - 1)`, cut to its slow branch at sigma1 = 0.
+    It is the summed stage of `root_jets(p, r, k - 1)`, built on the slow branch alone at sigma1 = 0.
     """
-    roots = root_jets(p, r, k - 1).summed_kernel_roots()
-    if case_for(p) is RateCase.ZERO_SIGMA1:
-        return KernelRoots(roots.lam0[:1], roots.coeffs[:, :, :, :1])
-    return roots
+    branches = 1 if case_for(p) is RateCase.ZERO_SIGMA1 else 2
+    return root_jets(p, r, k - 1).summed_kernel_roots(branches)
 
 
 @functools.cache

@@ -1,10 +1,15 @@
-"""End-to-end runs of the command line front end, in process."""
+"""End-to-end runs of the command line front end, in process (one heap test spawns a fresh one)."""
 
 import ctypes
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
+import textwrap
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,10 +166,8 @@ def test_curve_skips_fit_when_window_too_small(capsys):
     [
         (["--t-max", "90"], "no curve samples inside [100, 90]"),
         (["--t-max", "110"], "power-law fit needs at least 5 points, got 2"),
-        # E(t) underflows to 0 from t ~ 6.3e3 on, inside the 51-sample window
-        (["--s", "100"], "power-law fit needs strictly positive values; min was 0.000e+00"),
     ],
-    ids=["window-empty", "window-too-small", "values-underflow"],
+    ids=["window-empty", "window-too-small"],
 )
 def test_curve_names_why_a_fit_was_skipped(argv, reason, capsys):
     code = main(["curve", "--k", "0", *argv])
@@ -204,8 +207,10 @@ def test_mode_symbols_that_overflow_exit_2(model, bound, capsys):
 )
 def test_weights_that_overflow_exit_2(model, runs, refused, capsys):
     # past s ln(error_radius) = ln(DBL_MAX) the weight r^s overflows: refused
-    # up front, where the curve used to exit 3 on an inf or NaN panel
-    assert main(["curve", "--k", "0", *model, "--s", runs]) == 0
+    # up front, where the curve used to exit 3 on an inf or NaN panel.  The
+    # accepted weight runs to t = 500: its norm underflows to 0 from t ~ 830
+    # (fractional) and 1.7e3 (sigma1 = 0) on, which a curve refuses
+    assert main(["curve", "--k", "0", *model, "--s", runs, "--t-max", "500"]) == 0
     assert capsys.readouterr().err == ""
     assert main(["curve", "--k", "0", *model, "--s", refused]) == 2
     err = capsys.readouterr().err
@@ -267,11 +272,33 @@ def test_curve_warnings_name_no_source_file(capsys):
 
 
 def test_curve_at_tiny_times_warns_nothing(capsys):
-    # at t ~ 1e-60 each flush reach (EXP_FLUSH / t)^(1 / (2 sigma1)) overflows
-    # to inf, which the radius clamps to model.error_radius as it should
+    # at t ~ 1e-60 the flush reach (EXP_FLUSH / t)^(1 / (2 sigma1)) would
+    # overflow; every time below the flush time gets model.error_radius
     code = main(["curve", "--t-min", "1e-60", "--t-max", "1e-58", "--k", "0", "--sigma1", "0.1"])
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+def test_frictional_order_3_at_sigma2_equal_to_sigma_warns_no_overflow(capsys):
+    # the fast branch's position factor overflows here, and a frictional
+    # profile builds the slow branch alone; the profile still cancels
+    code = main(["curve", "--k", "3", "--sigma", "55.4140625", "--sigma1", "0", "--sigma2", "55.4140625"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "RuntimeWarning" not in captured.err
+    assert "CancellationWarning" in captured.err
+    assert "gap 0.023770" in captured.out
+
+
+def test_curve_reports_no_underflowed_zero_sample(tmp_path, capsys):
+    # with weight r^100 the norm falls to some 1e-175 by t = 6.3e3, and its
+    # square underflows: a curve may refuse such samples, but it must not
+    # report them as E = 0
+    code = main(["curve", "--k", "0", "--s", "100", "--out", str(tmp_path)])
+    capsys.readouterr()
+    if code == 0:
+        (report,) = tmp_path.glob("*.json")
+        assert 0.0 not in json.loads(report.read_text())["values"]
 
 
 @pytest.mark.xfail(
@@ -499,6 +526,32 @@ def test_repeated_curve_keeps_its_heap_mapped(capsys):
 
     faults_of_one_run()
     assert faults_of_one_run() < 200
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="M_MMAP_THRESHOLD is glibc's")
+def test_large_arrays_stay_on_the_padded_heap():
+    # an array of 128 KiB or more that the heap top cannot hold is mapped on
+    # its own, and faulted in afresh on every allocation: ten 1 MiB arrays in
+    # a fresh process took about 2,570 minor faults before the threshold was
+    # raised, and 0 after it
+    code = textwrap.dedent(
+        """
+        import contextlib, io, resource
+        import numpy as np
+        from sigmadamp.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["validate"]) == 0
+        np.ones(1 << 17)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            np.ones(1 << 17)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 100
 
 
 def test_main_runs_where_libc_has_no_mallopt(fresh_heap_pad, monkeypatch, capsys):

@@ -26,7 +26,7 @@ from sigmadamp.kernels import (
     root_jets,
 )
 from sigmadamp.model import ModelError, ModelParams, RateCase, eps_star, mode_symbols, oscillation_band
-from sigmadamp.profiles import check_order, profile_pair
+from sigmadamp.profiles import check_order, profile_pair, profile_roots
 
 SAMPLE_POINTS = [
     (ModelParams(3, 1.0, 0.25, 0.75), 2.0, 0.7),
@@ -271,8 +271,8 @@ def gathered_nodes():
 def test_radial_stages_gathered_to_nodes_equal_one_stage_calls(p):
     # the radial stages are built once on distinct radii and gathered to
     # nodes that repeat each radius at several times; every regime occurs.
-    # A profile's stage is the summed one, which profile_pair builds itself
-    # when it is handed none
+    # A profile's stage is the summed one of `profile_roots` (the slow branch
+    # alone at sigma1 = 0), which profile_pair builds itself when handed none
     radii, at, t = gathered_nodes()
     r = radii[at]
     disc = np.take(mode_symbols(p, radii)[2], at)
@@ -287,7 +287,7 @@ def test_radial_stages_gathered_to_nodes_equal_one_stage_calls(p):
             assert np.array_equal(getattr(split, name), getattr(one, name))
     case = RateCase.ZERO_SIGMA1 if p.sigma1 == 0.0 else RateCase.POSITIVE_SIGMA1
     for k in (0, 1, 2, 3):
-        roots = root_jets(p, radii, k - 1).summed_kernel_roots().take(at) if k else None
+        roots = profile_roots(p, radii, k).take(at) if k else None
         for got, want in zip(profile_pair(k, p, case, t, r, roots), profile_pair(k, p, case, t, r)):
             assert np.array_equal(got, want)
 
@@ -447,6 +447,7 @@ def test_time_stage_makes_no_series_products(monkeypatch, p):
     radii, at, t = gathered_nodes()
     jets = root_jets(p, radii, 2)
     stages = [jets.kernel_roots().take(at), jets.summed_kernel_roots().take(at)]
+    profile_stage = profile_roots(p, radii, 3).take(at)
     calls = []
 
     def counted(x, y):
@@ -458,7 +459,7 @@ def test_time_stage_makes_no_series_products(monkeypatch, p):
     for roots in stages:
         kernel_jets(p, t, radii[at], 2, roots)
     case = RateCase.ZERO_SIGMA1 if p.sigma1 == 0.0 else RateCase.POSITIVE_SIGMA1
-    profile_pair(3, p, case, t, radii[at], stages[1])
+    profile_pair(3, p, case, t, radii[at], profile_stage)
     assert calls == []
     kernel_jets(p, t, radii[at], 2)
     assert calls  # the counter does see the products of a radial stage
@@ -467,7 +468,8 @@ def test_time_stage_makes_no_series_products(monkeypatch, p):
 @pytest.mark.parametrize("order", range(7))
 def test_profile_stage_holds_one_degree_row_per_power(order):
     # kernel_roots keeps order + 1 degree rows per power of t; the summed
-    # stage keeps their sum alone, and kernel_jets returns that one row
+    # stage keeps their sum alone, and kernel_jets returns that one row.
+    # Built on the slow branch alone, it is the slow half, float for float
     p = ModelParams(3, 1.0, 0.25, 0.75)
     radii = np.geomspace(1e-3, 20.0, 11)
     jets = root_jets(p, radii, order)
@@ -479,6 +481,9 @@ def test_profile_stage_holds_one_degree_row_per_power(order):
     assert np.allclose(summed.coeffs, rows, rtol=1e-13, atol=1e-300)
     pieces = kernel_jets(p, 3.0, radii, order, summed)
     assert all(getattr(pieces, name).shape == (1, radii.size) for name in PIECE_NAMES)
+    slow = jets.summed_kernel_roots(1)
+    assert np.array_equal(slow.lam0, summed.lam0[:1])
+    assert np.array_equal(slow.coeffs, summed.coeffs[:, :, :, :1])
 
 
 def test_kernel_jets_rejects_negative_time():

@@ -1,12 +1,14 @@
 """Series-built asymptotic profiles against the catalogued closed forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from sigmadamp import profiles
 from sigmadamp.kernels import kernel_jets, root_jets
 from sigmadamp.model import ModelError, ModelParams, RateCase, case_for, eps_star, error_radius, validate
-from sigmadamp.profiles import check_order, golden_modal, profile_pair
+from sigmadamp.profiles import check_order, golden_modal, profile_pair, profile_roots
 
 POS = RateCase.POSITIVE_SIGMA1
 ZERO = RateCase.ZERO_SIGMA1
@@ -139,20 +141,23 @@ def test_frictional_fallback_stage_holds_the_slow_branch_alone(
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_frictional_fallback_pair_is_the_pair_of_the_uncut_stage(frictional_params, k):
-    # every operation of the time stage is elementwise, so dropping the fast
-    # branch leaves the slow pieces the same floats
+    # every operation is elementwise per branch, so the slow branch built
+    # alone is the slow half of the uncut stage, and gives the same pieces
     p = frictional_params
     r = np.linspace(0.0, 10.0, 401)
     uncut = root_jets(p, r, k - 1).summed_kernel_roots()
+    slow = profile_roots(p, r, k)
+    assert np.array_equal(slow.lam0, uncut.lam0[:1])
+    assert np.array_equal(slow.coeffs, uncut.coeffs[:, :, :, :1])
     for t in (0.5, 10.0, 1e3):
         got = profile_pair(k, p, ZERO, t, r)
         want = profile_pair(k, p, ZERO, t, r, uncut)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def _uncut_stage_overflows(p, k):
+def _stage_overflows(p, k, branches=2):
     with np.errstate(all="ignore"):
-        stage = root_jets(p, np.array([error_radius(p)]), k - 1).summed_kernel_roots()
+        stage = root_jets(p, np.array([error_radius(p)]), k - 1).summed_kernel_roots(branches)
     return not (np.isfinite(stage.lam0).all() and np.isfinite(stage.coeffs).all())
 
 
@@ -167,7 +172,8 @@ def _refused(p, k):
 def test_check_order_refuses_where_the_uncut_stage_overflows_on_a_frictional_grid():
     # sigma up to 200 and sigma2 inside (sigma/2, sigma): validate refuses
     # sigma2 >= 77 (A^2 overflows at radius 10), the order check refuses
-    # some k >= 1 of the rest
+    # some k >= 1 of the rest.  It reads the slow branch alone, which on this
+    # grid overflows exactly where the uncut stage does
     rng = np.random.default_rng(30)
     checked = refused = 0
     for sigma, ratio in zip(rng.uniform(1.0, 200.0, 300), rng.uniform(0.5, 1.0, 300)):
@@ -179,7 +185,7 @@ def test_check_order_refuses_where_the_uncut_stage_overflows_on_a_frictional_gri
         for k in range(1, 4):
             got = _refused(p, k)
             checked, refused = checked + 1, refused + got
-            assert got == _uncut_stage_overflows(p, k), (p, k)
+            assert got == _stage_overflows(p, k, branches=1) == _stage_overflows(p, k), (p, k)
     assert (checked, refused) == (480, 144)
 
 
@@ -187,14 +193,19 @@ def test_check_order_at_sigma2_equal_to_sigma_reads_the_slow_branch_alone():
     # at sigma2 = sigma with 51.5 <= sigma <= 76.5 the fast branch's position
     # factor G^{-1} lambda_slow overflows at order 3 while the slow branch,
     # the one a frictional profile reads, stays finite: the uncut stage
-    # overflows at k = 3 there, the profile's own stage does not
+    # overflows at k = 3 there, the profile's own stage, which never builds
+    # the fast branch, neither overflows nor warns
     for sigma in (51.5, 60.0, 76.5):
         p = ModelParams(3, sigma, 0.0, sigma)
         validate(p, ZERO)
         assert [_refused(p, k) for k in range(4)] == [False] * 4
-        assert _uncut_stage_overflows(p, 3)
+        assert _stage_overflows(p, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stage = profile_roots(p, np.array([error_radius(p)]), 3)
+        assert np.isfinite(stage.coeffs).all()
     assert _refused(ModelParams(3, 51.0, 0.0, 51.0), 3) is False
-    assert _uncut_stage_overflows(ModelParams(3, 51.0, 0.0, 51.0), 3) is False
+    assert _stage_overflows(ModelParams(3, 51.0, 0.0, 51.0), 3) is False
 
 
 def test_check_order_refuses_orders_outside_the_range(fractional_params):
