@@ -57,7 +57,7 @@ EXIT_COMPUTE = 3
 M_TOP_PAD, M_MMAP_THRESHOLD = -2, -3
 # glibc hands the heap top back to the kernel once 128 KiB lie free above it,
 # so every integrand call faulted its whole working set in again; 16 MiB of
-# pad keeps a 3,840-node call's arrays mapped from one call to the next.  The
+# pad keeps a 7,680-node call's arrays mapped from one call to the next.  The
 # pad comes with a heap extension, and an array of 128 KiB or more that the
 # heap top cannot hold is mapped on its own instead, then faulted in afresh
 # on every allocation; below the raised threshold the heap extends

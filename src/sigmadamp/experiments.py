@@ -159,17 +159,17 @@ def error_curve(
         modes = mode_roots(p, r, u0, u1)
         roots = profile_roots(p, r, k) if k else None
 
-        def stage(at, j):
-            # every node at the time of the sample it belongs to
+        def stage(rows, j):
+            # every member panel at the time of the sample it belongs to
             nonlocal cancel_hits
-            t = t_grid[j]
-            r_at = r.take(at)
-            exact = exact_multipliers(p, t, r_at, modes, at)
+            t = t_grid[j][:, None]
+            r_rows = r.take(rows, axis=0)
+            exact = exact_multipliers(p, t, r_rows, modes, rows)
             if not k:
                 # the zero profile pair subtracts +0.0 and cannot cancel
                 return exact
-            pr0, pr1 = profile_pair(k, p, case, t, r_at, roots.take(at))
-            approx = pr0 * u0.take(at) + pr1 * u1.take(at)
+            pr0, pr1 = profile_pair(k, p, case, t, r_rows, roots.take(rows))
+            approx = pr0 * u0.take(rows, axis=0) + pr1 * u1.take(rows, axis=0)
             diff = exact - approx
             scale = np.maximum(np.abs(exact), np.abs(approx))
             cancel_hits += int(np.count_nonzero(np.abs(diff) < CANCELLATION_RTOL * scale))
@@ -264,8 +264,8 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
         weight = r**p.s * cut.chi_high(r)
         modes = mode_roots(p, r, weight * data.u0_hat(r), weight * data.u1_hat(r))
 
-        def stage(at, j):
-            return exact_multipliers(p, t_grid[j], r.take(at), modes, at)
+        def stage(rows, j):
+            return exact_multipliers(p, t_grid[j][:, None], r.take(rows, axis=0), modes, rows)
 
         return stage
 

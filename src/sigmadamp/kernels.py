@@ -56,17 +56,18 @@ h).  Each layer therefore splits into a radial stage and a time stage.
 `kernel_jets` and `exact_multipliers`; `RootJets.summed_kernel_roots` is the
 stage of a caller that reads only the sum of the degree rows, as a profile
 does, and holds that one row per power.  A caller with many times per radius
-builds a stage once on its distinct radii.  `kernel_jets` gets it gathered
-to its nodes (`KernelRoots.take`) and runs two flushed envelopes and one
-Horner pass in t, with no series products.
+builds a stage once on its distinct radii, in rows, and gathers whole rows
+to its nodes (`KernelRoots.take`); `kernel_jets` then runs two flushed
+envelopes and one Horner pass in t, with no series products.
 
 `mode_roots` folds the caller's data pair (u0, u1) into its stage, so the
 time stage of `exact_multipliers` returns K0 u0 + K1 u1 itself and never
 forms K0 or K1; the unit pairs `UNIT_PAIRS` give the multipliers.  It gets
-the stage itself with each node's index into it, and each root regime
-gathers only what it reads: the far form is e^{lambda_slow t} (b + q
-e^{-sqrt(D2) t}), two exponentials per node.  Every operation is
-elementwise, so a node's values are the floats the one-stage call gives.
+the stage itself with the stage row of each row of nodes: the far form,
+e^{lambda_slow t} (b + q e^{-sqrt(D2) t}), runs on whole rows, and the
+oscillating and near forms on their own nodes where their envelope has not
+flushed.  Every operation is elementwise, so a node's values are the floats
+the one-stage call gives, which is the same code on rows of one node.
 """
 
 from __future__ import annotations
@@ -147,15 +148,15 @@ class KernelRoots:
     its axis 0.  coeffs[h, d, kind, b] is the degree-d series coefficient of
     the t^h term of the velocity (kind 0) or position (kind 1) piece with
     envelope e^{lam0[b] t}; a summed stage has the single degree row d = 0.
-    The radii are the last axis of both.
+    The radii are the trailing axes of both; `take` gathers rows of them.
     """
 
     lam0: np.ndarray
     coeffs: np.ndarray
 
-    def take(self, at) -> "KernelRoots":
-        """The stage at the radii of indices `at`."""
-        return KernelRoots(np.take(self.lam0, at, axis=-1), np.take(self.coeffs, at, axis=-1))
+    def take(self, rows) -> "KernelRoots":
+        """The stage at the rows `rows` of its radii, each gathered whole."""
+        return KernelRoots(self.lam0.take(rows, axis=-2), self.coeffs.take(rows, axis=-2))
 
 
 @dataclass(frozen=True)
@@ -175,9 +176,9 @@ class KernelJets:
 class ModeRoots:
     """The t-independent part of `exact_multipliers`: the roots with the data folded in.
 
-    Radii are the last axis; the data fields may carry leading axes, one entry
-    per data pair.  half_a is A/2, root is sqrt|D2| and osc flags D2 < 0
-    (complex roots).  The near and oscillating forms read the position data
+    Radii are the last two axes, in rows; the data fields may carry leading
+    axes, one entry per data pair.  half_a is A/2, root is sqrt|D2| and osc
+    flags D2 < 0 (complex roots).  The near and oscillating forms read the position data
     u0 and v = (A/2) u0 + u1.  The far form reads lam_slow = -2S/(A + sqrt D2),
     b = (u1 - lam_fast u0)/sqrt D2 and q = (lam_slow u0 - u1)/sqrt D2, with
     lam_fast = -(A + sqrt D2)/2; these three are NaN where D2 <= 0.
@@ -193,9 +194,9 @@ class ModeRoots:
     q: np.ndarray
 
 
-# the unit data pairs (1, 0) and (0, 1) as (u0, u1) columns: a stage on them
-# gives K0 and K1 on a leading axis of two
-UNIT_PAIRS = (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+# the unit data pairs (1, 0) and (0, 1) as (u0, u1), broadcast over rows of
+# radii: a stage on them gives K0 and K1 on a leading axis of two
+UNIT_PAIRS = (np.array([[[1.0]], [[0.0]]]), np.array([[[0.0]], [[1.0]]]))
 
 
 def root_jets(p: ModelParams, r, order: int) -> RootJets:
@@ -314,11 +315,11 @@ def _sinhc(z: np.ndarray) -> np.ndarray:
 def mode_roots(p: ModelParams, r, u0, u1) -> ModeRoots:
     """The radial stage of `exact_multipliers` at the radii r for the data (u0, u1).
 
-    u0 and u1 hold the data at each radius, with any radius-only weight
-    already applied, and broadcast with r on its last axis; leading axes
-    hold several data pairs (`UNIT_PAIRS` gives K0 and K1).  The far form's
-    fields are divided out only where D2 > 0: where the symbols underflow
-    (A = S = D2 = 0) the quotient would be 0/0.
+    r holds rows of radii.  u0 and u1 hold the data at each radius, with any
+    radius-only weight already applied, and broadcast with r on its last two
+    axes; leading axes hold several data pairs (`UNIT_PAIRS` gives K0 and
+    K1).  The far form's fields are divided out only where D2 > 0: where the
+    symbols underflow (A = S = D2 = 0) the quotient would be 0/0.
     """
     a_sym, s_sym, disc = mode_symbols(p, r)
     root = np.sqrt(np.abs(disc))
@@ -337,7 +338,7 @@ def mode_roots(p: ModelParams, r, u0, u1) -> ModeRoots:
     return ModeRoots(half_a, root, disc < 0.0, lam_slow, u0, half_a * u0 + u1, b, q)
 
 
-def exact_multipliers(p: ModelParams, t, r, roots: ModeRoots | None = None, at=None) -> np.ndarray:
+def exact_multipliers(p: ModelParams, t, r, roots: ModeRoots | None = None, rows=None) -> np.ndarray:
     """The mode solution K0 u0 + K1 u1 at a = b = 1, real in every root regime.
 
     With A = r^{2*sigma1} + r^{2*sigma2} and discriminant D2 = A^2 -
@@ -355,29 +356,27 @@ def exact_multipliers(p: ModelParams, t, r, roots: ModeRoots | None = None, at=N
 
     v, b and q are the radius-only data of `ModeRoots`.  At t = 0 the value
     is u0 exactly.  An exponential whose argument is below -EXP_FLUSH is
-    exact zero: where e^{-sqrt(D2) t} alone flushes, the far form keeps
+    exact zero: a bounded form whose envelope e^{-At/2} flushes is 0.0,
+    and where e^{-sqrt(D2) t} alone flushes, the far form keeps
     e^{lambda_slow t} b.  Short of both edges, their product, which stands
     for e^{lambda_fast t}, may underflow gradually instead of flushing.
 
-    roots is the radial stage `mode_roots` with the caller's data: on the
-    distinct radii of the nodes, with at the flat array of each node's index
-    into it (as a family integrand's time stage gets), or at the flattened
-    nodes themselves when at is None; the caller has then checked the times
-    (`checked_times`, once per grid).  t and r broadcast together (each node
-    at its own time when both are arrays), and the value has the stage's
-    leading data axes followed by their broadcast shape.  Without roots the
-    stage is built here on the unit pairs, so the value stacks K0 and K1 on
-    its first axis, and the times are checked here.
+    roots is the radial stage `mode_roots` with the caller's data, on rows
+    of radii; rows holds the stage row of each row of nodes (every row in
+    order when None), t one time per row of nodes, checked by the caller
+    (`checked_times`, once per grid), and r the nodes' radii, whose shape
+    the value takes after the stage's leading data axes.  Without roots, t
+    and r broadcast together, each node a row of width 1 at its own time,
+    the stage is built here on the unit pairs, so the value stacks K0 and
+    K1 on its first axis, and the times are checked here.
     """
     r = np.asarray(r, dtype=float)
-    t = checked_times(t) if roots is None else np.asarray(t, dtype=float)
-    if r.shape != t.shape:
-        r, t = np.broadcast_arrays(r, t)
     if roots is None:
-        roots = mode_roots(p, r.ravel(), *UNIT_PAIRS)
-    t = t.ravel()
-    if at is None:
-        at = np.arange(t.size)
+        r, t = np.broadcast_arrays(r, checked_times(t))
+        roots = mode_roots(p, r.reshape(-1, 1), *UNIT_PAIRS)
+    rows = np.arange(roots.root.shape[-2]) if rows is None else rows
+    width = roots.root.shape[-1]
+    t = np.asarray(t, dtype=float).reshape(len(rows), 1)
 
     # Gathers here use the ndarray methods: np.take's Python wrapper costs
     # about a microsecond.  The far form runs on every node, which costs less
@@ -385,26 +384,27 @@ def exact_multipliers(p: ModelParams, t, r, roots: ModeRoots | None = None, at=N
     # where z <= 1/2, and both bounded forms overwrite theirs.  Both its
     # exponentials decay, so nothing overflows; sqrt(D2) t = 2z > 1 on its own
     # nodes, so b and q were divided by a root that is not small there
-    z = roots.root.take(at) * (0.5 * t)
-    e_slow = _flushed_exp(roots.lam_slow.take(at) * t)
+    z = roots.root.take(rows, axis=-2) * (0.5 * t)
+    e_slow = _flushed_exp(roots.lam_slow.take(rows, axis=-2) * t)
     e_gap = _flushed_exp(-2.0 * z)
-    out = e_slow * (roots.b.take(at, axis=-1) + roots.q.take(at, axis=-1) * e_gap)
+    out = e_slow * (roots.b.take(rows, axis=-2) + roots.q.take(rows, axis=-2) * e_gap)
+    # The bounded forms e^{-At/2} (even(y) u0 + t v odd(y)) at y = z index
+    # their own nodes flat, in the value and in the stage; where the
+    # envelope flushes they are 0.0, with even and odd skipped
+    flat, u0, v = (x.reshape(x.shape[:-2] + (-1,)) for x in (out, roots.u0, roots.v))
+    is_osc = roots.osc.take(rows, axis=-2)
+    for mask, even, odd in ((is_osc, np.cos, _sinc), ((z <= 0.5) & ~is_osc, np.cosh, _sinhc)):
+        nodes = np.flatnonzero(mask)
+        if not nodes.size:
+            continue
+        row, column = np.divmod(nodes, width)
+        at, t_nodes = rows.take(row) * width + column, t.take(row)
+        env = _flushed_exp(-roots.half_a.take(at) * t_nodes)
+        live = env != 0.0
+        if not live.all():
+            flat[..., nodes[~live]] = 0.0
+            nodes, at, t_nodes, env = nodes[live], at[live], t_nodes[live], env[live]
+        y = z.take(nodes)
+        flat[..., nodes] = env * (even(y) * u0.take(at, axis=-1) + t_nodes * v.take(at, axis=-1) * odd(y))
 
-    def bounded(nodes, even, odd):
-        # e^{-At/2} (even u0 + t v odd), (even, odd) = (cos, sinc) or (cosh, sinhc)
-        nodes_at, t_nodes = at.take(nodes), t.take(nodes)
-        env = _flushed_exp(-roots.half_a.take(nodes_at) * t_nodes)
-        u0, v = roots.u0.take(nodes_at, axis=-1), roots.v.take(nodes_at, axis=-1)
-        out[..., nodes] = env * (even * u0 + t_nodes * v * odd)
-
-    is_osc = roots.osc.take(at)
-    osc = is_osc.nonzero()[0]
-    if osc.size:
-        y = z.take(osc)
-        bounded(osc, np.cos(y), _sinc(y))
-    near = ((z <= 0.5) & ~is_osc).nonzero()[0]
-    if near.size:
-        z_near = z.take(near)
-        bounded(near, np.cosh(z_near), _sinhc(z_near))
-
-    return out.reshape(out.shape[:-1] + r.shape)
+    return out.reshape(out.shape[:-2] + r.shape)

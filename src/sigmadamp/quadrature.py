@@ -39,13 +39,13 @@ Panels are numbered so that equal panels share their number: a segment by
 the mantissa of its r_max and its place from the bottom of the ladder, and
 the halves of a panel numbered i by 2i and 2i + 1, renumbered in order on
 each level; no level is sorted.  The family integrand is called in two
-stages.  The radial stage f(r) runs once per block
-of at most PANELS_PER_CALL distinct panels of a level, on the block's
-distinct radii, and does there all the work that depends on the radius
-alone; it returns the time stage stage(at, j), which is called once per
-chunk of at most PANELS_PER_CALL member panels of the block and gets, per
-node, the index `at` of the node's radius in the block and the node's member
-j.  Gathers such as x.take(at) carry the radial work to the nodes.
+stages.  The radial stage f(r) runs once per block of at most
+PANELS_PER_CALL distinct panels of a level, on their radii, one row of 15
+nodes per panel, and does there all the work that depends on the radius
+alone; it returns the time stage stage(rows, j), called once per chunk of
+at most PANELS_PER_CALL member panels of the block with one entry per
+member panel: its row in the block and its member j.  Row gathers such as
+x.take(rows, axis=0) carry the radial work to the member panels.
 
 Each member panel is reduced on its own 15 nodes by NumPy's row sum, which
 reduces every row alike whatever the number of rows and does not go through
@@ -83,11 +83,11 @@ REL_FLOOR = 5e-16
 # panels per stage call, distinct panels per radial call and member panels per
 # time call: fewer calls cost less fixed overhead, while more nodes per call
 # raise peak memory, and a radial block's arrays stay alive while its member
-# panels are evaluated.  256 panels are 3,840 nodes, so an order-2 series
-# array of shape (3, 2, 3840) is 184 KiB, past glibc's 128 KiB trim and mmap
+# panels are evaluated.  512 panels are 7,680 nodes, so an order-2 series
+# array of shape (3, 2, 7680) is 360 KiB, past glibc's 128 KiB trim and mmap
 # thresholds; the heap top pad that `cli.main` sets keeps such arrays mapped
 # between calls instead of faulting them in on every call
-PANELS_PER_CALL = 256
+PANELS_PER_CALL = 512
 
 
 class NonConvergence(RuntimeError):
@@ -99,7 +99,7 @@ class RadialIntegrand:
     """A radial function together with its declared power behavior at 0.
 
     func is the radial stage f(r) of a family of norms (see `l2_radial`),
-    which returns the time stage stage(at, j).  singularity_exponent e
+    which returns the time stage stage(rows, j).  singularity_exponent e
     asserts that every member is O(r^e) as r -> 0; integrability of the
     squared integrand then requires 2e + n > 0.
     """
@@ -155,12 +155,11 @@ def _panels(radial, lo, hi, owner, ident, count) -> np.ndarray:
     """Gauss-Legendre values of g on the panels [lo[i], hi[i]] of members owner[i].
 
     Equal panels share ident[i], one of 0 .. count - 1.  radial is called
-    once per block of PANELS_PER_CALL distinct panels, with their nodes, and
-    returns g's time stage; that is called once per chunk of PANELS_PER_CALL
-    member panels of the block, with the index of each node's radius in the
-    block and the node's member.
+    once per block of PANELS_PER_CALL distinct panels, with their nodes as
+    one row per panel, and returns g's time stage; that is called once per
+    chunk of PANELS_PER_CALL member panels of the block, with each member
+    panel's row in the block and its member.
     """
-    nodes = len(GAUSS_NODES)
     out = np.empty(len(lo))
     # equal panels have equal edges: any of them gives the distinct panel's
     distinct_lo, distinct_hi = np.empty(count), np.empty(count)
@@ -170,17 +169,16 @@ def _panels(radial, lo, hi, owner, ident, count) -> np.ndarray:
         lo, hi = distinct_lo[part], distinct_hi[part]
         half = 0.5 * (hi - lo)
         r = (0.5 * (hi + lo))[:, None] + half[:, None] * GAUSS_NODES
-        stage = radial(r.ravel())
+        stage = radial(r)
         in_block = np.zeros(count, dtype=bool)
         in_block[part] = True
         members = np.flatnonzero(in_block[ident])
         for start in range(0, len(members), PANELS_PER_CALL):
             chunk = members[start : start + PANELS_PER_CALL]
-            mine = ident[chunk] - block
-            at = (mine[:, None] * nodes + np.arange(nodes)).ravel()
-            values = stage(at, np.repeat(owner[chunk], nodes)).reshape(-1, nodes)
+            rows = ident[chunk] - block
+            values = stage(rows, owner[chunk])
             # a row sum reduces every row alike, whatever the number of rows
-            out[chunk] = half.take(mine) * (values * GAUSS_WEIGHTS).sum(axis=1)
+            out[chunk] = half.take(rows) * (values * GAUSS_WEIGHTS).sum(axis=1)
     return out
 
 
@@ -208,13 +206,14 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
 
     r_max is a 1-d array of member radii, and the norms come back as an
     array of the same length; a single norm is a family of one.  f is
-    called in two stages.  The radial stage f(r) gets the distinct radii of
-    a block of panels and returns the time stage stage(at, j), a function
-    that gets node arrays `at` and `j` and must return, at each node,
-    member j's function at the radius r[at]; its sign does not matter,
-    since only its square is integrated.  Work that depends on the radius
-    alone belongs in the radial stage, which runs once per radius of a
-    level however many members share it.  Every member is refined as if it
+    called in two stages.  The radial stage f(r) gets the radii of a block
+    of distinct panels, one row of 15 Gauss nodes per panel, and returns
+    the time stage stage(rows, j), which gets one entry per member panel,
+    its row in the block and its member j, and must return member j's
+    function at the radii r[rows], shape (len(rows), 15); its sign does not
+    matter, since only its square is integrated.  Work that depends on the
+    radius alone belongs in the radial stage, which runs once per radius of
+    a level however many members share it.  Every member is refined as if it
     were alone, so its norm is the float a family of one returns.
 
     The absolute norm error is targeted at tol * (1 + norm); the budget is
@@ -277,9 +276,9 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
         stage = func(r)
         weight = r ** (n - 1)
 
-        def g(at, j):
-            values = np.asarray(stage(at, j), dtype=float)
-            return values * values * weight.take(at)
+        def g(rows, j):
+            values = np.asarray(stage(rows, j), dtype=float)
+            return values * values * weight.take(rows, axis=0)
 
         return g
 
@@ -446,8 +445,9 @@ def scaling_check(alpha: float, beta: float, c: float, n: int) -> FitResult:
     def f(r):
         power, rate, chi = r**alpha, -c * r**beta, cut.chi_low(r)
 
-        def stage(at, j):
-            return power.take(at) * np.exp(rate.take(at) * t_grid[j]) * chi.take(at)
+        def stage(rows, j):
+            t = t_grid[j][:, None]
+            return power.take(rows, axis=0) * np.exp(rate.take(rows, axis=0) * t) * chi.take(rows, axis=0)
 
         return stage
 

@@ -577,6 +577,48 @@ def test_frictional_curve_runs_the_radial_stage_once_per_block(monkeypatch, fric
     assert sum(radial) == len(quadrature.GAUSS_NODES) * sum(distinct)
 
 
+def every_norm():
+    """The norm families of error curves k = 0..3 (fractional and sigma1 = 0),
+    the high-frequency check and the scaling check, in call order.
+
+    The curves sample both truncation radii: fractional t_flush is 221.  A
+    third configuration's curves reach the oscillating form, k = 0..2.
+    """
+    families = []
+    real = quadrature.l2_radial
+
+    def recorded(*args, **kwargs):
+        families.append(real(*args, **kwargs))
+        return families[-1]
+
+    t_grid = np.array([0.5, 10.0, 1e3, 1e4])
+    data = spectral_data("gaussian")
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(experiments, "l2_radial", recorded)
+        patch.setattr(quadrature, "l2_radial", recorded)
+        warnings.simplefilter("ignore", CancellationWarning)
+        for p in (ModelParams(3, 1.0, 0.25, 0.75), ModelParams(1, 1.0, 0.0, 0.8)):
+            for k in range(4):
+                error_curve(p, k, data, t_grid=t_grid)
+            high_freq_decay_check(p, data)
+        for k in range(3):
+            error_curve(ModelParams(1, 1.278, 0.1814, 0.6855), k, data, t_grid=t_grid)
+        quadrature.scaling_check(1.0, 2.0, 1.0, 3)
+    return families
+
+
+@pytest.mark.parametrize("panels", [1, 7, 4096])
+def test_norms_do_not_depend_on_the_blocks_and_chunks(monkeypatch, panels):
+    # blocks and chunks of 1, 7 and 4096 panels against the default: every
+    # member panel is reduced on its own row, so every norm is the same float
+    default = every_norm()
+    monkeypatch.setattr(quadrature, "PANELS_PER_CALL", panels)
+    chunked = every_norm()
+    assert len(chunked) == len(default) == 14
+    for got, want in zip(chunked, default):
+        assert np.array_equal(got, want)
+
+
 # -------------------------------------------------------- high frequency
 
 

@@ -267,27 +267,41 @@ def gathered_nodes():
     return radii, at, t
 
 
+def gathered_rows():
+    """Seven rows of 15 distinct radii, and 40 node rows that repeat them, each at one of four times.
+
+    A family integrand's time stage gets its nodes this way: whole rows of
+    its block of radii, one time per row, as a column.
+    """
+    rng = np.random.default_rng(7)
+    radii = np.geomspace(1e-3, 20.0, 105).reshape(7, 15)
+    rows = rng.integers(0, len(radii), 40)
+    t = rng.choice([0.0, 0.3, 5.0, 200.0], (len(rows), 1))
+    return radii, rows, t
+
+
 @GATHER_PARAMS
 def test_radial_stages_gathered_to_nodes_equal_one_stage_calls(p):
-    # the radial stages are built once on distinct radii and gathered to
-    # nodes that repeat each radius at several times; every regime occurs.
-    # A profile's stage is the summed one of `profile_roots` (the slow branch
-    # alone at sigma1 = 0), which profile_pair builds itself when handed none
-    radii, at, t = gathered_nodes()
-    r = radii[at]
-    disc = np.take(mode_symbols(p, radii)[2], at)
+    # the radial stages are built once on rows of distinct radii and gathered
+    # by row to node rows that repeat each radius at several times; every
+    # regime occurs.  A profile's stage is the summed one of `profile_roots`
+    # (the slow branch alone at sigma1 = 0), which profile_pair builds itself
+    # when handed none
+    radii, rows, t = gathered_rows()
+    r = radii.take(rows, axis=0)
+    disc = mode_symbols(p, r)[2]
     z = np.sqrt(np.maximum(disc, 0.0)) * 0.5 * t
     assert (disc < 0.0).any() and (z[disc >= 0.0] <= 0.5).any() and (z > 0.5).any()
-    split = exact_multipliers(p, t, r, mode_roots(p, radii, *UNIT_PAIRS), at)
+    split = exact_multipliers(p, t, r, mode_roots(p, radii, *UNIT_PAIRS), rows)
     assert np.array_equal(split, exact_multipliers(p, t, r))
     for order in (0, 1, 2):
-        roots = root_jets(p, radii, order).kernel_roots().take(at)
+        roots = root_jets(p, radii, order).kernel_roots().take(rows)
         split, one = kernel_jets(p, t, r, order, roots), kernel_jets(p, t, r, order)
         for name in PIECE_NAMES:
             assert np.array_equal(getattr(split, name), getattr(one, name))
     case = RateCase.ZERO_SIGMA1 if p.sigma1 == 0.0 else RateCase.POSITIVE_SIGMA1
     for k in (0, 1, 2, 3):
-        roots = profile_roots(p, radii, k).take(at) if k else None
+        roots = profile_roots(p, radii, k).take(rows) if k else None
         for got, want in zip(profile_pair(k, p, case, t, r, roots), profile_pair(k, p, case, t, r)):
             assert np.array_equal(got, want)
 
@@ -307,15 +321,15 @@ def _ulp_times(arg, t0, ulps=6):
 def test_staged_multipliers_equal_one_stage_calls_at_every_seam():
     # nodes in all three regimes, on both sides of z = 1/2, with envelope and
     # gap arguments (A t/2, -lambda_slow t, sqrt(D2) t) next to EXP_FLUSH, and
-    # at t = 0; the stage holds each radius once and every node reads it
-    # through its index
+    # at t = 0; the stage holds each radius once, as a row of width 1, and
+    # every node reads it through its row
     p = ModelParams(1, 1.0, 0.0, 0.8)
     band = oscillation_band(p)
     r_osc, r_far = math.sqrt(band[0] * band[1]), 3.0
-    stage = mode_roots(p, np.array([r_osc, 1.0, r_far]), *UNIT_PAIRS)
-    assert stage.osc.tolist() == [True, False, False]
-    a_osc, root_far = 2.0 * stage.half_a[0], stage.root[2]
-    lam_slow = stage.lam_slow[2]
+    stage = mode_roots(p, np.array([[r_osc], [1.0], [r_far]]), *UNIT_PAIRS)
+    assert stage.osc.ravel().tolist() == [True, False, False]
+    a_osc, root_far = 2.0 * stage.half_a[0, 0], stage.root[2, 0]
+    lam_slow = stage.lam_slow[2, 0]
     # the times of the nodes at each radius of the stage
     times = {}
     t, env = _ulp_times(lambda x: a_osc * (0.5 * x), 2.0 * EXP_FLUSH / a_osc)
@@ -335,13 +349,47 @@ def test_staged_multipliers_equal_one_stage_calls_at_every_seam():
     r = np.array([r_osc, 1.0, r_far])[at]
     split, one = exact_multipliers(p, t, r, stage, at), exact_multipliers(p, t, r)
     assert split.tobytes() == one.tobytes()
-    # the stage at the nodes themselves, at = None, is the same call
-    same = exact_multipliers(p, t, r, mode_roots(p, r, *UNIT_PAIRS))
+    # the stage at the nodes themselves, rows = None, is the same call
+    same = exact_multipliers(p, t, r, mode_roots(p, r[:, None], *UNIT_PAIRS))
     assert same.tobytes() == one.tobytes()
     k0, k1 = split
     start = t == 0.0
     assert start.sum() == 3 and (k0[start] == 1.0).all() and (k1[start] == 0.0).all()
     assert (k0 > 0.0).any() and (k0 == 0.0).any()
+
+
+@GATHER_PARAMS
+def test_flushed_oscillating_nodes_are_zero_without_their_trigonometry(monkeypatch, p):
+    # panel rows of 15 radii across the oscillation band and past both its
+    # edges, each at four times, one of them where the envelope e^{-At/2}
+    # flushes on part of the band: the staged value equals the one-stage
+    # call in every regime, a flushed oscillating node is +0.0, and sinc
+    # sees the live oscillating nodes alone
+    lo, hi = oscillation_band(p)
+    radii = np.geomspace(0.25 * lo, 4.0 * hi, 90).reshape(6, 15)
+    a_sym, _, disc = mode_symbols(p, radii)
+    t_edge = 2.0 * EXP_FLUSH / np.median(a_sym[disc < 0.0])
+    rows = np.repeat(np.arange(len(radii)), 4)
+    t = np.tile([0.0, 1.0, t_edge, 1e3], len(radii))[:, None]
+    r, a_sym, disc = radii.take(rows, axis=0), a_sym.take(rows, axis=0), disc.take(rows, axis=0)
+    z = np.sqrt(np.maximum(disc, 0.0)) * 0.5 * t
+    osc = disc < 0.0
+    flushed = osc & (0.5 * a_sym * t > EXP_FLUSH)
+    assert flushed.any() and (osc & ~flushed).any()
+    assert ((disc >= 0.0) & (z <= 0.5)).any() and (z > 0.5).any()
+    sinc_nodes = []
+
+    def counted(y):
+        sinc_nodes.append(y.size)
+        return sinc(y)
+
+    sinc = kernels._sinc
+    monkeypatch.setattr(kernels, "_sinc", counted)
+    split = exact_multipliers(p, t, r, mode_roots(p, radii, *UNIT_PAIRS), rows)
+    one = exact_multipliers(p, t, r)
+    assert split.tobytes() == one.tobytes()
+    assert sinc_nodes == [np.count_nonzero(osc & ~flushed)] * 2
+    assert (split[:, flushed] == 0.0).all() and not np.signbit(split[:, flushed]).any()
 
 
 @GATHER_PARAMS
@@ -361,7 +409,7 @@ def test_data_weighted_stage_equals_the_unit_pairs_combined(p):
     t = np.concatenate([t, seam, np.nextafter(seam, 0.0), np.nextafter(seam, np.inf), [0.0, 0.3, 5.0, 200.0]])
     u0 = rng.uniform(-2.0, 2.0, radii.size) * radii**3
     u1 = rng.uniform(-2.0, 2.0, radii.size)
-    got = exact_multipliers(p, t, radii[at], mode_roots(p, radii, u0, u1), at)
+    got = exact_multipliers(p, t, radii[at], mode_roots(p, radii[:, None], u0[:, None], u1[:, None]), at)
     k0, k1 = exact_multipliers(p, t, radii[at])
     scale = np.abs(k0 * u0[at]) + np.abs(k1 * u1[at])
     assert (scale > 0.0).all()
@@ -376,10 +424,10 @@ def test_mode_roots_skip_radii_whose_symbols_underflow():
     p = ModelParams(3, 60, 20, 50)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stage = mode_roots(p, np.array([1e-12, 1.0]), *UNIT_PAIRS)
+        stage = mode_roots(p, np.array([[1e-12], [1.0]]), *UNIT_PAIRS)
         t = np.array([0.0, 1.0, 1e4])
         k0, k1 = exact_multipliers(p, t, np.full(3, 1e-12), stage, np.zeros(3, dtype=int))
-    assert stage.half_a[0] == 0.0 and np.isnan(stage.lam_slow[:1]).all()
+    assert stage.half_a[0, 0] == 0.0 and np.isnan(stage.lam_slow[:1]).all()
     assert k0.tolist() == [1.0, 1.0, 1.0] and k1.tolist() == t.tolist()
 
 
@@ -387,7 +435,7 @@ def test_nan_symbols_give_nan_multipliers():
     # a NaN radius, and a radius where A^2 - 4S is inf - inf
     p = ModelParams(3, 100.0, 0.0, 70.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        stage = mode_roots(p, np.array([np.nan, 1e3]), *UNIT_PAIRS)
+        stage = mode_roots(p, np.array([[np.nan], [1e3]]), *UNIT_PAIRS)
     assert np.isnan(stage.root).all() and not stage.osc.any()
     at = np.array([0, 0, 1, 1])
     em = exact_multipliers(p, np.array([0.0, 2.0, 0.0, 2.0]), np.full(4, np.nan), stage, at)
@@ -442,12 +490,13 @@ def test_closed_time_form_matches_the_exp_recurrence():
 
 @GATHER_PARAMS
 def test_time_stage_makes_no_series_products(monkeypatch, p):
-    # every series product is radial: handed a stage, kernel_jets and
-    # profile_pair only evaluate envelopes and polynomials in t
-    radii, at, t = gathered_nodes()
+    # every series product is radial: handed a stage gathered by row,
+    # kernel_jets and profile_pair only evaluate envelopes and polynomials in t
+    radii, rows, t = gathered_rows()
+    r = radii.take(rows, axis=0)
     jets = root_jets(p, radii, 2)
-    stages = [jets.kernel_roots().take(at), jets.summed_kernel_roots().take(at)]
-    profile_stage = profile_roots(p, radii, 3).take(at)
+    stages = [jets.kernel_roots().take(rows), jets.summed_kernel_roots().take(rows)]
+    profile_stage = profile_roots(p, radii, 3).take(rows)
     calls = []
 
     def counted(x, y):
@@ -457,11 +506,11 @@ def test_time_stage_makes_no_series_products(monkeypatch, p):
     monkeypatch.setattr(kernels, "mul", counted)
     monkeypatch.setattr(jet2, "mul", counted)
     for roots in stages:
-        kernel_jets(p, t, radii[at], 2, roots)
+        kernel_jets(p, t, r, 2, roots)
     case = RateCase.ZERO_SIGMA1 if p.sigma1 == 0.0 else RateCase.POSITIVE_SIGMA1
-    profile_pair(3, p, case, t, radii[at], profile_stage)
+    profile_pair(3, p, case, t, r, profile_stage)
     assert calls == []
-    kernel_jets(p, t, radii[at], 2)
+    kernel_jets(p, t, r, 2)
     assert calls  # the counter does see the products of a radial stage
 
 

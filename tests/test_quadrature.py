@@ -34,7 +34,7 @@ def same_function(f):
 
     def radial(r):
         values = f(r)
-        return lambda at, j: values[at]
+        return lambda rows, j: values[rows]
 
     return radial
 
@@ -263,8 +263,8 @@ class CountingFamily:
     """A family integrand with one radial function per member, counting its stages.
 
     The radial stage records its radii and evaluates every member on them;
-    the time stage records its node count and picks, for each node, member
-    j's value at the node's radius.
+    the time stage records its node count and picks, for each member panel,
+    member j's values on the panel's row of radii.
     """
 
     def __init__(self, members):
@@ -276,18 +276,20 @@ class CountingFamily:
         self.calls.append(np.array(r))
         values = [f(r) for f, _ in self.members]
 
-        def stage(at, j):
-            self.stage_sizes.append(at.size)
-            out = np.empty(at.shape)
+        def stage(rows, j):
+            out = np.empty((len(rows), len(GAUSS_NODES)))
+            self.stage_sizes.append(out.size)
             for i, member in enumerate(values):
                 mine = j == i
-                out[mine] = member[at[mine]]
+                out[mine] = member[rows[mine]]
             return out
 
         return stage
 
 
-def test_family_equals_one_call_per_member_bit_for_bit():
+def test_family_equals_one_call_per_member_bit_for_bit(monkeypatch):
+    # calls of 256 panels, narrower than the family's widest level (about 260)
+    monkeypatch.setattr(quadrature, "PANELS_PER_CALL", 256)
     family = CountingFamily(FAMILY)
     r_max = np.array([radius for _, radius in FAMILY])
     got = l2_radial(family, n=3, r_max=r_max, tol=1e-12)
@@ -309,17 +311,17 @@ def test_shared_panels_are_evaluated_radially_once():
     # radial stage sees each panel once however many members it serves, and
     # each member still gets the norm, and evaluates the nodes, it gets alone
     scales = np.linspace(1.0, 3.0, 40)
-    rows, served, member_nodes = [], [], np.zeros(len(scales), dtype=int)
+    blocks, served, member_nodes = [], [], np.zeros(len(scales), dtype=int)
 
     def radial(r):
-        rows.append(r.reshape(-1, len(GAUSS_NODES)))
-        served.append(np.zeros(len(rows[-1]), dtype=bool))
+        blocks.append(r)
+        served.append(np.zeros(len(r), dtype=bool))
         square = r * r
 
-        def stage(at, j, block=served[-1]):
-            block[at // len(GAUSS_NODES)] = True
-            np.add.at(member_nodes, j, 1)
-            return np.exp(-np.take(square, at) * scales[j])
+        def stage(rows, j, block=served[-1]):
+            block[rows] = True
+            np.add.at(member_nodes, j, len(GAUSS_NODES))
+            return np.exp(-square.take(rows, axis=0) * scales[j][:, None])
 
         return stage
 
@@ -333,7 +335,7 @@ def test_shared_panels_are_evaluated_radially_once():
     assert member_nodes.tolist() == alone_nodes
     # no panel twice, across levels too: a depth-d panel of the ladder lies
     # inside its segment and has a width that no other depth gives there
-    radial_rows = np.concatenate(rows)
+    radial_rows = np.concatenate(blocks)
     assert len(np.unique(radial_rows, axis=0)) == len(radial_rows)
     # members settle different segments of the tail, but every panel the
     # radial stage sees serves at least one of them
@@ -345,24 +347,59 @@ def test_radii_a_power_of_two_apart_share_their_ladder():
     # 3, 6 and 12 share the segments below 3, while 6 and 6.5 share none;
     # each member still gets the norm it gets alone
     radii = np.array([6.0, 12.0, 3.0, 6.5, 6.0])
-    rows, member_nodes = [], []
+    blocks, member_nodes = [], []
 
     def radial(r):
-        rows.append(r.reshape(-1, len(GAUSS_NODES)))
+        blocks.append(r)
         square = r * r
 
-        def stage(at, j):
-            member_nodes.append(at.size)
-            return 1.0 / (1.0 + np.take(square, at))
+        def stage(rows, j):
+            member_nodes.append(len(rows) * len(GAUSS_NODES))
+            return 1.0 / (1.0 + square.take(rows, axis=0))
 
         return stage
 
     got = l2_radial(radial, n=2, r_max=radii, tol=1e-12)
     alone = [single_norm(lambda r: 1.0 / (1.0 + r * r), n=2, r_max=x, tol=1e-12) for x in radii]
     assert np.array_equal(got, alone)
-    radial_rows = np.concatenate(rows)
+    radial_rows = np.concatenate(blocks)
     assert len(np.unique(radial_rows, axis=0)) == len(radial_rows)
     assert 2 * radial_rows.size < sum(member_nodes)
+
+
+def test_time_stage_gets_one_entry_per_member_panel(monkeypatch):
+    # the radial stage gets its block's radii as one row of 15 nodes per
+    # panel; the time stage gets one entry per member panel, the panel's row
+    # in the block and its member, and returns the panel's nodes as one row.
+    # Its entries are the panels each member evaluates alone, and chunks of
+    # 7 panels cut the blocks and the chunks of a level
+    monkeypatch.setattr(quadrature, "PANELS_PER_CALL", 7)
+    scales = np.array([1.0, 2.0, 3.0, 1.0])
+    r_max = np.array([6.0, 6.0, 3.0, 2.5])
+    blocks, entries = [], [[] for _ in scales]
+
+    def radial(r):
+        blocks.append(r.shape)
+        square = r * r
+
+        def stage(rows, j):
+            assert rows.ndim == 1 and j.shape == rows.shape and len(rows) <= 7
+            assert rows.min() >= 0 and rows.max() < len(r)
+            for i in np.unique(j).tolist():
+                entries[i].append(r[rows[j == i]])
+            return np.exp(-square.take(rows, axis=0) * scales[j][:, None])
+
+        return stage
+
+    got = l2_radial(radial, n=2, r_max=r_max, tol=1e-12)
+    assert all(len(shape) == 2 and shape[1] == len(GAUSS_NODES) and shape[0] <= 7 for shape in blocks)
+    for i, (a, radius) in enumerate(zip(scales, r_max)):
+        f = CountingIntegrand(lambda r, a=a: np.exp(-(r * r) * a))
+        assert got[i] == single_norm(f, n=2, r_max=radius, tol=1e-12)
+        # the same panels, each once: a panel's first node names it
+        mine, alone = np.concatenate(entries[i]), np.concatenate(f.calls)
+        assert len(np.unique(mine[:, 0])) == len(mine)
+        assert np.array_equal(mine[np.argsort(mine[:, 0])], alone[np.argsort(alone[:, 0])])
 
 
 def test_one_member_family_is_the_float_call():
@@ -407,11 +444,11 @@ class SettleRecorder:
         values = np.stack([f(r) for f, _ in self.members])
         past_coarse = len(self.radial_calls) > 1
 
-        def stage(at, j):
+        def stage(rows, j):
             if past_coarse:
                 for i in np.unique(j).tolist():
-                    self.member_radii[i].append(r[at[j == i]])
-            return values[j, at]
+                    self.member_radii[i].append(r[rows[j == i]].ravel())
+            return values[j, rows]
 
         return stage
 
@@ -443,7 +480,7 @@ def test_settled_segments_reach_neither_stage():
         # every member settles segments at both ends of its ladder
         assert settled[0] and settled[-1] and not settled.all()
     # a radial node past the coarse pass lies in a segment some member left open
-    radii = np.concatenate(family.radial_calls[1:])
+    radii = np.concatenate(family.radial_calls[1:]).ravel()
     serves = np.zeros(radii.size, dtype=bool)
     for lo, hi, _, settled in members:
         for a, b in zip(lo[~settled], hi[~settled]):
