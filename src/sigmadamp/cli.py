@@ -541,7 +541,7 @@ def main(argv=None) -> int:
         except SuiteFailure as exc:
             print(f"failure: {exc}", file=sys.stderr)
             return EXIT_SUITE
-        except (ValueError, RuntimeError, ArithmeticError) as exc:
+        except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
             print(f"computation error: {exc}", file=sys.stderr)
             return EXIT_COMPUTE
 

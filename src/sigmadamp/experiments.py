@@ -123,19 +123,6 @@ class ErrorCurve:
         return position if u1.c == 0.0 else max(velocity, position)
 
 
-def error_r_max(p: ModelParams, times) -> np.ndarray:
-    """Truncation radius for the error integrand at each of the times.
-
-    Modes are damped at rate at least r^{2 sigma1}, so past the reach
-    (EXP_FLUSH / t)^{1/(2 sigma1)} every factor is flushed to exact zero.
-    The reach is 10 at t_flush = EXP_FLUSH * 10^{-2 sigma1}: from t_flush on
-    the radius is 10, before it `model.error_radius(p)` (10 / eps_star; 10 at
-    sigma1 = 0), whose stretch past the reach adds exact zeros to the norm.
-    """
-    t_flush = EXP_FLUSH * 10.0 ** (-2.0 * p.sigma1)
-    return np.where(np.asarray(times, dtype=float) < t_flush, error_radius(p), 10.0)
-
-
 def error_curve(
     p: ModelParams,
     k: int,
@@ -143,7 +130,7 @@ def error_curve(
     t_grid,
     quad_tol: float = 1e-6,
 ) -> ErrorCurve:
-    """Sample E(t) on t_grid, each norm to quad_tol * (1 + E), once validate() and check_order pass."""
+    """Sample E(t) on t_grid out to error_radius(p) to quad_tol * (1 + E), once validate and check_order pass."""
     case = case_for(p)
     validate(p, case)
     check_order(p, k)
@@ -182,7 +169,8 @@ def error_curve(
     values = l2_radial(
         RadialIntegrand(f, singularity_exponent=expo),
         p.n,
-        r_max=error_r_max(p, t_grid),
+        r_max=error_radius(p),
+        members=len(t_grid),
         tol=quad_tol,
     )
     zero = np.flatnonzero(values == 0.0)
@@ -273,7 +261,8 @@ def high_freq_decay_check(p: ModelParams, data: SpectralDataSpec) -> HighFreqRep
     h_values = l2_radial(
         RadialIntegrand(f, singularity_exponent=0.0),
         p.n,
-        r_max=np.full(len(t_grid), float(r_max)),
+        r_max=float(r_max),
+        members=len(t_grid),
         tol=1e-8,
     )
     fit = fit_exponential(t_grid, h_values, target=0.0)

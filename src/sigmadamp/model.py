@@ -65,11 +65,11 @@ def validate(p: ModelParams, case: RateCase) -> None:
     int (not a bool, nor an integral float), an ordering among (sigma,
     sigma1, sigma2, s), dim > 4*sigma1 for the fractional-damping rates, a
     case that disagrees with sigma1, or a dimension or sigma2 too large for
-    the error norms.  Those weight f(r)^2 by r^{n-1} out to error_radius(p),
-    which is 10 when sigma1 = 0 and 10 / eps_star >= 20 otherwise, and
-    `check_radius` needs n * ln(radius) < ln(DBL_MAX) = 709.78 (n <= 308
-    without weak damping, n <= 236 at most with it), the same of s
-    (s < 308.25 at radius 10, s < 236.93 at radius 20), and A^2 ~
+    the error norms.  Every sample weights f(r)^2 by r^{n-1} out to the one
+    radius error_radius(p), 10 when sigma1 = 0 and 10 / eps_star >= 20
+    otherwise, and `check_radius` needs n * ln(radius) < ln(DBL_MAX) =
+    709.78 (n <= 308 without weak damping, n <= 236 at most with it), the
+    same of s (s < 308.25 at radius 10, s < 236.93 at radius 20), and A^2 ~
     r^{4*sigma2} finite there.  `experiments.high_freq_decay_check` checks
     its own radius, which depends on the data.  Returns None when every
     hypothesis holds.
@@ -265,9 +265,9 @@ def eps_star(p: ModelParams) -> float:
 
 
 def error_radius(p: ModelParams) -> float:
-    """Largest truncation radius of an error norm: 10 / eps_star, or 10 if sigma1 = 0.
+    """Truncation radius of every error norm: 10 / eps_star, or 10 if sigma1 = 0.
 
-    experiments.error_r_max gives it to every sample time before the flush time, 10 after.
+    `experiments.error_curve` integrates every sample time out to it.
     """
     return 10.0 if p.sigma1 == 0.0 else 10.0 / eps_star(p)
 

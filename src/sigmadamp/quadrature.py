@@ -13,13 +13,13 @@ budget.  Integrands must accept numpy arrays of radii and act elementwise.
 
 Refinement is level-batched, after Shampine's vectorised quadgk (J. Comput.
 Appl. Math. 211, 2008), and every call computes a family of norms: the
-caller (an error curve over its time grid, say) hands over one radius per
-member and one family integrand, and a single refinement loop computes them
-all; a single norm is a family of one.  The coarse pass covers every
-segment of every member, and each bisection level covers both halves of
-every panel still open.  Each member keeps its own error budget and noise
-floor; the accept test, the stall test and the fold of the bisection tree
-run as array operations on a whole level.
+caller (an error curve over its time grid, say) hands over one radius, the
+number of members and one family integrand, and a single refinement loop
+computes them all; a single norm is a family of one.  The coarse pass
+covers every segment of every member, and each bisection level covers both
+halves of every panel still open.  Each member keeps its own error budget
+and noise floor; the accept test, the stall test and the fold of the
+bisection tree run as array operations on a whole level.
 
 A segment whose coarse value is at most REL_FLOOR / count of its member's
 finite, nonzero coarse total settles: it enters the tree as a leaf with its
@@ -33,19 +33,19 @@ rungs next to the origin.  The rule sees only the 15 coarse nodes, so a
 feature narrower than their spacing inside a segment whose coarse value is
 below the floor goes unseen.
 
-Members of a family share radii: members whose r_max are a power of 2 apart
-walk one ladder, so a level holds each distinct panel many times over.
-Panels are numbered so that equal panels share their number: a segment by
-the mantissa of its r_max and its place from the bottom of the ladder, and
-the halves of a panel numbered i by 2i and 2i + 1, renumbered in order on
-each level; no level is sorted.  The family integrand is called in two
-stages.  The radial stage f(r) runs once per block of at most
-PANELS_PER_CALL distinct panels of a level, on their radii, one row of 15
-nodes per panel, and does there all the work that depends on the radius
-alone; it returns the time stage stage(rows, j), called once per chunk of
-at most PANELS_PER_CALL member panels of the block with one entry per
-member panel: its row in the block and its member j.  Row gathers such as
-x.take(rows, axis=0) carry the radial work to the member panels.
+The members of a family share one radius and so walk one ladder, and a
+level holds each distinct panel many times over.  Panels are numbered so
+that equal panels share their number: a segment by its place from the
+bottom of the ladder, and the halves of a panel numbered i by 2i and
+2i + 1, renumbered in order on each level; no level is sorted.  The family
+integrand is called in two stages.  The radial stage f(r) runs once per
+block of at most PANELS_PER_CALL distinct panels of a level, on their
+radii, one row of 15 nodes per panel, and does there all the work that
+depends on the radius alone; it returns the time stage stage(rows, j),
+called once per chunk of at most PANELS_PER_CALL member panels of the
+block with one entry per member panel: its row in the block and its
+member j.  Row gathers such as x.take(rows, axis=0) carry the radial work
+to the member panels.
 
 Each member panel is reduced on its own 15 nodes by NumPy's row sum, which
 reduces every row alike whatever the number of rows and does not go through
@@ -201,20 +201,20 @@ def _segments(r_max: float) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:]
 
 
-def l2_radial(f, n: int, r_max, tol: float = 1e-8):
-    """Radial L2 norms of a family: member j's over the ball of radius r_max[j] in R^n.
+def l2_radial(f, n: int, r_max: float, members: int, tol: float = 1e-8):
+    """Radial L2 norms of a family of `members` functions over the ball of radius r_max in R^n.
 
-    r_max is a 1-d array of member radii, and the norms come back as an
-    array of the same length; a single norm is a family of one.  f is
-    called in two stages.  The radial stage f(r) gets the radii of a block
-    of distinct panels, one row of 15 Gauss nodes per panel, and returns
-    the time stage stage(rows, j), which gets one entry per member panel,
-    its row in the block and its member j, and must return member j's
-    function at the radii r[rows], shape (len(rows), 15); its sign does not
-    matter, since only its square is integrated.  Work that depends on the
-    radius alone belongs in the radial stage, which runs once per radius of
-    a level however many members share it.  Every member is refined as if it
-    were alone, so its norm is the float a family of one returns.
+    The norms come back as an array of members values; a single norm is a
+    family of one.  f is called in two stages.  The radial stage f(r) gets
+    the radii of a block of distinct panels, one row of 15 Gauss nodes per
+    panel, and returns the time stage stage(rows, j), which gets one entry
+    per member panel, its row in the block and its member j, and must return
+    member j's function at the radii r[rows], shape (len(rows), 15); its
+    sign does not matter, since only its square is integrated.  Work that
+    depends on the radius alone belongs in the radial stage, which runs once
+    per panel of a level however many members share it.  Every member is
+    refined as if it were alone, so its norm is the float a family of one
+    returns.
 
     The absolute norm error is targeted at tol * (1 + norm); the budget is
     converted to an integral tolerance using a coarse first pass, split
@@ -240,8 +240,8 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     REL_FLOOR relative) and is split otherwise; the whole level is tested at
     once.  The accepted values are summed as the bisection tree nests,
     folded one level at a time from the deepest, left + right for each split
-    panel and each member's segments in ascending order, which is the float
-    a depth-first recursion returns.
+    panel and each member's segments added left to right in ascending order,
+    which is the float a depth-first recursion returns.
 
     Raises NonConvergence when a panel value is not finite, when a panel is
     still off budget at MAX_DEPTH, or when both halves of a split panel stay
@@ -253,12 +253,10 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
     the first failing one of the level, members in order.
     """
     integrand = f if isinstance(f, RadialIntegrand) else RadialIntegrand(f)
-    radii = np.asarray(r_max, dtype=float)
-    if radii.ndim != 1:
-        raise ValueError(f"r_max must be a 1-d array of member radii, got shape {radii.shape}")
-    inside = (radii > R_FLOOR) & (radii < math.inf)
-    if not inside.all():
-        raise ValueError(f"r_max must be finite and exceed {R_FLOOR:g}, got {radii[~inside][0]}")
+    if isinstance(r_max, bool) or not isinstance(r_max, (int, float)) or not R_FLOOR < r_max < math.inf:
+        raise ValueError(f"r_max must be one finite float above {R_FLOOR:g}, got {r_max!r}")
+    if isinstance(members, bool) or not isinstance(members, int) or members < 0:
+        raise ValueError(f"members must be a non-negative int, got {members!r}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
     if 2.0 * integrand.singularity_exponent + n <= 0.0:
@@ -266,7 +264,7 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
             f"declared origin exponent {integrand.singularity_exponent} with n={n} "
             "makes the squared integrand non-integrable"
         )
-    if not radii.size:
+    if not members:
         return np.empty(0)
 
     func = integrand.func
@@ -282,44 +280,34 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
 
         return g
 
+    def totals(values, owner):
+        # each member's values added left to right from +0.0; the builtin sum
+        # is compensated from Python 3.12 on, and would depend on the version
+        return np.bincount(owner, weights=values, minlength=members)
+
     sphere = surface_area(n)
-    # a family's members share few radii: each ladder is built once
-    ladders = {x: _segments(x) for x in set(radii.tolist())}
-    segments = [ladders[x] for x in radii.tolist()]
-    counts = np.array([len(seg_lo) for seg_lo, _ in segments])
-    # member j owns the panels first[j]:first[j + 1] of the coarse level
-    first = np.concatenate(([0], np.cumsum(counts)))
-    lo = np.concatenate([seg_lo for seg_lo, _ in segments])
-    hi = np.concatenate([seg_hi for _, seg_hi in segments])
-    owner = np.repeat(np.arange(len(radii)), counts)
-    # Panels are numbered so that equal panels share their number.  Radii a
-    # power of 2 apart have one ladder of edges, so the segment i places from
-    # the bottom is one panel for every radius of one mantissa.
-    mantissas = np.frexp(radii)[0].tolist()
-    rungs: dict[float, int] = {}
-    for mantissa, count in zip(mantissas, counts.tolist()):
-        rungs[mantissa] = max(rungs.get(mantissa, 0), count)
-    offset = dict(zip(rungs, np.cumsum([0, *rungs.values()]).tolist()))
-    # segment i of the coarse level, of member j, is panel offset[m_j] + i - first[j]
-    start = np.array([offset[m] for m in mantissas]) - first[:-1]
-    ident = np.repeat(start, counts) + np.arange(first[-1])
-    count = sum(rungs.values())
+    # every member walks the one ladder: segment i is panel i of the coarse level
+    lo, hi = _segments(float(r_max))
+    segments = len(lo)
+    lo, hi = np.tile(lo, members), np.tile(hi, members)
+    ident = np.tile(np.arange(segments), members)
+    coarse_owner = owner = np.repeat(np.arange(members), segments)
 
     def budget(total):
         # each segment's share of the member's budget, and the roundoff floor:
         # a gap below it cannot move the member's total by more than its roundoff
         norm = np.sqrt(sphere * np.maximum(total, 0.0))
-        return 2.0 * norm * tol * (1.0 + norm) / sphere / counts, REL_FLOOR * np.abs(total)
+        return 2.0 * norm * tol * (1.0 + norm) / sphere / segments, REL_FLOOR * np.abs(total)
 
-    coarse = _panels(radial, lo, hi, owner, ident, count)
-    coarse_total = _member_totals(coarse, first)
+    coarse = _panels(radial, lo, hi, owner, ident, segments)
+    coarse_total = totals(coarse, owner)
     tau, noise = budget(coarse_total)
     # a segment holding at most its share of the roundoff floor settles: its
     # coarse value is a leaf of the tree and its halves are never evaluated.
     # A NaN value compares false, and a non-finite or zero total settles nothing.
     zero = coarse_total == 0.0
     live = np.isfinite(coarse_total) & ~zero
-    settled = live[owner] & (np.abs(coarse) <= (noise / counts)[owner])
+    settled = live[owner] & (np.abs(coarse) <= (noise / segments)[owner])
     leaves, unsettled = coarse, ~settled
     lo, hi, owner, ident = lo[unsettled], hi[unsettled], owner[unsettled], ident[unsettled]
     coarse = coarse[unsettled]
@@ -349,9 +337,7 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
         if depth == 0 and zero.any():
             # a coarse total of 0 gives no budget and no floor, and its member
             # would refine to MAX_DEPTH: it takes both from its fine total
-            fine_tau, fine_noise = budget(
-                _member_totals(fine, np.searchsorted(owner, np.arange(len(radii) + 1)))
-            )
+            fine_tau, fine_noise = budget(totals(fine, owner))
             tau, noise = np.where(zero, fine_tau, tau), np.where(zero, fine_noise, noise)
         with np.errstate(invalid="ignore"):  # inf - inf: reported below as non-finite
             gap = np.abs(fine - coarse)
@@ -380,24 +366,7 @@ def l2_radial(f, n: int, r_max, tol: float = 1e-8):
         value[split] = below[0::2] + below[1::2]
         below = value
     leaves[unsettled] = below
-    return np.sqrt(sphere * np.maximum(_member_totals(leaves, first), 0.0))
-
-
-def _member_totals(values: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Member j's total of values[first[j]:first[j + 1]], added left to right.
-
-    The members' values are laid out as rows padded with trailing +0.0, and
-    a cumulative sum adds each row strictly left to right.  The builtin sum
-    of floats is compensated from Python 3.12 on, and would make the norms
-    depend on the Python version.
-    """
-    counts = np.diff(first)
-    width = counts.max()
-    rows = np.zeros((len(counts), width))
-    # value i sits in column i - first[j] of its member j's row
-    shift = np.repeat(np.arange(len(counts)) * width - first[:-1], counts)
-    rows.ravel()[np.arange(len(values)) + shift] = values
-    return np.cumsum(rows, axis=1)[:, -1]
+    return np.sqrt(sphere * np.maximum(totals(leaves, coarse_owner), 0.0))
 
 
 def _raise_first_failure(lo, hi, fine, finite, split, stalled_pair, parent_gap, depth, tol):
@@ -454,7 +423,8 @@ def scaling_check(alpha: float, beta: float, c: float, n: int) -> FitResult:
     norms = l2_radial(
         RadialIntegrand(f, singularity_exponent=alpha),
         n,
-        r_max=np.full(len(t_grid), cut.eps),
+        r_max=cut.eps,
+        members=len(t_grid),
         tol=1e-8,
     )
     target = -0.5 * n / beta - alpha / beta

@@ -273,7 +273,7 @@ def test_curve_warnings_name_no_source_file(capsys):
 
 def test_curve_at_tiny_times_warns_nothing(capsys):
     # at t ~ 1e-60 the flush reach (EXP_FLUSH / t)^(1 / (2 sigma1)) would
-    # overflow; every time below the flush time gets model.error_radius
+    # overflow; no radius is taken from it, every time gets model.error_radius
     code = main(["curve", "--t-min", "1e-60", "--t-max", "1e-58", "--k", "0", "--sigma1", "0.1"])
     assert code == 0
     assert capsys.readouterr().err == ""
@@ -471,6 +471,20 @@ def test_computation_failure_exits_3(monkeypatch, capsys):
     code = main(["curve", *FRICTIONAL, "--k", "1"])
     assert code == 3
     assert "computation error" in capsys.readouterr().err
+
+
+def test_allocation_failure_exits_3(monkeypatch, capsys):
+    # a grid too large to allocate (curve --per-decade 100000000 asks for
+    # gigabytes) is a computation error, not a failed check (exit 1); the
+    # grid raises here without allocating anything
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.24 GiB for an array with shape (300000001,)")
+
+    monkeypatch.setattr(cli, "geometric_grid", too_large)
+    code = main(["curve", *FRICTIONAL, "--k", "0", "--per-decade", "100000000"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "computation error: Unable to allocate 2.24 GiB for an array with shape (300000001,)\n"
 
 
 def test_tolerance_below_roundoff_exits_3(capsys):

@@ -16,7 +16,6 @@ from sigmadamp.experiments import (
     RadialProfileSpec,
     SpectralDataSpec,
     error_curve,
-    error_r_max,
     fit_slope,
     gaussian_data,
     high_freq_decay_check,
@@ -180,18 +179,61 @@ def test_initial_error_is_velocity_data_norm(frictional_params):
     assert curve.values[0] == pytest.approx(GAUSS_N1, rel=1e-10)
 
 
-def test_truncation_radius_branches(fractional_params, frictional_params):
-    capped, floor = error_r_max(fractional_params, [0.0, 1e12])
-    assert capped == 20.0  # 10 / eps_star
-    assert floor == 10.0
-    # the flush reach (EXP_FLUSH / t)^{1/(2 sigma1)} is 10 at t_flush: from
-    # there on the radius is 10, the float below it still gets 10 / eps_star
-    t_flush = EXP_FLUSH * 10.0 ** (-2.0 * fractional_params.sigma1)
-    below, at = error_r_max(fractional_params, [np.nextafter(t_flush, 0.0), t_flush])
-    assert below == model.error_radius(fractional_params) == 20.0
-    assert at == 10.0
-    # no slow tail without sigma1
-    assert error_r_max(frictional_params, [0.0, 1e6]).tolist() == [10.0, 10.0]
+def recorded_radii(monkeypatch):
+    """The (r_max, members) of every l2_radial call error_curve makes."""
+    calls = []
+    real = quadrature.l2_radial
+
+    def recorded(f, n, r_max, members, tol):
+        calls.append((r_max, members))
+        return real(f, n, r_max, members, tol)
+
+    monkeypatch.setattr(experiments, "l2_radial", recorded)
+    return calls
+
+
+@ignore_cancellation
+@pytest.mark.parametrize(
+    "p, radius",
+    [
+        (ModelParams(1, 1.0, 0.0, 0.8), 10.0),
+        (ModelParams(3, 1.0, 0.25, 0.75), 20.0),
+        (ModelParams(3, 1.0, 0.3, 0.9), 66.6),
+    ],
+    ids=["frictional", "fractional", "band"],
+)
+def test_every_sample_of_a_curve_gets_the_error_radius(monkeypatch, p, radius):
+    # one family per curve, every time member on the one radius
+    # model.error_radius: 10 at sigma1 = 0, 10 / eps_star otherwise, which
+    # the oscillation band of sigma1 + sigma2 > sigma pushes out to 66.6
+    calls = recorded_radii(monkeypatch)
+    t_grid = geometric_grid(0.5, 1e4, 2)
+    error_curve(p, 2, spectral_data("gaussian"), t_grid=t_grid)
+    assert calls == [(model.error_radius(p), len(t_grid))]
+    assert model.error_radius(p) == pytest.approx(radius, abs=0.05)
+
+
+@ignore_cancellation
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_the_stretch_past_the_flush_reach_adds_only_rounding(monkeypatch, k):
+    # the flush reach (EXP_FLUSH / t)^{1/(2 sigma1)} is 10 at t_flush = 176,
+    # but with sigma1 + sigma2 > sigma the slow rate at large r is only about
+    # r^{2(sigma - sigma2)}: past 10 the multipliers are tiny, not zero
+    # (3e-117 at r = 10, t = 176), and the data are below e^{-100}.  From
+    # t_flush on, the norm out to the error radius 66.6 differs from the
+    # norm out to 10 by the rounding of the cancellation-limited error
+    # alone: measured at most 1.6e-16 / 6.6e-15 / 6.7e-13 / 5.0e-11 relative
+    # at k = 0 / 1 / 2 / 3 here (5.4e-11 at k = 3 on the curve command's
+    # grid); the tolerance 1e-9 relative is 18 times the largest
+    p = ModelParams(3, 1.0, 0.3, 0.9)
+    t_flush = EXP_FLUSH * 10.0 ** (-2.0 * p.sigma1)
+    t_grid = geometric_grid(10.0, 1e4, 5)
+    late = t_grid >= t_flush
+    lab = error_curve(p, k, spectral_data("gaussian"), t_grid=t_grid).values
+    monkeypatch.setattr(experiments, "error_radius", lambda p: 10.0)
+    ten = error_curve(p, k, spectral_data("gaussian"), t_grid=t_grid[late]).values
+    assert 0 < late.sum() < len(t_grid)
+    assert np.all(np.abs(lab[late] - ten) <= 1e-9 * ten)
 
 
 def test_error_curve_finds_eps_star_once_per_curve(monkeypatch, fractional_params, frictional_params):
@@ -535,7 +577,7 @@ def test_frictional_large_weight_curve_keeps_its_mass_past_radius_10(monkeypatch
     p = ModelParams(3, 1.0, 0.0, 0.75, s=150.0)
     times = [1e-3, 1.0, 10.0]
     lab = error_curve(p, 0, spectral_data("gaussian"), t_grid=times).values
-    monkeypatch.setattr(experiments, "error_r_max", lambda p, times: np.full(len(times), 40.0))
+    monkeypatch.setattr(experiments, "error_radius", lambda p: 40.0)
     ref = error_curve(p, 0, spectral_data("gaussian"), t_grid=times).values
     assert np.all(np.abs(lab - ref) <= 1e-6 * (1.0 + ref))
 
@@ -581,8 +623,7 @@ def every_norm():
     """The norm families of error curves k = 0..3 (fractional and sigma1 = 0),
     the high-frequency check and the scaling check, in call order.
 
-    The curves sample both truncation radii: fractional t_flush is 221.  A
-    third configuration's curves reach the oscillating form, k = 0..2.
+    A third configuration's curves reach the oscillating form, k = 0..2.
     """
     families = []
     real = quadrature.l2_radial

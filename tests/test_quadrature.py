@@ -45,7 +45,7 @@ def single_norm(f, n, r_max, tol=1e-8):
         f = RadialIntegrand(same_function(f.func), f.singularity_exponent)
     else:
         f = same_function(f)
-    (norm,) = l2_radial(f, n, np.array([r_max]), tol)
+    (norm,) = l2_radial(f, n, r_max, 1, tol)
     return float(norm)
 
 
@@ -245,18 +245,19 @@ def test_level_batching_matches_depth_first_bit_for_bit(f, n, r_max, tol):
     assert single_norm(f, n, r_max, tol) == depth_first_norm(f, n, r_max, tol)
 
 
-# one radial function per member of a family: different radii and scales,
-# one step that refines down to the spacing of doubles, and oscillations that
-# open hundreds of panels on a level
+# one radial function per member of a family on the radius FAMILY_R_MAX:
+# different scales, one step that refines down to the spacing of doubles, and
+# oscillations that open hundreds of panels on a level
 FAMILY = (
-    (lambda r: np.exp(-(r**2)), 8.0),
-    (lambda r: 1e6 * np.exp(-r), 5.0),
-    (lambda r: np.where(r < 0.3, 1.0, 0.0), 1.0),
-    (lambda r: np.sin(60.0 * r) * np.exp(-r), 10.0),
-    (lambda r: np.abs(r - 0.37) ** 1.5, 2.0),
-    (lambda r: np.cos(600.0 * r), 3.0),
-    (lambda r: r**-0.5, 1.0),
+    lambda r: np.exp(-(r**2)),
+    lambda r: 1e6 * np.exp(-r),
+    lambda r: np.where(r < 0.3, 1.0, 0.0),
+    lambda r: np.sin(60.0 * r) * np.exp(-r),
+    lambda r: np.abs(r - 0.37) ** 1.5,
+    lambda r: np.cos(600.0 * r),
+    lambda r: r**-0.5,
 )
+FAMILY_R_MAX = 3.0
 
 
 class CountingFamily:
@@ -274,7 +275,7 @@ class CountingFamily:
 
     def __call__(self, r):
         self.calls.append(np.array(r))
-        values = [f(r) for f, _ in self.members]
+        values = [f(r) for f in self.members]
 
         def stage(rows, j):
             out = np.empty((len(rows), len(GAUSS_NODES)))
@@ -291,10 +292,9 @@ def test_family_equals_one_call_per_member_bit_for_bit(monkeypatch):
     # calls of 256 panels, narrower than the family's widest level (about 260)
     monkeypatch.setattr(quadrature, "PANELS_PER_CALL", 256)
     family = CountingFamily(FAMILY)
-    r_max = np.array([radius for _, radius in FAMILY])
-    got = l2_radial(family, n=3, r_max=r_max, tol=1e-12)
+    got = l2_radial(family, n=3, r_max=FAMILY_R_MAX, members=len(FAMILY), tol=1e-12)
     assert isinstance(got, np.ndarray) and got.shape == (len(FAMILY),)
-    alone = [single_norm(f, n=3, r_max=radius, tol=1e-12) for f, radius in FAMILY]
+    alone = [single_norm(f, n=3, r_max=FAMILY_R_MAX, tol=1e-12) for f in FAMILY]
     assert np.array_equal(got, alone)
     # levels wider than one call are evaluated in radial blocks and time
     # chunks of PANELS_PER_CALL panels
@@ -325,7 +325,7 @@ def test_shared_panels_are_evaluated_radially_once():
 
         return stage
 
-    got = l2_radial(radial, n=2, r_max=np.full(len(scales), 6.0), tol=1e-12)
+    got = l2_radial(radial, n=2, r_max=6.0, members=len(scales), tol=1e-12)
     alone, alone_nodes = [], []
     for a in scales:
         f = CountingIntegrand(lambda r, a=a: np.exp(-(r * r) * a))
@@ -343,30 +343,6 @@ def test_shared_panels_are_evaluated_radially_once():
     assert sum(member_nodes) > 2 * radial_rows.size
 
 
-def test_radii_a_power_of_two_apart_share_their_ladder():
-    # 3, 6 and 12 share the segments below 3, while 6 and 6.5 share none;
-    # each member still gets the norm it gets alone
-    radii = np.array([6.0, 12.0, 3.0, 6.5, 6.0])
-    blocks, member_nodes = [], []
-
-    def radial(r):
-        blocks.append(r)
-        square = r * r
-
-        def stage(rows, j):
-            member_nodes.append(len(rows) * len(GAUSS_NODES))
-            return 1.0 / (1.0 + square.take(rows, axis=0))
-
-        return stage
-
-    got = l2_radial(radial, n=2, r_max=radii, tol=1e-12)
-    alone = [single_norm(lambda r: 1.0 / (1.0 + r * r), n=2, r_max=x, tol=1e-12) for x in radii]
-    assert np.array_equal(got, alone)
-    radial_rows = np.concatenate(blocks)
-    assert len(np.unique(radial_rows, axis=0)) == len(radial_rows)
-    assert 2 * radial_rows.size < sum(member_nodes)
-
-
 def test_time_stage_gets_one_entry_per_member_panel(monkeypatch):
     # the radial stage gets its block's radii as one row of 15 nodes per
     # panel; the time stage gets one entry per member panel, the panel's row
@@ -374,8 +350,7 @@ def test_time_stage_gets_one_entry_per_member_panel(monkeypatch):
     # Its entries are the panels each member evaluates alone, and chunks of
     # 7 panels cut the blocks and the chunks of a level
     monkeypatch.setattr(quadrature, "PANELS_PER_CALL", 7)
-    scales = np.array([1.0, 2.0, 3.0, 1.0])
-    r_max = np.array([6.0, 6.0, 3.0, 2.5])
+    scales = np.array([1.0, 2.0, 3.0, 0.5])
     blocks, entries = [], [[] for _ in scales]
 
     def radial(r):
@@ -391,11 +366,11 @@ def test_time_stage_gets_one_entry_per_member_panel(monkeypatch):
 
         return stage
 
-    got = l2_radial(radial, n=2, r_max=r_max, tol=1e-12)
+    got = l2_radial(radial, n=2, r_max=6.0, members=len(scales), tol=1e-12)
     assert all(len(shape) == 2 and shape[1] == len(GAUSS_NODES) and shape[0] <= 7 for shape in blocks)
-    for i, (a, radius) in enumerate(zip(scales, r_max)):
+    for i, a in enumerate(scales):
         f = CountingIntegrand(lambda r, a=a: np.exp(-(r * r) * a))
-        assert got[i] == single_norm(f, n=2, r_max=radius, tol=1e-12)
+        assert got[i] == single_norm(f, n=2, r_max=6.0, tol=1e-12)
         # the same panels, each once: a panel's first node names it
         mine, alone = np.concatenate(entries[i]), np.concatenate(f.calls)
         assert len(np.unique(mine[:, 0])) == len(mine)
@@ -405,43 +380,43 @@ def test_time_stage_gets_one_entry_per_member_panel(monkeypatch):
 def test_one_member_family_is_the_float_call():
     # a single norm is a family of one, the float the depth-first recursion gives
     f = lambda r: np.exp(-(r**2)) * (1.0 + r) ** -0.5  # noqa: E731
-    got = l2_radial(same_function(f), n=2, r_max=np.array([6.0]), tol=1e-10)
+    got = l2_radial(same_function(f), n=2, r_max=6.0, members=1, tol=1e-10)
     assert got.tolist() == [depth_first_norm(f, 2, 6.0, 1e-10)]
-    empty = l2_radial(same_function(f), n=2, r_max=np.array([]), tol=1e-10)
+    empty = l2_radial(same_function(f), n=2, r_max=6.0, members=0, tol=1e-10)
     assert isinstance(empty, np.ndarray) and empty.dtype == float and empty.shape == (0,)
 
 
-# Members whose segments settle at both ends of the ladder: their squared
-# integrands are below the roundoff of their totals near the origin and in
-# the far tail.  8, 16 and 1 share a ladder, and so do the two members on 6,
-# which differ in scale and width, so a panel one member settles can stay
-# open for another.
+# Members whose segments settle at both ends of the ladder of SETTLING_R_MAX:
+# their squared integrands are below the roundoff of their totals near the
+# origin and in the far tail.  They differ in scale and width, so a panel one
+# member settles can stay open for another.
 SETTLING = (
-    (lambda r: np.exp(-4.0 * r**2), 8.0),
-    (lambda r: np.exp(-(r**2)), 16.0),
-    (lambda r: 1e-150 * np.exp(-3.0 * r**2), 6.0),
-    (lambda r: np.exp(-5.0 * r**2), 6.0),
-    (lambda r: np.where(r < 0.3, 1.0, 0.0), 1.0),
+    lambda r: np.exp(-4.0 * r**2),
+    lambda r: np.exp(-(r**2)),
+    lambda r: 1e-150 * np.exp(-3.0 * r**2),
+    lambda r: np.exp(-5.0 * r**2),
+    lambda r: np.where(r < 0.3, 1.0, 0.0),
 )
+SETTLING_R_MAX = 16.0
 
 
 class SettleRecorder:
     """A family integrand that records which segments each member halved.
 
-    Members are (radial function, r_max) pairs.  The time stage records the
-    radius of every node past the coarse pass, per member; the coarse pass
-    must fit one radial call.
+    Members are radial functions on the one radius r_max.  The time stage
+    records the radius of every node past the coarse pass, per member; the
+    coarse pass must fit one radial call.
     """
 
-    def __init__(self, members):
+    def __init__(self, members, r_max):
         self.members = members
-        self.r_max = np.array([radius for _, radius in members])
+        self.r_max = r_max
         self.radial_calls = []
         self.member_radii = [[] for _ in members]
 
     def __call__(self, r):
         self.radial_calls.append(r)
-        values = np.stack([f(r) for f, _ in self.members])
+        values = np.stack([f(r) for f in self.members])
         past_coarse = len(self.radial_calls) > 1
 
         def stage(rows, j):
@@ -455,8 +430,8 @@ class SettleRecorder:
     def segments(self, n):
         """Per member: its segments, their coarse values and which it settled."""
         out = []
-        for (f, radius), radii in zip(self.members, self.member_radii):
-            lo, hi = quadrature._segments(radius)
+        lo, hi = quadrature._segments(self.r_max)
+        for f, radii in zip(self.members, self.member_radii):
             g = squared_integrand(f, n)
             coarse = np.array([reference_panel(g, a, b) for a, b in zip(lo, hi)])
             # Gauss nodes lie inside their panels, so never on an edge
@@ -464,14 +439,13 @@ class SettleRecorder:
             settled = np.ones(len(lo), dtype=bool)
             settled[halved.astype(int)] = False
             out.append((lo, hi, coarse, settled))
-        distinct = {(a, b) for lo, hi, _, _ in out for a, b in zip(lo.tolist(), hi.tolist())}
-        assert self.radial_calls[0].size == len(GAUSS_NODES) * len(distinct)
+        assert self.radial_calls[0].size == len(GAUSS_NODES) * len(lo)
         return out
 
 
 def test_settled_segments_reach_neither_stage():
-    family = SettleRecorder(SETTLING)
-    l2_radial(family, n=3, r_max=family.r_max, tol=1e-10)
+    family = SettleRecorder(SETTLING, SETTLING_R_MAX)
+    l2_radial(family, n=3, r_max=family.r_max, members=len(SETTLING), tol=1e-10)
     members = family.segments(3)
     for lo, hi, coarse, settled in members:
         # the rule: at most REL_FLOOR / count of the coarse total, member by member
@@ -488,10 +462,14 @@ def test_settled_segments_reach_neither_stage():
     assert serves.all()
 
 
-@pytest.mark.parametrize("members,tol", [(SETTLING, 1e-10), (FAMILY, 1e-12)], ids=["settling", "family"])
-def test_settled_mass_is_below_the_roundoff_of_the_total(members, tol):
-    family = SettleRecorder(members)
-    l2_radial(family, n=3, r_max=family.r_max, tol=tol)
+@pytest.mark.parametrize(
+    "members,r_max,tol",
+    [(SETTLING, SETTLING_R_MAX, 1e-10), (FAMILY, FAMILY_R_MAX, 1e-12)],
+    ids=["settling", "family"],
+)
+def test_settled_mass_is_below_the_roundoff_of_the_total(members, r_max, tol):
+    family = SettleRecorder(members, r_max)
+    l2_radial(family, n=3, r_max=r_max, members=len(members), tol=tol)
     for _, _, coarse, settled in family.segments(3):
         assert left_to_right(np.abs(coarse[settled])) <= REL_FLOOR * abs(left_to_right(coarse))
 
@@ -503,10 +481,10 @@ def test_a_non_finite_member_settles_nothing(bad):
     # so the non-finite panel is found at depth 0 and named as before
     tail = lambda r: np.exp(-4.0 * r**2)  # noqa: E731
     broken = lambda r: np.where((r > 0.3) & (r < 0.4), bad, tail(r))  # noqa: E731
-    family = SettleRecorder(((tail, 8.0), (broken, 6.0)))
+    family = SettleRecorder((tail, broken), 6.0)
     message = f"segment [1.875000e-01, 3.750000e-01] has non-finite value {bad} at depth 0"
     with pytest.raises(NonConvergence, match=re.escape(message)):
-        l2_radial(family, n=1, r_max=family.r_max, tol=1e-10)
+        l2_radial(family, n=1, r_max=6.0, members=2, tol=1e-10)
     (_, _, _, clean), (_, _, coarse, halved_all) = family.segments(1)
     assert clean.any() and not np.isfinite(left_to_right(coarse))
     assert not halved_all.any()
@@ -553,11 +531,11 @@ def test_a_zero_coarse_total_takes_its_budget_from_the_first_level(monkeypatch):
 
 
 def test_settling_family_equals_one_call_per_member_bit_for_bit():
-    family = SettleRecorder(SETTLING)
-    got = l2_radial(family, n=3, r_max=family.r_max, tol=1e-10)
-    alone = [single_norm(f, n=3, r_max=radius, tol=1e-10) for f, radius in SETTLING]
+    family = SettleRecorder(SETTLING, SETTLING_R_MAX)
+    got = l2_radial(family, n=3, r_max=SETTLING_R_MAX, members=len(SETTLING), tol=1e-10)
+    alone = [single_norm(f, n=3, r_max=SETTLING_R_MAX, tol=1e-10) for f in SETTLING]
     assert np.array_equal(got, alone)
-    # some panel is settled by one member and halved for another on its ladder
+    # some panel is settled by one member and halved for another
     status: dict[tuple[float, float], set[bool]] = {}
     for lo, hi, _, settled in family.segments(3):
         for a, b, done in zip(lo.tolist(), hi.tolist(), settled.tolist()):
@@ -574,10 +552,9 @@ def test_settling_family_equals_one_call_per_member_bit_for_bit():
     ids=["non_finite", "roundoff"],
 )
 def test_a_failing_member_fails_the_family(bad, match):
-    members = ((lambda r: np.exp(-(r**2)), 8.0), (bad, 1.0), (lambda r: np.ones_like(r), 2.0))
-    r_max = np.array([radius for _, radius in members])
+    members = (lambda r: np.exp(-(r**2)), bad, np.ones_like)
     with pytest.raises(NonConvergence, match=match):
-        l2_radial(CountingFamily(members), n=1, r_max=r_max, tol=1e-14)
+        l2_radial(CountingFamily(members), n=1, r_max=1.0, members=len(members), tol=1e-14)
 
 
 def test_each_member_has_its_own_noise_floor():
@@ -587,46 +564,30 @@ def test_each_member_has_its_own_noise_floor():
     clean = lambda r: np.exp(-(r**2))  # noqa: E731
     noisy = lambda r: 1e6 * np.exp(-r) * (1.0 + 1e-10 * (np.modf(r * 1e13)[0] - 0.5))  # noqa: E731
     assert single_norm(clean, n=1, r_max=8.0, tol=1e-20) == pytest.approx(GAUSS_N1, rel=1e-11)
-    family = CountingFamily(((clean, 8.0), (noisy, 1.0)))
+    family = CountingFamily((clean, noisy))
     start = time.perf_counter()
     with pytest.raises(NonConvergence, match="below the roundoff"):
-        l2_radial(family, n=1, r_max=np.array([8.0, 1.0]), tol=1e-20)
+        l2_radial(family, n=1, r_max=8.0, members=2, tol=1e-20)
     assert time.perf_counter() - start < 1.0
     assert sum(c.size for c in family.calls) < 100_000
     assert sum(family.stage_sizes) < 100_000
 
 
-@pytest.mark.parametrize("r_max", [[1.0, 0.0], [2.0, math.inf, 1.0], [[1.0, 2.0]]])
-def test_family_radii_are_validated(r_max):
-    with pytest.raises(ValueError, match="r_max"):
-        l2_radial(same_function(np.ones_like), n=1, r_max=np.array(r_max), tol=1e-8)
+@pytest.mark.parametrize(
+    "r_max",
+    [math.nan, math.inf, R_FLOOR, 0.0, np.array([1.0]), np.array([[1.0, 2.0]]), np.array(1.0), [1.0], None],
+    ids=["nan", "inf", "floor", "zero", "1-d", "2-d", "0-d", "list", "none"],
+)
+def test_r_max_is_one_finite_radius_above_the_floor(r_max):
+    # one radius serves the whole family, so a radius per member is refused
+    with pytest.raises(ValueError, match="r_max must be"):
+        l2_radial(same_function(np.ones_like), n=1, r_max=r_max, members=2, tol=1e-8)
 
 
-@pytest.mark.parametrize("r_max", [1.0, np.array(1.0), np.array([[1.0, 2.0]])], ids=["float", "0-d", "2-d"])
-def test_r_max_must_be_a_1d_array(r_max):
-    # one calling convention: a single norm is asked for as a family of one
-    with pytest.raises(ValueError, match=re.escape("r_max must be a 1-d array of member radii")):
-        l2_radial(same_function(np.ones_like), n=1, r_max=r_max, tol=1e-8)
-
-
-def member_totals_loop(values, first):
-    """Reference: each member's values added left to right by a Python loop."""
-    totals = []
-    for a, b in zip(first[:-1], first[1:]):
-        total = 0.0
-        for v in values[a:b].tolist():
-            total += v
-        totals.append(total)
-    return totals
-
-
-def test_member_totals_add_left_to_right(rng):
-    # magnitudes 40 decades apart make every summation order give its own float
-    for _ in range(300):
-        counts = rng.integers(1, 45, size=rng.integers(1, 77))
-        first = np.concatenate(([0], np.cumsum(counts)))
-        values = rng.standard_normal(first[-1]) * 10.0 ** rng.integers(-20, 20, first[-1])
-        assert quadrature._member_totals(values, first).tolist() == member_totals_loop(values, first)
+@pytest.mark.parametrize("members", [-1, True, 2.0, "2", None], ids=["negative", "bool", "float", "str", "none"])
+def test_members_is_a_non_negative_int(members):
+    with pytest.raises(ValueError, match="members must be a non-negative int"):
+        l2_radial(same_function(np.ones_like), n=1, r_max=1.0, members=members, tol=1e-8)
 
 
 def test_roundoff_limited_refinement_stops():
