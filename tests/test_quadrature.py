@@ -584,6 +584,13 @@ def test_r_max_is_one_finite_radius_above_the_floor(r_max):
         l2_radial(same_function(np.ones_like), n=1, r_max=r_max, members=2, tol=1e-8)
 
 
+@pytest.mark.parametrize("r_max", [[1.0, 0.0], [2.0, math.inf, 1.0], [[1.0, 2.0]]])
+def test_family_radii_are_validated(r_max):
+    # an array of member radii, with bad entries or not, is no radius at all
+    with pytest.raises(ValueError, match="r_max must be"):
+        l2_radial(same_function(np.ones_like), n=1, r_max=np.array(r_max), members=len(r_max), tol=1e-8)
+
+
 @pytest.mark.parametrize("members", [-1, True, 2.0, "2", None], ids=["negative", "bool", "float", "str", "none"])
 def test_members_is_a_non_negative_int(members):
     with pytest.raises(ValueError, match="members must be a non-negative int"):
